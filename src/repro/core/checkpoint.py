@@ -24,26 +24,36 @@ spawn's holder, not merely a stamp ancestor.  The ``covers`` predicate
 with ``covers=None`` the table degrades to the paper's stamp-only rule,
 which is exact in the absence of racing lineages.
 
-**Indexing.**  ``record`` runs on every placement acknowledgement, so the
-§3.2 comparison must not scan the whole entry (the naive rule is
-quadratic over a run).  Each entry therefore keeps two digit-tuple
-indexes beside the checkpoint map:
+**Indexing.**  ``record`` runs on every placement acknowledgement and a
+drop on every child result, so neither may scan an entry, probe every
+destination, or build per-level containers.  All indexes key on raw
+``digits`` tuples (hashed in C — no ``LevelStamp.__hash__`` runs inside
+the table):
 
-- ``by_stamp``: exact stamp → recorded keys.  The "is B2 covered?" test
-  walks B2's ancestor prefixes root-ward — O(depth) hash probes instead
-  of O(entry) ``is_ancestor_of`` calls.
-- ``desc_index``: proper ancestor prefix → recorded descendant keys.
-  The reverse (subsumption) test — "does B2 cover recorded descendants?"
-  — is a single probe.
+- ``by_stamp`` (per entry): exact stamp → the checkpoints recorded for
+  it, one per holder, as a tuple.  The "is B2 covered?" test walks B2's
+  ancestor prefixes root-ward — O(depth) hash probes instead of O(entry)
+  ``is_ancestor_of`` calls.
+- ``below`` (per entry): prefix → how many checkpoints sit directly
+  under it plus how many of its child prefixes have anything below
+  them.  A prefix is present exactly when the entry records a proper
+  descendant of it, so the reverse (subsumption) test — "does B2 cover
+  recorded descendants?" — is one probe, and only a hit enumerates
+  ``by_stamp``.  Insertion and removal walk root-ward and stop at the
+  first prefix that stays populated, so siblings and cousins of a
+  recorded stamp cost one counter update, not one per level.
+- ``_dests`` (per table): ``(digits, holder)`` → the destinations whose
+  entries record that key, so a holder-keyed ``drop_everywhere`` goes
+  straight to the entry instead of probing every destination.
 
-Both indexes key on raw ``digits`` tuples, not ``LevelStamp`` objects,
-so probes allocate nothing but tuple slices.
+Tables that belong to one machine share a :class:`HeldTotal`, the
+running machine-wide count of retained checkpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.packets import TaskPacket
 from repro.core.stamps import LevelStamp
@@ -66,47 +76,42 @@ class FunctionalCheckpoint:
     task_uid: int
 
 
-_Key = Tuple[LevelStamp, int]  # (child stamp, holder task uid)
 _Digits = tuple
+_Key = Tuple[_Digits, int]  # (child stamp digits, holder task uid)
+
+
+class HeldTotal:
+    """Checkpoints retained by every table that shares this object.
+
+    The tables keep ``held`` current as they record and drop, so the
+    machine-wide figure is a read, not a sum over processors.
+    """
+
+    __slots__ = ("held", "tables")
+
+    def __init__(self) -> None:
+        self.held = 0
+        self.tables: List["CheckpointTable"] = []
 
 
 class _DestEntry:
-    """One destination's checkpoints plus the two stamp indexes."""
+    """One destination's checkpoints and its descendant counts."""
 
-    __slots__ = ("checkpoints", "by_stamp", "desc_index")
+    __slots__ = ("by_stamp", "below")
 
     def __init__(self) -> None:
-        self.checkpoints: Dict[_Key, FunctionalCheckpoint] = {}
-        self.by_stamp: Dict[_Digits, List[_Key]] = {}
-        self.desc_index: Dict[_Digits, Set[_Key]] = {}
-
-    def add(self, key: _Key) -> None:
-        digits = key[0].digits
-        self.by_stamp.setdefault(digits, []).append(key)
-        for depth in range(len(digits)):
-            self.desc_index.setdefault(digits[:depth], set()).add(key)
-
-    def remove(self, key: _Key) -> None:
-        del self.checkpoints[key]
-        digits = key[0].digits
-        siblings = self.by_stamp[digits]
-        siblings.remove(key)
-        if not siblings:
-            del self.by_stamp[digits]
-        for depth in range(len(digits)):
-            prefix = digits[:depth]
-            descendants = self.desc_index.get(prefix)
-            if descendants is not None:
-                descendants.discard(key)
-                if not descendants:
-                    del self.desc_index[prefix]
+        self.by_stamp: Dict[_Digits, Tuple[FunctionalCheckpoint, ...]] = {}
+        self.below: Dict[_Digits, int] = {}
 
 
 class CheckpointTable:
     """Per-processor table of topmost functional checkpoints by destination."""
 
-    def __init__(self) -> None:
+    def __init__(self, total: Optional[HeldTotal] = None) -> None:
         self._entries: Dict[int, _DestEntry] = {}
+        self._dests: Dict[_Key, Tuple[int, ...]] = {}
+        self._total = total if total is not None else HeldTotal()
+        self._total.tables.append(self)
         self._held = 0
         self.recorded = 0
         self.dropped = 0
@@ -134,36 +139,48 @@ class CheckpointTable:
         if entry is None:
             entry = self._entries[dest] = _DestEntry()
         digits = stamp.digits
+        depth = len(digits)
         # Coverage test: walk the stamp and its proper ancestors leaf-ward
         # to root-ward; any recorded holder in the same lineage suppresses.
         by_stamp = entry.by_stamp
         if by_stamp:
-            for depth in range(len(digits), -1, -1):
-                keys = by_stamp.get(digits[:depth])
-                if keys:
-                    for key in keys:
-                        if covers is None or covers(key[1], task_uid):
+            for level in range(depth, -1, -1):
+                recorded = by_stamp.get(digits[:level])
+                if recorded:
+                    for prior in recorded:
+                        if covers is None or covers(prior.task_uid, task_uid):
                             self.suppressed += 1
                             return None
         # A new topmost stamp can also *subsume* previously recorded
         # descendants of the same lineage (possible after recovery
         # re-placements): drop them so the invariant holds.
-        descendants = entry.desc_index.get(digits)
-        if descendants:
+        below = entry.below
+        if digits in below:
             subsumed = [
-                key
-                for key in descendants
-                if covers is None or covers(task_uid, key[1])
+                prior
+                for deeper, recorded in by_stamp.items()
+                if len(deeper) > depth and deeper[:depth] == digits
+                for prior in recorded
+                if covers is None or covers(task_uid, prior.task_uid)
             ]
-            for key in subsumed:
-                entry.remove(key)
-                self._held -= 1
-                self.dropped += 1
+            for prior in subsumed:
+                self.drop(dest, prior.stamp, prior.task_uid)
         checkpoint = FunctionalCheckpoint(stamp, dest, packet, task_uid)
-        key = (stamp, task_uid)
-        entry.checkpoints[key] = checkpoint
-        entry.add(key)
+        by_stamp[digits] = by_stamp.get(digits, ()) + (checkpoint,)
+        # Count the newcomer under its parent prefix; a prefix that was
+        # empty until now becomes a populated child of *its* parent.
+        level = depth - 1
+        while level >= 0:
+            prefix = digits[:level]
+            count = below.get(prefix, 0)
+            below[prefix] = count + 1
+            if count:
+                break
+            level -= 1
+        key = (digits, task_uid)
+        self._dests[key] = self._dests.get(key, ()) + (dest,)
         self.recorded += 1
+        self._total.held += 1
         self._held += 1
         if self._held > self.peak_held:
             self.peak_held = self._held
@@ -174,20 +191,56 @@ class CheckpointTable:
         entry = self._entries.get(dest)
         if entry is None:
             return False
-        keys = entry.by_stamp.get(stamp.digits)
-        if not keys:
+        digits = stamp.digits
+        recorded = entry.by_stamp.get(digits)
+        if not recorded:
             return False
-        matched = [key for key in keys if task_uid is None or key[1] == task_uid]
-        for key in matched:
-            entry.remove(key)
-            self._held -= 1
-            self.dropped += 1
-        return bool(matched)
+        if task_uid is None:
+            doomed = recorded
+        else:
+            doomed = tuple(c for c in recorded if c.task_uid == task_uid)
+            if not doomed:
+                return False
+        if len(doomed) == len(recorded):
+            del entry.by_stamp[digits]
+        else:
+            entry.by_stamp[digits] = tuple(c for c in recorded if c.task_uid != task_uid)
+        below = entry.below
+        for checkpoint in doomed:
+            # Mirror of record(): uncount root-ward while prefixes empty.
+            level = len(digits) - 1
+            while level >= 0:
+                prefix = digits[:level]
+                count = below[prefix] - 1
+                if count:
+                    below[prefix] = count
+                    break
+                del below[prefix]
+                level -= 1
+            key = (digits, checkpoint.task_uid)
+            dests = self._dests[key]
+            if len(dests) == 1:
+                del self._dests[key]
+            else:
+                at = dests.index(dest)
+                self._dests[key] = dests[:at] + dests[at + 1 :]
+        self._held -= len(doomed)
+        self._total.held -= len(doomed)
+        self.dropped += len(doomed)
+        return True
 
     def drop_everywhere(self, stamp: LevelStamp, task_uid: Optional[int] = None) -> int:
-        """Remove a stamp from all entries (placement changed or unknown)."""
+        """Remove a stamp from all entries (placement changed or unknown).
+
+        With the holder given, only the entries that record its key are
+        visited; without one, every destination is probed.
+        """
+        if task_uid is None:
+            dests = tuple(self._entries)
+        else:
+            dests = self._dests.get((stamp.digits, task_uid), ())
         removed = 0
-        for dest in list(self._entries):
+        for dest in dests:
             if self.drop(dest, stamp, task_uid):
                 removed += 1
         return removed
@@ -200,15 +253,16 @@ class CheckpointTable:
         if entry is None:
             return []
         return sorted(
-            entry.checkpoints.values(), key=lambda c: (c.stamp.sort_key(), c.task_uid)
+            (c for recorded in entry.by_stamp.values() for c in recorded),
+            key=lambda c: (c.stamp.sort_key(), c.task_uid),
         )
 
     def lookup(self, stamp: LevelStamp) -> Optional[FunctionalCheckpoint]:
         digits = stamp.digits
         for entry in self._entries.values():
-            keys = entry.by_stamp.get(digits)
-            if keys:
-                return entry.checkpoints[keys[0]]
+            recorded = entry.by_stamp.get(digits)
+            if recorded:
+                return recorded[0]
         return None
 
     def held(self) -> int:
@@ -216,7 +270,7 @@ class CheckpointTable:
         return self._held
 
     def destinations(self) -> List[int]:
-        return sorted(d for d, e in self._entries.items() if e.checkpoints)
+        return sorted(d for d, e in self._entries.items() if e.by_stamp)
 
     def __iter__(self) -> Iterator[FunctionalCheckpoint]:
         for dest in sorted(self._entries):
@@ -225,19 +279,45 @@ class CheckpointTable:
     def check_invariant(self) -> None:
         """Assert the per-lineage topmost invariant (stamp-only form: no
         two entries of one destination may be stamp-related *and* share a
-        holder), plus index/checkpoint consistency."""
+        holder), and that every index — ``by_stamp``, ``below``,
+        ``_dests``, the held counter and the shared total — agrees with a
+        from-scratch recomputation."""
+        dests_of: Dict[_Key, List[int]] = {}
         for dest, entry in self._entries.items():
-            keys = list(entry.checkpoints)
-            for a_stamp, a_uid in keys:
-                for b_stamp, b_uid in keys:
-                    if (a_stamp, a_uid) != (b_stamp, b_uid) and a_uid == b_uid:
-                        if a_stamp == b_stamp or a_stamp.is_ancestor_of(b_stamp):
+            checkpoints = [c for recorded in entry.by_stamp.values() for c in recorded]
+            for a in checkpoints:
+                for b in checkpoints:
+                    if a is not b and a.task_uid == b.task_uid:
+                        if a.stamp == b.stamp or a.stamp.is_ancestor_of(b.stamp):
                             raise AssertionError(
                                 f"topmost invariant violated in entry {dest}: "
-                                f"{a_stamp} covers {b_stamp} (holder {a_uid})"
+                                f"{a.stamp} covers {b.stamp} (holder {a.task_uid})"
                             )
-            indexed = [key for keys in entry.by_stamp.values() for key in keys]
-            if sorted(indexed, key=repr) != sorted(keys, key=repr):
-                raise AssertionError(f"by_stamp index out of sync in entry {dest}")
-        if self._held != sum(len(e.checkpoints) for e in self._entries.values()):
+            for digits, recorded in entry.by_stamp.items():
+                if not recorded or any(
+                    c.stamp.digits != digits or c.dest != dest for c in recorded
+                ):
+                    raise AssertionError(f"by_stamp index out of sync in entry {dest}")
+            # below[p] = checkpoints whose parent prefix is p, plus child
+            # prefixes of p that have a recorded proper descendant.
+            populated = {
+                c.stamp.digits[:level]
+                for c in checkpoints
+                for level in range(len(c.stamp.digits))
+            }
+            below: Dict[_Digits, int] = {}
+            for child in [c.stamp.digits for c in checkpoints] + list(populated):
+                if child:
+                    below[child[:-1]] = below.get(child[:-1], 0) + 1
+            if entry.below != below:
+                raise AssertionError(f"descendant counts out of sync in entry {dest}")
+            for c in checkpoints:
+                dests_of.setdefault((c.stamp.digits, c.task_uid), []).append(dest)
+        if {k: sorted(v) for k, v in self._dests.items()} != {
+            k: sorted(v) for k, v in dests_of.items()
+        }:
+            raise AssertionError("key->destination map out of sync with entries")
+        if self._held != sum(len(v) for v in dests_of.values()):
             raise AssertionError("held counter out of sync with entries")
+        if self._total.held != sum(t.held() for t in self._total.tables):
+            raise AssertionError("shared held total out of sync with its tables")

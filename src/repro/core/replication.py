@@ -139,6 +139,8 @@ class ReplicatedExecution(FaultTolerance):
         record = task.record_for_child(msg.sender_stamp)
         if record is None or record.has_result:
             return False
+        if record.votes is None:
+            record.votes = []
         record.votes.append(msg.value)
         node.metrics.votes_recorded += 1
         if node.trace.enabled:

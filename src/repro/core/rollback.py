@@ -27,10 +27,10 @@ Mechanism on each node:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.checkpoint import CheckpointTable
+from repro.core.checkpoint import CheckpointTable, HeldTotal
 from repro.core.policy import FaultTolerance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class _NodeState:
-    table: CheckpointTable = field(default_factory=CheckpointTable)
+    table: CheckpointTable
 
 
 class RollbackRecovery(FaultTolerance):
@@ -51,8 +51,13 @@ class RollbackRecovery(FaultTolerance):
 
     # -- bookkeeping -----------------------------------------------------------
 
+    def attach(self, machine) -> None:
+        super().attach(machine)
+        #: Checkpoints held machine-wide; every node's table updates it.
+        self.held_total = HeldTotal()
+
     def make_node_state(self, node: "Node") -> _NodeState:
-        return _NodeState()
+        return _NodeState(table=CheckpointTable(self.held_total))
 
     def table_of(self, node: "Node") -> CheckpointTable:
         return node.ft_state.table
@@ -98,7 +103,9 @@ class RollbackRecovery(FaultTolerance):
         if checkpoint is not None:
             metrics = self.machine.metrics
             metrics.checkpoints_recorded += 1
-            held = self._held_everywhere()
+            # The tables keep the machine-wide total current as they
+            # record and drop, so the peak is a read, not a sum over nodes.
+            held = self.held_total.held
             if held > metrics.checkpoint_peak_held:
                 metrics.checkpoint_peak_held = held
             metrics.add_busy(node.id, node.cost.checkpoint_overhead)
@@ -110,14 +117,6 @@ class RollbackRecovery(FaultTolerance):
                     stamp=str(record.child_stamp),
                     dest=ack.executor,
                 )
-
-    def _held_everywhere(self) -> int:
-        # table.held() is an O(1) counter, so this is one addition per node.
-        return sum(
-            n.ft_state.table.held()
-            for n in self.machine.all_nodes()
-            if isinstance(n.ft_state, _NodeState)
-        )
 
     def on_child_result(self, node, task, record, value) -> None:
         # The child's whole subtree completed: its recovery point is moot.

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.checkpoint import CheckpointTable
 from repro.core.packets import ReturnAddress
 from repro.core.rollback import RollbackRecovery, _NodeState as _RollbackState
 from repro.core.stamps import LevelStamp
@@ -61,7 +62,7 @@ class SpliceRecovery(RollbackRecovery):
     name = "splice"
 
     def make_node_state(self, node: "Node") -> _NodeState:
-        return _NodeState()
+        return _NodeState(table=CheckpointTable(self.held_total))
 
     # -- orphan side ------------------------------------------------------------
 

@@ -90,38 +90,53 @@ class GradientScheduler(Scheduler):
     name = "gradient"
 
     def place(self, packet: TaskPacket, origin: int, exclude: Set[int]) -> int:
-        # This runs once per spawn, so load is read inline off the node
-        # objects (no per-candidate id->node lookups).  A node's load is
-        # queued + executing + inbound tasks, exactly Node.load().
-        alive_nodes = self._alive_nodes(exclude)
-        alive = [n.id for n in alive_nodes]
-        origin_alive = origin in alive
-        if origin_alive:
-            o = self.machine.node(origin)
-            if not (o.run_queue or o.current is not None or o.inbound_pending):
-                return origin
-        idle = [
-            n.id
-            for n in alive_nodes
-            if not (n.run_queue or n.current is not None or n.inbound_pending)
-        ]
-        if idle:
-            # nearest idle processor; ties broken by node id (deterministic)
-            if origin_alive or origin == -1:
-                src = origin if origin != -1 else idle[0]
+        # This runs once per spawn: one pass over the processors, loads
+        # read inline off the node objects (queued + executing + inbound,
+        # exactly Node.load()), no intermediate lists.  Processors are
+        # visited in id order and only a strictly better candidate
+        # replaces the best so far, so ties go to the lowest id.
+        processors = self.machine.processors()
+        # Distances matter only from an origin that may itself be chosen:
+        # an alive, non-excluded processor (never the super-root).
+        dist = None
+        if origin >= 0 and origin not in exclude:
+            o = processors[origin]
+            if o.alive:
+                if not (o.run_queue or o.current is not None or o.inbound_pending):
+                    return origin
+                dist = self.topology.hops_from(origin)
+        idle = -1  # nearest idle processor so far, at idle_hops
+        idle_hops = 0
+        least = -1  # least-loaded diffusion target so far, at least_load
+        least_load = 0
+        for n in processors:
+            if not n.alive or n.id in exclude:
+                continue
+            if n.run_queue or n.current is not None or n.inbound_pending:
+                # Diffusion target: the origin and its neighbours, or any
+                # processor when the origin cannot take part.  Moot once
+                # an idle processor is known.
+                if idle < 0 and (dist is None or dist[n.id] <= 1):
+                    load = (
+                        len(n.run_queue)
+                        + (1 if n.current is not None else 0)
+                        + n.inbound_pending
+                    )
+                    if least < 0 or load < least_load:
+                        least, least_load = n.id, load
+            elif dist is None:
+                return n.id  # no usable origin: the first idle processor
             else:
-                src = idle[0]
-            hops = self.topology.hops
-            return min(idle, key=lambda n: (hops(src, n), n))
-        # no idle processor: diffuse toward the least-loaded neighbour
-        if origin_alive:
-            alive_set = set(alive)
-            candidates = [
-                n for n in self.topology.neighbours(origin) if n in alive_set
-            ] + [origin]
-        else:
-            candidates = alive
-        return min(candidates, key=lambda n: (self._load(n), n))
+                hops = dist[n.id]
+                if hops == 1:
+                    return n.id  # the loaded origin is the only nearer node
+                if idle < 0 or hops < idle_hops:
+                    idle, idle_hops = n.id, hops
+        if idle >= 0:
+            return idle
+        if least < 0:
+            raise SchedulingError("no alive processors available for placement")
+        return least
 
 
 class RandomScheduler(Scheduler):

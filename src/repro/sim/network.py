@@ -14,10 +14,12 @@ Sends to the super-root (node -1) never fail.
 
 ``send`` is one of the two hottest functions in a run (every spawn, ack,
 and result goes through it), so it computes hop count once, skips the
-jitter stream entirely when the cost model has none, and reuses one
+jitter stream entirely when the cost model has none, reuses one
 interned label per message type instead of formatting a fresh string per
-message.  The nemesis hook costs one ``is None`` check on that path
-(the same guard discipline as ``trace.enabled``): an armed
+message, and schedules the delivery as a ``partial`` over
+:meth:`Network._deliver` rather than a per-message closure.  The
+nemesis hook costs one ``is None`` check on that path (the same guard
+discipline as ``trace.enabled``): an armed
 :class:`~repro.faults.model.NemesisSchedule` may intercept a send to
 drop, duplicate, or delay it via :meth:`Network.drop_message` and
 :meth:`Network.deliver_copy`.
@@ -25,6 +27,7 @@ drop, duplicate, or delay it via :meth:`Network.drop_message` and
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict
 
 from repro.core.packets import SUPER_ROOT_NODE
@@ -100,37 +103,28 @@ class Network:
         self.metrics.record_message(msg_type.__name__, hops)
         if self.nemesis is not None and self.nemesis.intercept_send(self, msg, hops):
             return
-        delay = self._delay(hops)
-        dst = machine.nodes[msg.dst]
-
-        def deliver() -> None:
-            if dst.alive:
-                dst.on_message(msg)
-            else:
-                self._notify_loss(msg)
-
-        self.queue.after(
-            delay, deliver, label=_deliver_label(msg_type), priority=PRIORITY_MESSAGE
-        )
+        self.deliver_copy(msg, self._delay(hops))
 
     def deliver_copy(self, msg: Message, delay: float) -> None:
         """Schedule one delivery of ``msg`` after ``delay``.
 
-        Nemesis-only path (duplicated, delayed, and reordered copies);
-        the default path in :meth:`send` keeps its own inline closure so
-        the fault-free hot loop pays no extra call.
+        The tail of :meth:`send`, and the nemesis's way to inject
+        duplicated, delayed, and reordered copies.
         """
-        dst = self.machine.nodes[msg.dst]
-
-        def deliver() -> None:
-            if dst.alive:
-                dst.on_message(msg)
-            else:
-                self._notify_loss(msg)
-
         self.queue.after(
-            delay, deliver, label=_deliver_label(type(msg)), priority=PRIORITY_MESSAGE
+            delay,
+            partial(self._deliver, msg),
+            label=_deliver_label(type(msg)),
+            priority=PRIORITY_MESSAGE,
         )
+
+    def _deliver(self, msg: Message) -> None:
+        """The delivery event: hand ``msg`` over, or report it lost."""
+        dst = self.machine.nodes[msg.dst]
+        if dst.alive:
+            dst.on_message(msg)
+        else:
+            self._notify_loss(msg)
 
     def drop_message(self, msg: Message, notify: bool, reason: str) -> None:
         """Nemesis-requested loss of ``msg`` (never on the default path).

@@ -27,14 +27,17 @@ Hot-path notes (see ``docs/PERFORMANCE.md``): the machine's queue,
 trace, metrics, policy, and cost model are bound as plain attributes at
 construction (they never change over a run); every trace emit is guarded
 by ``trace.enabled`` so the no-trace fast path skips the
-``str(stamp)``/``repr(value)`` rendering entirely; and run-queue
+``str(stamp)``/``repr(value)`` rendering entirely; run-queue
 membership is mirrored by ``TaskInstance.queued`` instead of deque
-scans.
+scans; and the slice-end and ack-timeout events are ``partial`` objects
+over bound methods carrying their arguments, not a nested function (plus
+one cell per captured name) defined per event.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.packets import SUPER_ROOT_NODE, ReturnAddress, TaskPacket
@@ -356,36 +359,47 @@ class Node:
         done_at = self.queue.now + duration
         self.busy_until = done_at
 
-        def complete_slice() -> None:
-            if not self.alive or task.status is not _RUNNING:
-                # the node died (or the task was aborted) mid-slice
-                if self.current == task.uid:
-                    self.current = None
-                    self._schedule_run()
-                return
-            for record in new_records:
-                if not record.has_result:  # salvage may have filled it
-                    self._dispatch_spawn(task, record)
-            if final is not None and final.completed:
-                self._complete_task(task, final.value)
-            else:
-                yielded = final is not None and final.yielded
-                if yielded or task.pending_deliveries:
-                    # time-sliced tasks rejoin the back of the queue
-                    task.status = _READY
-                    task.queued = True
-                    self.run_queue.append(task.uid)
-                else:
-                    task.status = _SUSPENDED
-                    if self.trace.enabled:
-                        self.trace.emit(
-                            self.queue.now, self.id, "task_suspended",
-                            stamp=str(task.stamp), uid=task.uid,
-                        )
-            self.current = None
-            self._schedule_run()
+        self.queue.schedule(
+            done_at,
+            partial(self._complete_slice, task, new_records, final),
+            label=self._slice_label,
+        )
 
-        self.queue.schedule(done_at, complete_slice, label=self._slice_label)
+    def _complete_slice(
+        self,
+        task: TaskInstance,
+        new_records: List[SpawnRecord],
+        final: Optional[Advance],
+    ) -> None:
+        """The slice-end event: dispatch the slice's spawns, then finish,
+        requeue or suspend the task."""
+        if not self.alive or task.status is not _RUNNING:
+            # the node died (or the task was aborted) mid-slice
+            if self.current == task.uid:
+                self.current = None
+                self._schedule_run()
+            return
+        for record in new_records:
+            if not record.has_result:  # salvage may have filled it
+                self._dispatch_spawn(task, record)
+        if final is not None and final.completed:
+            self._complete_task(task, final.value)
+        else:
+            yielded = final is not None and final.yielded
+            if yielded or task.pending_deliveries:
+                # time-sliced tasks rejoin the back of the queue
+                task.status = _READY
+                task.queued = True
+                self.run_queue.append(task.uid)
+            else:
+                task.status = _SUSPENDED
+                if self.trace.enabled:
+                    self.trace.emit(
+                        self.queue.now, self.id, "task_suspended",
+                        stamp=str(task.stamp), uid=task.uid,
+                    )
+        self.current = None
+        self._schedule_run()
 
     # -- spawning -----------------------------------------------------------------------
 
@@ -428,19 +442,21 @@ class Node:
         if record.ack_timer is not None:
             self.queue.cancel(record.ack_timer)
 
-        def on_timeout() -> None:
-            record.ack_timer = None
-            if not self.alive or record.state is not SpawnState.IN_TRANSIT:
-                return
-            if task.status is _COMPLETED or task.status is _ABORTED:
-                return
-            # No acknowledgement inside the window: in this network that
-            # means the carrier or executor died.  Reissue (state-b rule).
-            self.reissue_record(task, record, reason="ack-timeout")
-
         record.ack_timer = self.queue.after(
-            self.cost.ack_timeout, on_timeout, label="ack-timeout"
+            self.cost.ack_timeout,
+            partial(self._on_ack_timeout, task, record),
+            label="ack-timeout",
         )
+
+    def _on_ack_timeout(self, task: TaskInstance, record: SpawnRecord) -> None:
+        record.ack_timer = None
+        if not self.alive or record.state is not SpawnState.IN_TRANSIT:
+            return
+        if task.status is _COMPLETED or task.status is _ABORTED:
+            return
+        # No acknowledgement inside the window: in this network that
+        # means the carrier or executor died.  Reissue (state-b rule).
+        self.reissue_record(task, record, reason="ack-timeout")
 
     def replace_packet(self, packet: TaskPacket) -> None:
         """Re-place a packet whose carrier died before placement."""

@@ -22,7 +22,7 @@ copy is all that the parent needs to regenerate the child task."
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.packets import TaskPacket
@@ -59,8 +59,9 @@ class SpawnRecord:
     #: uid of the task instance whose result filled this record (used for
     #: useful-vs-wasted work accounting at run end).
     fulfilled_by: Optional[int] = None
-    #: Values received from replicas (replication policy, §5.3).
-    votes: List[Any] = field(default_factory=list)
+    #: Values received from replicas (replication policy, §5.3); the list
+    #: is allocated on the first vote, so other policies' records carry none.
+    votes: Optional[List[Any]] = None
     vote_decided: bool = False
     #: Scheduled ack-timeout event handle (cancelled on ack).
     ack_timer: Any = None

@@ -125,6 +125,10 @@ class Topology:
             return 1
         return self._dist[src][dst]
 
+    def hops_from(self, src: int) -> List[int]:
+        """Hop counts from processor ``src`` to every processor, by id."""
+        return self._dist[src]
+
     @property
     def diameter(self) -> int:
         return max(max(row) for row in self._dist)
