@@ -26,9 +26,9 @@ Determinism contract (pinned by ``tests/check/test_coverage.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.check.oracles import CheckContext, CheckReport
+from repro.check.oracles import CheckContext, CheckReport, recovery_windows
 
 #: Count buckets: 0, 1, 2, 3 exact, then powers of two (4-7, 8-15, ...).
 #: A fixed, documented grid — signatures from different processes and
@@ -75,40 +75,19 @@ class RecoveryStats:
 def recovery_stats(ctx: CheckContext) -> RecoveryStats:
     """Measure the recovery windows of one run.
 
-    Pairs ``recovery_reissue`` with its close
-    (``recovery_complete``/``result_received``/``result_salvaged`` for
-    the same stamp) exactly like the ``bounded-recovery`` oracle does,
-    including the holder-abort mooting rule, so the worst ratio seen
-    here is the same margin that oracle judges.
+    Reads the pairing the ``bounded-recovery`` oracle judges
+    (:func:`~repro.check.oracles.recovery_windows`), so the worst ratio
+    seen here is that oracle's margin.
     """
-    open_at: Dict[str, Tuple[float, Any]] = {}
-    windows = 0
-    max_overlap = 0
-    worst = 0.0
+    total, max_overlap, closed, still_open = recovery_windows(ctx)
     horizon = ctx.horizon if ctx.horizon > 0 else 1.0
-    for r in ctx.records:
-        stamp = r.detail.get("stamp")
-        if r.kind == "recovery_reissue":
-            windows += 1
-            open_at[stamp] = (r.time, r.detail.get("uid"))
-            max_overlap = max(max_overlap, len(open_at))
-        elif r.kind in ("recovery_complete", "result_received", "result_salvaged"):
-            if stamp in open_at:
-                opened, _ = open_at.pop(stamp)
-                worst = max(worst, (r.time - opened) / horizon)
-        elif r.kind == "task_aborted":
-            uid = r.detail.get("uid")
-            for s in [s for s, (_, holder) in open_at.items() if holder == uid]:
-                del open_at[s]
-            if stamp in open_at:
-                del open_at[stamp]
-    for opened, _ in open_at.values():
-        worst = max(worst, (ctx.makespan - opened) / horizon)
+    spans = [done - opened for _, opened, done in closed]
+    spans += [ctx.makespan - opened for opened in still_open.values()]
     return RecoveryStats(
-        windows=windows,
+        windows=total,
         max_overlap=max_overlap,
-        worst_ratio=round(worst, 6),
-        left_open=len(open_at),
+        worst_ratio=round(max([0.0] + [span / horizon for span in spans]), 6),
+        left_open=len(still_open),
     )
 
 
@@ -166,24 +145,18 @@ class CoverageSignature:
 
 
 def signature_from_context(
-    ctx: CheckContext, report: CheckReport
+    ctx: CheckContext, report: CheckReport, stats: Optional[RecoveryStats] = None
 ) -> CoverageSignature:
-    """Extract the coverage signature of one evaluated run."""
-    stats = recovery_stats(ctx)
-    dead = ctx.dead_nodes()
-    false_pos = [
-        r
-        for r in ctx.records
-        if r.kind == "failure_detected" and r.detail.get("dead") not in dead
-    ]
-    pairs = {(r.node, r.detail["dead"]) for r in false_pos}
-    onesided = [(a, b) for a, b in pairs if (b, a) not in pairs]
-    reasons: List[str] = sorted(
-        {
-            str(r.detail.get("reason"))
-            for r in ctx.records
-            if r.kind == "recovery_reissue"
-        }
+    """Extract the coverage signature of one evaluated run.
+
+    ``stats`` hands in :func:`recovery_stats` of the same context when
+    the caller already computed it.
+    """
+    if stats is None:
+        stats = recovery_stats(ctx)
+    false_pos, _, onesided = ctx.false_positives
+    reasons = sorted(
+        {str(r.extra.get("reason")) for r in ctx.trace.of_kind("recovery_reissue")}
     )
     return CoverageSignature(
         statuses=tuple((v.oracle, v.status) for v in report.verdicts),

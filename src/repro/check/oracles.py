@@ -38,10 +38,11 @@ them without running the machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SpecError
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import Trace, TraceRecord
 
 #: Verdict statuses, from best to worst.
 STATUSES = ("pass", "weak", "violation")
@@ -108,7 +109,12 @@ class CheckConfig:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """Everything an oracle may look at for one run."""
+    """Everything an oracle may look at for one run.
+
+    Oracles read records through ``ctx.trace.of_kind`` (one per-kind
+    index per context, so each touches only the kinds it names) and key
+    on the record fields ``stamp``/``uid``/``extra``, never on ``detail``.
+    """
 
     records: Tuple[TraceRecord, ...]
     completed: bool
@@ -124,14 +130,28 @@ class CheckContext:
     def correct(self) -> bool:
         return self.completed and self.verified is not False
 
+    @cached_property
+    def trace(self) -> Trace:
+        return Trace(records=self.records)
+
     def dead_nodes(self) -> frozenset:
         if self.failed_nodes is not None:
             return frozenset(self.failed_nodes)
         return frozenset(
-            r.detail["node"] if "node" in r.detail else r.node
-            for r in self.records
-            if r.kind == "node_failed"
+            r.extra.get("node", r.node) for r in self.trace.of_kind("node_failed")
         )
+
+    @cached_property
+    def false_positives(self) -> Tuple[List[TraceRecord], set, List[Tuple[int, int]]]:
+        """Detections of nodes that never crashed: the records, their
+        ``(accuser, accused)`` pairs, and the sorted one-sided pairs."""
+        dead = self.dead_nodes()
+        records = [
+            r for r in self.trace.of_kind("failure_detected")
+            if r.extra.get("dead") not in dead
+        ]
+        pairs = {(r.node, r.extra["dead"]) for r in records}
+        return records, pairs, sorted(p for p in pairs if p[::-1] not in pairs)
 
 
 @dataclass(frozen=True)
@@ -219,11 +239,12 @@ def _result_agreement(ctx: CheckContext) -> Verdict:
 def _no_orphan_commit(ctx: CheckContext) -> Verdict:
     name = "no-orphan-commit"
     aborted: Dict[int, float] = {}
-    for r in ctx.records:
-        uid = r.detail.get("uid")
-        if r.kind == "task_aborted" and uid is not None:
-            aborted.setdefault(uid, r.time)
-        elif r.kind in ("result_received", "task_completed") and uid in aborted:
+    for r in ctx.trace.of_kind("task_aborted", "result_received", "task_completed"):
+        uid = r.uid
+        if r.kind == "task_aborted":
+            if uid is not None:
+                aborted.setdefault(uid, r.time)
+        elif uid in aborted:
             return Verdict(
                 name, "violation",
                 f"{r.kind} for task uid={uid} after its abort at "
@@ -239,14 +260,14 @@ def _no_orphan_commit(ctx: CheckContext) -> Verdict:
 @oracle("checkpoint-coverage", "per-stamp checkpoint coverage never goes negative")
 def _checkpoint_coverage(ctx: CheckContext) -> Verdict:
     name = "checkpoint-coverage"
-    held: Dict[str, int] = {}
+    held: Dict[Any, int] = {}
     recorded = dropped = 0
-    for r in ctx.records:
+    for r in ctx.trace.of_kind("checkpoint_recorded", "checkpoint_dropped"):
+        stamp = r.stamp
         if r.kind == "checkpoint_recorded":
-            held[r.detail["stamp"]] = held.get(r.detail["stamp"], 0) + 1
+            held[stamp] = held.get(stamp, 0) + 1
             recorded += 1
-        elif r.kind == "checkpoint_dropped":
-            stamp = r.detail["stamp"]
+        else:
             if held.get(stamp, 0) <= 0:
                 return Verdict(
                     name, "violation",
@@ -267,44 +288,59 @@ def _causal_delivery(ctx: CheckContext) -> Verdict:
     name = "causal-delivery"
     origins: set = set()
     received = 0
-    for r in ctx.records:
-        if r.kind in RESULT_ORIGINS:
-            origins.add(r.detail["stamp"])
-        elif r.kind == "result_received":
-            stamp = r.detail["stamp"]
-            if stamp not in origins:
-                return Verdict(
-                    name, "violation",
-                    f"result for stamp {stamp} delivered at t={r.time:g} "
-                    "with no prior send/relay/reroute — acausal delivery",
-                    window=(r.time, r.time),
-                )
+    for r in ctx.trace.of_kind("result_received", *RESULT_ORIGINS):
+        if r.kind != "result_received":
+            origins.add(r.stamp)
+        elif r.stamp not in origins:
+            return Verdict(
+                name, "violation",
+                f"result for stamp {r.stamp} delivered at t={r.time:g} "
+                "with no prior send/relay/reroute — acausal delivery",
+                window=(r.time, r.time),
+            )
+        else:
             received += 1
     return Verdict(name, "pass", f"{received} deliveries, all causally preceded")
+
+
+def recovery_windows(ctx: CheckContext) -> Tuple[int, int, list, Dict[Any, float]]:
+    """Pair every ``recovery_reissue`` with what closes it.
+
+    The one pairing behind ``bounded-recovery`` and
+    :func:`repro.check.coverage.recovery_stats`.  A result for the stamp
+    closes its window, a later reissue of the stamp supersedes it, and a
+    ``task_aborted`` moots it: the holder died, so the windows it held
+    are dropped, and so is the aborted task's own pending recovery.
+    Returns the reissue count, the most windows open at once, ``(stamp,
+    opened, closed)`` per closed window in closing order, and ``stamp ->
+    opened`` for those never closed.
+    """
+    open_at: Dict[Any, Tuple[float, Any]] = {}  # stamp -> (opened, holder uid)
+    closed: List[Tuple[Any, float, float]] = []
+    total = overlap = 0
+    for r in ctx.trace.of_kind(
+        "recovery_reissue", "recovery_complete", "result_received",
+        "result_salvaged", "task_aborted",
+    ):
+        if r.kind == "recovery_reissue":
+            total += 1
+            open_at[r.stamp] = (r.time, r.uid)
+            overlap = max(overlap, len(open_at))
+        elif not open_at:
+            continue
+        elif r.kind == "task_aborted":
+            for s in [s for s, (_, holder) in open_at.items() if holder == r.uid]:
+                del open_at[s]
+            open_at.pop(r.stamp, None)
+        elif r.stamp in open_at:
+            closed.append((r.stamp, open_at.pop(r.stamp)[0], r.time))
+    return total, overlap, closed, {s: t for s, (t, _) in open_at.items()}
 
 
 @oracle("bounded-recovery", "every triggered recovery closes within the horizon")
 def _bounded_recovery(ctx: CheckContext) -> Verdict:
     name = "bounded-recovery"
-    open_at: Dict[str, Tuple[float, Any]] = {}  # stamp -> (opened, holder uid)
-    closed: List[Tuple[str, float, float]] = []
-    total = 0
-    for r in ctx.records:
-        stamp = r.detail.get("stamp")
-        if r.kind == "recovery_reissue":
-            total += 1
-            open_at[stamp] = (r.time, r.detail.get("uid"))
-        elif r.kind in ("recovery_complete", "result_received", "result_salvaged"):
-            if stamp in open_at:
-                closed.append((stamp, open_at.pop(stamp)[0], r.time))
-        elif r.kind == "task_aborted":
-            # The holder died: its open obligations are mooted, and the
-            # aborted child's own pending recovery is discarded with it.
-            uid = r.detail.get("uid")
-            for s in [s for s, (_, holder) in open_at.items() if holder == uid]:
-                del open_at[s]
-            if stamp in open_at:
-                del open_at[stamp]
+    total, _, closed, still_open = recovery_windows(ctx)
     horizon = ctx.horizon
     for stamp, opened, done in closed:
         if done - opened > horizon:
@@ -314,12 +350,12 @@ def _bounded_recovery(ctx: CheckContext) -> Verdict:
                 f"(> horizon {horizon:g})",
                 window=(opened, done),
             )
-    if open_at:
-        stamp, (opened, _) = min(open_at.items(), key=lambda kv: kv[1][0])
+    if still_open:
+        stamp, opened = min(still_open.items(), key=lambda kv: kv[1])
         if not ctx.completed:
             return Verdict(
                 name, "violation",
-                f"{len(open_at)} recovery reissue(s) never completed and the "
+                f"{len(still_open)} recovery reissue(s) never completed and the "
                 f"run stalled (earliest open: stamp {stamp} at t={opened:g})",
                 window=(opened, ctx.makespan),
             )
@@ -339,21 +375,14 @@ def _bounded_recovery(ctx: CheckContext) -> Verdict:
 @oracle("weak-recovery", "classifies false-positive failure detections")
 def _weak_recovery(ctx: CheckContext) -> Verdict:
     name = "weak-recovery"
-    dead = ctx.dead_nodes()
-    false_pos: List[TraceRecord] = [
-        r
-        for r in ctx.records
-        if r.kind == "failure_detected" and r.detail.get("dead") not in dead
-    ]
+    false_pos, pairs, onesided = ctx.false_positives
     if not false_pos:
         return Verdict(
             name, "pass",
             "every failure detection was a real crash"
-            if any(r.kind == "failure_detected" for r in ctx.records)
+            if ctx.trace.count("failure_detected")
             else "no failure detections",
         )
-    pairs = {(r.node, r.detail["dead"]) for r in false_pos}
-    onesided = sorted((a, b) for a, b in pairs if (b, a) not in pairs)
     first = min(r.time for r in false_pos)
     last = max(r.time for r in false_pos)
     if not onesided:

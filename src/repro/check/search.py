@@ -127,9 +127,9 @@ class Evaluator:
             handle = execute(spec, collect_trace=True, verify=True)
             ctx = build_context(handle, self.config)
             report = evaluate_context(ctx, self.config)
-            signature = signature_from_context(ctx, report)
-            margin = recovery_stats(ctx).worst_ratio
-            self._memo[key] = (report, signature, margin)
+            stats = recovery_stats(ctx)
+            signature = signature_from_context(ctx, report, stats)
+            self._memo[key] = (report, signature, stats.worst_ratio)
         else:
             self.hits += 1
         report, signature, margin = self._memo[key]

@@ -128,6 +128,6 @@ class NoFaultTolerance(FaultTolerance):
                 node.id,
                 "delivery_failed",
                 msg_type="task_packet_lost",
-                stamp=str(msg.packet.stamp),
+                stamp=msg.packet.stamp,
                 dead=dead_node,
             )

@@ -148,7 +148,7 @@ class ReplicatedExecution(FaultTolerance):
                 node.queue.now,
                 node.id,
                 "vote_recorded",
-                stamp=str(msg.sender_stamp),
+                stamp=msg.sender_stamp,
                 replica=msg.replica,
                 votes=len(record.votes),
             )
@@ -161,7 +161,7 @@ class ReplicatedExecution(FaultTolerance):
                     node.queue.now,
                     node.id,
                     "vote_decided",
-                    stamp=str(msg.sender_stamp),
+                    stamp=msg.sender_stamp,
                     votes=agreeing,
                 )
             node.deliver_to_record(task, record, msg)

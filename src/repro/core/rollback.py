@@ -114,7 +114,7 @@ class RollbackRecovery(FaultTolerance):
                     node.queue.now,
                     node.id,
                     "checkpoint_recorded",
-                    stamp=str(record.child_stamp),
+                    stamp=record.child_stamp,
                     dest=ack.executor,
                 )
 
@@ -128,7 +128,7 @@ class RollbackRecovery(FaultTolerance):
                         node.queue.now,
                         node.id,
                         "checkpoint_dropped",
-                        stamp=str(record.child_stamp),
+                        stamp=record.child_stamp,
                     )
             record.checkpointed = False
 

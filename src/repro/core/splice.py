@@ -99,7 +99,7 @@ class SpliceRecovery(RollbackRecovery):
                 node.queue.now,
                 node.id,
                 "result_orphan_rerouted",
-                stamp=str(msg.sender_stamp),
+                stamp=msg.sender_stamp,
                 to=grandparent_node,
             )
         reroute = ResultMsg(
@@ -134,7 +134,7 @@ class SpliceRecovery(RollbackRecovery):
                     node.queue.now,
                     node.id,
                     "result_ignored",
-                    stamp=str(msg.sender_stamp),
+                    stamp=msg.sender_stamp,
                     reason="no-retained-packet",
                 )
             node.metrics.results_ignored += 1
@@ -149,7 +149,7 @@ class SpliceRecovery(RollbackRecovery):
                     node.queue.now,
                     node.id,
                     "result_ignored",
-                    stamp=str(msg.sender_stamp),
+                    stamp=msg.sender_stamp,
                     reason="parent-result-known",
                 )
             return True
@@ -175,7 +175,7 @@ class SpliceRecovery(RollbackRecovery):
         node.metrics.twins_created += 1
         if node.trace.enabled:
             node.trace.emit(
-                node.queue.now, node.id, "twin_created", stamp=str(stamp), reactive=True
+                node.queue.now, node.id, "twin_created", stamp=stamp, reactive=True
             )
         record.checkpointed = False
         self.table_of(node).drop_everywhere(stamp, holder.uid)
@@ -209,7 +209,7 @@ class SpliceRecovery(RollbackRecovery):
                     node.queue.now,
                     node.id,
                     "result_relayed",
-                    stamp=str(relay.sender_stamp),
+                    stamp=relay.sender_stamp,
                     to=executor,
                 )
             if executor == node.id:
@@ -262,7 +262,7 @@ class SpliceRecovery(RollbackRecovery):
                         node.queue.now,
                         node.id,
                         "twin_created",
-                        stamp=str(checkpoint.stamp),
+                        stamp=checkpoint.stamp,
                         reactive=False,
                     )
             else:

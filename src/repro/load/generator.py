@@ -201,7 +201,7 @@ class _Congestion:
             if sender.trace.enabled:
                 sender.trace.emit(
                     now, sender.id, "backpressure",
-                    to=target.id, stamp=str(msg.packet.stamp),
+                    to=target.id, stamp=msg.packet.stamp,
                 )
             return False
         # "drop" (drop-with-notify) and "tail" (silent) both shed the packet.
@@ -209,7 +209,7 @@ class _Congestion:
         if sender.trace.enabled:
             sender.trace.emit(
                 now, sender.id, "inbox_drop",
-                to=target.id, policy=self.overflow, stamp=str(msg.packet.stamp),
+                to=target.id, policy=self.overflow, stamp=msg.packet.stamp,
             )
         if self.overflow == "drop":
             # Notify the spawning node after the detection delay; the

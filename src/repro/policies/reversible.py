@@ -71,7 +71,7 @@ class ReversibleRecovery(RollbackRecovery):
                         node.queue.now,
                         node.id,
                         "result_unwound",
-                        stamp=str(record.child_stamp),
+                        stamp=record.child_stamp,
                         uid=task.uid,
                     )
                 node.reissue_record(task, record, reason="reversible-unwind")

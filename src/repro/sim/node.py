@@ -26,8 +26,9 @@ spawning task's slice.
 Hot-path notes (see ``docs/PERFORMANCE.md``): the machine's queue,
 trace, metrics, policy, and cost model are bound as plain attributes at
 construction (they never change over a run); every trace emit is guarded
-by ``trace.enabled`` so the no-trace fast path skips the
-``str(stamp)``/``repr(value)`` rendering entirely; run-queue
+by ``trace.enabled`` so the no-trace fast path skips the call entirely,
+and hands the trace the stamp/value/address objects themselves (the
+record renders them only if someone reads ``detail``); run-queue
 membership is mirrored by ``TaskInstance.queued`` instead of deque
 scans; and the slice-end and ack-timeout events are ``partial`` objects
 over bound methods carrying their arguments, not a nested function (plus
@@ -209,7 +210,7 @@ class Node:
                 self.queue.now,
                 self.id,
                 "task_accepted",
-                stamp=str(packet.stamp),
+                stamp=packet.stamp,
                 uid=uid,
                 work=packet.work.describe(),
             )
@@ -272,7 +273,7 @@ class Node:
         trace = self.trace
         if trace.enabled:
             trace.emit(
-                self.queue.now, self.id, "task_started", stamp=str(task.stamp), uid=task.uid
+                self.queue.now, self.id, "task_started", stamp=task.stamp, uid=task.uid
             )
 
         slice_steps = 0
@@ -305,7 +306,7 @@ class Node:
                             self.queue.now,
                             self.id,
                             "result_salvaged",
-                            stamp=str(record.child_stamp),
+                            stamp=record.child_stamp,
                             uid=task.uid,
                         )
                     satisfied_locally = True
@@ -396,7 +397,7 @@ class Node:
                 if self.trace.enabled:
                     self.trace.emit(
                         self.queue.now, self.id, "task_suspended",
-                        stamp=str(task.stamp), uid=task.uid,
+                        stamp=task.stamp, uid=task.uid,
                     )
         self.current = None
         self._schedule_run()
@@ -410,7 +411,7 @@ class Node:
                 self.queue.now,
                 self.id,
                 "spawn",
-                stamp=str(record.child_stamp),
+                stamp=record.child_stamp,
                 parent_uid=task.uid,
                 work=record.packet.work.describe(),
             )
@@ -485,7 +486,7 @@ class Node:
                 self.queue.now,
                 self.id,
                 "recovery_reissue",
-                stamp=str(record.child_stamp),
+                stamp=record.child_stamp,
                 reason=reason,
                 uid=task.uid,
             )
@@ -523,7 +524,7 @@ class Node:
                 self.queue.now,
                 self.id,
                 "ack_received",
-                stamp=str(ack.stamp),
+                stamp=ack.stamp,
                 executor=ack.executor,
             )
         self.policy.on_placement_ack(self, holder, record, ack)
@@ -539,9 +540,9 @@ class Node:
                 self.queue.now,
                 self.id,
                 "task_completed",
-                stamp=str(task.stamp),
+                stamp=task.stamp,
                 uid=task.uid,
-                value=repr(value),
+                value=value,
             )
         self.policy.on_task_completed(self, task)
         if self.machine.is_root_host(task):
@@ -563,7 +564,7 @@ class Node:
         )
         if self.trace.enabled:
             self.trace.emit(
-                self.queue.now, self.id, "result_sent", stamp=str(task.stamp), to=str(target)
+                self.queue.now, self.id, "result_sent", stamp=task.stamp, to=target
             )
         if target.node == self.id:
             self._handle_result(msg)
@@ -596,7 +597,7 @@ class Node:
                         self.queue.now,
                         self.id,
                         "result_received",
-                        stamp=str(msg.sender_stamp),
+                        stamp=msg.sender_stamp,
                         uid=task.uid,
                         buffered=True,
                     )
@@ -627,7 +628,7 @@ class Node:
                     self.queue.now,
                     self.id,
                     "result_duplicate",
-                    stamp=str(msg.sender_stamp),
+                    stamp=msg.sender_stamp,
                     uid=task.uid,
                 )
             return
@@ -643,16 +644,16 @@ class Node:
             if trace.enabled:
                 trace.emit(
                     self.queue.now, self.id, "result_salvaged",
-                    stamp=str(msg.sender_stamp), uid=task.uid,
+                    stamp=msg.sender_stamp, uid=task.uid,
                 )
         if trace.enabled:
             trace.emit(
                 self.queue.now,
                 self.id,
                 "result_received",
-                stamp=str(msg.sender_stamp),
+                stamp=msg.sender_stamp,
                 uid=task.uid,
-                value=repr(msg.value),
+                value=msg.value,
             )
             if record.reissued:
                 # A previously reissued child finally answered: the
@@ -661,7 +662,7 @@ class Node:
                     self.queue.now,
                     self.id,
                     "recovery_complete",
-                    stamp=str(msg.sender_stamp),
+                    stamp=msg.sender_stamp,
                     uid=task.uid,
                 )
         self.policy.on_child_result(self, task, record, msg.value)
@@ -676,7 +677,7 @@ class Node:
                 self.queue.now,
                 self.id,
                 "result_ignored",
-                stamp=str(msg.sender_stamp),
+                stamp=msg.sender_stamp,
                 reason=reason,
             )
 
@@ -694,7 +695,7 @@ class Node:
                 self.queue.now,
                 self.id,
                 "task_aborted",
-                stamp=str(task.stamp),
+                stamp=task.stamp,
                 uid=task.uid,
                 reason=reason,
             )
@@ -733,7 +734,7 @@ class Node:
                 self.queue.now,
                 self.id,
                 "task_aborted",
-                stamp=str(task.stamp),
+                stamp=task.stamp,
                 uid=task.uid,
                 reason=reason,
             )

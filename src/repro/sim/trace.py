@@ -2,24 +2,76 @@
 
 Every externally meaningful action in a run appends a :class:`TraceRecord`.
 Traces power the figure reproductions (fragmentation of Figure 1, the case
-classification of Figure 5) and the residue-effect tests of Figure 6/7.
-Tracing can be disabled for large benchmark sweeps.
+classification of Figure 5), the residue-effect tests of Figure 6/7 and the
+oracles of :mod:`repro.check`.  Tracing can be disabled for large benchmark
+sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from collections import defaultdict
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 
-@dataclass(frozen=True)
+def _render(key: str, value: Any) -> Any:
+    """One payload entry as its emit site used to render it eagerly."""
+    if key == "value":
+        return repr(value)
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    return str(value)
+
+
+#: Emit sites that do not lead with ``stamp, uid``: how many payload
+#: entries precede the hoisted key in the ``detail`` they always rendered.
+_RENDERS_AFTER = {
+    ("recovery_reissue", "uid"): 1,
+    ("delivery_failed", "stamp"): 1,
+    ("backpressure", "stamp"): 1,
+    ("inbox_drop", "stamp"): 2,
+}
+
+
 class TraceRecord:
-    """One traced action."""
+    """One traced action.
 
-    time: float
-    node: int
-    kind: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+    ``stamp`` (the ``LevelStamp`` itself) and ``uid`` are first-class;
+    ``extra`` is the rest of the emit site's keyword payload as passed
+    (the task value, the address: objects, not renderings).  ``detail``
+    is the read-only rendered view (``str(stamp)``, ``repr(value)``) for
+    printing and analysis, built on first access.  A record built from an
+    already-rendered dict (``TraceRecord(t, n, kind, {"stamp": "0.1"})``:
+    tests, synthetic traces) serves that dict as ``detail`` and ``extra``.
+    """
+
+    __slots__ = ("time", "node", "kind", "stamp", "uid", "extra", "_detail")
+
+    def __init__(self, time: float, node: int, kind: str,
+                 detail: Optional[Dict[str, Any]] = None,
+                 stamp: Any = None, uid: Any = None,
+                 extra: Optional[Dict[str, Any]] = None) -> None:
+        self.time = time
+        self.node = node
+        self.kind = kind
+        self._detail = detail
+        if detail is not None:
+            stamp, uid, extra = detail.get("stamp"), detail.get("uid"), detail
+        self.stamp = stamp
+        self.uid = uid
+        self.extra = {} if extra is None else extra
+
+    @property
+    def detail(self) -> Dict[str, Any]:
+        if self._detail is None:
+            items = list(self.extra.items())
+            for key, value in (("uid", self.uid), ("stamp", self.stamp)):
+                if value is not None:
+                    items.insert(_RENDERS_AFTER.get((self.kind, key), 0), (key, value))
+            self._detail = {k: _render(k, v) for k, v in items}
+        return self._detail
+
+    def __repr__(self) -> str:
+        return f"TraceRecord({self.time!r}, {self.node!r}, {self.kind!r}, {self.detail!r})"
 
     def __str__(self) -> str:
         detail = " ".join(f"{k}={v}" for k, v in self.detail.items())
@@ -63,54 +115,66 @@ KINDS = (
     "backpressure",
 )
 
-_KINDS_SET = frozenset(KINDS)
-
 
 class Trace:
     """Append-only trace with query helpers.
 
     **Hot-path contract:** every emit site in the simulator guards with
-    ``if trace.enabled:`` *before* building the detail kwargs, so a
-    disabled trace costs nothing — no ``str(stamp)``/``repr(value)``
-    rendering, no call.  That guard is the machine's no-trace fast path
-    (`collect_trace=False`); ``emit`` still self-checks ``enabled`` for
-    callers outside the hot path.
+    ``if trace.enabled:`` *before* the call, so a disabled trace costs
+    nothing; ``emit`` still self-checks ``enabled`` for callers outside
+    the hot path.  An enabled trace stores the objects it is handed and
+    renders nothing.  ``kind`` must be a literal member of :data:`KINDS`:
+    ``tests/sim/test_trace_metrics.py`` checks every emit site statically,
+    ``emit`` checks no event.  The per-kind queries share one index of
+    trace positions; ``Trace(records=...)`` indexes existing records.
     """
 
-    __slots__ = ("enabled", "records")
+    __slots__ = ("enabled", "records", "_positions", "_indexed")
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self, enabled: bool = True, records: Optional[Sequence[TraceRecord]] = None):
         self.enabled = enabled
-        self.records: List[TraceRecord] = []
+        self.records: Sequence[TraceRecord] = [] if records is None else records
+        self._positions: Dict[str, List[int]] = defaultdict(list)
+        self._indexed = 0
 
-    def emit(self, time: float, node: int, kind: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        assert kind in _KINDS_SET, f"unknown trace kind {kind!r}"
-        self.records.append(TraceRecord(time, node, kind, detail))
+    def emit(self, time: float, node: int, kind: str,
+             stamp: Any = None, uid: Any = None, **extra: Any) -> None:
+        if self.enabled:
+            self.records.append(TraceRecord(time, node, kind, None, stamp, uid, extra))
 
     # -- queries -------------------------------------------------------------
 
+    def positions(self, kind: str) -> Sequence[int]:
+        """Where ``kind`` sits in the trace, in order."""
+        records = self.records
+        if self._indexed != len(records):
+            for i in range(self._indexed, len(records)):
+                self._positions[records[i].kind].append(i)
+            self._indexed = len(records)
+        return self._positions.get(kind, ())
+
     def of_kind(self, *kinds: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.kind in kinds]
+        """Records of the named kinds, in trace order."""
+        if len(kinds) == 1:
+            hits = self.positions(kinds[0])
+        else:
+            hits = sorted(i for kind in kinds for i in self.positions(kind))
+        records = self.records
+        return [records[i] for i in hits]
 
     def where(self, predicate: Callable[[TraceRecord], bool]) -> List[TraceRecord]:
         return [r for r in self.records if predicate(r)]
 
     def first(self, kind: str) -> Optional[TraceRecord]:
-        for record in self.records:
-            if record.kind == kind:
-                return record
-        return None
+        hits = self.positions(kind)
+        return self.records[hits[0]] if hits else None
 
     def last(self, kind: str) -> Optional[TraceRecord]:
-        for record in reversed(self.records):
-            if record.kind == kind:
-                return record
-        return None
+        hits = self.positions(kind)
+        return self.records[hits[-1]] if hits else None
 
     def count(self, kind: str) -> int:
-        return sum(1 for r in self.records if r.kind == kind)
+        return len(self.positions(kind))
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
