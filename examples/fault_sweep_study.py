@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """A small study: recovery cost vs fault time across policies.
 
-Sweeps the fault time over the program's lifetime and prints the series
-behind the paper's §6 claim — rollback grows costly for late faults,
-splice flattens the curve by salvaging, replication pays up front.
-Every run goes through the canonical ``repro.api`` RunSpec path (one
-spec string per workload/policy), so these numbers are byte-identical
-to what a registry sweep of the same parameters caches.
+Prints the two series behind the paper's §6 claims from their registered
+scenarios: fault-free overhead by policy (functional checkpointing is
+cheap) and recovery cost as the fault time sweeps over the program's
+lifetime — rollback grows costly for late faults, splice flattens the
+curve by salvaging, replication pays up front.  Every point is one
+canonical ``repro.api`` RunSpec, so these numbers are byte-identical to
+what `python -m repro exp run NAME` caches.
 
 For the same series with replicate statistics (median/IQR/bootstrap
 CIs), see `python -m repro report run rollback-vs-splice
@@ -15,41 +16,13 @@ CIs), see `python -m repro report run rollback-vs-splice
     python examples/fault_sweep_study.py
 """
 
-from repro.analysis.experiments import fault_time_sweep, overhead_sweep
-from repro.analysis.report import render_fault_sweep, render_overhead
-from repro.api import Session
+from repro.exp import run_scenario, sweep_table
 
 
 def main() -> None:
-    workload = "balanced:4:2:60"
-    session = Session()  # memoizes fault-free baselines across both sweeps
-
-    print(
-        render_overhead(
-            overhead_sweep(
-                [workload],
-                ["none", "rollback", "splice", "replicated:3"],
-                processors=4,
-                seed=0,
-                session=session,
-            ),
-            title="Fault-free overhead (paper §6: functional checkpointing is cheap)",
-        )
-    )
-    print()
-    print(
-        render_fault_sweep(
-            fault_time_sweep(
-                workload,
-                ["rollback", "splice"],
-                fractions=(0.1, 0.3, 0.5, 0.7, 0.9),
-                processors=4,
-                seed=0,
-                session=session,
-            ),
-            title="Recovery cost vs fault time (paper §6: late faults hurt rollback)",
-        )
-    )
+    for name in ("overhead-faultfree", "rollback-vs-splice"):
+        print(sweep_table(run_scenario(name)))
+        print()
 
 
 if __name__ == "__main__":

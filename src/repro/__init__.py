@@ -53,7 +53,7 @@ Package layout
 - :mod:`repro.faults`    — composable fault models (nemesis)
 - :mod:`repro.baselines` — periodic global checkpointing, restart, TMR
 - :mod:`repro.workloads` — synthetic call-tree generators, Figure-1 tree
-- :mod:`repro.analysis`  — experiment runner and figure reproductions
+- :mod:`repro.analysis`  — figure reproductions and their drivers
 - :mod:`repro.exp`       — scenario registry + parallel sweep runner
 - :mod:`repro.report`    — replication aggregation + statistical reports
 - :mod:`repro.perf`      — benchmark registry + baseline compare

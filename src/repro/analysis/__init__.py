@@ -1,32 +1,10 @@
-"""Experiment harness: sweeps, figure reproductions, reporting.
+"""Figure reproductions and the drivers behind them.
 
-The sweep runners here are thin loops over the ``repro.api`` RunSpec
-path (see :mod:`repro.analysis.experiments`); statistical aggregation
-of *replicated* sweeps lives in :mod:`repro.report`.
+:mod:`~repro.analysis.figures` reproduces the paper's figures,
+:mod:`~repro.analysis.cases_driver` steers the simulator into the §4
+cases and :mod:`~repro.analysis.residue` measures the Figure 6 states.
+Parameter sweeps are registered scenarios in :mod:`repro.exp`
+(``overhead-faultfree``, ``rollback-vs-splice``, ``scaling-wide``,
+``multi-fault``); statistical aggregation of *replicated* sweeps lives
+in :mod:`repro.report`.
 """
-
-from repro.analysis.experiments import (
-    FaultSweepPoint,
-    OverheadRow,
-    ScalingPoint,
-    fault_free_makespan,
-    fault_time_sweep,
-    multi_fault_run,
-    overhead_sweep,
-    scaling_sweep,
-)
-from repro.analysis.report import render_fault_sweep, render_overhead, render_scaling
-
-__all__ = [
-    "FaultSweepPoint",
-    "OverheadRow",
-    "ScalingPoint",
-    "fault_free_makespan",
-    "fault_time_sweep",
-    "multi_fault_run",
-    "overhead_sweep",
-    "scaling_sweep",
-    "render_fault_sweep",
-    "render_overhead",
-    "render_scaling",
-]

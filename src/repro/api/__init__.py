@@ -2,8 +2,8 @@
 
 Every subsystem in this repo (the CLI, the scenario registry, the perf
 benchmarks, the examples) describes an experiment the same way: a
-:class:`RunSpec` composed of typed sub-specs, each parseable from the
-legacy string grammars and serializable to canonical JSON.
+:class:`RunSpec` composed of typed sub-specs, each parseable from its
+string grammar, the whole serializable to one canonical JSON document.
 
 Quickstart::
 

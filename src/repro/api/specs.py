@@ -7,23 +7,29 @@ single canonical description — frozen dataclasses composed into a
 :class:`RunSpec` — that the CLI, the scenario registry, the perf
 benchmarks, and the programmatic API all consume and produce.
 
-Each spec class supports four operations:
+Each spec class supports three operations:
 
 ``parse(text)``
-    Parse the legacy string grammar into a typed spec, raising a
-    structured :class:`~repro.errors.SpecError` (offending field, token,
-    allowed values, position) on malformed input.
+    Parse the string grammar into a typed spec, raising a structured
+    :class:`~repro.errors.SpecError` (offending field, token, allowed
+    values, position) on malformed input.
 ``to_spec_str()``
     Render the canonical string form.  Round-trip guarantee:
     ``parse(s.to_spec_str()) == s`` for every spec ``s``.
-``to_json()`` / ``from_json(payload)``
-    Lossless JSON document form: ``from_json(to_json(s)) == s``.
 ``build(...)``
     Resolve the spec into the live object the simulator consumes
     (workload factory, policy instance, ``SimConfig``, ``FaultSchedule``,
     ``NemesisSchedule``).
 
-String grammars (all legacy-compatible):
+The ``name:key=value,...`` families (nemesis clauses, arrival processes,
+the machine fields, the parameterised policies) are parameter tables
+over :mod:`repro.load.grammar`; the positional grammars (workloads,
+``T:NODE`` fault entries) split their own strings and take their scalars
+and number rendering from it.  Only :class:`RunSpec` and the
+:class:`MachineSpec` it embeds have a JSON form — the ``repro-runspec/1``
+document carries every other component as its spec string.
+
+String grammars:
 
 - workload: suite name (``fib-10``), ``balanced:DEPTH:FANOUT:WORK``,
   ``chain:LEN:WORK``, ``wide:WIDTH:WORK``, ``skewed:DEPTH:FANOUT:WORK``,
@@ -44,52 +50,27 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import SCHEDULERS, TOPOLOGIES, CostModel, SimConfig
 from repro.errors import SpecError
+from repro.load.grammar import (
+    FLOAT,
+    INT,
+    Param,
+    Params,
+    check_params,
+    coerce,
+    fmt_num,
+    parse_clause,
+    parse_params,
+    render_clause,
+    render_params,
+)
 from repro.load.spec import ArrivalSpec
+from repro.policies.incremental import PERSIST_MODES
 
 #: Schema tag carried by every RunSpec JSON document.
 RUNSPEC_SCHEMA = "repro-runspec/1"
 
 #: Synthetic-tree workload kinds -> (min_args, max_args) of the builder.
 _TREE_ARITY = {"balanced": (1, 3), "chain": (1, 2), "wide": (1, 2), "skewed": (1, 3)}
-
-_COST_FIELDS = tuple(f.name for f in dataclass_fields(CostModel))
-
-
-def _fmt_num(value: Any) -> str:
-    """Canonical, lossless rendering of a spec number.
-
-    ``repr`` keeps full float precision (round-trip exactness); integral
-    floats drop the trailing ``.0`` so ``span=40`` survives a
-    parse/serialize cycle byte-for-byte.  Positive exponent signs are
-    dropped (``1e+16`` -> ``1e16``, same float) because ``+`` is the
-    entry/clause separator in the fault and nemesis grammars.
-    """
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return str(value)
-        text = repr(value).replace("e+", "e")
-        return text[:-2] if text.endswith(".0") else text
-    return str(value)
-
-
-def _parse_int(token: str, *, spec: str, field_name: str, position: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SpecError(
-            f"bad value {token!r} for {field_name} (expected int)",
-            spec=spec, field=field_name, value=token, position=position,
-        ) from None
-
-
-def _parse_float(token: str, *, spec: str, field_name: str, position: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise SpecError(
-            f"bad value {token!r} for {field_name} (expected float)",
-            spec=spec, field=field_name, value=token, position=position,
-        ) from None
 
 
 # -- workload ------------------------------------------------------------------
@@ -157,9 +138,7 @@ class WorkloadSpec:
     def _parse_args(text: str, parts: List[str], offset: int) -> Tuple[int, ...]:
         args = []
         for part in parts:
-            args.append(
-                _parse_int(part, spec=text, field_name="workload.args", position=offset)
-            )
+            args.append(coerce(INT, part, field="workload.args", spec=text, position=offset))
             offset += len(part) + 1
         return tuple(args)
 
@@ -168,34 +147,6 @@ class WorkloadSpec:
             return self.name  # type: ignore[return-value]
         head = f"prog:{self.name}" if self.kind == "prog" else self.kind
         return ":".join([head] + [str(a) for a in self.args])
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "name": self.name, "args": list(self.args)}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "WorkloadSpec":
-        try:
-            candidate = cls(
-                kind=str(payload["kind"]),
-                name=payload.get("name"),
-                args=tuple(int(a) for a in payload.get("args", ())),
-            )
-            spec_str = candidate.to_spec_str()
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise SpecError(
-                f"malformed WorkloadSpec document: {exc!r}",
-                field="workload", value=payload,
-            ) from None
-        # Re-parsing the rendered form validates kind, registry names,
-        # and arity through the one grammar — a bad document fails here
-        # with a structured error instead of a raw KeyError at build().
-        parsed = cls.parse(spec_str)
-        if parsed != candidate:
-            raise SpecError(
-                f"inconsistent WorkloadSpec document (renders as {spec_str!r})",
-                field="workload", value=payload,
-            )
-        return parsed
 
     def build(self) -> Tuple[Callable[[], Any], Optional[int]]:
         """Resolve to ``(workload_factory, tree_size)``.
@@ -234,15 +185,27 @@ class WorkloadSpec:
 # -- policy --------------------------------------------------------------------
 
 
+#: Parameter tables of the parameterised policies (every other policy
+#: takes none).  ``replicated`` keeps its positional ``replicated:K``
+#: spelling — the form every stored document and cache key uses.
+POLICY_PARAMS: Dict[str, Dict[str, Param]] = {
+    "replicated": {
+        "k": Param("int", 3, "replication factor (bare `replicated` follows the machine's)"),
+    },
+    "incremental": {
+        "persist": Param(
+            "choice", PERSIST_MODES[0], "crash-persistency assumption", choices=PERSIST_MODES
+        ),
+    },
+}
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Which recovery policy runs the workload.
 
-    ``k`` is the replication factor and only meaningful for
-    ``replicated`` (``None`` means the policy default of 3).
-    ``persist`` is the crash-persistency assumption and only meaningful
-    for ``incremental`` (``None`` means the policy default,
-    ``volatile``).
+    ``k`` and ``persist`` are the :data:`POLICY_PARAMS` of ``replicated``
+    and ``incremental``; ``None`` means "not given" (the policy default).
     """
 
     name: str
@@ -250,21 +213,20 @@ class PolicySpec:
     persist: Optional[str] = None
 
     _SIMPLE = ("none", "rollback", "splice", "reversible")
-    _PERSIST_MODES = ("volatile", "durable", "hybrid")
 
     @classmethod
     def parse(cls, text: str) -> "PolicySpec":
         text = str(text)
         name, sep, arg = text.partition(":")
-        if name == "replicated":
-            if not sep:
-                return cls("replicated")
-            k = _parse_int(arg, spec=text, field_name="policy.k", position=len(name) + 1)
-            return cls("replicated", k=k)
-        if name == "incremental":
-            if not sep:
-                return cls("incremental")
-            return cls("incremental", persist=cls._parse_persist(text, arg, len(name) + 1))
+        if name == "replicated" and sep:
+            k = coerce(
+                POLICY_PARAMS[name]["k"], arg, field="policy.k", spec=text,
+                position=len(name) + 1,
+            )
+            return cls(name, k=k)
+        if name in POLICY_PARAMS:
+            _, params = parse_clause(text, POLICY_PARAMS, family="policy", noun="policy")
+            return cls(name, **dict(params))
         if name in cls._SIMPLE:
             if sep:
                 raise SpecError(
@@ -279,56 +241,12 @@ class PolicySpec:
             position=0,
         )
 
-    @classmethod
-    def _parse_persist(cls, text: str, arg: str, position: int) -> str:
-        """Parse the ``persist=MODE`` parameter of ``incremental``.
-
-        Diagnostics follow the nemesis grammar's discipline: an unknown
-        parameter names the policy as the field with the parameter list
-        as the allowed set; a bad value names the parameter as the field
-        with the mode list as the allowed set, positioned at the value.
-        """
-        key, eq, value = arg.partition("=")
-        if not eq or key != "persist":
-            raise SpecError(
-                f"unknown parameter {key!r} for policy 'incremental' "
-                "(expected persist=MODE)",
-                spec=text, field="policy.incremental", value=key,
-                allowed=("persist",), position=position,
-            )
-        if value not in cls._PERSIST_MODES:
-            raise SpecError(
-                f"bad value {value!r} for policy.persist",
-                spec=text, field="policy.persist", value=value,
-                allowed=cls._PERSIST_MODES,
-                position=position + len(key) + 1,
-            )
-        return value
-
     def to_spec_str(self) -> str:
         if self.k is not None:
             return f"{self.name}:{self.k}"
         if self.persist is not None:
-            return f"{self.name}:persist={self.persist}"
+            return render_clause(self.name, (("persist", self.persist),))
         return self.name
-
-    def to_json(self) -> Dict[str, Any]:
-        # ``persist`` is emitted only when set so every pre-existing
-        # document (and therefore every cache key) stays byte-identical.
-        out: Dict[str, Any] = {"name": self.name, "k": self.k}
-        if self.persist is not None:
-            out["persist"] = self.persist
-        return out
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "PolicySpec":
-        k = payload.get("k")
-        persist = payload.get("persist")
-        return cls(
-            name=str(payload["name"]),
-            k=None if k is None else int(k),
-            persist=None if persist is None else str(persist),
-        )
 
     def build(self):
         """Instantiate a fresh policy object.
@@ -410,11 +328,9 @@ class FaultSpec:
                     f"(e.g. {'600:2' if mode == 'time' else '0.5:1'}), got {item!r}",
                     spec=text, field="faults", value=item, position=offset,
                 )
-            when = _parse_float(
-                when_str, spec=text, field_name="faults.when", position=offset
-            )
-            node = _parse_int(
-                node_str, spec=text, field_name="faults.node",
+            when = coerce(FLOAT, when_str, field="faults.when", spec=text, position=offset)
+            node = coerce(
+                INT, node_str, field="faults.node", spec=text,
                 position=offset + len(when_str) + 1,
             )
             entries.append((when, node))
@@ -422,27 +338,8 @@ class FaultSpec:
         return cls(tuple(entries), mode)
 
     def to_spec_str(self) -> str:
-        body = "+".join(f"{_fmt_num(when)}:{node}" for when, node in self.entries)
+        body = "+".join(f"{fmt_num(when)}:{node}" for when, node in self.entries)
         return body if self.mode == "frac" else f"{self.mode}:{body}"
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"mode": self.mode, "entries": [[when, node] for when, node in self.entries]}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "FaultSpec":
-        try:
-            return cls(
-                tuple(
-                    (float(when), int(node)) for when, node in payload.get("entries", ())
-                ),
-                str(payload.get("mode", "frac")),
-            )
-        except SpecError:
-            raise
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise SpecError(
-                f"malformed FaultSpec document: {exc}", field="faults", value=payload
-            ) from None
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -485,13 +382,7 @@ class NemesisClause:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def to_spec_str(self) -> str:
-        if not self.params:
-            return self.model
-        body = ",".join(
-            f"{key}={'-'.join(str(n) for n in value) if isinstance(value, tuple) else _fmt_num(value)}"
-            for key, value in self.params
-        )
-        return f"{self.model}:{body}"
+        return render_clause(self.model, self.params)
 
 
 @dataclass(frozen=True)
@@ -508,140 +399,28 @@ class NemesisSpec:
 
     @classmethod
     def parse(cls, text: str) -> "NemesisSpec":
-        from repro.faults.registry import all_models, get_model
+        from repro.faults.registry import param_tables
 
         text = str(text).strip()
         if not text:
-            return cls(())
+            return cls()
+        tables = param_tables()
         clauses: List[NemesisClause] = []
         offset = 0
         for clause_text in text.split("+"):
-            name, _, rest = clause_text.partition(":")
-            name = name.strip()
-            try:
-                info = get_model(name)
-            except KeyError:
-                raise SpecError(
-                    f"unknown fault model {name!r}",
-                    spec=text, field="nemesis.model", value=name,
-                    allowed=tuple(sorted(all_models())), position=offset,
-                ) from None
-            given: Dict[str, Any] = {}
-            item_offset = offset + len(name) + 1
-            if rest:
-                for item in rest.split(","):
-                    key, eq, raw = item.partition("=")
-                    key = key.strip()
-                    if not eq or key not in info.params:
-                        raise SpecError(
-                            f"unknown parameter {item!r} for fault model {name!r}; "
-                            f"expected {sorted(info.params)}",
-                            spec=text, field=f"nemesis.{name}", value=item,
-                            allowed=tuple(sorted(info.params)), position=item_offset,
-                        )
-                    given[key] = cls._parse_value(
-                        text, name, key, raw.strip(), info.params[key].kind,
-                        position=item_offset + len(key) + 1,
+            clauses.append(
+                NemesisClause(
+                    *parse_clause(
+                        clause_text, tables, family="nemesis", noun="fault model",
+                        spec=text, offset=offset,
                     )
-                    item_offset += len(item) + 1
-            missing = [
-                k for k, p in info.params.items() if p.default is None and k not in given
-            ]
-            if missing:
-                raise SpecError(
-                    f"fault model {name!r} missing parameters: {missing}",
-                    spec=text, field=f"nemesis.{name}", value=clause_text,
-                    position=offset,
                 )
-            ordered = tuple((k, given[k]) for k in info.params if k in given)
-            clauses.append(NemesisClause(name, ordered))
+            )
             offset += len(clause_text) + 1
         return cls(tuple(clauses))
 
-    @staticmethod
-    def _parse_value(spec: str, model: str, key: str, raw: str, kind: str, position: int):
-        try:
-            if kind == "nodes":
-                return tuple(int(part) for part in raw.split("-"))
-            if kind in ("int", "flag"):
-                return int(raw)
-            return float(raw)
-        except ValueError:
-            raise SpecError(
-                f"bad value {raw!r} for {model}:{key} (expected {kind})",
-                spec=spec, field=f"nemesis.{model}.{key}", value=raw,
-                position=position,
-            ) from None
-
     def to_spec_str(self) -> str:
         return "+".join(clause.to_spec_str() for clause in self.clauses)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "clauses": [
-                {
-                    "model": c.model,
-                    "params": {
-                        k: (list(v) if isinstance(v, tuple) else v) for k, v in c.params
-                    },
-                }
-                for c in self.clauses
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "NemesisSpec":
-        from repro.faults.registry import all_models, get_model
-
-        try:
-            entries = list(payload.get("clauses", ()))
-        except AttributeError:
-            raise SpecError(
-                "malformed NemesisSpec document (expected an object with 'clauses')",
-                field="nemesis", value=payload,
-            ) from None
-        clauses = []
-        for entry in entries:
-            try:
-                model_name = str(entry["model"])
-            except (TypeError, KeyError):
-                raise SpecError(
-                    f"malformed nemesis clause {entry!r} (expected an object "
-                    "with 'model')",
-                    field="nemesis", value=entry,
-                ) from None
-            try:
-                info = get_model(model_name)
-            except KeyError:
-                raise SpecError(
-                    f"unknown fault model {model_name!r}",
-                    field="nemesis.model", value=model_name,
-                    allowed=tuple(sorted(all_models())),
-                ) from None
-            given = {}
-            for key, value in entry.get("params", {}).items():
-                if key not in info.params:
-                    raise SpecError(
-                        f"unknown parameter {key!r} for fault model {info.name!r}",
-                        field=f"nemesis.{info.name}", value=key,
-                        allowed=tuple(sorted(info.params)),
-                    )
-                kind = info.params[key].kind
-                try:
-                    if kind == "nodes":
-                        given[key] = tuple(int(n) for n in value)
-                    elif kind in ("int", "flag"):
-                        given[key] = int(value)
-                    else:
-                        given[key] = float(value)
-                except (TypeError, ValueError):
-                    raise SpecError(
-                        f"bad value {value!r} for {info.name}:{key} (expected {kind})",
-                        field=f"nemesis.{info.name}.{key}", value=value,
-                    ) from None
-            ordered = tuple((k, given[k]) for k in info.params if k in given)
-            clauses.append(NemesisClause(info.name, ordered))
-        return cls(tuple(clauses))
 
     def __bool__(self) -> bool:
         return bool(self.clauses)
@@ -671,6 +450,23 @@ class NemesisSpec:
 # -- machine -------------------------------------------------------------------
 
 
+_MACHINE_KEYS = ("processors", "topology", "scheduler", "replication")
+
+#: The machine fields: the four shape fields, then one ``cost.NAME``
+#: override per :class:`~repro.config.CostModel` field (by name, so
+#: declaration order is the sorted order ``MachineSpec.cost`` keeps).
+MACHINE_PARAMS: Dict[str, Param] = {
+    "processors": Param("int", 4, "number of (failable) processors"),
+    "topology": Param("choice", "complete", "interconnection topology", choices=TOPOLOGIES),
+    "scheduler": Param("choice", "gradient", "load-balancing scheduler", choices=SCHEDULERS),
+    "replication": Param("int", 3, "replicas per task packet (replicated policy)"),
+    **{
+        f"cost.{f.name}": Param("float", f.default, "CostModel override (sim-time units)")
+        for f in sorted(dataclass_fields(CostModel), key=lambda f: f.name)
+    },
+}
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """The simulated multiprocessor: shape, routing, scheduling, costs.
@@ -680,139 +476,53 @@ class MachineSpec:
     stays hashable and canonically ordered.
     """
 
-    processors: int = 4
-    topology: str = "complete"
-    scheduler: str = "gradient"
-    replication: int = 3
+    processors: int = MACHINE_PARAMS["processors"].default
+    topology: str = MACHINE_PARAMS["topology"].default
+    scheduler: str = MACHINE_PARAMS["scheduler"].default
+    replication: int = MACHINE_PARAMS["replication"].default
     cost: Tuple[Tuple[str, float], ...] = ()
+
+    @classmethod
+    def _of(cls, params: Params) -> "MachineSpec":
+        shape = {k: v for k, v in params if k in _MACHINE_KEYS}
+        cost = tuple((k[len("cost."):], v) for k, v in params if k not in _MACHINE_KEYS)
+        return cls(cost=cost, **shape)
 
     @classmethod
     def parse(cls, text: str) -> "MachineSpec":
         text = str(text).strip()
-        kwargs: Dict[str, Any] = {}
-        cost: Dict[str, float] = {}
-        offset = 0
-        for item in (text.split(",") if text else ()):
-            key, eq, raw = item.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if not eq:
-                raise SpecError(
-                    f"machine spec items are KEY=VALUE, got {item!r}",
-                    spec=text, field="machine", value=item, position=offset,
-                )
-            value_pos = offset + len(key) + 1
-            if key.startswith("cost."):
-                cost_field = key[len("cost."):]
-                if cost_field not in _COST_FIELDS:
-                    raise SpecError(
-                        f"unknown cost field {cost_field!r}",
-                        spec=text, field="machine.cost", value=cost_field,
-                        allowed=_COST_FIELDS, position=offset,
-                    )
-                cost[cost_field] = _parse_float(
-                    raw, spec=text, field_name=key, position=value_pos
-                )
-            elif key == "processors" or key == "replication":
-                kwargs[key] = _parse_int(
-                    raw, spec=text, field_name=f"machine.{key}", position=value_pos
-                )
-            elif key == "topology":
-                if raw not in TOPOLOGIES:
-                    raise SpecError(
-                        f"unknown topology {raw!r}",
-                        spec=text, field="machine.topology", value=raw,
-                        allowed=TOPOLOGIES, position=value_pos,
-                    )
-                kwargs[key] = raw
-            elif key == "scheduler":
-                if raw not in SCHEDULERS:
-                    raise SpecError(
-                        f"unknown scheduler {raw!r}",
-                        spec=text, field="machine.scheduler", value=raw,
-                        allowed=SCHEDULERS, position=value_pos,
-                    )
-                kwargs[key] = raw
-            else:
-                raise SpecError(
-                    f"unknown machine field {key!r}",
-                    spec=text, field="machine", value=key,
-                    allowed=("processors", "topology", "scheduler", "replication", "cost.NAME"),
-                    position=offset,
-                )
-            offset += len(item) + 1
-        return cls(cost=tuple(sorted(cost.items())), **kwargs)
+        return cls._of(parse_params(text, MACHINE_PARAMS, family="machine", spec=text))
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "MachineSpec":
-        """The scenario-grid shim: plain JSON params -> MachineSpec."""
-        cost = params.get("cost", {})
+        """The scenario-grid form: the machine keys of a wider parameter
+        namespace (the run-level grid params share it)."""
+        return cls.from_json({k: params[k] for k in _MACHINE_KEYS + ("cost",) if k in params})
+
+    def to_spec_str(self) -> str:
+        shape = [(key, getattr(self, key)) for key in _MACHINE_KEYS]
+        return render_params(
+            [(k, v) for k, v in shape if v != MACHINE_PARAMS[k].default]
+            + [(f"cost.{name}", value) for name, value in self.cost]
+        )
+
+    def to_json(self) -> Dict[str, Any]:
+        return {**{key: getattr(self, key) for key in _MACHINE_KEYS}, "cost": dict(self.cost)}
+
+    @classmethod
+    def from_json(cls, payload: Mapping[str, Any]) -> "MachineSpec":
+        """Load a machine document.  It owns its whole object, so a
+        typo'd key, a non-integral count or an unknown topology is an
+        error at load time, not a silent default."""
+        cost = payload.get("cost", {})
         if not isinstance(cost, Mapping):
             raise SpecError(
                 f"machine cost must be a mapping of field -> value, got {cost!r}",
                 field="machine.cost", value=cost,
             )
-        unknown = sorted(set(cost) - set(_COST_FIELDS))
-        if unknown:
-            raise SpecError(
-                f"unknown cost fields {unknown}",
-                field="machine.cost", value=unknown, allowed=_COST_FIELDS,
-            )
-        coerced = {}
-        for name, value in cost.items():
-            try:
-                coerced[name] = float(value)
-            except (TypeError, ValueError):
-                raise SpecError(
-                    f"bad value {value!r} for cost.{name} (expected float)",
-                    field=f"machine.cost.{name}", value=value,
-                ) from None
-        try:
-            return cls(
-                processors=int(params.get("processors", 4)),
-                topology=str(params.get("topology", "complete")),
-                scheduler=str(params.get("scheduler", "gradient")),
-                replication=int(params.get("replication", 3)),
-                cost=tuple(sorted(coerced.items())),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SpecError(
-                f"malformed machine parameters: {exc}", field="machine", value=dict(params),
-            ) from None
-
-    def to_spec_str(self) -> str:
-        default = MachineSpec()
-        parts = []
-        for key in ("processors", "topology", "scheduler", "replication"):
-            if getattr(self, key) != getattr(default, key):
-                parts.append(f"{key}={getattr(self, key)}")
-        parts.extend(f"cost.{name}={_fmt_num(value)}" for name, value in self.cost)
-        return ",".join(parts)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "processors": self.processors,
-            "topology": self.topology,
-            "scheduler": self.scheduler,
-            "replication": self.replication,
-            "cost": dict(self.cost),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "MachineSpec":
-        # Unlike from_params (which shares a namespace with the run-level
-        # grid params), a machine JSON document owns its whole object, so
-        # a typo'd key must not silently fall back to a default.
-        unknown = sorted(
-            set(payload) - {"processors", "topology", "scheduler", "replication", "cost"}
-        )
-        if unknown:
-            raise SpecError(
-                f"unknown machine field(s) {unknown}",
-                field="machine", value=unknown,
-                allowed=("processors", "topology", "scheduler", "replication", "cost"),
-            )
-        return cls.from_params(payload)
+        items = [(key, value, None, None) for key, value in payload.items() if key != "cost"]
+        items += [(f"cost.{name}", value, None, None) for name, value in cost.items()]
+        return cls._of(check_params(items, MACHINE_PARAMS, family="machine"))
 
     def to_config(self, seed: int) -> SimConfig:
         """Build the live ``SimConfig`` (the seed lives on the RunSpec)."""
@@ -890,23 +600,30 @@ class RunSpec:
                     "cannot combine a time-mode 'faults' schedule with fault_frac",
                     field="faults.mode", value=faults.mode, allowed=("frac",),
                 )
-            faults = FaultSpec(
-                faults.entries
-                + ((float(params["fault_frac"]), int(params.get("victim", 1))),),
-                "frac",
+            entry = (
+                coerce(FLOAT, params["fault_frac"], field="fault_frac"),
+                coerce(INT, params.get("victim", 1), field="victim"),
             )
-        base_policy = params.get("base_policy")
-        sbp = params.get("speedup_base_processors")
+            faults = FaultSpec(faults.entries + (entry,), "frac")
+        return cls._compose(params, MachineSpec.from_params(params), faults)
+
+    @classmethod
+    def _compose(cls, doc: Mapping[str, Any], machine: MachineSpec, faults: FaultSpec) -> "RunSpec":
+        """The fields the grid-parameter and document forms spell alike."""
+        base_policy = doc.get("base_policy")
+        sbp = doc.get("speedup_base_processors")
         return cls(
-            workload=WorkloadSpec.parse(str(params["workload"])),
-            policy=PolicySpec.parse(str(params.get("policy", "rollback"))),
-            machine=MachineSpec.from_params(params),
-            seed=int(params["seed"]),
+            workload=WorkloadSpec.parse(str(doc["workload"])),
+            policy=PolicySpec.parse(str(doc.get("policy", "rollback"))),
+            machine=machine,
+            seed=coerce(INT, doc.get("seed", 0), field="seed"),
             faults=faults,
-            nemesis=NemesisSpec.parse(str(params.get("nemesis", "") or "")),
+            nemesis=NemesisSpec.parse(str(doc.get("nemesis", "") or "")),
             base_policy=PolicySpec.parse(str(base_policy)) if base_policy else None,
-            speedup_base_processors=None if sbp is None else int(sbp),
-            arrivals=ArrivalSpec.parse(str(params.get("arrivals", "") or "")),
+            speedup_base_processors=(
+                None if sbp is None else coerce(INT, sbp, field="speedup_base_processors")
+            ),
+            arrivals=ArrivalSpec.parse(str(doc.get("arrivals", "") or "")),
         )
 
     def to_json(self) -> Dict[str, Any]:
@@ -959,19 +676,8 @@ class RunSpec:
                     f"{faults.mode!r} prefix",
                     field="faults.mode", value=doc_mode, allowed=(faults.mode,),
                 )
-            base_policy = payload.get("base_policy")
-            sbp = payload.get("speedup_base_processors")
-            return cls(
-                workload=WorkloadSpec.parse(str(payload["workload"])),
-                policy=PolicySpec.parse(str(payload.get("policy", "rollback"))),
-                machine=MachineSpec.from_json(payload.get("machine", {})),
-                seed=int(payload.get("seed", 0)),
-                faults=faults,
-                nemesis=NemesisSpec.parse(str(payload.get("nemesis", "") or "")),
-                base_policy=PolicySpec.parse(str(base_policy)) if base_policy else None,
-                speedup_base_processors=None if sbp is None else int(sbp),
-                arrivals=ArrivalSpec.parse(str(payload.get("arrivals", "") or "")),
-            )
+            machine = MachineSpec.from_json(payload.get("machine", {}))
+            return cls._compose(payload, machine, faults)
         except SpecError:
             raise
         except (KeyError, TypeError, AttributeError, ValueError) as exc:

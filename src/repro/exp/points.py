@@ -7,8 +7,8 @@ in a result dict is a JSON primitive (numbers, strings, bools, lists,
 dicts), which is what makes the on-disk cache and the serial/parallel
 byte-parity guarantee possible.
 
-The ``machine`` runner is a thin shim over :mod:`repro.api`: the point
-parameters parse into a canonical :class:`~repro.api.RunSpec`
+The ``machine`` runner is :mod:`repro.api` itself: the point parameters
+parse into a canonical :class:`~repro.api.RunSpec`
 (``RunSpec.from_params``) and :func:`repro.api.session.execute` produces
 the result record, so registry sweeps, ``repro run``, and programmatic
 ``Experiment`` runs share one execution path and one result shape.
@@ -22,7 +22,8 @@ Parameter conventions for the ``machine`` runner (all JSON values):
     ``random:SEED:TASKS``), or an interpreter program
     (``prog:NAME:ARG:...``, e.g. ``prog:tak:7:4:2``).
 ``policy``
-    ``none`` | ``rollback`` | ``splice`` | ``replicated:K``.
+    ``none`` | ``rollback`` | ``splice`` | ``reversible`` |
+    ``incremental[:persist=MODE]`` | ``replicated[:K]``.
 ``fault_frac`` / ``victim``
     Kill ``victim`` at ``fault_frac x`` the fault-free makespan.
 ``faults``
@@ -34,7 +35,7 @@ Parameter conventions for the ``machine`` runner (all JSON values):
 ``speedup_base_processors``
     Also run fault-free at this processor count and report ``speedup``.
 ``nemesis``
-    A fault-model spec (see :func:`repro.faults.parse_nemesis`), e.g.
+    A fault-model spec (see :class:`repro.api.NemesisSpec`), e.g.
     ``"partition:start=0.3,dur=0.25,group=0-1"``; time-like parameters
     are fractions of the baseline makespan, like ``fault_frac``.  Empty
     string means no nemesis.
@@ -46,43 +47,13 @@ offending token, the allowed values, and its position in the string.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping
 
-from repro.api.specs import FaultSpec, MachineSpec, PolicySpec, RunSpec, WorkloadSpec
+from repro.api.specs import PolicySpec, RunSpec
 from repro.config import SimConfig
 from repro.sim.failure import FaultSchedule
 from repro.sim.machine import run_simulation
-from repro.sim.workload import TreeWorkload, Workload
-
-WorkloadFactory = Callable[[], Workload]
-
-
-# -- building blocks (string-grammar shims over repro.api) --------------------
-
-
-def build_workload(spec: str) -> Tuple[WorkloadFactory, Optional[int]]:
-    """Resolve a workload spec string to ``(factory, tree_size)``.
-
-    ``tree_size`` is the task count for synthetic trees (used by the
-    checkpoint-memory scenario) and ``None`` for interpreter programs.
-    """
-    return WorkloadSpec.parse(spec).build()
-
-
-def build_policy(spec: str):
-    """Resolve a policy spec string to a fresh policy instance."""
-    return PolicySpec.parse(spec).build()
-
-
-def build_config(params: Mapping[str, Any]) -> SimConfig:
-    """Build a :class:`SimConfig` from point parameters."""
-    return MachineSpec.from_params(params).to_config(int(params["seed"]))
-
-
-def parse_fault_fracs(text: str) -> List[Tuple[float, int]]:
-    """Parse ``"0.5:1+0.9:4"`` into ``[(0.5, 1), (0.9, 4)]``."""
-    return [tuple(entry) for entry in FaultSpec.parse(text, mode="frac").entries]
-
+from repro.sim.workload import TreeWorkload
 
 # -- runners ------------------------------------------------------------------
 
@@ -151,13 +122,14 @@ def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
             "verified": faulted.completed,
         }
     if kind == "functional":
+        policy = PolicySpec.parse(arg)
         config = SimConfig(n_processors=processors, seed=int(params["seed"]))
         workload = lambda: TreeWorkload(spec, "bal")  # noqa: E731
         ff = run_simulation(
-            workload(), config, policy=build_policy(arg), collect_trace=False
+            workload(), config, policy=policy.build(), collect_trace=False
         )
         faulted = run_simulation(
-            workload(), config, policy=build_policy(arg),
+            workload(), config, policy=policy.build(),
             faults=FaultSchedule.single(fault_time, int(params.get("victim", 1))),
             collect_trace=False,
         )

@@ -32,8 +32,6 @@ from repro.faults.registry import (
     Param,
     all_models,
     get_model,
-    parse_model,
-    parse_nemesis,
     register,
 )
 
@@ -54,8 +52,6 @@ __all__ = [
     "all_models",
     "get_model",
     "mutate_nemesis",
-    "parse_model",
-    "parse_nemesis",
     "random_clause",
     "random_nemesis",
     "register",

@@ -1,10 +1,12 @@
-"""The fault-model registry and the nemesis spec grammar.
+"""The fault-model registry: the parameter tables of the nemesis grammar.
 
 Every built-in model is registered here under a short name (``repro
 faults list`` shows the table, ``repro faults describe NAME`` one
-model's parameters), and :func:`parse_nemesis` turns a *spec string*
-into an armed-ready :class:`~repro.faults.model.NemesisSchedule` — the
-JSON-friendly form the scenario registry grids over.
+model's parameters).  A registry entry is a declaration — name, docs,
+a ``{key: Param}`` table and a factory;
+:class:`repro.api.NemesisSpec` parses spec strings against these tables
+through the one clause grammar (:mod:`repro.load.grammar`) and arms the
+models: ``NemesisSpec.parse(text).build(base_makespan)``.
 
 Spec grammar (one line, shell- and JSON-safe):
 
@@ -20,7 +22,7 @@ Examples::
     crash:at=0.35,node=1+chaos:drop=0.05,dup=0.1,reorder=0.2+jitter:max=25
 
 *Time-like* parameters (marked ``×T`` in ``faults describe``) are
-fractions of a baseline makespan: :func:`parse_nemesis` multiplies them
+fractions of a baseline makespan: ``NemesisSpec.build`` multiplies them
 by its ``base_makespan`` argument, exactly as ``fault_frac`` does for
 plain crash schedules.  Latency-scale parameters (``span``, ``max``,
 ``delay``) are absolute sim-time units, comparable to the cost model's
@@ -31,9 +33,9 @@ a Python-API-only feature — the grammar exposes global probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping
 
-from repro.faults.model import FaultModel, NemesisSchedule
+from repro.faults.model import FaultModel
 from repro.faults.models import (
     CascadingCrash,
     DetectorJitter,
@@ -42,26 +44,8 @@ from repro.faults.models import (
     Partition,
     ScheduledCrash,
 )
+from repro.load.grammar import Param
 from repro.sim.failure import FaultSchedule
-
-
-@dataclass(frozen=True)
-class Param:
-    """One spec parameter of a registered model."""
-
-    kind: str  # "float" | "int" | "nodes" | "flag"
-    default: object
-    doc: str
-    #: True for time-like values given as fractions of the baseline
-    #: makespan (scaled by parse_nemesis).
-    fraction: bool = False
-
-    def describe_default(self) -> str:
-        if self.default is None:
-            return "required"
-        if self.kind == "nodes":
-            return "-".join(str(n) for n in self.default)
-        return f"{self.default:g}" if isinstance(self.default, float) else str(self.default)
 
 
 @dataclass(frozen=True)
@@ -96,6 +80,11 @@ def get_model(name: str) -> ModelInfo:
 
 def all_models() -> Dict[str, ModelInfo]:
     return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
+
+
+def param_tables() -> Dict[str, Mapping[str, Param]]:
+    """``{model name: parameter table}`` — what the clause grammar parses against."""
+    return {name: info.params for name, info in _REGISTRY.items()}
 
 
 # -- built-in entries ----------------------------------------------------------
@@ -196,38 +185,3 @@ register(
         example="jitter:max=25",
     )
 )
-
-
-# -- spec parsing --------------------------------------------------------------
-#
-# The grammar itself lives in :class:`repro.api.specs.NemesisSpec` (one
-# parser for the CLI, the scenario grids, and the programmatic API);
-# these wrappers keep the historical parse-and-arm entry points.  All
-# parse failures are structured :class:`~repro.errors.SpecError`s.
-
-
-def parse_model(text: str, base_makespan: float = 1.0) -> FaultModel:
-    """Parse one ``name:k=v,...`` clause into a model instance."""
-    from repro.api.specs import NemesisSpec
-
-    models = list(NemesisSpec.parse(text).build(base_makespan))
-    if len(models) != 1:
-        from repro.errors import SpecError
-
-        raise SpecError(
-            f"expected exactly one model clause, got {len(models)}",
-            spec=text, field="nemesis", value=text,
-        )
-    return models[0]
-
-
-def parse_nemesis(spec: str, base_makespan: float = 1.0) -> NemesisSchedule:
-    """Parse a full ``model+model+...`` spec into a NemesisSchedule.
-
-    ``base_makespan`` scales every fraction-valued (``×T``) parameter,
-    so specs stay workload-relative the way ``fault_frac`` is.  An
-    empty spec yields the empty schedule (arming it is a no-op).
-    """
-    from repro.api.specs import NemesisSpec
-
-    return NemesisSpec.parse(spec).build(base_makespan)

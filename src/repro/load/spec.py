@@ -3,13 +3,13 @@
 An :class:`ArrivalSpec` describes an *open-loop* traffic regime: instead
 of one closed task tree, the simulated machine receives a stream of
 independent task trees injected at the super-root over a configured
-horizon.  The grammar follows the ``NemesisSpec`` discipline exactly —
+horizon.  The grammar is one clause of :mod:`repro.load.grammar` over the
+:data:`PROCESSES` tables below: ``parse`` / ``to_spec_str`` round-trip
+byte-exactly, parameters render in declaration order and only when
+given, and every failure is a structured
+:class:`~repro.errors.SpecError`.
 
-* ``parse`` / ``to_spec_str`` round-trip byte-exactly,
-* parameters render in declaration order, only when explicitly given,
-* every failure is a structured :class:`~repro.errors.SpecError`.
-
-Grammar (one clause; an empty string means "closed-loop, no arrivals")::
+Grammar (an empty string means "closed-loop, no arrivals")::
 
     process:key=value,key=value,...
 
@@ -42,8 +42,9 @@ tree size is uniform in ``[max(1, tasks//2), tasks + tasks//2]``),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
+from repro.load.grammar import Param, parse_clause, render_clause
 from repro.errors import SpecError
 
 #: Registered arrival-process names, in documentation order.
@@ -58,39 +59,13 @@ OVERFLOW_POLICIES: Tuple[str, ...] = ("drop", "tail", "backpressure")
 MAX_EXPECTED_ARRIVALS = 5000.0
 
 
-def _fmt_num(value: Any) -> str:
-    """Canonical numeric rendering (mirrors ``repro.api.specs``)."""
-    if isinstance(value, bool):  # pragma: no cover - no bool params today
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    text = repr(float(value))
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text.replace("e+", "e")
-
-
-@dataclass(frozen=True)
-class ProcessParam:
-    """Declaration of one arrival-process parameter."""
-
-    kind: str  # "float" | "int" | "choice"
-    default: Any  # None = required
-    doc: str
-    choices: Tuple[str, ...] = ()
-
-    @property
-    def required(self) -> bool:
-        return self.default is None
-
-
-def _common_params() -> Dict[str, ProcessParam]:
+def _common_params() -> Dict[str, Param]:
     return {
-        "tasks": ProcessParam(
+        "tasks": Param(
             "int", 8, "mean tree size; sizes are uniform in [max(1, tasks//2), tasks + tasks//2]"
         ),
-        "cap": ProcessParam("int", 0, "per-node inbox capacity (0 = unbounded)"),
-        "overflow": ProcessParam(
+        "cap": Param("int", 0, "per-node inbox capacity (0 = unbounded)"),
+        "overflow": Param(
             "choice",
             "drop",
             "full-inbox policy: drop (drop-with-notify), tail (silent), backpressure",
@@ -100,51 +75,25 @@ def _common_params() -> Dict[str, ProcessParam]:
 
 
 #: Parameter tables per process, in canonical (declaration) order.
-PROCESSES: Dict[str, Dict[str, ProcessParam]] = {
+PROCESSES: Dict[str, Dict[str, Param]] = {
     "poisson": {
-        "rate": ProcessParam("float", None, "mean arrival rate (arrivals per time unit)"),
-        "horizon": ProcessParam("float", None, "arrival window [0, horizon)"),
+        "rate": Param("float", None, "mean arrival rate (arrivals per time unit)"),
+        "horizon": Param("float", None, "arrival window [0, horizon)"),
         **_common_params(),
     },
     "bursty": {
-        "rate": ProcessParam("float", None, "arrival rate inside a burst"),
-        "on": ProcessParam("float", None, "mean burst length (time units)"),
-        "off": ProcessParam("float", None, "mean idle gap between bursts"),
-        "horizon": ProcessParam("float", None, "arrival window [0, horizon)"),
+        "rate": Param("float", None, "arrival rate inside a burst"),
+        "on": Param("float", None, "mean burst length (time units)"),
+        "off": Param("float", None, "mean idle gap between bursts"),
+        "horizon": Param("float", None, "arrival window [0, horizon)"),
         **_common_params(),
     },
     "diurnal": {
-        "peak": ProcessParam("float", None, "peak arrival rate at mid-horizon"),
-        "horizon": ProcessParam("float", None, "arrival window [0, horizon)"),
+        "peak": Param("float", None, "peak arrival rate at mid-horizon"),
+        "horizon": Param("float", None, "arrival window [0, horizon)"),
         **_common_params(),
     },
 }
-
-
-def _parse_number(
-    token: str, kind: str, *, spec: str, field: str, position: int
-) -> Any:
-    if kind == "int":
-        try:
-            return int(token)
-        except ValueError:
-            raise SpecError(
-                f"expected an integer for {field}, got {token!r}",
-                spec=spec,
-                field=field,
-                value=token,
-                position=position,
-            ) from None
-    try:
-        return float(token)
-    except ValueError:
-        raise SpecError(
-            f"expected a number for {field}, got {token!r}",
-            spec=spec,
-            field=field,
-            value=token,
-            position=position,
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -176,129 +125,15 @@ class ArrivalSpec:
     def __bool__(self) -> bool:
         return self.process != ""
 
-    # -- parsing ---------------------------------------------------------
-
     @classmethod
     def parse(cls, text: str) -> "ArrivalSpec":
         text = (text or "").strip()
         if not text:
             return cls()
-        name, sep, rest = text.partition(":")
-        name = name.strip()
-        if name not in PROCESSES:
-            raise SpecError(
-                f"unknown arrival process {name!r}",
-                spec=text,
-                field="arrivals.process",
-                value=name,
-                allowed=ARRIVAL_PROCESSES,
-                position=0,
-            )
-        table = PROCESSES[name]
-        given: Dict[str, Any] = {}
-        if sep and rest.strip():
-            offset = len(name) + 1
-            for item in rest.split(","):
-                position = offset
-                offset += len(item) + 1
-                token = item.strip()
-                if not token:
-                    continue
-                key, eq, raw = token.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if not eq or not raw:
-                    raise SpecError(
-                        f"expected key=value in arrival spec, got {token!r}",
-                        spec=text,
-                        field=f"arrivals.{name}",
-                        value=token,
-                        position=position,
-                    )
-                info = table.get(key)
-                if info is None:
-                    raise SpecError(
-                        f"unknown parameter {key!r} for arrival process {name!r}",
-                        spec=text,
-                        field=f"arrivals.{name}.{key}",
-                        value=key,
-                        allowed=tuple(table),
-                        position=position,
-                    )
-                if key in given:
-                    raise SpecError(
-                        f"duplicate parameter {key!r} in arrival spec",
-                        spec=text,
-                        field=f"arrivals.{name}.{key}",
-                        value=key,
-                        position=position,
-                    )
-                if info.kind == "choice":
-                    if raw not in info.choices:
-                        raise SpecError(
-                            f"unknown value {raw!r} for {name}.{key}",
-                            spec=text,
-                            field=f"arrivals.{name}.{key}",
-                            value=raw,
-                            allowed=info.choices,
-                            position=position,
-                        )
-                    given[key] = raw
-                else:
-                    given[key] = _parse_number(
-                        raw,
-                        info.kind,
-                        spec=text,
-                        field=f"arrivals.{name}.{key}",
-                        position=position,
-                    )
-        for key, info in table.items():
-            if info.required and key not in given:
-                raise SpecError(
-                    f"arrival process {name!r} requires parameter {key!r}",
-                    spec=text,
-                    field=f"arrivals.{name}.{key}",
-                    value=None,
-                    allowed=tuple(k for k, p in table.items() if p.required),
-                )
-        ordered = tuple((k, given[k]) for k in table if k in given)
-        return cls(process=name, params=ordered)
-
-    # -- rendering -------------------------------------------------------
+        return cls(*parse_clause(text, PROCESSES, family="arrivals", noun="arrival process"))
 
     def to_spec_str(self) -> str:
-        if not self.process:
-            return ""
-        rendered = ",".join(
-            f"{k}={v if isinstance(v, str) else _fmt_num(v)}" for k, v in self.params
-        )
-        return f"{self.process}:{rendered}" if rendered else self.process
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"process": self.process, "params": {k: v for k, v in self.params}}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ArrivalSpec":
-        if not isinstance(payload, Mapping):
-            raise SpecError(
-                f"arrival document must be an object, got {type(payload).__name__}",
-                field="arrivals",
-                value=payload,
-            )
-        process = str(payload.get("process", "") or "")
-        if not process:
-            return cls()
-        params = payload.get("params", {})
-        if not isinstance(params, Mapping):
-            raise SpecError(
-                "arrival 'params' must be an object",
-                field="arrivals.params",
-                value=params,
-            )
-        rendered = ",".join(
-            f"{k}={v if isinstance(v, str) else _fmt_num(v)}" for k, v in params.items()
-        )
-        return cls.parse(f"{process}:{rendered}" if rendered else process)
+        return render_clause(self.process, self.params) if self.process else ""
 
     # -- semantics -------------------------------------------------------
 

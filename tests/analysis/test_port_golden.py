@@ -1,93 +1,14 @@
-"""Golden parity for the RunSpec port of the analysis drivers.
+"""Parity of the figure drivers with their registered scenarios.
 
-The digests below were captured from the *legacy* drivers at commit
-55f2bbd, immediately before ``analysis/experiments.py`` was ported onto
-the ``repro.api`` RunSpec path (hand-rolled ``Machine`` loops retired):
-sha256 of each rendered table, with workload labels normalized to spec
-strings.  The ported sweeps must reproduce every table byte-for-byte —
-the port is required to be a pure refactor of the measured surface.
-
-The figure drivers are pinned the other way around: the table each
-figure renders through the scenario/RunSpec path (the ``figure`` point
-runner behind ``repro exp run figN-*``) must equal the direct
-``analysis.figures`` driver output, so the registry path and the legacy
-entry point can never drift.
+The table each figure renders through the scenario/RunSpec path (the
+``figure`` point runner behind ``repro exp run figN-*``) must equal the
+direct ``analysis.figures`` driver output, so the registry path and the
+driver entry point can never drift.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
-
-from repro.analysis.experiments import (
-    fault_time_sweep,
-    multi_fault_run,
-    overhead_sweep,
-    scaling_sweep,
-)
-from repro.analysis.report import render_fault_sweep, render_overhead, render_scaling
-
-#: sha256 of each legacy driver's rendered table (see module docstring).
-GOLDEN_TABLE_DIGESTS = {
-    "overhead": "fd2705a60c079e4c835102981323ef00492819b50c557e6d4ac04450d921df7c",
-    "fault": "9a94aa03c680cf294892264b2c04f653f99007a73d3a83ba28f9ff5abf1f884f",
-    "scaling": "6046bf8a57588c260245cbc60ee99a0c2597c3dc928873771a3f91c7e425ec3b",
-}
-
-
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-class TestExperimentPortGoldens:
-    def test_overhead_sweep_matches_legacy(self):
-        table = render_overhead(
-            overhead_sweep(
-                ["balanced:4:2:60"],
-                ["none", "rollback", "splice", "replicated:3"],
-                processors=4,
-                seed=0,
-            )
-        )
-        assert digest(table) == GOLDEN_TABLE_DIGESTS["overhead"], table
-
-    def test_fault_time_sweep_matches_legacy(self):
-        table = render_fault_sweep(
-            fault_time_sweep(
-                "balanced:4:2:60",
-                ["rollback", "splice"],
-                fractions=(0.1, 0.3, 0.5, 0.7, 0.9),
-                victim=1,
-                processors=4,
-                seed=0,
-            )
-        )
-        assert digest(table) == GOLDEN_TABLE_DIGESTS["fault"], table
-
-    def test_scaling_sweep_matches_legacy(self):
-        table = render_scaling(
-            scaling_sweep(
-                "wide:48:120",
-                policy="none",
-                processor_counts=(1, 2, 4, 8),
-                seed=0,
-            )
-        )
-        assert digest(table) == GOLDEN_TABLE_DIGESTS["scaling"], table
-
-    def test_multi_fault_run_matches_legacy(self):
-        # the legacy driver's observables, captured at the same commit
-        result = multi_fault_run(
-            "balanced:4:3:40",
-            fault_times=[(150.0, 1), (150.0, 4)],
-            policy="splice",
-            processors=6,
-            seed=0,
-        )
-        assert result.completed and result.verified is True
-        assert result.makespan == 1687.0
-        assert result.metrics.tasks_reissued == 3
 
 
 class TestFigureScenarioParity:

@@ -3,8 +3,8 @@
 ``tests/api/test_roundtrip.py`` pins the registered values; this suite
 extends the guarantee to the random schedules the adversarial searcher
 draws: every generated :class:`NemesisSpec` must parse back from its
-spec string byte-identically, survive the JSON round trip, and embed
-into a valid RunSpec — otherwise a search ledger could name a
+spec string byte-identically and embed into a valid RunSpec (whose JSON
+document carries it as that string) — otherwise a search ledger could name a
 reproducer that the grammar cannot replay.
 """
 
@@ -30,7 +30,6 @@ def test_generated_schedule_roundtrips_byte_identically(seed):
     text = spec.to_spec_str()
     assert NemesisSpec.parse(text) == spec
     assert NemesisSpec.parse(text).to_spec_str() == text  # fixed point
-    assert NemesisSpec.from_json(spec.to_json()) == spec
 
 
 @pytest.mark.parametrize("model", GENERATABLE_MODELS)

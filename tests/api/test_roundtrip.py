@@ -3,9 +3,10 @@
 Satellite guarantee of the RunSpec refit: every registered workload
 name, every policy string, every fault-model example, and every value
 that appears in a scenario-registry axis or base parses into a typed
-spec, re-serializes canonically, re-parses to an equal dataclass, and
-survives a JSON round trip.  This is what makes the legacy string
-grammars and the typed layer interchangeable everywhere.
+spec, re-serializes canonically and re-parses to an equal dataclass;
+every machine point's RunSpec survives the JSON round trip.  This is
+what makes the string grammars and the typed layer interchangeable
+everywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ def _spec_roundtrip(cls, text, **kwargs):
     spec = cls.parse(text, **kwargs)
     rendered = spec.to_spec_str()
     assert cls.parse(rendered, **kwargs) == spec, (text, rendered)
-    assert cls.from_json(spec.to_json()) == spec, text
     # canonical form is a fixed point
     assert cls.parse(rendered, **kwargs).to_spec_str() == rendered, text
 

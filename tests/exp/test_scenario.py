@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exp import all_scenarios, expand, get_scenario, point_seed
-from repro.exp.points import (
-    RUNNERS,
-    build_policy,
-    build_workload,
-    parse_fault_fracs,
-)
+from repro.exp.points import RUNNERS
 from repro.exp.scenario import ScenarioSpec, canonical_json, stable_hash
 
 
@@ -139,43 +134,3 @@ class TestRegistry:
     def test_spec_identity_is_json_serializable(self):
         for spec in all_scenarios().values():
             canonical_json(spec.identity())
-
-
-class TestBuilders:
-    def test_suite_workload(self):
-        factory, size = build_workload("fib-10")
-        assert size is None
-        assert factory().name == "fib-10"
-
-    def test_tree_workloads(self):
-        factory, size = build_workload("balanced:3:2:10")
-        assert size == 15
-        assert factory().name == "balanced:3:2:10"
-        _, chain_size = build_workload("chain:7:5")
-        assert chain_size == 7
-
-    def test_prog_workload(self):
-        factory, size = build_workload("prog:fib:6")
-        assert size is None
-        assert factory().name == "prog:fib:6"
-
-    def test_unknown_workload(self):
-        from repro.errors import SpecError
-
-        with pytest.raises(SpecError, match="unknown workload"):
-            build_workload("nope:1:2")
-
-    def test_policies(self):
-        assert build_policy("none").name == "none"
-        assert build_policy("rollback").name == "rollback"
-        assert build_policy("splice").name == "splice"
-        assert build_policy("replicated:5").k == 5
-        from repro.errors import SpecError
-
-        with pytest.raises(SpecError, match="unknown policy"):
-            build_policy("nope")
-
-    def test_parse_fault_fracs(self):
-        assert parse_fault_fracs("") == []
-        assert parse_fault_fracs("0.5:1") == [(0.5, 1)]
-        assert parse_fault_fracs("0.5:1+0.9:4") == [(0.5, 1), (0.9, 4)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import NemesisSpec
 from repro.config import SimConfig
 from repro.faults import (
     DROPPABLE,
@@ -17,8 +18,6 @@ from repro.faults import (
     ScheduledCrash,
     all_models,
     get_model,
-    parse_model,
-    parse_nemesis,
 )
 from repro.sim.failure import FaultSchedule
 from repro.sim.machine import Machine
@@ -257,6 +256,15 @@ class TestNemesisSchedule:
         assert "crash" in text and "jitter" in text and " + " in text
 
 
+def one_model(text, base_makespan=1.0):
+    (model,) = NemesisSpec.parse(text).build(base_makespan)
+    return model
+
+
+def schedule_of(text, base_makespan=1.0):
+    return NemesisSpec.parse(text).build(base_makespan)
+
+
 class TestRegistryAndGrammar:
     def test_registry_names_are_pinned(self):
         assert set(all_models()) == {
@@ -265,28 +273,28 @@ class TestRegistryAndGrammar:
 
     def test_every_model_has_example_that_parses(self):
         for info in all_models().values():
-            model = parse_model(info.example, base_makespan=100.0)
+            model = one_model(info.example, base_makespan=100.0)
             assert model.name == info.name
 
     def test_fraction_params_scale_with_base_makespan(self):
-        model = parse_model("crash:at=0.5,node=1", base_makespan=200.0)
+        model = one_model("crash:at=0.5,node=1", base_makespan=200.0)
         assert list(model.schedule)[0].time == 100.0
-        part = parse_model("partition:start=0.25,dur=0.5,group=0", base_makespan=400.0)
+        part = one_model("partition:start=0.25,dur=0.5,group=0", base_makespan=400.0)
         assert part.start == 100.0 and part.end == 300.0
 
     def test_latency_scale_params_are_absolute(self):
-        model = parse_model("jitter:max=25", base_makespan=1000.0)
+        model = one_model("jitter:max=25", base_makespan=1000.0)
         assert model.max_extra == 25.0
-        chaos = parse_model("chaos:drop=0.1,span=40", base_makespan=1000.0)
+        chaos = one_model("chaos:drop=0.1,span=40", base_makespan=1000.0)
         assert chaos.span == 40.0
 
     def test_composition_and_empty_spec(self):
-        schedule = parse_nemesis(
+        schedule = schedule_of(
             "crash:at=0.4,node=1+chaos:drop=0.05+jitter:max=10", 100.0
         )
         assert [m.name for m in schedule] == ["crash", "chaos", "jitter"]
-        assert len(parse_nemesis("", 100.0)) == 0
-        assert not parse_nemesis("  ", 100.0)
+        assert len(schedule_of("", 100.0)) == 0
+        assert not schedule_of("  ", 100.0)
 
     def test_grammar_errors(self):
         from repro.errors import SpecError
@@ -294,16 +302,16 @@ class TestRegistryAndGrammar:
         # Spec-grammar failures are structured SpecErrors (which subclass
         # ValueError); only the raw registry lookup still raises KeyError.
         with pytest.raises(SpecError, match="unknown fault model"):
-            parse_nemesis("no-such-model:x=1")
+            schedule_of("no-such-model:x=1")
         with pytest.raises(ValueError, match="unknown parameter"):
-            parse_nemesis("crash:at=0.5,node=1,bogus=3")
+            schedule_of("crash:at=0.5,node=1,bogus=3")
         with pytest.raises(ValueError, match="missing parameters"):
-            parse_nemesis("crash:at=0.5")
+            schedule_of("crash:at=0.5")
         with pytest.raises(ValueError, match="bad value"):
-            parse_nemesis("crash:at=half,node=1")
+            schedule_of("crash:at=half,node=1")
         with pytest.raises(KeyError):
             get_model("nope")
 
     def test_node_list_values(self):
-        part = parse_model("partition:start=0.1,dur=0.1,group=0-2-3", 100.0)
+        part = one_model("partition:start=0.1,dur=0.1,group=0-2-3", 100.0)
         assert part.group == frozenset({0, 2, 3})

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import NemesisSpec, PolicySpec, WorkloadSpec
 from repro.config import SimConfig
-from repro.exp.points import build_policy, build_workload
 from repro.faults import (
     GrayFailure,
     MessageChaos,
     NemesisSchedule,
     Partition,
     ScheduledCrash,
-    parse_nemesis,
 )
 from repro.sim.machine import run_simulation
 
@@ -29,10 +28,10 @@ WORKLOAD = "balanced:4:2:30"
 
 @pytest.fixture(scope="module")
 def base():
-    wf, _ = build_workload(WORKLOAD)
+    wf, _ = WorkloadSpec.parse(WORKLOAD).build()
     result = run_simulation(
         wf(), SimConfig(n_processors=4, seed=0),
-        policy=build_policy("rollback"), collect_trace=False,
+        policy=PolicySpec.parse("rollback").build(), collect_trace=False,
     )
     assert result.completed
     return result
@@ -40,13 +39,13 @@ def base():
 
 def run_nemesis(spec: str, policy: str, base_makespan: float, seed: int = 0,
                 collect_trace: bool = False):
-    wf, _ = build_workload(WORKLOAD)
+    wf, _ = WorkloadSpec.parse(WORKLOAD).build()
     return run_simulation(
         wf(),
         SimConfig(n_processors=4, seed=seed),
-        policy=build_policy(policy),
+        policy=PolicySpec.parse(policy).build(),
         collect_trace=collect_trace,
-        nemesis=parse_nemesis(spec, base_makespan),
+        nemesis=NemesisSpec.parse(spec).build(base_makespan),
     )
 
 
@@ -106,14 +105,14 @@ class TestDeterminism:
         )
 
     def test_empty_nemesis_is_byte_identical_to_none(self):
-        wf, _ = build_workload(WORKLOAD)
+        wf, _ = WorkloadSpec.parse(WORKLOAD).build()
         plain = run_simulation(
             wf(), SimConfig(n_processors=4, seed=5),
-            policy=build_policy("splice"), collect_trace=True,
+            policy=PolicySpec.parse("splice").build(), collect_trace=True,
         )
         empty = run_simulation(
             wf(), SimConfig(n_processors=4, seed=5),
-            policy=build_policy("splice"), collect_trace=True,
+            policy=PolicySpec.parse("splice").build(), collect_trace=True,
             nemesis=NemesisSchedule.none(),
         )
         assert self.digest(plain) == self.digest(empty)
@@ -136,7 +135,7 @@ class TestDeterminism:
 
 class TestPythonApiComposition:
     def test_models_compose_without_the_grammar(self, base):
-        wf, _ = build_workload(WORKLOAD)
+        wf, _ = WorkloadSpec.parse(WORKLOAD).build()
         schedule = NemesisSchedule.of(
             ScheduledCrash.single(0.4 * base.makespan, 1),
             GrayFailure(2, 0.1 * base.makespan, 0.5 * base.makespan, factor=3.0),
@@ -144,20 +143,20 @@ class TestPythonApiComposition:
         )
         result = run_simulation(
             wf(), SimConfig(n_processors=4, seed=0),
-            policy=build_policy("splice"), collect_trace=False, nemesis=schedule,
+            policy=PolicySpec.parse("splice").build(), collect_trace=False, nemesis=schedule,
         )
         assert result.completed and result.verified is True
         assert result.metrics.nemesis_duplicated > 0
         assert result.metrics.nemesis_slowdown_time > 0
 
     def test_partition_traffic_resumes_after_heal(self, base):
-        wf, _ = build_workload(WORKLOAD)
+        wf, _ = WorkloadSpec.parse(WORKLOAD).build()
         schedule = NemesisSchedule.of(
             Partition(0.2 * base.makespan, 0.2 * base.makespan, group=(0,))
         )
         result = run_simulation(
             wf(), SimConfig(n_processors=4, seed=0),
-            policy=build_policy("splice"), collect_trace=True, nemesis=schedule,
+            policy=PolicySpec.parse("splice").build(), collect_trace=True, nemesis=schedule,
         )
         assert result.completed and result.verified is True
         blocked = result.trace.of_kind("nemesis_drop")

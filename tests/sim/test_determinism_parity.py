@@ -26,8 +26,8 @@ import os
 
 import pytest
 
+from repro.api import PolicySpec, WorkloadSpec
 from repro.config import SimConfig
-from repro.exp.points import build_policy, build_workload
 from repro.sim.failure import Fault, FaultSchedule
 from repro.sim.machine import run_simulation
 
@@ -47,18 +47,18 @@ _IDS = [f"{c[0]}-{c[1]}-{len(c[3])}faults" for c in CASES]
 
 
 def run_case(workload: str, policy: str, procs: int, fracs, collect_trace: bool):
-    wf, _ = build_workload(workload)
+    wf, _ = WorkloadSpec.parse(workload).build()
     config = SimConfig(n_processors=procs, seed=3)
     faults = FaultSchedule.none()
     if fracs:
         base = run_simulation(
-            wf(), config, policy=build_policy(policy), collect_trace=False
+            wf(), config, policy=PolicySpec.parse(policy).build(), collect_trace=False
         )
         faults = FaultSchedule.of(
             *(Fault(max(1.0, f * base.makespan), n) for f, n in fracs)
         )
     return run_simulation(
-        wf(), config, policy=build_policy(policy), faults=faults,
+        wf(), config, policy=PolicySpec.parse(policy).build(), faults=faults,
         collect_trace=collect_trace,
     )
 

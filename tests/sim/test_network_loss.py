@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import PolicySpec, WorkloadSpec
 from repro.config import CostModel, SimConfig
-from repro.exp.points import build_policy, build_workload
 from repro.faults import MessageChaos, NemesisSchedule
 from repro.sim.machine import Machine, run_simulation
 from repro.sim.messages import PlacementAck, ResultMsg, TaskPacketMsg
@@ -24,11 +24,11 @@ WORKLOAD = "balanced:3:2:20"
 
 
 def run_chaos(chaos: MessageChaos, policy="rollback", seed=0, trace=True):
-    wf, _ = build_workload(WORKLOAD)
+    wf, _ = WorkloadSpec.parse(WORKLOAD).build()
     return run_simulation(
         wf(),
         SimConfig(n_processors=4, seed=seed),
-        policy=build_policy(policy),
+        policy=PolicySpec.parse(policy).build(),
         collect_trace=trace,
         nemesis=NemesisSchedule.of(chaos),
     )

@@ -609,6 +609,7 @@ class TestPolicyReferences:
 
     def test_policy_names_are_pinned(self):
         from repro.api import PolicySpec
+        from repro.api.specs import POLICY_PARAMS
         from repro.policies import PERSIST_MODES
 
         assert PolicySpec._SIMPLE == SIMPLE_POLICY_NAMES, (
@@ -616,7 +617,7 @@ class TestPolicyReferences:
             "match on these strings — update here and docs/POLICIES.md "
             "deliberately"
         )
-        assert PolicySpec._PERSIST_MODES == PERSIST_MODE_NAMES
+        assert POLICY_PARAMS["incremental"]["persist"].choices == PERSIST_MODE_NAMES
         assert PERSIST_MODES == PERSIST_MODE_NAMES
 
     def test_cli_policy_help_names_every_policy(self):
