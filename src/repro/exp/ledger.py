@@ -2,10 +2,11 @@
 
 The process pool is not the source of truth for a sweep — this ledger
 is.  Every sweep that runs with a ledger directory appends one compact
-JSON record per event to ``<ledger_dir>/<run-id>.jsonl``, each record
-flushed *and* fsync'd before the runner acts on it, so a crash at any
-instant (SIGKILL included) leaves a readable prefix of the run's
-history.  ``repro exp resume <run-id>`` replays that prefix, identifies
+JSON record per event to ``<ledger_dir>/<run-id>.jsonl``, each
+*commitment* — every record replay acts on — flushed *and* fsync'd
+before the runner acts on it, so a crash at any instant (SIGKILL
+included) leaves a readable prefix of the run's history.
+``repro exp resume <run-id>`` replays that prefix, identifies
 the unfinished points, and re-submits only those — producing a final
 sweep JSON byte-identical to an uninterrupted run.  This is the paper's
 own checkpoint/restore discipline applied to our orchestrator: finished
@@ -24,15 +25,19 @@ Record stream (one JSON object per line, ``event`` discriminates):
     and the sha256 of its compact encoding; ``point_failed`` the
     one-line error.  Duplicates are idempotent on replay (first valid
     record wins); a later ``point_finished`` clears an earlier failure.
+    ``point_started`` alone is flushed but not fsync'd: a started and a
+    never-started point are the same resume work item (the paper makes
+    only the checkpoint resilient, never the task in flight).
 ``run_finished``
     Terminal marker with the sha256 of the canonical sweep JSON.
 
 Crash-safety rules replay relies on:
 
-* records are append-only and fsync'd in order, so the file on disk is
-  always a prefix of the logical stream plus at most one *torn* final
-  line (a crash mid-write) — torn tails are skipped with a
-  :class:`LedgerWarning`, never an error;
+* records are append-only on one descriptor and every commitment's
+  fsync also covers the unsynced ``point_started`` lines before it, so
+  the file on disk is always a prefix of the logical stream plus at
+  most one *torn* final line (a crash mid-write) — torn tails are
+  skipped with a :class:`LedgerWarning`, never an error;
 * corruption anywhere *before* the final line cannot be produced by a
   crash and is refused as a :class:`~repro.errors.ReproError`;
 * a ledger whose recorded spec ``key`` no longer matches the registered
@@ -114,13 +119,14 @@ def _env_float(name: str) -> Optional[float]:
 
 
 class LedgerWriter:
-    """Append-only, fsync-per-record writer for one run's ledger.
+    """Append-only, fsync-per-commitment writer for one run's ledger.
 
     Use :meth:`start` for a fresh run (truncates any stale ledger for
     the same run id and writes the ``run_started`` header) and
     :meth:`reopen` to continue an interrupted run's file during resume.
     The writer holds the file descriptor open across appends so every
-    record pays exactly one ``write + flush + fsync``.
+    commitment pays exactly one ``write + flush + fsync``, which also
+    covers the ``point_started`` lines written and flushed before it.
     """
 
     def __init__(self, path: str, fh) -> None:
@@ -192,11 +198,12 @@ class LedgerWriter:
             raise ReproError(f"cannot append to sweep ledger {path}: {exc}") from None
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record (one compact-JSON line).
+        """Append one record (one compact-JSON line), durably if it commits.
 
-        The record is on stable storage when this returns — the runner
-        only acts on an event (marks a point done, writes the cache)
-        after its append returned, which is the ordering replay trusts.
+        Every record but ``point_started`` is on stable storage when
+        this returns — the runner only acts on an event (marks a point
+        done, writes the cache) after its append returned, which is the
+        ordering replay trusts.
         """
         slow = _env_float(SLOW_ENV)
         if slow:  # pragma: no cover - test hook, exercised by subprocess tests
@@ -208,7 +215,11 @@ class LedgerWriter:
             # bytes on disk, no newline — then die without cleanup.
             append_durable(self._fh, line[: max(1, len(line) // 2)])
             os.kill(os.getpid(), signal.SIGKILL)
-        append_durable(self._fh, line)
+        if record.get("event") == "point_started":
+            self._fh.write(line)  # in flight, not a commitment: flushed,
+            self._fh.flush()  # and the next commitment's fsync carries it
+        else:
+            append_durable(self._fh, line)
         self._appends += 1
 
     def point_started(self, index: int) -> None:
@@ -306,20 +317,25 @@ def _parse_lines(path: str) -> tuple:
     """Raw ledger lines -> (records, torn count).
 
     Only the *final* line may be unparseable — that is the one write a
-    crash can tear.  Earlier garbage cannot result from fsync-ordered
-    appends and is refused loudly rather than silently dropped.
+    crash can tear, and it is torn whenever its newline is missing,
+    parseable or not (:meth:`LedgerWriter.reopen` truncates it).  Earlier
+    garbage cannot result from in-order appends to one descriptor and is
+    refused loudly rather than silently dropped.
     """
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             lines = fh.read().split("\n")
     except OSError as exc:
         raise ReproError(f"cannot read sweep ledger {path}: {exc}") from None
-    if lines and lines[-1] == "":
+    terminated = lines[-1] == ""
+    if terminated:
         lines.pop()  # the newline-terminated case: no torn tail
     records: List[Dict[str, Any]] = []
     torn = 0
     for lineno, line in enumerate(lines):
         try:
+            if lineno == len(lines) - 1 and not terminated:
+                raise ValueError("the append did not complete")
             record = json.loads(line)
             if not isinstance(record, dict) or "event" not in record:
                 raise ValueError("not a ledger record object")

@@ -164,11 +164,11 @@ def _load_cached(path: str) -> Optional[Dict[str, Any]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if not isinstance(payload.get("points"), list):
-            return None
-        return payload
     except (OSError, ValueError):
         return None
+    if isinstance(payload, dict) and isinstance(payload.get("points"), list):
+        return payload
+    return None
 
 
 def _execute_points(
@@ -238,11 +238,11 @@ def _execute_points(
     return results
 
 
-def _write_cache(path: str, sweep: SweepResult) -> None:
+def _write_cache(path: str, text: str) -> None:
     """Write the sweep cache atomically; unwritable destinations get a
     one-line :class:`~repro.errors.ReproError` instead of a traceback."""
     try:
-        write_atomic(path, sweep.to_json())
+        write_atomic(path, text)
     except OSError as exc:
         raise ReproError(f"cannot write sweep cache {path}: {exc}") from None
 
@@ -273,10 +273,12 @@ def _assemble(
         ledger_path=writer.path if writer is not None else None,
         resumed_points=resumed_points,
     )
+    # rendered once (≈600 KB on a big sweep): the same text is hashed and written
+    text = sweep.to_json() if writer is not None or cache_path else ""
     if writer is not None:
-        writer.run_finished(sha256_hex(sweep.to_json()))
+        writer.run_finished(sha256_hex(text))
     if cache_path:
-        _write_cache(cache_path, sweep)
+        _write_cache(cache_path, text)
     return sweep
 
 

@@ -18,6 +18,7 @@ count of true replicates rather than folded into the numeric summary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exp.runner import SweepResult
@@ -61,17 +62,23 @@ def flag_fields(result: Mapping[str, Any]) -> Dict[str, bool]:
 
 @dataclass(frozen=True)
 class MetricSummary:
-    """One metric across the replicates of one grid cell."""
+    """One metric across the replicates of one grid cell.
+
+    ``ci_low``/``ci_high`` are bootstrapped on first read from the fields
+    below: a consumer that prints none (the comparison layer) pays for none.
+    """
 
     n: int
     median: float
     q1: float
     q3: float
-    ci_low: float
-    ci_high: float
     mean: float
     minimum: float
     maximum: float
+    samples: Tuple[float, ...]
+    level: float
+    n_boot: int
+    seed: int
 
     @classmethod
     def from_samples(
@@ -79,20 +86,34 @@ class MetricSummary:
     ) -> "MetricSummary":
         stats = summarize(samples)
         q1, med, q3 = quartiles(samples)
-        ci_low, ci_high = bootstrap_median_ci(
-            samples, level=level, n_boot=n_boot, seed=seed
-        )
         return cls(
             n=stats.n,
             median=med,
             q1=q1,
             q3=q3,
-            ci_low=ci_low,
-            ci_high=ci_high,
             mean=stats.mean,
             minimum=stats.minimum,
             maximum=stats.maximum,
+            samples=samples,
+            level=level,
+            n_boot=n_boot,
+            seed=seed,
         )
+
+    @cached_property
+    def ci(self) -> Tuple[float, float]:
+        """Percentile-bootstrap interval for the median, ``(low, high)``."""
+        return bootstrap_median_ci(
+            self.samples, level=self.level, n_boot=self.n_boot, seed=self.seed
+        )
+
+    @property
+    def ci_low(self) -> float:
+        return self.ci[0]
+
+    @property
+    def ci_high(self) -> float:
+        return self.ci[1]
 
     def to_json(self) -> Dict[str, float]:
         return {

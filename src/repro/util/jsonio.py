@@ -62,10 +62,11 @@ def append_durable(fh, text: str) -> None:
 
     ``flush`` pushes the bytes out of the userspace buffer, ``fsync``
     out of the page cache — after this returns, a crash (even SIGKILL
-    or power loss) cannot lose the record.  This is the write primitive
-    behind every sweep-ledger append; callers own the ordering
-    guarantee that a record is only *acted on* (e.g. a point marked
-    finished) after its append returned.
+    or power loss) cannot lose the record, nor anything written to the
+    descriptor before it.  This is the write primitive behind every
+    sweep-ledger *commitment*; callers own the ordering guarantee that
+    a record is only *acted on* (e.g. a point marked finished) after
+    its append returned.
     """
     fh.write(text)
     fh.flush()

@@ -112,6 +112,37 @@ def percentiles(
     return tuple(float(v) for v in np.percentile(arr, probs))
 
 
+def _zero_spread(arr: np.ndarray) -> float | None:
+    """The one value of a sample without spread, else ``None``: every
+    resample then has that median, so the interval is exact undrawn.
+
+    ``+ 0.0`` reads -0.0 as the +0.0 :func:`_resampled_medians` gives;
+    NaN extremes never compare equal; within a factor four of overflow
+    ``(v + v) / 2`` and a difference of two medians stop being exact.
+    """
+    low = float(arr.min())
+    if low == float(arr.max()) and math.isfinite(4.0 * low):
+        return low + 0.0
+    return None
+
+
+def _resampled_medians(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.median(arr[idx], axis=1)`` bit for bit, by a row sort.
+
+    ``+ 0.0`` is the +0.0 ``np.mean`` starts its sum from (a -0.0 median
+    comes out +0.0); a sort puts NaN last, so a row's last element says
+    whether ``np.median`` would have returned NaN for it.
+    """
+    rows = np.sort(arr[idx], axis=1)
+    mid = arr.size // 2
+    if arr.size % 2:
+        medians = rows[:, mid] + 0.0
+    else:
+        medians = (rows[:, mid - 1] + rows[:, mid] + 0.0) / 2.0
+    medians[np.isnan(rows[:, -1])] = np.nan
+    return medians
+
+
 def bootstrap_median_ci(
     values: Sequence[float],
     level: float = 0.95,
@@ -123,8 +154,8 @@ def bootstrap_median_ci(
     Resamples with replacement ``n_boot`` times from a PCG64 stream
     seeded by ``seed``, so the interval is a pure function of
     ``(values, level, n_boot, seed)`` — reports built from it are
-    byte-deterministic.  A single-element sample returns a degenerate
-    interval.
+    byte-deterministic.  A single-element or zero-spread sample returns
+    its exact degenerate interval without drawing.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -135,9 +166,12 @@ def bootstrap_median_ci(
         raise ValueError("cannot bootstrap an empty sample")
     if arr.size == 1:
         return (float(arr[0]), float(arr[0]))
+    value = _zero_spread(arr)
+    if value is not None:
+        return (value, value)
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.integers(0, arr.size, size=(int(n_boot), arr.size))
-    medians = np.median(arr[idx], axis=1)
+    medians = _resampled_medians(arr, idx)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(medians, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return (float(lo), float(hi))
@@ -155,7 +189,8 @@ def bootstrap_delta_ci(
     The two samples are resampled independently (they come from
     independently-seeded replicate runs), so the interval covers the
     difference of medians under replicate-to-replicate variation.
-    Degenerate (both single-element) inputs return an exact interval.
+    Degenerate (both single-element or both zero-spread) inputs return
+    an exact interval without drawing.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -168,10 +203,13 @@ def bootstrap_delta_ci(
     if a.size == 1 and b.size == 1:
         delta = float(b[0]) - float(a[0])
         return (delta, delta)
+    value_a, value_b = _zero_spread(a), _zero_spread(b)
+    if value_a is not None and value_b is not None:
+        return (value_b - value_a, value_b - value_a)
     rng = np.random.Generator(np.random.PCG64(seed))
     idx_a = rng.integers(0, a.size, size=(int(n_boot), a.size))
     idx_b = rng.integers(0, b.size, size=(int(n_boot), b.size))
-    deltas = np.median(b[idx_b], axis=1) - np.median(a[idx_a], axis=1)
+    deltas = _resampled_medians(b, idx_b) - _resampled_medians(a, idx_a)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(deltas, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return (float(lo), float(hi))

@@ -27,8 +27,10 @@ from repro.exp import (
     resume_run,
     run_scenario,
 )
+from repro.exp.ledger import result_digest
 from repro.exp.points import RUNNERS
 from repro.exp.scenario import _REGISTRY, with_replications
+from repro.util.jsonio import compact_dumps
 
 
 def fake_result(index: int) -> dict:
@@ -157,6 +159,23 @@ class TestTornAndCorrupt:
         assert state.torn_lines == 1
         assert state.finished == {0: fake_result(0)}
 
+    def test_complete_record_without_its_newline_is_torn(self, tmp_path):
+        # reopen() truncates an unterminated tail before it appends, so
+        # replay must not count one either, even when it parses
+        record = {
+            "event": "point_finished",
+            "index": 1,
+            "sha256": result_digest(fake_result(1)),
+            "result": fake_result(1),
+        }
+        path = self._ledger_with_tail(tmp_path, compact_dumps(record))
+        with pytest.warns(LedgerWarning, match="torn final line"):
+            state = replay_ledger(path)
+        assert state.torn_lines == 1 and sorted(state.finished) == [0]
+        with LedgerWriter.reopen(path) as writer:
+            writer.point_started(1)
+        assert replay_ledger(path).finished == state.finished
+
     def test_mid_file_corruption_refused(self, tmp_path):
         path = self._ledger_with_tail(tmp_path, "garbage, not json\n")
         with open(path, "a", encoding="utf-8") as fh:
@@ -232,19 +251,64 @@ class TestLedgeredRunScenario:
             run_scenario("smoke", ledger_dir=str(blocker / "ledger"))
 
 
-class TestResume:
-    def _interrupted_ledger(self, tmp_path) -> str:
-        """A smoke ledger with points 0 and 2 finished for real."""
-        spec = get_scenario("smoke")
-        full = run_scenario("smoke")
-        with LedgerWriter.start(str(tmp_path / "ledger"), spec) as writer:
-            for i in (0, 2):
-                writer.point_started(i)
-                writer.point_finished(i, full.points[i]["result"])
-        return spec.run_id()
+def interrupted_ledger(tmp_path) -> str:
+    """A smoke ledger with points 0 and 2 finished for real."""
+    spec = get_scenario("smoke")
+    full = run_scenario("smoke")
+    with LedgerWriter.start(str(tmp_path / "ledger"), spec) as writer:
+        for i in (0, 2):
+            writer.point_started(i)
+            writer.point_finished(i, full.points[i]["result"])
+    return spec.run_id()
 
+
+class TestFsyncBudget:
+    """Only commitments are synced: the header, each ``point_finished``
+    or ``point_failed``, and ``run_finished``.  ``point_started`` rides
+    on the sync of the commitment that follows it."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
+        return calls
+
+    @pytest.mark.parametrize("replications,workers", [(1, 1), (3, 1), (1, 2)])
+    def test_n_point_sweep_syncs_n_plus_two(
+        self, tmp_path, fsyncs, replications, workers
+    ):
+        spec = with_replications(get_scenario("smoke"), replications)
+        sweep = run_scenario(
+            spec, workers=workers, cache_dir=str(tmp_path),
+            ledger_dir=str(tmp_path / "ledger"),
+        )
+        n = len(sweep.points)
+        assert n == 4 * replications
+        assert len(fsyncs) == n + 2
+        with open(sweep.ledger_path, "rb") as fh:
+            assert fh.read().count(b"\n") == 2 * n + 2  # every record still written
+
+    def test_resume_of_k_points_syncs_k_plus_one(self, tmp_path, fsyncs):
+        run_id = interrupted_ledger(tmp_path)  # 2 of 4 finished
+        fsyncs.clear()
+        resumed = resume_run(run_id, ledger_dir=str(tmp_path / "ledger"))
+        assert resumed.resumed_points == 2
+        assert len(fsyncs) == 2 + 1
+
+    def test_failed_point_is_a_commitment(self, tmp_path, fsyncs, monkeypatch):
+        def always_fails(params):
+            raise ValueError("injected point failure")
+
+        monkeypatch.setitem(RUNNERS, "machine", always_fails)
+        with pytest.raises(ReproError, match="4 point"):
+            run_scenario("smoke", ledger_dir=str(tmp_path / "ledger"))
+        assert len(fsyncs) == 1 + 4  # header + four point_failed, no run_finished
+
+
+class TestResume:
     def test_resume_completes_byte_identical(self, tmp_path):
-        run_id = self._interrupted_ledger(tmp_path)
+        run_id = interrupted_ledger(tmp_path)
         reference = run_scenario("smoke", cache_dir=str(tmp_path / "ref"))
         resumed = resume_run(
             run_id,
@@ -274,7 +338,7 @@ class TestResume:
             resume_run("nope-123456789abc", ledger_dir=str(tmp_path))
 
     def test_identity_drift_refused(self, tmp_path, monkeypatch):
-        run_id = self._interrupted_ledger(tmp_path)
+        run_id = interrupted_ledger(tmp_path)
         bumped = dataclasses.replace(
             get_scenario("smoke"), version=get_scenario("smoke").version + 1
         )
@@ -283,7 +347,7 @@ class TestResume:
             resume_run(run_id, ledger_dir=str(tmp_path / "ledger"))
 
     def test_unregistered_scenario_refused(self, tmp_path, monkeypatch):
-        run_id = self._interrupted_ledger(tmp_path)
+        run_id = interrupted_ledger(tmp_path)
         monkeypatch.delitem(_REGISTRY, "smoke")
         with pytest.raises(SpecError, match="no longer registered"):
             resume_run(run_id, ledger_dir=str(tmp_path / "ledger"))

@@ -85,6 +85,8 @@ class TestCrashAfterHook:
             raw = fh.read()
         # the crash hook dies halfway through a write: a real torn tail
         assert raw and not raw.endswith(b"\n")
+        # the hook counts every record, the unsynced point_started too
+        assert raw.count(b"\n") == crash_after
 
         resumed = resume_run(
             RUN_ID, ledger_dir=os.path.join(cache, "ledger"), cache_dir=cache

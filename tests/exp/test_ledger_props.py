@@ -10,6 +10,8 @@ real-execution byte-identity coverage lives in ``test_ledger_crash.py``.
 
 from __future__ import annotations
 
+import json
+import os
 import warnings
 
 import pytest
@@ -25,7 +27,10 @@ from repro.exp import (
     get_scenario,
     ledger_path,
     replay_ledger,
+    resume_run,
+    run_scenario,
 )
+from repro.exp.points import RUNNERS
 
 SCENARIOS = sorted(all_scenarios())
 
@@ -148,3 +153,53 @@ class TestDuplicateRecords:
         assert set(state.finished) == {0, 1, 2, 3}
         assert state.finished == {i: fake_result(i) for i in range(4)}
         assert state.unfinished() == []
+
+
+class TestCrashWindow:
+    """``point_started`` is written and flushed but not fsync'd, so a
+    crash may leave the file cut anywhere, inside or just after one of
+    those lines included.  Every such file must still be a prefix of the
+    stream with at most one torn line, and resume to the same bytes."""
+
+    def test_every_byte_truncation_resumes_byte_identical(self, tmp_path, monkeypatch):
+        # what is under test is the ledger's bytes, so the points are
+        # synthetic and the syncs no-ops: every cut gets a real resume
+        monkeypatch.setitem(
+            RUNNERS, "machine", lambda params: {"ok": True, "echo": dict(params)}
+        )
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        cache, ledgers = str(tmp_path / "cache"), str(tmp_path / "ledger")
+        cold = run_scenario("smoke", cache_dir=cache, ledger_dir=ledgers)
+        with open(cold.cache_path, "rb") as fh:
+            reference = fh.read()
+        with open(cold.ledger_path, "rb") as fh:
+            full = fh.read()
+        lines = full.splitlines(keepends=True)
+        assert [json.loads(line)["event"] for line in lines] == (
+            ["run_started"] + ["point_started", "point_finished"] * 4 + ["run_finished"]
+        )
+        ends = set()  # offsets at which a cut leaves only whole lines
+        for line in lines:
+            ends.add(len(line) + max(ends, default=0))
+
+        for cut in range(len(full) + 1):
+            with open(cold.ledger_path, "wb") as fh:
+                fh.write(full[:cut])
+            if os.path.exists(cold.cache_path):
+                os.remove(cold.cache_path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if cut < len(lines[0]):  # the header itself is torn
+                    with pytest.raises(ReproError, match="run_started"):
+                        replay_ledger(cold.ledger_path)
+                    continue
+                state = replay_ledger(cold.ledger_path)
+                # a record counts once its newline is on disk, not before
+                assert state.torn_lines == len(caught) == int(cut not in ends), cut
+                assert len(state.finished) == (full[:cut].count(b"\n") - 1) // 2, cut
+                resumed = resume_run(cold.run_id, ledger_dir=ledgers, cache_dir=cache)
+            assert resumed.resumed_points == 4 - len(state.finished), cut
+            with open(resumed.cache_path, "rb") as fh:
+                assert fh.read() == reference, cut
+            # and the repaired ledger is whole again
+            assert replay_ledger(cold.ledger_path).run_finished

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import pytest
 
-from repro.exp import get_scenario, run_scenario, sweep_table
-from repro.exp.runner import result_path
+from repro.exp import get_scenario, replay_ledger, run_scenario, sweep_table
+from repro.exp.runner import SweepResult, result_path
 
 
 class TestSerialParallelParity:
@@ -56,6 +57,33 @@ class TestCache:
         again = run_scenario("smoke", cache_dir=str(tmp_path))
         assert not again.cache_hit
         assert again.to_json() == first.to_json()
+
+    @pytest.mark.parametrize("text", ["[1,2]", "null", '"points"', "3"])
+    def test_non_object_json_cache_treated_as_miss(self, tmp_path, text):
+        # valid JSON that is not an object used to escape as AttributeError
+        first = run_scenario("smoke", cache_dir=str(tmp_path))
+        with open(first.cache_path, "w") as fh:
+            fh.write(text)
+        again = run_scenario("smoke", cache_dir=str(tmp_path))
+        assert not again.cache_hit
+        assert again.to_json() == first.to_json()
+
+    def test_sweep_document_rendered_once(self, tmp_path, monkeypatch):
+        # the ~600 KB document of a big sweep is hashed for run_finished
+        # and written to the cache from one rendering
+        renders = []
+        real = SweepResult.to_json
+        monkeypatch.setattr(
+            SweepResult, "to_json", lambda self: renders.append(1) or real(self)
+        )
+        sweep = run_scenario(
+            "smoke", cache_dir=str(tmp_path), ledger_dir=str(tmp_path / "ledger")
+        )
+        assert len(renders) == 1
+        monkeypatch.undo()
+        state = replay_ledger(sweep.ledger_path)
+        with open(sweep.cache_path, "rb") as fh:
+            assert state.sweep_sha256 == hashlib.sha256(fh.read()).hexdigest()
 
     def test_no_cache_dir_never_touches_disk(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.util import stats
 from repro.util.stats import (
     Summary,
+    _resampled_medians,
     bootstrap_delta_ci,
     bootstrap_median_ci,
     confidence_interval,
@@ -184,3 +187,142 @@ class TestBootstrapDeltaCI:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             bootstrap_delta_ci([], [1.0])
+
+
+# -- the resampled-median kernel and the zero-spread return (PR 15) -----------
+#
+# The references below are the pre-change code, kept here so that "bit
+# for bit what it was" stays a checked property: np.median per resample,
+# and both interval functions drawing for every sample of two or more.
+
+
+def reference_medians(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return np.median(arr[idx], axis=1)
+
+
+def reference_median_ci(values, level=0.95, n_boot=1000, seed=0):
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 1:
+        return (float(arr[0]), float(arr[0]))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx = rng.integers(0, arr.size, size=(int(n_boot), arr.size))
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.percentile(
+        reference_medians(arr, idx), [100.0 * alpha, 100.0 * (1.0 - alpha)]
+    )
+    return (float(lo), float(hi))
+
+
+def reference_delta_ci(base, other, level=0.95, n_boot=1000, seed=0):
+    a = np.asarray(list(base), dtype=float)
+    b = np.asarray(list(other), dtype=float)
+    if a.size == 1 and b.size == 1:
+        return (float(b[0]) - float(a[0]),) * 2
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx_a = rng.integers(0, a.size, size=(int(n_boot), a.size))
+    idx_b = rng.integers(0, b.size, size=(int(n_boot), b.size))
+    deltas = reference_medians(b, idx_b) - reference_medians(a, idx_a)
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.percentile(deltas, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return (float(lo), float(hi))
+
+
+def bits(values) -> bytes:
+    """The IEEE-754 bytes: tells -0.0 from 0.0, and every NaN is one NaN
+    (a payload is the one thing nothing downstream can observe)."""
+    arr = np.array(values, dtype=float)
+    arr[np.isnan(arr)] = np.nan
+    return arr.tobytes()
+
+
+#: Ties, both zeros, NaN, both infinities, a subnormal, and values whose
+#: sum overflows — what a sort and a partition could disagree about.
+awkward = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, 7.0, 5e-324, 1e308, -1e308]
+    + [math.nan, math.inf, -math.inf]
+)
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+samples = st.one_of(
+    st.lists(awkward, min_size=1, max_size=9),
+    st.lists(any_float, min_size=1, max_size=9),
+    st.lists(st.integers(0, 3).map(float), min_size=2, max_size=12),  # count-like
+    st.tuples(any_float, st.integers(1, 8)).map(lambda vn: [vn[0]] * vn[1]),
+)
+levels = st.sampled_from([0.5, 0.8, 0.95, 0.99])
+n_boots = st.integers(min_value=1, max_value=40)
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@quiet
+class TestResampledMedianKernel:
+    @given(values=samples, n_boot=n_boots, seed=seeds)
+    def test_bit_identical_to_np_median(self, values, n_boot, seed):
+        arr = np.asarray(values, dtype=float)
+        idx = np.random.default_rng(seed).integers(0, arr.size, size=(n_boot, arr.size))
+        assert bits(_resampled_medians(arr, idx)) == bits(reference_medians(arr, idx))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, math.nan],  # n = 2
+            [3.0, 1.0, math.nan, 2.0, 5.0],  # odd n: a sort alone would hide it
+            [math.nan, math.nan, math.nan],
+            [0.0, -0.0],
+            [-0.0, -0.0, -0.0],
+        ],
+    )
+    def test_nan_and_negative_zero_pinned(self, values):
+        arr = np.asarray(values, dtype=float)
+        idx = np.random.default_rng(1).integers(0, arr.size, size=(64, arr.size))
+        got = _resampled_medians(arr, idx)
+        assert bits(got) == bits(reference_medians(arr, idx))
+        if any(math.isnan(v) for v in values):
+            assert np.isnan(got).any()
+        else:
+            assert not np.signbit(got).any()  # np.mean's sum starts from +0.0
+
+    def test_a_nan_sample_still_gives_nan_intervals(self):
+        values = [1.0, 2.0, math.nan, 4.0]
+        assert all(math.isnan(v) for v in bootstrap_median_ci(values, seed=5))
+        assert all(math.isnan(v) for v in bootstrap_delta_ci(values, [1.0, 2.0], seed=5))
+
+
+@quiet
+class TestIntervalsUnchanged:
+    @given(values=samples, level=levels, n_boot=n_boots, seed=seeds)
+    def test_median_ci_bit_identical_to_pre_change(self, values, level, n_boot, seed):
+        got = bootstrap_median_ci(values, level=level, n_boot=n_boot, seed=seed)
+        assert bits(got) == bits(reference_median_ci(values, level, n_boot, seed))
+
+    @given(base=samples, other=samples, level=levels, n_boot=n_boots, seed=seeds)
+    def test_delta_ci_bit_identical_to_pre_change(self, base, other, level, n_boot, seed):
+        got = bootstrap_delta_ci(base, other, level=level, n_boot=n_boot, seed=seed)
+        assert bits(got) == bits(reference_delta_ci(base, other, level, n_boot, seed))
+
+
+class TestZeroSpread:
+    """A sample with no spread has an exact interval and costs no draw."""
+
+    values = st.floats(min_value=-1e300, max_value=1e300)  # -0.0 included
+
+    @given(v=values, n=st.integers(2, 40), level=levels, n_boot=n_boots, seed=seeds)
+    def test_median_ci_is_the_value_for_any_seed_and_n_boot(
+        self, v, n, level, n_boot, seed
+    ):
+        with mock.patch.object(stats, "_resampled_medians", side_effect=AssertionError):
+            got = bootstrap_median_ci([v] * n, level=level, n_boot=n_boot, seed=seed)
+        assert bits(got) == bits((v + 0.0, v + 0.0))
+
+    @given(a=values, b=values, n=st.integers(2, 9), m=st.integers(2, 9), seed=seeds)
+    def test_delta_ci_is_the_difference(self, a, b, n, m, seed):
+        with mock.patch.object(stats, "_resampled_medians", side_effect=AssertionError):
+            got = bootstrap_delta_ci([a] * n, [b] * m, n_boot=25, seed=seed)
+        delta = (b + 0.0) - (a + 0.0)
+        assert bits(got) == bits((delta, delta))
+
+    def test_one_varying_side_still_draws(self):
+        with mock.patch.object(stats, "_resampled_medians", side_effect=AssertionError):
+            with pytest.raises(AssertionError):
+                bootstrap_delta_ci([2.0, 2.0], [1.0, 3.0])
