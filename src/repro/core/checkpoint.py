@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from weakref import WeakSet
 
 from repro.core.packets import TaskPacket
 from repro.core.stamps import LevelStamp
@@ -84,14 +85,16 @@ class HeldTotal:
     """Checkpoints retained by every table that shares this object.
 
     The tables keep ``held`` current as they record and drop, so the
-    machine-wide figure is a read, not a sum over processors.
+    machine-wide figure is a read, not a sum over processors.  ``tables``
+    (read only by ``check_invariant``) is weak: a total that owned its
+    tables would tie each to the others in a reference cycle.
     """
 
     __slots__ = ("held", "tables")
 
     def __init__(self) -> None:
         self.held = 0
-        self.tables: List["CheckpointTable"] = []
+        self.tables: "WeakSet[CheckpointTable]" = WeakSet()
 
 
 class _DestEntry:
@@ -111,7 +114,7 @@ class CheckpointTable:
         self._entries: Dict[int, _DestEntry] = {}
         self._dests: Dict[_Key, Tuple[int, ...]] = {}
         self._total = total if total is not None else HeldTotal()
-        self._total.tables.append(self)
+        self._total.tables.add(self)
         self._held = 0
         self.recorded = 0
         self.dropped = 0

@@ -5,10 +5,9 @@
 state, so the same seed always produces the byte-identical schedule
 (the property the load determinism tests pin).
 
-Exponential gaps are drawn by inverse-CDF over ``uniform`` draws rather
-than ``Generator.exponential`` so the schedule depends only on numpy's
-uniform stream, which the rest of the repo already relies on for
-cross-version stability.
+Exponential gaps are drawn by inverse-CDF over ``uniform`` draws, so the
+schedule depends only on the hub's uniform stream (``util/rng.py``'s
+PCG64), like every other stochastic decision in the repo.
 """
 
 from __future__ import annotations

@@ -169,6 +169,13 @@ class EventQueue:
             self.events_processed += 1
             entry.action()
 
+    def clear(self) -> None:
+        """Drop every queued event and unhook its action: a handle someone
+        still holds (a spawn record's ack timer) then pins nothing."""
+        for item in self._heap:
+            item[3].action = None
+        self._heap.clear()
+
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return sum(1 for item in self._heap if not item[3].cancelled)

@@ -272,6 +272,25 @@ class Machine:
         self.root_host_uid = host_uid
         self.super_root._make_ready(host)
 
+    def dismantle(self) -> None:
+        """Cut every reference cycle through this machine, so that dropping
+        it (and the :class:`RunResult` that shares its trace) frees the
+        whole run by reference count instead of waiting for a collector pass.
+
+        For an owner that keeps only the result (:func:`run_simulation`);
+        :meth:`run` never calls it, so a directly built machine stays
+        inspectable.  The cycles are the ``machine`` back-references of
+        everything the machine holds, and the still-pending events (a
+        spawn record holds its ack-timer entry, whose action holds the
+        record and, like every queued action, a node or the network).
+        """
+        self.queue.clear()
+        load_state = self.load.state if self.load is not None else None
+        for holder in (self.network, self.scheduler, self.policy, self.nemesis,
+                       self.load, load_state, *self._all_nodes):
+            if holder is not None:
+                holder.machine = None
+
     # -- accounting -----------------------------------------------------------------
 
     def _account_waste(self) -> None:
@@ -320,4 +339,7 @@ def run_simulation(
         policy,
         collect_trace=collect_trace,
     )
-    return machine.run(faults=faults, verify=verify, nemesis=nemesis, load=load)
+    try:
+        return machine.run(faults=faults, verify=verify, nemesis=nemesis, load=load)
+    finally:
+        machine.dismantle()

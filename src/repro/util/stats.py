@@ -1,7 +1,10 @@
 """Summary statistics for experiment series.
 
-Thin, numpy-backed helpers used by the benchmark harness to aggregate
-repeated simulation runs into the mean/err rows the reports print.
+Thin helpers used by the benchmark harness to aggregate repeated
+simulation runs into the mean/err rows the reports print.  Percentiles
+are standard library (an open-loop run reports its latency tail through
+them); the rest is numpy-backed and imports it on first call, so only
+``repro report`` and the bootstrap need it installed.
 """
 
 from __future__ import annotations
@@ -10,7 +13,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
+from repro.errors import ReproError
+
+
+def _numpy():
+    try:
+        import numpy
+    except ImportError:
+        raise ReproError(
+            "summaries and bootstrap intervals need numpy: pip install 'repro[report]'"
+        ) from None
+    return numpy
 
 
 @dataclass(frozen=True)
@@ -37,6 +50,7 @@ def summarize(values: Iterable[float]) -> Summary:
     Raises ``ValueError`` on an empty sample — silently returning NaNs hides
     harness bugs where a sweep produced no runs.
     """
+    np = _numpy()
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
@@ -58,6 +72,7 @@ def confidence_interval(values: Sequence[float], level: float = 0.95) -> tuple[f
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    np = _numpy()
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot compute a confidence interval of an empty sample")
@@ -80,17 +95,38 @@ def _erfinv(y: float) -> float:
     )
 
 
+def _lerp_percentiles(values: Iterable[float], probs: Sequence[float]) -> tuple:
+    """``np.percentile(values, probs)`` bit for bit: sort, then numpy's
+    two-sided linear interpolation between the neighbours of
+    ``(n - 1) * p / 100``; a NaN anywhere makes every percentile NaN."""
+    ordered = sorted(map(float, values))
+    if not ordered:
+        raise ValueError("cannot take percentiles of an empty sample")
+    for v in ordered:
+        if v != v:
+            return (math.nan,) * len(probs)
+    last = len(ordered) - 1
+    out = []
+    for p in probs:
+        virtual = last * (p / 100.0)
+        lo = int(virtual)
+        if lo == last:  # numpy reads index -1 twice and keeps the weight
+            a = b = ordered[last]
+            t = virtual + 1.0
+        else:
+            a, b = ordered[lo], ordered[lo + 1]
+            t = virtual - lo
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(out)
+
+
 def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     """``(q1, median, q3)`` of a sample (linear interpolation).
 
     The IQR pair the report subsystem prints next to every median; for a
     single-element sample all three coincide.
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot take quartiles of an empty sample")
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return (float(q1), float(med), float(q3))
+    return _lerp_percentiles(values, (25.0, 50.0, 75.0))
 
 
 def percentiles(
@@ -102,14 +138,11 @@ def percentiles(
     reports sojourn p50/p95/p99 through it.  ``probs`` are percentages in
     ``[0, 100]``; an empty sample raises ``ValueError``.
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot take percentiles of an empty sample")
     probs = list(probs)
     for p in probs:
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile probabilities must be in [0, 100], got {p}")
-    return tuple(float(v) for v in np.percentile(arr, probs))
+    return _lerp_percentiles(values, probs)
 
 
 def _zero_spread(arr: np.ndarray) -> float | None:
@@ -133,6 +166,7 @@ def _resampled_medians(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     comes out +0.0); a sort puts NaN last, so a row's last element says
     whether ``np.median`` would have returned NaN for it.
     """
+    np = _numpy()
     rows = np.sort(arr[idx], axis=1)
     mid = arr.size // 2
     if arr.size % 2:
@@ -161,6 +195,7 @@ def bootstrap_median_ci(
         raise ValueError(f"level must be in (0, 1), got {level}")
     if int(n_boot) < 1:
         raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    np = _numpy()
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
@@ -196,6 +231,7 @@ def bootstrap_delta_ci(
         raise ValueError(f"level must be in (0, 1), got {level}")
     if int(n_boot) < 1:
         raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    np = _numpy()
     a = np.asarray(list(base), dtype=float)
     b = np.asarray(list(other), dtype=float)
     if a.size == 0 or b.size == 0:
@@ -217,6 +253,7 @@ def bootstrap_delta_ci(
 
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean, for aggregating speedup ratios across workloads."""
+    np = _numpy()
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot take the geometric mean of an empty sample")

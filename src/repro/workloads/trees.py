@@ -32,6 +32,29 @@ class _Builder:
     def spec(self) -> TreeSpec:
         return TreeSpec(self.nodes)
 
+    # The recursive shapes recurse through ``self``: a nested function
+    # that calls itself is a function <-> closure-cell cycle, which kept
+    # the builder and its pre-reroot tree alive until a collector pass.
+
+    def balanced(self, d: int, fanout: int, work: int) -> int:
+        if d == 0:
+            return self.add(work, ())
+        return self.add(work, tuple(self.balanced(d - 1, fanout, work) for _ in range(fanout)))
+
+    def skewed(self, d: int, fanout: int, work: int) -> int:
+        if d == 0:
+            return self.add(work, ())
+        leaves = tuple(self.add(work, ()) for _ in range(max(0, fanout - 1)))
+        return self.add(work, leaves + (self.skewed(d - 1, fanout, work),))
+
+    def random(self, hub: RngHub, budget: list, max_fanout: int, work_range: tuple) -> int:
+        n_children = min(hub.integers("fanout", 0, max_fanout + 1), budget[0])
+        budget[0] -= n_children
+        children = tuple(
+            self.random(hub, budget, max_fanout, work_range) for _ in range(n_children)
+        )
+        return self.add(hub.integers("work", work_range[0], work_range[1] + 1), children)
+
 
 def balanced_tree(depth: int, fanout: int = 2, work: int = 10) -> TreeSpec:
     """A complete ``fanout``-ary tree of the given depth, uniform grain."""
@@ -40,14 +63,7 @@ def balanced_tree(depth: int, fanout: int = 2, work: int = 10) -> TreeSpec:
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
     builder = _Builder()
-
-    def build(d: int) -> int:
-        if d == 0:
-            return builder.add(work, ())
-        children = tuple(build(d - 1) for _ in range(fanout))
-        return builder.add(work, children)
-
-    root = build(depth)
+    root = builder.balanced(depth, fanout, work)
     # Re-root: TreeSpec requires the root at id 0; remap ids.
     return _reroot(builder.spec(), root)
 
@@ -82,15 +98,7 @@ def skewed_tree(depth: int, fanout: int = 3, work: int = 10) -> TreeSpec:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     builder = _Builder()
-
-    def build(d: int) -> int:
-        if d == 0:
-            return builder.add(work, ())
-        leaves = tuple(builder.add(work, ()) for _ in range(max(0, fanout - 1)))
-        spine = build(d - 1)
-        return builder.add(work, leaves + (spine,))
-
-    root = build(depth)
+    root = builder.skewed(depth, fanout, work)
     return _reroot(builder.spec(), root)
 
 
@@ -108,36 +116,20 @@ def random_tree(
     """
     if target_tasks < 1:
         raise ValueError("target_tasks must be >= 1")
-    hub = RngHub(seed)
     builder = _Builder()
-    budget = [target_tasks - 1]
-
-    def draw_work() -> int:
-        return hub.integers("work", work_range[0], work_range[1] + 1)
-
-    def build(depth: int) -> int:
-        want = hub.integers("fanout", 0, max_fanout + 1)
-        n_children = min(want, budget[0])
-        budget[0] -= n_children
-        children = tuple(build(depth + 1) for _ in range(n_children))
-        return builder.add(draw_work(), children)
-
-    root = build(0)
+    root = builder.random(RngHub(seed), [target_tasks - 1], max_fanout, work_range)
     return _reroot(builder.spec(), root)
 
 
 def _reroot(spec: TreeSpec, root_id: int) -> TreeSpec:
     """Renumber node ids so the given root becomes id 0 (preorder)."""
-    mapping: Dict[int, int] = {}
     order = []
-
-    def visit(nid: int) -> None:
-        mapping[nid] = len(mapping)
+    stack = [root_id]
+    while stack:
+        nid = stack.pop()
         order.append(nid)
-        for child in spec.nodes[nid].children:
-            visit(child)
-
-    visit(root_id)
+        stack.extend(reversed(spec.nodes[nid].children))
+    mapping = {nid: new for new, nid in enumerate(order)}
     renumbered = {}
     for nid in order:
         node = spec.nodes[nid]

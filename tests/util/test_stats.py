@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.util import stats
@@ -18,6 +18,7 @@ from repro.util.stats import (
     bootstrap_median_ci,
     confidence_interval,
     geometric_mean,
+    percentiles,
     quartiles,
     ratio_of_means,
     summarize,
@@ -326,3 +327,60 @@ class TestZeroSpread:
         with mock.patch.object(stats, "_resampled_medians", side_effect=AssertionError):
             with pytest.raises(AssertionError):
                 bootstrap_delta_ci([2.0, 2.0], [1.0, 3.0])
+
+
+# -- standard-library percentiles (PR 17) --------------------------------------
+#
+# np.percentile is the judge: the pure-Python sort + two-sided lerp must
+# give its bits, so a report's quartiles and an open-loop run's sojourn
+# tail did not move when numpy left the simulator's import graph.
+
+
+def mixes_zero_signs(values) -> bool:
+    """A sort and a partition may order 0.0 and -0.0 differently, and the
+    lerp keeps the sign of a zero it lands on: the one input class where
+    "bit for bit" is not defined by the values alone."""
+    signs = {math.copysign(1.0, v) for v in values if v == 0.0}
+    return len(signs) == 2
+
+
+prob_sets = st.one_of(
+    st.sampled_from(
+        [(25.0, 50.0, 75.0), (50.0, 95.0, 99.0), (0.0, 100.0), (2.5, 97.5)]
+    ),
+    st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5),
+)
+
+
+@quiet
+class TestPercentilesAgainstNumpy:
+    @given(values=samples, probs=prob_sets)
+    def test_percentiles_bit_identical_to_np_percentile(self, values, probs):
+        assume(not mixes_zero_signs(values))
+        want = np.percentile(np.asarray(values, dtype=float), list(probs))
+        assert bits(percentiles(values, probs)) == bits(want)
+
+    @given(values=st.lists(finite_floats, min_size=1, max_size=60), probs=prob_sets)
+    def test_finite_samples_of_any_size(self, values, probs):
+        assume(not mixes_zero_signs(values))
+        want = np.percentile(np.asarray(values, dtype=float), list(probs))
+        assert bits(percentiles(values, probs)) == bits(want)
+
+    @given(values=samples)
+    def test_quartiles_bit_identical_to_np_percentile(self, values):
+        assume(not mixes_zero_signs(values))
+        want = np.percentile(np.asarray(values, dtype=float), [25.0, 50.0, 75.0])
+        assert bits(quartiles(values)) == bits(want)
+
+    def test_mixed_zero_signs_are_still_zero(self):
+        assert percentiles([0.0, -0.0, 0.0, -0.0], (0.0, 30.0, 70.0, 100.0)) == (0.0,) * 4
+
+    def test_accepts_ints_and_iterators(self):
+        assert percentiles(iter([1, 2, 3, 4]), (50.0,)) == (2.5,)
+        assert quartiles(range(5)) == (1.0, 2.0, 3.0)
+
+    def test_rejects_empty_and_out_of_range(self):
+        with pytest.raises(ValueError, match="percentiles of an empty"):
+            percentiles([])
+        with pytest.raises(ValueError, match=r"\[0, 100\]"):
+            percentiles([1.0], (101.0,))
