@@ -56,7 +56,6 @@ Package layout
 - :mod:`repro.analysis`  — figure reproductions and their drivers
 - :mod:`repro.exp`       — scenario registry + parallel sweep runner
 - :mod:`repro.report`    — replication aggregation + statistical reports
-- :mod:`repro.perf`      — benchmark registry + baseline compare
 """
 
 from repro.api import Experiment, RunHandle, RunSpec, Session

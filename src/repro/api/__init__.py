@@ -1,7 +1,7 @@
 """``repro.api`` — one typed, serializable experiment description.
 
-Every subsystem in this repo (the CLI, the scenario registry, the perf
-benchmarks, the examples) describes an experiment the same way: a
+Every subsystem in this repo (the CLI, the scenario registry, the
+oracle checker, the examples) describes an experiment the same way: a
 :class:`RunSpec` composed of typed sub-specs, each parseable from its
 string grammar, the whole serializable to one canonical JSON document.
 

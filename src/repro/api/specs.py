@@ -4,8 +4,8 @@ Every experiment in this repo is one shape: a *workload* evaluated under
 a recovery *policy* on a configured *machine* while a fault schedule
 and/or a *nemesis* injects failures.  This module gives that shape a
 single canonical description — frozen dataclasses composed into a
-:class:`RunSpec` — that the CLI, the scenario registry, the perf
-benchmarks, and the programmatic API all consume and produce.
+:class:`RunSpec` — that the CLI, the scenario registry, the oracle
+checker, and the programmatic API all consume and produce.
 
 Each spec class supports three operations:
 

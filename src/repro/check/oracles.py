@@ -37,6 +37,7 @@ them without running the machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -63,13 +64,24 @@ class CheckConfig:
     makespan when no baseline was computed).  ``horizon_time``, when
     set, is an absolute sim-time bound that overrides the fractional
     one — the right form for open-loop runs, whose makespan grows with
-    the arrival horizon rather than with recovery latency.  ``oracles``
-    selects a subset by name; empty means the full catalog.
+    the arrival horizon rather than with recovery latency.  Both must be
+    finite and positive: every ``>`` against a NaN horizon is false, so
+    ``bounded-recovery`` would pass vacuously.  ``oracles`` selects a
+    subset by name; empty means the full catalog.
     """
 
     horizon_frac: float = 3.0
     horizon_time: Optional[float] = None
     oracles: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("horizon_frac", "horizon_time"):
+            value = getattr(self, name)
+            if value is not None and not (0 < value < math.inf):
+                raise SpecError(
+                    f"{name} must be a finite positive number, got {value!r}",
+                    field="check.horizon", value=value,
+                )
 
     def to_json(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -91,7 +103,7 @@ class CheckConfig:
         re-judged under the same one.
         """
         try:
-            return cls(
+            fields = dict(
                 horizon_frac=float(payload.get("horizon_frac", 3.0)),
                 horizon_time=(
                     float(payload["horizon_time"])
@@ -105,6 +117,7 @@ class CheckConfig:
                 f"malformed CheckConfig document: {exc}",
                 field="check.config", value=payload,
             ) from None
+        return cls(**fields)  # out of range -> its own check.horizon error
 
 
 @dataclass(frozen=True)

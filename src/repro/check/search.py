@@ -350,9 +350,18 @@ def search(
             f"unknown search mode {mode!r}",
             field="check.mode", value=mode, allowed=MODES,
         )
+    # A search that tries nothing finds nothing: an empty budget must not
+    # read as "clean" to a caller gating on the outcome.
+    budget_name = "attempts" if rounds is None else "rounds"
+    budget = int(attempts if rounds is None else rounds)
+    for name, value in ((budget_name, budget), ("max_clauses", int(max_clauses))):
+        if value < 1:
+            raise SpecError(
+                f"{name} must be at least 1, got {value}",
+                field=f"check.{name}", value=value,
+            )
     base = replace(Session.resolve(base), nemesis=NemesisSpec())
     config = config or CheckConfig()
-    budget = int(rounds) if rounds is not None else int(attempts)
     rng = random.Random(int(seed))
     procs = base.machine.processors
     evaluator = Evaluator(base, config)

@@ -22,8 +22,6 @@
     python -m repro check corpus run tests/baselines/corpus
     python -m repro report run rollback-vs-splice --replications 5
     python -m repro report compare rollback-vs-splice --axis policy
-    python -m repro perf run --quick
-    python -m repro perf compare BENCH_core.json
 
 ``run`` builds one canonical :class:`~repro.api.RunSpec` from its flags
 (or loads one with ``--spec-json FILE``), then executes it and prints
@@ -58,25 +56,23 @@ into per-point median/IQR/bootstrap-CI summaries, ``report compare``
 pairs two scenarios — or two values of one axis — with delta confidence
 intervals, and ``report list`` shows where each scenario's report
 lands; Markdown + JSON pairs are written under ``results/reports/``
-(see ``docs/REPORTS.md``).  The ``perf``
-subcommands drive the
-benchmark subsystem (:mod:`repro.perf`): ``perf list`` shows the
-registered benchmarks, ``perf run`` measures them into canonical JSON
-(``BENCH_core.json``), and ``perf compare`` gates a fresh run against a
-committed baseline (see ``docs/PERFORMANCE.md``).
+(see ``docs/REPORTS.md``).
 
-Spec failures exit with code 2 and a one-line structured diagnostic
-(the offending token, the allowed values, and its position) rather than
-a traceback — see :class:`~repro.errors.SpecError`.
+Spec failures and unknown names exit with code 2 and a one-line
+structured diagnostic (the offending token, the allowed values, and its
+position) rather than a traceback — see :class:`~repro.errors.SpecError`
+and the one handler in :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
-from repro.api import Experiment, FaultSpec, PolicySpec, RunSpec, Session
+from repro.api import Experiment, FaultSpec, NemesisSpec, PolicySpec, RunSpec, Session
 from repro.api.specs import SCHEDULERS, TOPOLOGIES
 from repro.errors import ReproError, SpecError
 from repro.util.tables import format_table
@@ -150,6 +146,68 @@ def _parse_fault(text: str):
     return Fault(*spec.entries[0])
 
 
+#: The run-shaping flags, declared once (argparse keywords per flag, in
+#: ``--help`` order) for every verb that builds a RunSpec from flags.
+#: Each name is also the :class:`~repro.api.Experiment` setter it feeds.
+#: No row sets a default, so an absent flag reads None: the real defaults
+#: (rollback / 4 / complete / gradient / 0 / 3) are owned by
+#: Experiment/MachineSpec in repro.api, and *any* explicitly-given flag
+#: — even at its default value — conflicts with --spec-json.
+SPEC_FLAGS = {
+    "policy": dict(type=_parse_policy, metavar="POLICY", help=POLICY_HELP),
+    "processors": dict(type=int, help="default: 4"),
+    "topology": dict(choices=TOPOLOGIES, help="default: complete"),
+    "scheduler": dict(choices=SCHEDULERS, help="default: gradient"),
+    "seed": dict(type=int, help="default: 0"),
+    "replication": dict(type=int, help="k for --policy replicated (default: 3)"),
+    "fault": dict(
+        type=_parse_fault,
+        action="append",
+        metavar="TIME:NODE",
+        help="kill NODE at TIME (repeatable)",
+    ),
+    "nemesis": dict(
+        metavar="SPEC",
+        help=(
+            "fault-model composition, e.g. "
+            "'partition:start=0.3,dur=0.25,group=0-1' (see `repro faults list`; "
+            "×T params are fractions of the fault-free baseline makespan)"
+        ),
+    ),
+    "arrivals": dict(
+        metavar="SPEC",
+        help=(
+            "open-loop arrival process, e.g. "
+            "'poisson:rate=0.01,horizon=1500,cap=6,overflow=backpressure' "
+            "(processes: poisson, bursty, diurnal; see docs/LOAD.md)"
+        ),
+    ),
+}
+
+
+#: The flags the ledgered-sweep verbs (``exp run|runs|resume``) share.
+SWEEP_FLAGS = {
+    "workers": dict(type=int, default=1, help="process-pool width (1 = serial)"),
+    "cache_dir": dict(default="results", help="result-cache root (default: ./results)"),
+    "ledger_dir": dict(
+        metavar="DIR", help="ledger directory (default: <cache-dir>/ledger)"
+    ),
+    "json": dict(action="store_true", help="print the raw result JSON payload"),
+}
+
+
+def _flags(parser, table, *names: str, **help_for: str) -> None:
+    """Declare the named flags of ``table`` on ``parser``, in order.
+
+    A keyword replaces that flag's help text where a verb words the
+    same flag for its own context (``check run --nemesis``).
+    """
+    for name in names:
+        kwargs = dict(table[name])
+        kwargs["help"] = help_for.get(name, kwargs["help"])
+        parser.add_argument("--" + name.replace("_", "-"), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -170,54 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(balanced:DEPTH:FANOUT:WORK, prog:NAME:ARG:..., ...)"
         ),
     )
-    # Run-shaping flags default to None sentinels: _runspec_from_args
-    # fills in the real defaults (rollback / 4 / complete / gradient /
-    # 0 / 3), and *any* explicitly-given flag — even at its default
-    # value — conflicts with --spec-json.
-    run.add_argument(
-        "--policy", type=_parse_policy, default=None, metavar="POLICY",
-        help=POLICY_HELP
-    )
-    run.add_argument("--processors", type=int, default=None, help="default: 4")
-    run.add_argument(
-        "--topology", choices=TOPOLOGIES, default=None, help="default: complete"
-    )
-    run.add_argument(
-        "--scheduler", choices=SCHEDULERS, default=None, help="default: gradient"
-    )
-    run.add_argument("--seed", type=int, default=None, help="default: 0")
-    run.add_argument(
-        "--replication", type=int, default=None,
-        help="k for --policy replicated (default: 3)",
-    )
-    run.add_argument(
-        "--fault",
-        type=_parse_fault,
-        action="append",
-        default=[],
-        metavar="TIME:NODE",
-        help="kill NODE at TIME (repeatable)",
-    )
-    run.add_argument(
-        "--nemesis",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "fault-model composition, e.g. "
-            "'partition:start=0.3,dur=0.25,group=0-1' (see `repro faults list`; "
-            "×T params are fractions of the fault-free baseline makespan)"
-        ),
-    )
-    run.add_argument(
-        "--arrivals",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "open-loop arrival process, e.g. "
-            "'poisson:rate=0.01,horizon=1500,cap=6,overflow=backpressure' "
-            "(processes: poisson, bursty, diurnal; see docs/LOAD.md)"
-        ),
-    )
+    _flags(run, SPEC_FLAGS, *SPEC_FLAGS)
     run.add_argument(
         "--spec-json",
         default=None,
@@ -245,28 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_run = exp_sub.add_parser("run", help="run a scenario sweep")
     exp_run.add_argument("scenario", help="scenario name (see `repro exp list`)")
-    exp_run.add_argument(
-        "--workers", type=int, default=1, help="process-pool width (1 = serial)"
-    )
-    exp_run.add_argument(
-        "--cache-dir",
-        default="results",
-        help="result-cache root (default: ./results)",
-    )
+    _flags(exp_run, SWEEP_FLAGS, "workers", "cache_dir")
     exp_run.add_argument(
         "--no-cache", action="store_true", help="neither read nor write the cache"
     )
     exp_run.add_argument(
         "--force", action="store_true", help="recompute even if cached"
     )
-    exp_run.add_argument(
-        "--json", action="store_true", help="print the raw result JSON payload"
-    )
-    exp_run.add_argument(
-        "--ledger-dir",
-        default=None,
-        metavar="DIR",
-        help="crash-safe progress-ledger directory (default: "
+    _flags(
+        exp_run, SWEEP_FLAGS, "json", "ledger_dir",
+        ledger_dir="crash-safe progress-ledger directory (default: "
         "<cache-dir>/ledger; see `repro exp resume`)",
     )
     exp_run.add_argument(
@@ -278,20 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp_runs = exp_sub.add_parser(
         "runs", help="list ledgered sweep runs and their progress"
     )
-    exp_runs.add_argument(
-        "--cache-dir",
-        default="results",
-        help="result-cache root the default ledger dir derives from "
+    _flags(
+        exp_runs, SWEEP_FLAGS, "cache_dir", "ledger_dir", "json",
+        cache_dir="result-cache root the default ledger dir derives from "
         "(default: ./results)",
-    )
-    exp_runs.add_argument(
-        "--ledger-dir",
-        default=None,
-        metavar="DIR",
-        help="ledger directory (default: <cache-dir>/ledger)",
-    )
-    exp_runs.add_argument(
-        "--json", action="store_true", help="emit the run list as canonical JSON"
+        json="emit the run list as canonical JSON",
     )
 
     exp_resume = exp_sub.add_parser(
@@ -300,26 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp_resume.add_argument(
         "run_id", help="run identifier (see `repro exp runs`)"
     )
-    exp_resume.add_argument(
-        "--workers", type=int, default=1, help="process-pool width (1 = serial)"
-    )
-    exp_resume.add_argument(
-        "--cache-dir",
-        default="results",
-        help="result-cache root (default: ./results)",
-    )
+    _flags(exp_resume, SWEEP_FLAGS, "workers", "cache_dir")
     exp_resume.add_argument(
         "--no-cache", action="store_true", help="do not write the result cache"
     )
-    exp_resume.add_argument(
-        "--ledger-dir",
-        default=None,
-        metavar="DIR",
-        help="ledger directory (default: <cache-dir>/ledger)",
-    )
-    exp_resume.add_argument(
-        "--json", action="store_true", help="print the raw result JSON payload"
-    )
+    _flags(exp_resume, SWEEP_FLAGS, "ledger_dir", "json")
 
     faults = sub.add_parser("faults", help="fault-model (nemesis) registry")
     faults_sub = faults.add_subparsers(dest="faults_command", required=True)
@@ -363,23 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="check every machine point of a registered scenario instead "
         "of one flag-built spec",
     )
-    check_run.add_argument(
-        "--policy", type=_parse_policy, default=None, metavar="POLICY",
-        help=POLICY_HELP
-    )
-    check_run.add_argument("--processors", type=int, default=None, help="default: 4")
-    check_run.add_argument("--seed", type=int, default=None, help="default: 0")
-    check_run.add_argument(
-        "--fault", type=_parse_fault, action="append", default=[],
-        metavar="TIME:NODE", help="kill NODE at TIME (repeatable)",
-    )
-    check_run.add_argument(
-        "--nemesis", default=None, metavar="SPEC",
-        help="fault-model composition to check under (see `repro faults list`)",
-    )
-    check_run.add_argument(
-        "--arrivals", default=None, metavar="SPEC",
-        help="open-loop arrival process to check under (see docs/LOAD.md)",
+    _flags(
+        check_run, SPEC_FLAGS,
+        "policy", "processors", "seed", "fault", "nemesis", "arrivals",
+        nemesis="fault-model composition to check under (see `repro faults list`)",
+        arrivals="open-loop arrival process to check under (see docs/LOAD.md)",
     )
     check_run.add_argument(
         "--oracle", action="append", default=[], metavar="NAME",
@@ -400,11 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="take the base spec from a registered scenario's first machine "
         "point (faults and nemesis cleared — the searcher owns that axis)",
     )
-    check_search.add_argument(
-        "--policy", type=_parse_policy, default=None, metavar="POLICY",
-        help=POLICY_HELP
-    )
-    check_search.add_argument("--processors", type=int, default=None, help="default: 4")
+    _flags(check_search, SPEC_FLAGS, "policy", "processors")
     check_search.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
     check_search.add_argument(
         "--attempts", type=int, default=12, metavar="N",
@@ -541,57 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _report_common(report_cmp)
 
-    perf = sub.add_parser("perf", help="benchmark subsystem: measure and compare")
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    perf_sub.add_parser("list", help="list registered benchmarks")
-    perf_run = perf_sub.add_parser("run", help="run benchmarks, emit canonical JSON")
-    perf_run.add_argument(
-        "--only",
-        action="append",
-        default=[],
-        metavar="BENCH",
-        help="run only this benchmark (repeatable; default: all)",
-    )
-    perf_run.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer warmup passes and trials (same workloads) — the CI smoke mode",
-    )
-    perf_run.add_argument(
-        "--out",
-        default=None,
-        help=(
-            "where to write the result JSON (default: ./BENCH_core.json in "
-            "full mode; quick mode writes nothing unless --out is given, so "
-            "it cannot clobber the committed full-mode baseline)"
-        ),
-    )
-    perf_run.add_argument(
-        "--no-write", action="store_true", help="measure and print only; write nothing"
-    )
-    perf_run.add_argument(
-        "--json", action="store_true", help="print the raw result JSON payload"
-    )
-    perf_cmp = perf_sub.add_parser(
-        "compare", help="compare a benchmark run against a baseline"
-    )
-    perf_cmp.add_argument("baseline", help="baseline JSON (e.g. BENCH_core.json)")
-    perf_cmp.add_argument(
-        "current",
-        nargs="?",
-        default=None,
-        help="current-run JSON; omitted = run a fresh --quick suite now",
-    )
-    perf_cmp.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="regression ratio (current/baseline median) that fails the gate",
-    )
     return parser
 
 
-def cmd_list(out) -> int:
+def cmd_list(args, out) -> int:
     rows = [[name, WORKLOADS[name]().name] for name in sorted(WORKLOADS)]
     print(format_table(["workload", "builds"], rows, title="Workloads"), file=out)
     print(file=out)
@@ -606,7 +518,7 @@ def cmd_list(out) -> int:
     return 0
 
 
-def cmd_figures(out) -> int:
+def cmd_figures(args, out) -> int:
     from repro.analysis.figures import all_figures
 
     status = 0
@@ -618,93 +530,75 @@ def cmd_figures(out) -> int:
     return status
 
 
-def _runspec_from_args(args) -> RunSpec:
-    """Resolve the ``repro run`` flags (or --spec-json) into a RunSpec."""
-    import json as _json
+def _runspec_from_flags(args, alternative: str) -> RunSpec:
+    """Build a RunSpec from whichever :data:`SPEC_FLAGS` the verb declared.
 
-    if args.spec_json is not None:
-        if args.workload is not None:
-            raise SpecError(
-                "--spec-json replaces the workload argument; give one or the other",
-                field="workload", value=args.workload,
-            )
-        # The document is the whole experiment: silently overlaying (or
-        # worse, ignoring) flag-level overrides would run a different
-        # spec than the one named, so any explicitly-given run-shaping
-        # flag — even at its default value — is an error.
-        overridden = [
-            flag
-            for flag, given in (
-                ("--policy", args.policy),
-                ("--processors", args.processors),
-                ("--topology", args.topology),
-                ("--scheduler", args.scheduler),
-                ("--seed", args.seed),
-                ("--replication", args.replication),
-                ("--fault", args.fault or None),
-                ("--nemesis", args.nemesis),
-                ("--arrivals", args.arrivals),
-            )
-            if given is not None
-        ]
-        if overridden:
-            raise SpecError(
-                f"--spec-json carries the whole experiment; drop {', '.join(overridden)} "
-                "or edit the JSON document instead",
-                field="spec-json", value=overridden,
-            )
-        try:
-            if args.spec_json == "-":
-                payload = _json.load(sys.stdin)
-            else:
-                with open(args.spec_json, "r", encoding="utf-8") as fh:
-                    payload = _json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise SpecError(
-                f"cannot read RunSpec JSON from {args.spec_json}: {exc}",
-                field="spec-json", value=args.spec_json,
-            ) from None
-        return RunSpec.from_json(payload).validate()
+    Only explicitly-given flags reach the builder; the defaults are
+    owned by Experiment/MachineSpec in repro.api, not restated here.
+    Bare `replicated` defers k to the machine's replication factor,
+    so --replication governs it without a special case.
+    """
     if args.workload is None:
         raise SpecError(
-            "a workload (or --spec-json FILE) is required", field="workload"
+            f"a workload (or {alternative}) is required", field="workload"
         )
-    # Only explicitly-given flags reach the builder; the defaults are
-    # owned by Experiment/MachineSpec in repro.api, not restated here.
-    # Bare `replicated` defers k to the machine's replication factor,
-    # so --replication governs it without a special case.
     builder = Experiment().workload(args.workload)
-    for flag, setter in (
-        (args.policy, builder.policy),
-        (args.processors, builder.processors),
-        (args.topology, builder.topology),
-        (args.scheduler, builder.scheduler),
-        (args.replication, builder.replication),
-        (args.seed, builder.seed),
-        (args.nemesis, builder.nemesis),
-        (args.arrivals, builder.arrivals),
-    ):
-        if flag is not None:
-            setter(flag)
-    for fault in args.fault:
-        builder.fault(fault.time, fault.node, mode="time")
+    for name in SPEC_FLAGS:
+        given = getattr(args, name, None)
+        if given is None:
+            continue
+        if name == "fault":
+            for fault in given:
+                builder.fault(fault.time, fault.node, mode="time")
+        else:
+            getattr(builder, name)(given)
     return builder.build()
 
 
-def cmd_run(args, out) -> int:
+def _runspec_from_args(args) -> RunSpec:
+    """Resolve the ``repro run`` flags (or --spec-json) into a RunSpec."""
+    if args.spec_json is None:
+        return _runspec_from_flags(args, "--spec-json FILE")
+    if args.workload is not None:
+        raise SpecError(
+            "--spec-json replaces the workload argument; give one or the other",
+            field="workload", value=args.workload,
+        )
+    # The document is the whole experiment: silently overlaying (or
+    # worse, ignoring) flag-level overrides would run a different
+    # spec than the one named, so any explicitly-given run-shaping
+    # flag — even at its default value — is an error.
+    overridden = [
+        f"--{name}" for name in SPEC_FLAGS if getattr(args, name) is not None
+    ]
+    if overridden:
+        raise SpecError(
+            f"--spec-json carries the whole experiment; drop {', '.join(overridden)} "
+            "or edit the JSON document instead",
+            field="spec-json", value=overridden,
+        )
+    import json as _json
+
     try:
-        spec = _runspec_from_args(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.spec_json == "-":
+            payload = _json.load(sys.stdin)
+        else:
+            with open(args.spec_json, "r", encoding="utf-8") as fh:
+                payload = _json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SpecError(
+            f"cannot read RunSpec JSON from {args.spec_json}: {exc}",
+            field="spec-json", value=args.spec_json,
+        ) from None
+    return RunSpec.from_json(payload).validate()
+
+
+def cmd_run(args, out) -> int:
+    spec = _runspec_from_args(args)
     if args.dry_run:
         print(spec.canonical_json(), file=out, end="")
         return 0
-    try:
-        handle = Session(collect_trace=True).run(spec)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    handle = Session(collect_trace=True).run(spec)
     result = handle.result
     print(result.summary(), file=out)
     metrics_rows = result.metrics.summary_rows()
@@ -717,7 +611,7 @@ def cmd_run(args, out) -> int:
     return 0 if result.correct or (not injected and result.completed) else 1
 
 
-def cmd_exp_list(out) -> int:
+def cmd_exp_list(args, out) -> int:
     from repro.exp import all_scenarios
 
     rows = [
@@ -734,21 +628,7 @@ def cmd_exp_list(out) -> int:
 def cmd_exp_show(args, out) -> int:
     from repro.exp import expand, get_scenario
 
-    try:
-        spec = get_scenario(args.scenario)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _render_exp_show(spec, args, out, expand)
-    except ReproError as exc:
-        # a malformed registered spec (e.g. a typo'd param in a
-        # user-registered scenario) gets the one-line treatment too
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _render_exp_show(spec, args, out, expand) -> int:
+    spec = get_scenario(args.scenario)
     if args.json:
         from repro.exp import expanded_runspecs
         from repro.util.jsonio import emit_json
@@ -797,8 +677,6 @@ def _exp_ledger_dir(args) -> Optional[str]:
     along with the cache at ``<cache-dir>/ledger``.  ``--no-ledger`` and
     ``--no-cache`` (an explicitly ephemeral run) disable the default.
     """
-    import os
-
     if getattr(args, "ledger_dir", None) is not None:
         return args.ledger_dir
     if getattr(args, "no_ledger", False) or getattr(args, "no_cache", False):
@@ -845,27 +723,14 @@ def _print_sweep(sweep, spec, args, out) -> int:
 def cmd_exp_run(args, out) -> int:
     from repro.exp import get_scenario, run_scenario
 
-    try:
-        spec = get_scenario(args.scenario)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        sweep = run_scenario(
-            spec,
-            workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            force=args.force,
-            ledger_dir=_exp_ledger_dir(args),
-        )
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
-        # runtime failure (unwritable cache/ledger, failed points), not
-        # a malformed spec: one line, exit 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = get_scenario(args.scenario)
+    sweep = run_scenario(
+        spec,
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        force=args.force,
+        ledger_dir=_exp_ledger_dir(args),
+    )
     return _print_sweep(sweep, spec, args, out)
 
 
@@ -917,24 +782,16 @@ def cmd_exp_runs(args, out) -> int:
 def cmd_exp_resume(args, out) -> int:
     from repro.exp import get_scenario, resume_run
 
-    try:
-        sweep = resume_run(
-            args.run_id,
-            ledger_dir=_exp_ledger_dir(args),
-            workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-        )
-        spec = get_scenario(sweep.scenario)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _print_sweep(sweep, spec, args, out)
+    sweep = resume_run(
+        args.run_id,
+        ledger_dir=_exp_ledger_dir(args),
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+    )
+    return _print_sweep(sweep, get_scenario(sweep.scenario), args, out)
 
 
-def cmd_faults_list(out) -> int:
+def cmd_faults_list(args, out) -> int:
     from repro.faults import all_models
 
     rows = [
@@ -958,11 +815,7 @@ def cmd_faults_list(out) -> int:
 def cmd_faults_describe(args, out) -> int:
     from repro.faults import get_model
 
-    try:
-        info = get_model(args.model)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    info = get_model(args.model)
     print(f"{info.name}: {info.summary}", file=out)
     rows = [
         [
@@ -982,7 +835,7 @@ def cmd_faults_describe(args, out) -> int:
     return 0
 
 
-def cmd_check_list(out) -> int:
+def cmd_check_list(args, out) -> int:
     from repro.check import all_oracles
 
     rows = [[info.name, info.summary] for info in all_oracles().values()]
@@ -1010,37 +863,25 @@ def _check_config(args):
     return CheckConfig(**kwargs)
 
 
-def _check_runspec_from_args(args) -> RunSpec:
-    """Resolve the ``check`` flag subset into a RunSpec."""
-    if args.workload is None:
+def _check_specs(args) -> List[RunSpec]:
+    """What a ``check`` verb runs on: the one spec its flags build, or
+    every machine point of ``--scenario NAME`` as validated RunSpecs."""
+    if args.scenario is None:
+        return [_runspec_from_flags(args, "--scenario NAME")]
+    if args.workload is not None:
         raise SpecError(
-            "a workload (or --scenario NAME) is required", field="workload"
+            "--scenario replaces the workload argument; give one or "
+            "the other",
+            field="check.scenario", value=args.workload,
         )
-    builder = Experiment().workload(args.workload)
-    for flag, setter in (
-        (args.policy, builder.policy),
-        (args.processors, builder.processors),
-        (args.seed, builder.seed),
-        (getattr(args, "nemesis", None), builder.nemesis),
-        (getattr(args, "arrivals", None), builder.arrivals),
-    ):
-        if flag is not None:
-            setter(flag)
-    for fault in getattr(args, "fault", []):
-        builder.fault(fault.time, fault.node, mode="time")
-    return builder.build()
-
-
-def _scenario_runspecs(name: str) -> List[RunSpec]:
-    """Every machine point of a scenario, as validated RunSpecs."""
     from repro.exp import expanded_runspecs, get_scenario
 
-    spec = get_scenario(name)  # KeyError -> caller's diagnostic
+    spec = get_scenario(args.scenario)
     if spec.runner != "machine":
         raise SpecError(
-            f"scenario {name!r} uses the {spec.runner!r} runner; only "
+            f"scenario {args.scenario!r} uses the {spec.runner!r} runner; only "
             "machine scenarios are checkable",
-            field="check.scenario", value=name,
+            field="check.scenario", value=args.scenario,
         )
     return [RunSpec.from_json(doc).validate() for doc in expanded_runspecs(spec)]
 
@@ -1049,25 +890,9 @@ def cmd_check_run(args, out) -> int:
     from repro.check import check_spec
     from repro.util.jsonio import emit_json
 
-    try:
-        config = _check_config(args)
-        if args.scenario is not None:
-            if args.workload is not None:
-                raise SpecError(
-                    "--scenario replaces the workload argument; give one or "
-                    "the other",
-                    field="check.scenario", value=args.workload,
-                )
-            specs = _scenario_runspecs(args.scenario)
-        else:
-            specs = [_check_runspec_from_args(args)]
-        reports = [check_spec(spec, config) for spec in specs]
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ReproError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _check_config(args)
+    specs = _check_specs(args)
+    reports = [check_spec(spec, config) for spec in specs]
     if args.json:
         payload = [
             {"spec": spec.to_json(), "report": report.to_json()}
@@ -1106,58 +931,38 @@ def cmd_check_search(args, out) -> int:
     from repro.faults import GENERATABLE_MODELS
     from repro.util.jsonio import emit_json
 
-    try:
-        if args.scenario is not None:
-            if args.workload is not None:
-                raise SpecError(
-                    "--scenario replaces the workload argument; give one or "
-                    "the other",
-                    field="check.scenario", value=args.workload,
-                )
-            from dataclasses import replace as _replace
-
-            from repro.api import FaultSpec as _FaultSpec, NemesisSpec as _NemesisSpec
-
-            base = _replace(
-                _scenario_runspecs(args.scenario)[0],
-                faults=_FaultSpec(), nemesis=_NemesisSpec(),
+    base = _check_specs(args)[0]
+    if args.scenario is not None:
+        # the scenario's own schedule goes: the searcher owns that axis
+        base = replace(base, faults=FaultSpec(), nemesis=NemesisSpec())
+    models = tuple(GENERATABLE_MODELS)
+    if args.models:
+        models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+        unknown = [m for m in models if m not in GENERATABLE_MODELS]
+        if unknown:
+            raise SpecError(
+                f"cannot generate fault model(s) {unknown}",
+                field="check.models", value=args.models,
+                allowed=GENERATABLE_MODELS,
             )
-        else:
-            base = _check_runspec_from_args(args)
-        models = tuple(GENERATABLE_MODELS)
-        if args.models:
-            models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-            unknown = [m for m in models if m not in GENERATABLE_MODELS]
-            if unknown:
-                raise SpecError(
-                    f"cannot generate fault model(s) {unknown}",
-                    field="check.models", value=args.models,
-                    allowed=GENERATABLE_MODELS,
-                )
-        result = search(
-            base,
-            seed=args.seed,
-            attempts=args.attempts,
-            models=models,
-            max_clauses=args.max_clauses,
-            config=_check_config(args),
-            out_dir=args.out_dir or DEFAULT_LEDGER_DIR,
-            write=not args.no_write,
-            strategy=args.strategy,
-            rounds=args.rounds,
-            mode="maximize" if args.maximize else "violation",
-        )
-        corpus_path = None
-        if args.corpus_out:
-            from repro.check import write_corpus
+    result = search(
+        base,
+        seed=args.seed,
+        attempts=args.attempts,
+        models=models,
+        max_clauses=args.max_clauses,
+        config=_check_config(args),
+        out_dir=args.out_dir or DEFAULT_LEDGER_DIR,
+        write=not args.no_write,
+        strategy=args.strategy,
+        rounds=args.rounds,
+        mode="maximize" if args.maximize else "violation",
+    )
+    corpus_path = None
+    if args.corpus_out:
+        from repro.check import write_corpus
 
-            corpus_path = write_corpus(result, args.corpus_out)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ReproError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        corpus_path = write_corpus(result, args.corpus_out)
     if args.json:
         emit_json(result.to_doc(), out=out)
     else:
@@ -1179,11 +984,7 @@ def cmd_check_corpus(args, out) -> int:
     from repro.check import run_corpus
     from repro.util.jsonio import emit_json
 
-    try:
-        report = run_corpus(args.path)
-    except (ReproError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_corpus(args.path)
     if args.json:
         emit_json(report.to_json(), out=out)
     else:
@@ -1191,7 +992,7 @@ def cmd_check_corpus(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_report_list(out) -> int:
+def cmd_report_list(args, out) -> int:
     from repro.exp import all_scenarios
     from repro.report import DEFAULT_OUT_DIR
 
@@ -1217,14 +1018,22 @@ def cmd_report_list(out) -> int:
     return 0
 
 
-def _report_out_dir(args) -> Optional[str]:
-    import os
-
+def _report_options(args) -> dict:
+    """The ``_report_common`` flags as run_report/run_compare keywords."""
+    out_dir = args.out_dir
     if args.no_write:
-        return None
-    if args.out_dir is not None:
-        return args.out_dir
-    return os.path.join(args.cache_dir, "reports")
+        out_dir = None
+    elif out_dir is None:
+        out_dir = os.path.join(args.cache_dir, "reports")
+    return dict(
+        replications=args.replications,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        out_dir=out_dir,
+        force=args.force,
+        level=args.level,
+        n_boot=args.boot,
+    )
 
 
 def _print_report(result, args, out) -> None:
@@ -1242,20 +1051,7 @@ def _print_report(result, args, out) -> None:
 def cmd_report_run(args, out) -> int:
     from repro.report import run_report
 
-    try:
-        result = run_report(
-            args.scenario,
-            replications=args.replications,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            out_dir=_report_out_dir(args),
-            force=args.force,
-            level=args.level,
-            n_boot=args.boot,
-        )
-    except (KeyError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_report(args.scenario, **_report_options(args))
     _print_report(result, args, out)
     return 0
 
@@ -1274,157 +1070,58 @@ def cmd_report_compare(args, out) -> int:
     from repro.exp import get_scenario
     from repro.report import run_compare
 
-    try:
-        baseline = _coerce_axis_value(
-            get_scenario(args.scenario), args.axis, args.baseline
-        )
-        result = run_compare(
-            args.scenario,
-            other=args.other,
-            axis=args.axis,
-            baseline=baseline,
-            replications=args.replications,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            out_dir=_report_out_dir(args),
-            force=args.force,
-            level=args.level,
-            n_boot=args.boot,
-        )
-    except (KeyError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    baseline = _coerce_axis_value(
+        get_scenario(args.scenario), args.axis, args.baseline
+    )
+    result = run_compare(
+        args.scenario,
+        other=args.other,
+        axis=args.axis,
+        baseline=baseline,
+        **_report_options(args),
+    )
     _print_report(result, args, out)
     return 0
 
 
-def cmd_perf_list(out) -> int:
-    from repro.perf import all_benches
-
-    rows = [
-        [spec.name, spec.kind, spec.trials, spec.title]
-        for spec in all_benches().values()
-    ]
-    print(
-        format_table(["benchmark", "kind", "trials", "title"], rows, title="Benchmarks"),
-        file=out,
-    )
-    return 0
-
-
-def cmd_perf_run(args, out) -> int:
-    from repro.perf import run_suite, suite_table
-    from repro.util.jsonio import emit_json
-
-    try:
-        payload = run_suite(names=args.only or None, quick=args.quick)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        emit_json(payload, out=out)
-    else:
-        print(suite_table(payload), file=out)
-    # Only a full-mode, full-suite run may default onto the committed
-    # baseline path; --quick and --only runs write nowhere unless the
-    # user names a destination (a partial or quick payload must never
-    # clobber BENCH_core.json).
-    out_path = args.out
-    if out_path is None and not args.quick and not args.only:
-        out_path = "BENCH_core.json"
-    if out_path is not None and not args.no_write:
-        emit_json(payload, path=out_path)
-        if not args.json:
-            print(f"wrote {out_path}", file=out)
-    elif out_path is None and not args.json:
-        mode = "quick mode" if args.quick else "partial suite"
-        print(f"({mode}: no file written; pass --out to save)", file=out)
-    return 0
-
-
-def cmd_perf_compare(args, out) -> int:
-    import json as _json
-
-    from repro.perf import (
-        DEFAULT_THRESHOLD,
-        compare,
-        compare_table,
-        failures,
-        run_suite,
-    )
-
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = _json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
-        return 2
-    if args.current is not None:
-        try:
-            with open(args.current, "r", encoding="utf-8") as fh:
-                current = _json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read current {args.current}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print("no current run given: measuring a fresh --quick suite...", file=out)
-        current = run_suite(quick=True)
-    threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    deltas = compare(baseline, current, threshold=threshold)
-    print(compare_table(deltas), file=out)
-    failed = failures(deltas)
-    if failed:
-        print(
-            f"perf gate FAILED (threshold {threshold}x): "
-            + ", ".join(f"{d.name} [{d.status}]" for d in failed),
-            file=sys.stderr,
-        )
-        return 1
-    print(f"perf gate ok (threshold {threshold}x)", file=out)
-    return 0
+#: (command, sub-command) -> handler(args, out); the sub-command is None
+#: for the verbs that have none.
+HANDLERS = {
+    ("list", None): cmd_list,
+    ("figures", None): cmd_figures,
+    ("run", None): cmd_run,
+    ("exp", "list"): cmd_exp_list,
+    ("exp", "show"): cmd_exp_show,
+    ("exp", "run"): cmd_exp_run,
+    ("exp", "runs"): cmd_exp_runs,
+    ("exp", "resume"): cmd_exp_resume,
+    ("faults", "list"): cmd_faults_list,
+    ("faults", "describe"): cmd_faults_describe,
+    ("check", "list"): cmd_check_list,
+    ("check", "run"): cmd_check_run,
+    ("check", "search"): cmd_check_search,
+    ("check", "corpus"): cmd_check_corpus,
+    ("report", "list"): cmd_report_list,
+    ("report", "run"): cmd_report_run,
+    ("report", "compare"): cmd_report_compare,
+}
 
 
 def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list(out)
-    if args.command == "figures":
-        return cmd_figures(out)
-    if args.command == "exp":
-        if args.exp_command == "list":
-            return cmd_exp_list(out)
-        if args.exp_command == "show":
-            return cmd_exp_show(args, out)
-        if args.exp_command == "runs":
-            return cmd_exp_runs(args, out)
-        if args.exp_command == "resume":
-            return cmd_exp_resume(args, out)
-        return cmd_exp_run(args, out)
-    if args.command == "faults":
-        if args.faults_command == "list":
-            return cmd_faults_list(out)
-        return cmd_faults_describe(args, out)
-    if args.command == "check":
-        if args.check_command == "list":
-            return cmd_check_list(out)
-        if args.check_command == "run":
-            return cmd_check_run(args, out)
-        if args.check_command == "corpus":
-            return cmd_check_corpus(args, out)
-        return cmd_check_search(args, out)
-    if args.command == "report":
-        if args.report_command == "list":
-            return cmd_report_list(out)
-        if args.report_command == "run":
-            return cmd_report_run(args, out)
-        return cmd_report_compare(args, out)
-    if args.command == "perf":
-        if args.perf_command == "list":
-            return cmd_perf_list(out)
-        if args.perf_command == "run":
-            return cmd_perf_run(args, out)
-        return cmd_perf_compare(args, out)
-    return cmd_run(args, out)
+    handler = HANDLERS[args.command, getattr(args, f"{args.command}_command", None)]
+    try:
+        return handler(args, out)
+    except (KeyError, ReproError) as exc:
+        # The one diagnostic site: one line on stderr, never a traceback.
+        # A registry lookup reports an unknown name as KeyError(message),
+        # whose str() is the message's repr, hence args[0].  Exit 2 for an
+        # unknown name or a malformed spec; under `exp`, any other failure
+        # is a runtime one (unwritable cache/ledger, failed points): exit 1.
+        unknown_name = isinstance(exc, KeyError)
+        print(f"error: {exc.args[0] if unknown_name else exc}", file=sys.stderr)
+        usage = unknown_name or isinstance(exc, SpecError)
+        return 1 if args.command == "exp" and not usage else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

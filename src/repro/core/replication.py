@@ -113,7 +113,7 @@ class ReplicatedExecution(FaultTolerance):
             return False
         if parent not in entry.extra_parents and parent != task.packet.parent:
             entry.extra_parents.append(parent)
-        node._send_ack(msg.packet, task.uid)
+        node.send_ack(msg.packet, task.uid)
         if task.status == TaskStatus.COMPLETED:
             node.send_result(task, addressee=parent)
         return True

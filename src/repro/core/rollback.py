@@ -40,7 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass
-class _NodeState:
+class RollbackState:
+    """Per-node policy state; :mod:`repro.core.splice` extends it."""
+
     table: CheckpointTable
 
 
@@ -56,8 +58,8 @@ class RollbackRecovery(FaultTolerance):
         #: Checkpoints held machine-wide; every node's table updates it.
         self.held_total = HeldTotal()
 
-    def make_node_state(self, node: "Node") -> _NodeState:
-        return _NodeState(table=CheckpointTable(self.held_total))
+    def make_node_state(self, node: "Node") -> RollbackState:
+        return RollbackState(table=CheckpointTable(self.held_total))
 
     def table_of(self, node: "Node") -> CheckpointTable:
         return node.ft_state.table

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import CheckpointTable
 from repro.core.packets import ReturnAddress
-from repro.core.rollback import RollbackRecovery, _NodeState as _RollbackState
+from repro.core.rollback import RollbackRecovery, RollbackState
 from repro.core.stamps import LevelStamp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +52,7 @@ class _TwinState:
 
 
 @dataclass
-class _NodeState(_RollbackState):
+class _NodeState(RollbackState):
     twins: Dict[LevelStamp, _TwinState] = field(default_factory=dict)
 
 

@@ -1,12 +1,11 @@
 """Built-in scenario registry: every paper figure and claim as one entry.
 
 Each entry here replaces a hand-rolled driver script: the figure
-reproductions (F1-F7) and the quantitative claims (C1-C8) from
-``benchmarks/`` are all expressed as declarative
-:class:`~repro.exp.scenario.ScenarioSpec` grids over the same point
-runners.  ``repro exp list`` shows this table; ``repro exp run NAME``
-executes one; the benchmarks import the same entries and assert the
-paper's predicted shapes on the results.
+reproductions (F1-F7) and the quantitative claims (C1-C8) are all
+expressed as declarative :class:`~repro.exp.scenario.ScenarioSpec` grids
+over the same point runners.  ``repro exp list`` shows this table;
+``repro exp run NAME`` executes one; ``tests/test_paper_claims.py`` runs
+the same entries and asserts the paper's predicted shapes on the results.
 
 Seeds: ported scenarios pin ``seed`` in ``base`` to match the historical
 benchmark outputs; scenarios without an explicit seed (e.g. ``smoke``)

@@ -109,8 +109,8 @@ class SweepResult:
     def to_json(self) -> str:
         """Canonical rendering — byte-identical for identical results.
 
-        Shared with ``repro perf`` via :mod:`repro.util.jsonio`, so every
-        committed/cached JSON artifact uses one encoding.
+        The one encoding of :mod:`repro.util.jsonio`, shared by every
+        committed/cached JSON artifact.
         """
         return canonical_dumps(self.payload())
 

@@ -110,8 +110,7 @@ class ScenarioSpec:
         invalidates stale sweeps even if ``base``/``axes`` look equal.
 
         ``replications`` enters the payload only when it is not 1, so
-        every pre-replication cache key (and the committed perf-check
-        key for the ``smoke`` sweep) is preserved byte-for-byte.
+        every pre-replication cache key is preserved byte-for-byte.
         """
         from repro.exp.points import RUNNER_VERSIONS
 

@@ -214,11 +214,12 @@ class Node:
                 uid=uid,
                 work=packet.work.describe(),
             )
-        self._send_ack(packet, uid)
+        self.send_ack(packet, uid)
         self._make_ready(task)
         return task
 
-    def _send_ack(self, packet: TaskPacket, uid: int) -> None:
+    def send_ack(self, packet: TaskPacket, uid: int) -> None:
+        """Tell the packet's parent which instance on this node runs it."""
         ack = PlacementAck(
             src=self.id,
             dst=packet.parent.node,

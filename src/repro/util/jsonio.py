@@ -2,10 +2,10 @@
 
 One writer serves every artifact the repo commits or caches —
 ``repro exp run --json`` payloads, the on-disk sweep result cache,
-``repro perf`` benchmark reports (``BENCH_core.json``), and the
-durable sweep-ledger appends (:mod:`repro.exp.ledger`).  Keeping the
-encoding in one place is what makes "byte-identical for identical
-results" a checkable property rather than a convention.
+report and search-ledger documents, and the durable sweep-ledger
+appends (:mod:`repro.exp.ledger`).  Keeping the encoding in one place
+is what makes "byte-identical for identical results" a checkable
+property rather than a convention.
 
 >>> canonical_dumps({"b": 1, "a": [1.5, "x"]})
 '{\\n  "a": [\\n    1.5,\\n    "x"\\n  ],\\n  "b": 1\\n}\\n'
@@ -93,18 +93,11 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_canonical_json(path: str, payload: Any) -> str:
-    """Canonicalize ``payload`` and write it atomically; returns the text."""
-    text = canonical_dumps(payload)
-    write_atomic(path, text)
-    return text
-
-
 def emit_json(payload: Any, out=None, path: str | None = None) -> str:
     """Render ``payload`` canonically; print to ``out``, write to ``path``.
 
     The one output helper behind every JSON-emitting CLI verb
-    (``exp show --json``, ``exp run --json``, ``perf run --json``, the
+    (``exp show --json``, ``exp run --json``, the ``check`` and
     ``report`` verbs): identical payloads produce identical bytes on
     every surface, with no trailing-newline drift between the printed
     and the written form.  Either destination may be omitted; the

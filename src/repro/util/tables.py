@@ -1,8 +1,8 @@
-"""ASCII table rendering for benchmark reports.
+"""ASCII table rendering for sweep and claim reports.
 
-The benchmark harness prints the same rows/series the paper's figures imply;
-this module renders them as monospace tables so ``pytest benchmarks/``
-output is self-describing.
+The paper-claim tests print the same rows/series the paper's figures imply;
+this module renders them as monospace tables so the output of
+``pytest tests/test_paper_claims.py -s`` is self-describing.
 """
 
 from __future__ import annotations

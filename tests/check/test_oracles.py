@@ -75,6 +75,26 @@ class TestCatalog:
         ]
 
 
+class TestCheckConfigHorizon:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["horizon_frac", "horizon_time"])
+    def test_a_horizon_must_be_finite_and_positive(self, name, bad):
+        # every `>` against NaN is false, so bounded-recovery would pass
+        # vacuously; a non-positive horizon fails every recovery
+        with pytest.raises(SpecError) as err:
+            CheckConfig(**{name: bad})
+        assert err.value.field == "check.horizon"
+        with pytest.raises(SpecError) as err:
+            CheckConfig.from_json({name: bad})
+        assert err.value.field == "check.horizon"
+
+    def test_session_and_documents_share_the_rule(self):
+        with pytest.raises(SpecError, match="finite positive"):
+            Session(oracles=CheckConfig(horizon_frac=float("nan")))
+        config = CheckConfig(horizon_frac=0.5, horizon_time=700.0)
+        assert CheckConfig.from_json(config.to_json()) == config
+
+
 class TestResultAgreement:
     def test_stall_is_a_violation_with_window(self):
         v = verdict(

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import os
 
-from repro.api import Experiment
+import pytest
+
+from repro.api import Experiment, SpecError
 from repro.check import (
     CHECK_SCHEMA,
     CheckConfig,
@@ -96,3 +98,29 @@ def test_base_nemesis_is_cleared_before_searching():
     )
     result = search(spec, seed=3, attempts=1, models=("jitter",), write=False)
     assert not result.base.nemesis.clauses
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"attempts": 0}, "check.attempts"),
+        ({"attempts": -2}, "check.attempts"),
+        ({"strategy": "coverage", "rounds": 0}, "check.rounds"),
+        ({"attempts": 0, "rounds": 3, "max_clauses": 0}, "check.max_clauses"),
+    ],
+)
+def test_an_empty_budget_is_rejected_before_anything_is_written(
+    kwargs, field, tmp_path
+):
+    # a search that tries nothing would otherwise report "clean"
+    with pytest.raises(SpecError) as excinfo:
+        search(BASE, seed=3, models=("jitter",), out_dir=str(tmp_path), **kwargs)
+    assert excinfo.value.field == field
+    assert not os.listdir(tmp_path)
+
+
+def test_rounds_overrides_attempts_as_the_budget():
+    result = search(
+        BASE, seed=3, attempts=0, rounds=2, models=("jitter",), write=False
+    )
+    assert len(result.attempts) == 2

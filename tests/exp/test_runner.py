@@ -10,6 +10,7 @@ import pytest
 
 from repro.exp import get_scenario, replay_ledger, run_scenario, sweep_table
 from repro.exp.runner import SweepResult, result_path
+from repro.util.jsonio import canonical_dumps
 
 
 class TestSerialParallelParity:
@@ -104,7 +105,10 @@ class TestCache:
     def test_payload_is_valid_canonical_json(self, tmp_path):
         sweep = run_scenario("smoke", cache_dir=str(tmp_path))
         with open(sweep.cache_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            text = fh.read()
+        # one encoding for every artifact: the shared canonical writer's
+        assert text == sweep.to_json() == canonical_dumps(sweep.payload())
+        payload = json.loads(text)
         assert payload["scenario"] == "smoke"
         assert payload["key"] == get_scenario("smoke").key()
         assert len(payload["points"]) == 4

@@ -550,3 +550,97 @@ class TestExpLedger:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestDiagnostics:
+    """The one diagnostic site in ``main``: one ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exp", "run", "nosuch"),
+            ("exp", "show", "nosuch"),
+            ("faults", "describe", "nosuch"),
+            ("check", "run", "--scenario", "nosuch"),
+            ("report", "run", "nosuch"),
+            ("report", "compare", "nosuch", "--axis", "policy"),
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_unknown_name_is_one_plain_line(self, argv, capsys):
+        # a registry's KeyError(message) must print as the message, not
+        # as its repr ("error: \"unknown scenario 'nosuch'; ...\"")
+        code, text = run_cli(*argv)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("error: unknown ") and "'nosuch'" in err
+        assert '"' not in err and "\\" not in err
+
+    def test_every_verb_has_a_handler(self):
+        from repro.cli import HANDLERS, build_parser
+
+        verbs = set()
+        for action in build_parser()._subparsers._group_actions:
+            for command, sub in action.choices.items():
+                groups = sub._subparsers._group_actions if sub._subparsers else []
+                names = [name for group in groups for name in group.choices]
+                verbs.update((command, name) for name in names or [None])
+        assert verbs == set(HANDLERS)
+
+
+class TestCheck:
+    WORKLOAD = "balanced:3:2:10"
+
+    def test_check_run_judges_one_flag_built_spec(self):
+        code, text = run_cli(
+            "check", "run", "balanced:4:2:30", "--nemesis", "crash:at=0.4,node=1"
+        )
+        assert code == 0
+        assert "bounded-recovery" in text and "pass" in text
+
+    @pytest.mark.parametrize("verb", ["run", "search"])
+    def test_scenario_replaces_the_workload_argument(self, verb, capsys):
+        code, _ = run_cli("check", verb, self.WORKLOAD, "--scenario", "smoke")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --scenario replaces the workload argument")
+        code, _ = run_cli("check", verb)
+        assert code == 2
+        assert "a workload (or --scenario NAME) is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--attempts", "0", "--expect", "clean"), "attempts"),
+            (("--strategy", "coverage", "--rounds", "-3"), "rounds"),
+            (("--max-clauses", "0"), "max_clauses"),
+        ],
+    )
+    def test_a_vacuous_search_is_an_error_not_a_clean_verdict(
+        self, flags, field, tmp_path, capsys
+    ):
+        # an empty budget tried nothing; it must not pass `--expect clean`
+        code, text = run_cli(
+            "check", "search", self.WORKLOAD, "--out-dir", str(tmp_path), *flags
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be at least 1") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []  # no ledger was written
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--horizon", "nan"), ("--horizon", "-1"), ("--horizon", "0"),
+         ("--horizon-time", "inf")],
+        ids=" ".join,
+    )
+    def test_a_horizon_must_be_finite_and_positive(self, flags, capsys):
+        # every `>` against a NaN horizon is false: bounded-recovery
+        # would pass vacuously
+        code, text = run_cli(
+            "check", "run", "balanced:4:2:30", "--nemesis", "crash:at=0.4,node=1", *flags
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "must be a finite positive number" in err and err.count("\n") == 1

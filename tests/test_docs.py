@@ -2,12 +2,11 @@
 
 Every scenario name referenced in README/docs must exist in the
 scenario registry (and every registered scenario must be documented),
-every benchmark name referenced in README/docs must exist in the perf
-registry (and every registered benchmark must be documented in
-PERFORMANCE.md), and the fault-model registry must agree with
-FAULTS.md and the ``repro faults`` CLI — so the docs, ``repro exp
-list``, ``repro perf list``, and ``repro faults list`` can never drift
-apart silently.
+every benchmark name PERFORMANCE.md maps a retired bench onto must be a
+name ``BENCHMARK.json`` declares (read here, never written), and the
+fault-model registry must agree with FAULTS.md and the ``repro faults``
+CLI — so the docs, ``repro exp list``, ``bench/run.py --list``, and
+``repro faults list`` can never drift apart silently.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 
 from repro.exp import all_scenarios
 from repro.faults import all_models
-from repro.perf import all_benches
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_FILES = [
@@ -44,10 +42,12 @@ EXP_CLI_REF = re.compile(r"exp (list|show|run|runs|resume)\b")
 REPORT_CLI_REF = re.compile(r"report (list|run|compare)")
 #: Scenario names fed to the report verbs must resolve too.
 REPORT_SCENARIO_REF = re.compile(r"report (?:run|compare) ([a-z0-9][a-z0-9-]*)")
-#: Benchmark references look like `macro-faultfree` / `micro-event-queue`
-#: (the registry enforces the kind prefix, so the pattern is unambiguous).
-BENCH_REF = re.compile(r"`((?:macro|micro)-[a-z0-9-]+)`")
-PERF_CLI_REF = re.compile(r"perf (list|run|compare)")
+#: The heading over PERFORMANCE.md's retired-bench mapping table: left
+#: column the retired name, right column where ``bench/`` measures it.
+MAPPING_HEADING = "## Where the retired benches went"
+#: The retired suite's verb and baseline file; gone from the repo, so
+#: the docs may name them only in that table's left-hand column.
+RETIRED_STRINGS = ("repro perf", "BENCH_core.json")
 FAULTS_CLI_REF = re.compile(r"faults (list|describe)")
 CHECK_CLI_REF = re.compile(r"check (list|run|search|corpus)")
 
@@ -264,36 +264,64 @@ class TestScenarioReferences:
             assert name in corpus, f"scenario {name!r} missing from README/docs"
 
 
-class TestPerfReferences:
-    def test_every_referenced_benchmark_is_registered(self):
-        # Deliberately strict: any backticked `macro-*`/`micro-*` span in
-        # the docs must be a registered benchmark name.  Prose that merely
-        # looks like one (e.g. "`micro-benchmarks`") fails here on purpose;
-        # rewrite such prose without backticks.
-        registered = set(all_benches())
-        for rel, text in read_docs().items():
-            for name in BENCH_REF.findall(text):
-                assert name in registered, f"{rel} references unknown benchmark {name!r}"
+def benchmark_declaration() -> dict:
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
-    def test_every_registered_benchmark_is_documented_in_performance_md(self):
+
+def mapping_table() -> list:
+    """PERFORMANCE.md's mapping table as rows of cells, header first."""
+    section = read_docs()["docs/PERFORMANCE.md"].split(MAPPING_HEADING, 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and not line.startswith("| ---")
+    ]
+
+
+class TestBenchmarkReferences:
+    def test_performance_md_names_every_workload_and_end_to_end_metric(self):
         perf_doc = read_docs()["docs/PERFORMANCE.md"]
-        for name in all_benches():
-            assert name in perf_doc, f"benchmark {name!r} missing from PERFORMANCE.md"
+        declared = benchmark_declaration()
+        names = [w["name"] for w in declared["workloads"]]
+        names += [m["name"] for m in declared["end_to_end"]]
+        assert len(names) == 4 + 5
+        for name in names:
+            assert f"`{name}`" in perf_doc, f"{name!r} missing from PERFORMANCE.md"
 
-    def test_docs_name_the_perf_cli_verbs(self):
-        readme = read_docs()["README.md"]
-        perf_doc = read_docs()["docs/PERFORMANCE.md"]
-        for text in (readme, perf_doc):
-            verbs = set(PERF_CLI_REF.findall(text))
-            assert {"list", "run", "compare"} <= verbs, (
-                "README and PERFORMANCE.md must document `perf list`, "
-                "`perf run`, and `perf compare`"
-            )
+    def test_mapping_table_points_at_declared_names(self):
+        declared = benchmark_declaration()
+        metrics = {m["name"] for m in declared["end_to_end"] + declared["per_layer"]}
+        workloads = {w["name"] for w in declared["workloads"]}
+        rows = mapping_table()[1:]
+        assert len(rows) == 14, "one row per retired bench"
+        for retired, workload, target in rows:
+            assert re.match(r"`(macro|micro)-[a-z-]+`", retired), retired
+            named = re.match(r"`([a-z-]+)`", workload)
+            assert workload.startswith("any") or named.group(1) in workloads, workload
+            names = re.findall(r"`([^`]+)`", target)
+            assert names, f"{retired}: no BENCHMARK.json name given"
+            for name in names:
+                assert name in metrics, f"{retired} maps to undeclared {name!r}"
 
-    def test_readme_points_at_the_committed_baseline(self):
+    def test_readme_performance_section_names_the_benchmark(self):
         readme = read_docs()["README.md"]
-        assert "BENCH_core.json" in readme
-        assert "docs/PERFORMANCE.md" in readme
+        section = readme.split("## Performance", 1)[1].split("\n## ", 1)[0]
+        for needle in ("bench/run.py", "bench/compare.py", "BENCHMARK.json",
+                       "docs/PERFORMANCE.md"):
+            assert needle in section, f"README Performance section lacks {needle}"
+
+    def test_the_retired_suite_is_named_only_in_the_mapping_table(self):
+        docs = read_docs()
+        for row in mapping_table():
+            # blank the left-hand cell: the one place the old names may live
+            docs["docs/PERFORMANCE.md"] = docs["docs/PERFORMANCE.md"].replace(row[0], "")
+        for rel, text in docs.items():
+            for retired in RETIRED_STRINGS:
+                assert retired not in text, f"{rel} still names {retired!r}"
+        for gone in ("BENCH_core.json", "benchmarks", "src/repro/perf", "tests/perf"):
+            assert not os.path.exists(os.path.join(REPO_ROOT, gone)), gone
 
 
 class TestFaultModelReferences:
@@ -751,30 +779,3 @@ class TestReportReferences:
         readme = read_docs()["README.md"]
         assert "confidence intervals" in readme
         assert "docs/REPORTS.md" in readme
-
-
-class TestCommittedBaseline:
-    def test_baseline_exists_and_covers_the_registry(self):
-        path = os.path.join(REPO_ROOT, "BENCH_core.json")
-        assert os.path.exists(path), "committed BENCH_core.json baseline is missing"
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert payload["schema"] == "repro-perf/1"
-        assert set(payload["benchmarks"]) == set(all_benches()), (
-            "BENCH_core.json and the perf registry disagree; re-run "
-            "`python -m repro perf run` and commit the result"
-        )
-
-    def test_baseline_is_canonical_json(self):
-        from repro.util.jsonio import canonical_dumps
-
-        path = os.path.join(REPO_ROOT, "BENCH_core.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        assert text == canonical_dumps(json.loads(text))
-
-    def test_baseline_is_full_mode(self):
-        path = os.path.join(REPO_ROOT, "BENCH_core.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert payload["quick"] is False, "commit a full-mode baseline, not --quick"

@@ -6,12 +6,7 @@ import io
 import json
 import os
 
-from repro.util.jsonio import (
-    canonical_dumps,
-    emit_json,
-    write_atomic,
-    write_canonical_json,
-)
+from repro.util.jsonio import canonical_dumps, emit_json, write_atomic
 
 
 class TestCanonicalDumps:
@@ -57,8 +52,8 @@ class TestAtomicWrites:
             assert fh.read() == "two"
         assert os.listdir(tmp_path) == ["f.txt"]  # no temp litter
 
-    def test_write_canonical_json_round_trips(self, tmp_path):
+    def test_emit_json_to_a_path_round_trips(self, tmp_path):
         path = str(tmp_path / "c.json")
-        text = write_canonical_json(path, {"k": [1, 2]})
+        text = emit_json({"k": [1, 2]}, path=path)
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == text
