@@ -69,9 +69,6 @@ from repro.policies.incremental import PERSIST_MODES
 #: Schema tag carried by every RunSpec JSON document.
 RUNSPEC_SCHEMA = "repro-runspec/1"
 
-#: Synthetic-tree workload kinds -> (min_args, max_args) of the builder.
-_TREE_ARITY = {"balanced": (1, 3), "chain": (1, 2), "wide": (1, 2), "skewed": (1, 3)}
-
 
 # -- workload ------------------------------------------------------------------
 
@@ -115,22 +112,32 @@ class WorkloadSpec:
                 )
             args = cls._parse_args(text, parts[1:], offset=len("prog:") + len(parts[0]) + 1)
             return cls("prog", name=parts[0], args=args)
-        if kind in _TREE_ARITY or kind == "random":
+        from repro.workloads.trees import SHAPES
+
+        shape = SHAPES.get(kind)
+        if shape is not None:
             parts = rest.split(":") if rest else []
             args = cls._parse_args(text, parts, offset=len(kind) + 1)
-            lo, hi = _TREE_ARITY.get(kind, (2, 2))
+            lo, hi = shape.required, len(shape.args)
             if not (lo <= len(args) <= hi):
                 want = f"{lo}" if lo == hi else f"{lo}..{hi}"
                 raise SpecError(
                     f"workload kind {kind!r} takes {want} integer args, got {len(args)}",
                     spec=text, field=f"workload.{kind}", value=rest, position=len(kind) + 1,
                 )
+            refusal = shape.refusal(args)
+            if refusal is not None:
+                at, why = refusal
+                raise SpecError(
+                    f"workload kind {kind!r}: {why}",
+                    spec=text, field=f"workload.{kind}", value=parts[at],
+                    position=len(kind) + 1 + sum(len(part) + 1 for part in parts[:at]),
+                )
             return cls(kind, args=args)
         raise SpecError(
             f"unknown workload spec {text!r}",
             spec=text, field="workload", value=text,
-            allowed=tuple(sorted(WORKLOADS))
-            + tuple(sorted(_TREE_ARITY)) + ("random", "prog"),
+            allowed=tuple(sorted(WORKLOADS)) + tuple(SHAPES) + ("prog",),
             position=0,
         )
 
@@ -168,34 +175,29 @@ class WorkloadSpec:
             return (
                 lambda: InterpWorkload(get_program(name, *args), name=spec_str)
             ), None
-        if self.kind == "random":
-            seed, target = self.args
-            tree = trees.random_tree(seed=seed, target_tasks=target)
-        else:
-            builders = {
-                "balanced": trees.balanced_tree,
-                "chain": trees.chain_tree,
-                "wide": trees.wide_tree,
-                "skewed": trees.skewed_tree,
-            }
-            tree = builders[self.kind](*self.args)
+        tree = trees.SHAPES[self.kind].build(*self.args)
         return (lambda: TreeWorkload(tree, spec_str)), len(tree)
 
 
 # -- policy --------------------------------------------------------------------
 
 
-#: Parameter tables of the parameterised policies (every other policy
-#: takes none).  ``replicated`` keeps its positional ``replicated:K``
-#: spelling — the form every stored document and cache key uses.
+#: The policy catalog: every policy name with its parameter table (empty
+#: for the four that take none).  ``replicated`` keeps its positional
+#: ``replicated:K`` spelling — the form every stored document and cache
+#: key uses.
 POLICY_PARAMS: Dict[str, Dict[str, Param]] = {
-    "replicated": {
-        "k": Param("int", 3, "replication factor (bare `replicated` follows the machine's)"),
-    },
+    "none": {},
+    "rollback": {},
+    "splice": {},
+    "reversible": {},
     "incremental": {
         "persist": Param(
             "choice", PERSIST_MODES[0], "crash-persistency assumption", choices=PERSIST_MODES
         ),
+    },
+    "replicated": {
+        "k": Param("int", 3, "replication factor (bare `replicated` follows the machine's)"),
     },
 }
 
@@ -212,7 +214,8 @@ class PolicySpec:
     k: Optional[int] = None
     persist: Optional[str] = None
 
-    _SIMPLE = ("none", "rollback", "splice", "reversible")
+    #: The policies whose table is empty.
+    _SIMPLE = tuple(name for name, table in POLICY_PARAMS.items() if not table)
 
     @classmethod
     def parse(cls, text: str) -> "PolicySpec":
@@ -223,10 +226,12 @@ class PolicySpec:
                 POLICY_PARAMS[name]["k"], arg, field="policy.k", spec=text,
                 position=len(name) + 1,
             )
+            if k < 1:
+                raise SpecError(
+                    f"replication factor must be >= 1, got {k}",
+                    spec=text, field="policy.k", value=arg, position=len(name) + 1,
+                )
             return cls(name, k=k)
-        if name in POLICY_PARAMS:
-            _, params = parse_clause(text, POLICY_PARAMS, family="policy", noun="policy")
-            return cls(name, **dict(params))
         if name in cls._SIMPLE:
             if sep:
                 raise SpecError(
@@ -234,6 +239,9 @@ class PolicySpec:
                     spec=text, field="policy", value=text, position=len(name),
                 )
             return cls(name)
+        if name in POLICY_PARAMS:
+            _, params = parse_clause(text, POLICY_PARAMS, family="policy", noun="policy")
+            return cls(name, **dict(params))
         raise SpecError(
             f"unknown policy spec {text!r}",
             spec=text, field="policy", value=name,
@@ -264,16 +272,15 @@ class PolicySpec:
         )
         from repro.policies import IncrementalRecovery, ReversibleRecovery
 
-        if self.name == "replicated":
-            return ReplicatedExecution(k=self.k)
-        if self.name == "incremental":
-            return IncrementalRecovery(persist=self.persist or "volatile")
-        return {
-            "none": NoFaultTolerance,
-            "rollback": RollbackRecovery,
-            "splice": SpliceRecovery,
-            "reversible": ReversibleRecovery,
-        }[self.name]()
+        by_name = {
+            policy.name: policy
+            for policy in (
+                NoFaultTolerance, RollbackRecovery, SpliceRecovery, ReversibleRecovery,
+                IncrementalRecovery, ReplicatedExecution,
+            )
+        }
+        given = {key: getattr(self, key) for key in POLICY_PARAMS[self.name]}
+        return by_name[self.name](**{k: v for k, v in given.items() if v is not None})
 
 
 # -- fault schedule ------------------------------------------------------------
@@ -354,16 +361,19 @@ class FaultSpec:
 
         if not self.entries:
             return FaultSchedule.none()
-        if self.mode == "time":
-            return FaultSchedule.of(*(Fault(when, node) for when, node in self.entries))
-        if base_makespan is None:
+        if self.mode != "time" and base_makespan is None:
             raise SpecError(
                 "fraction-mode fault schedule needs a baseline makespan",
                 field="faults.mode", value=self.mode,
             )
-        return FaultSchedule.of(
-            *(Fault(max(1.0, when * base_makespan), node) for when, node in self.entries)
-        )
+        try:
+            if self.mode == "time":
+                return FaultSchedule.of(*(Fault(when, node) for when, node in self.entries))
+            return FaultSchedule.of(
+                *(Fault(max(1.0, when * base_makespan), node) for when, node in self.entries)
+            )
+        except ValueError as exc:  # a negative time or node: Fault's own check
+            raise SpecError(str(exc), spec=self.to_spec_str(), field="faults") from None
 
 
 # -- nemesis -------------------------------------------------------------------
@@ -439,10 +449,12 @@ class NemesisSpec:
         models = []
         for clause in self.clauses:
             info = get_model(clause.model)
-            kwargs = {
-                key: (value * base_makespan if info.params[key].fraction else value)
-                for key, value in clause.params
-            }
+            given = dict(clause.params)
+            kwargs = {}
+            for key, param in info.params.items():
+                # the table's default where the clause names no value
+                value = given.get(key, param.default)
+                kwargs[key] = value * base_makespan if param.fraction else value
             models.append(info.build(**kwargs))
         return NemesisSchedule.of(*models)
 

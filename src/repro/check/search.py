@@ -49,7 +49,6 @@ from repro.check.oracles import (
     CheckConfig,
     CheckReport,
     build_context,
-    check_spec,
     evaluate_context,
 )
 from repro.errors import SpecError
@@ -78,14 +77,6 @@ MODES = ("violation", "maximize")
 #: maximize mode.  Fixed constants — part of the determinism contract.
 RESTART_PROB = 0.25
 STEER_PROB = 0.5
-
-
-def _check_nemesis(
-    base: RunSpec, nemesis: NemesisSpec, config: CheckConfig
-) -> CheckReport:
-    spec = replace(base, nemesis=nemesis).validate()
-    _, report = check_spec(spec, config)
-    return report
 
 
 @dataclass(frozen=True)
@@ -205,10 +196,6 @@ class SearchResult:
         if self.violation is None:
             return None
         return NemesisSpec.parse(self.violation["minimal"])
-
-    def signature_keys(self) -> Tuple[str, ...]:
-        """Distinct coverage-signature keys, in discovery order."""
-        return tuple(entry["key"] for entry in self.corpus)
 
     def to_doc(self) -> Dict[str, Any]:
         """The canonical ledger document (deterministic, no timestamps)."""

@@ -73,7 +73,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.api import Experiment, FaultSpec, NemesisSpec, PolicySpec, RunSpec, Session
-from repro.api.specs import SCHEDULERS, TOPOLOGIES
+from repro.api.specs import POLICY_PARAMS, SCHEDULERS, TOPOLOGIES
 from repro.errors import ReproError, SpecError
 from repro.util.tables import format_table
 from repro.workloads.suite import WORKLOADS
@@ -83,7 +83,7 @@ from repro.workloads.suite import WORKLOADS
 #: Policies take parameters (``replicated:K``, ``incremental:persist=MODE``),
 #: so ``--policy`` validates through the spec grammar instead of a choices
 #: list; this tuple is the bare-name catalog ``repro list`` renders.
-POLICIES = PolicySpec._SIMPLE + ("incremental", "replicated")
+POLICIES = tuple(POLICY_PARAMS)
 
 #: The ``--policy`` help string, kept next to POLICIES so the CLI surface
 #: and the spec grammar stay in sync (pinned by tests/test_docs.py).

@@ -14,8 +14,9 @@ This surface is the extension point for competing recovery schemes:
 the paper's own policies live in :mod:`repro.core` (rollback, splice,
 replicated) and external competitors in :mod:`repro.policies`
 (HEAL-style incremental repair, reversible backtracking).  A policy
-that subclasses these hooks and is registered in
-``repro.api.specs.PolicySpec`` is automatically reachable from every
+that subclasses these hooks, has a row in the catalog table
+``repro.api.specs.POLICY_PARAMS`` and is imported by
+``PolicySpec.build`` is automatically reachable from every
 scenario grid, nemesis schedule, arrival process, trace oracle, and
 ``repro report compare --axis policy`` — see docs/POLICIES.md.
 """

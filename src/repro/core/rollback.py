@@ -28,12 +28,13 @@ Mechanism on each node:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 from repro.core.checkpoint import CheckpointTable, HeldTotal
 from repro.core.policy import FaultTolerance
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.stamps import LevelStamp
     from repro.sim.messages import PlacementAck
     from repro.sim.node import Node
     from repro.sim.task import SpawnRecord, TaskInstance
@@ -137,12 +138,22 @@ class RollbackRecovery(FaultTolerance):
     # -- recovery -----------------------------------------------------------------
 
     def on_failure_detected(self, node: "Node", dead_node: int) -> None:
-        self._reissue_entry(node, dead_node)
+        self.recovered(self.replay_entry(node, dead_node, reason="rollback-entry"))
         self._abort_starved_tasks(node, dead_node)
 
-    def _reissue_entry(self, node: "Node", dead_node: int) -> None:
+    def replay_entry(
+        self, node: "Node", dead_node: int, reason: str, reissue: bool = True
+    ) -> List["LevelStamp"]:
+        """*The* §3.2 loop: empty the dead processor's entry, reissuing
+        each checkpoint whose result is still awaited; returns the stamps
+        reissued.  Every recovering policy's entry replay is this method.
+
+        With ``reissue=False`` the entry is discarded unused (a table that
+        is not trusted across the failure): the drop is untraced
+        bookkeeping either way, so coverage accounting is unchanged.
+        """
         table = self.table_of(node)
-        reissued = False
+        replayed: List["LevelStamp"] = []
         for checkpoint in table.entry(dead_node):
             table.drop(dead_node, checkpoint.stamp, checkpoint.task_uid)
             holder = self.machine.instance(checkpoint.task_uid)
@@ -152,11 +163,20 @@ class RollbackRecovery(FaultTolerance):
             if record is None or record.has_result:
                 continue
             record.checkpointed = False
-            node.reissue_record(holder, record, reason="rollback-entry")
-            reissued = True
-        if reissued:
-            # One recovery activation per (survivor, dead-processor) pair
-            # that actually had checkpointed work to regenerate.
+            if reissue:
+                self.before_reissue(node, checkpoint.stamp)
+                node.reissue_record(holder, record, reason=reason)
+                replayed.append(checkpoint.stamp)
+        return replayed
+
+    def before_reissue(self, node: "Node", stamp: "LevelStamp") -> None:
+        """Called by :meth:`replay_entry` just ahead of each reissue
+        (splice registers the step-parent here)."""
+
+    def recovered(self, anything) -> None:
+        """Count one recovery activation per detection that actually had
+        work to regenerate (``anything`` truthy), whatever regenerated it."""
+        if anything:
             self.machine.metrics.recoveries_triggered += 1
 
     def _abort_starved_tasks(self, node: "Node", dead_node: int) -> None:

@@ -129,29 +129,13 @@ class SpliceRecovery(RollbackRecovery):
         dead_task_stamp = msg.sender_stamp.parent()
         entry = node.spawn_index.get(dead_task_stamp)
         if entry is None:
-            if node.trace.enabled:
-                node.trace.emit(
-                    node.queue.now,
-                    node.id,
-                    "result_ignored",
-                    stamp=msg.sender_stamp,
-                    reason="no-retained-packet",
-                )
-            node.metrics.results_ignored += 1
+            node.ignore_result(msg, reason="no-retained-packet")
             return True
         holder_uid, record = entry
         if record.has_result:
             # The dead task's answer already arrived (via an earlier twin
             # or before the failure): this orphan return is obsolete.
-            node.metrics.results_ignored += 1
-            if node.trace.enabled:
-                node.trace.emit(
-                    node.queue.now,
-                    node.id,
-                    "result_ignored",
-                    stamp=msg.sender_stamp,
-                    reason="parent-result-known",
-                )
+            node.ignore_result(msg, reason="parent-result-known")
             return True
         state: _NodeState = node.ft_state
         twin = state.twins.get(dead_task_stamp)
@@ -169,20 +153,32 @@ class SpliceRecovery(RollbackRecovery):
         holder = self.machine.instance(holder_uid)
         if holder is None:
             return None
-        state: _NodeState = node.ft_state
-        twin = _TwinState(stamp=stamp)
-        state.twins[stamp] = twin
-        node.metrics.twins_created += 1
-        if node.trace.enabled:
-            node.trace.emit(
-                node.queue.now, node.id, "twin_created", stamp=stamp, reactive=True
-            )
+        twin = self._register_twin(node, stamp, reactive=True)
         record.checkpointed = False
         self.table_of(node).drop_everywhere(stamp, holder.uid)
         node.reissue_record(holder, record, reason="splice-twin")
         # Reactive twin creation is a recovery activation in its own
         # right (the orphan's reroute, not the detector, initiated it).
-        node.metrics.recoveries_triggered += 1
+        self.recovered(twin)
+        return twin
+
+    def _register_twin(self, node: "Node", stamp: LevelStamp, reactive: bool) -> _TwinState:
+        """The one place a step-parent comes to exist at the grandparent
+        node: on failure detection (``reactive=False``) or on an orphan's
+        result outrunning the notice (``reactive=True``)."""
+        state: _NodeState = node.ft_state
+        twin = state.twins.get(stamp)
+        if twin is None:
+            twin = state.twins[stamp] = _TwinState(stamp=stamp)
+            node.metrics.twins_created += 1
+            if node.trace.enabled:
+                node.trace.emit(
+                    node.queue.now, node.id, "twin_created", stamp=stamp, reactive=reactive
+                )
+        else:
+            # The previous twin died with this processor: forget its
+            # placement so relays buffer until the re-reissue is acked.
+            twin.placed = None
         return twin
 
     def _flush_twin(self, node: "Node", twin: _TwinState) -> None:
@@ -241,38 +237,10 @@ class SpliceRecovery(RollbackRecovery):
         respawn all of these apply tasks.  Establish transport mechanism
         for relaying partial results."  (§4.2)
         """
-        state: _NodeState = node.ft_state
-        table = self.table_of(node)
-        reissued = False
-        for checkpoint in table.entry(dead_node):
-            table.drop(dead_node, checkpoint.stamp, checkpoint.task_uid)
-            holder = self.machine.instance(checkpoint.task_uid)
-            if holder is None:
-                continue
-            record = holder.record_for_child(checkpoint.stamp)
-            if record is None or record.has_result:
-                continue
-            record.checkpointed = False
-            twin = state.twins.get(checkpoint.stamp)
-            if twin is None:
-                state.twins[checkpoint.stamp] = _TwinState(stamp=checkpoint.stamp)
-                node.metrics.twins_created += 1
-                if node.trace.enabled:
-                    node.trace.emit(
-                        node.queue.now,
-                        node.id,
-                        "twin_created",
-                        stamp=checkpoint.stamp,
-                        reactive=False,
-                    )
-            else:
-                # The previous twin died with this processor: forget its
-                # placement so relays buffer until the re-reissue is acked.
-                twin.placed = None
-            node.reissue_record(holder, record, reason="splice-entry")
-            reissued = True
-        if reissued:
-            self.machine.metrics.recoveries_triggered += 1
+        self.recovered(self.replay_entry(node, dead_node, reason="splice-entry"))
         # Unlike rollback, tasks waiting on dead non-topmost children are
         # left to strand: their subtrees may still deliver salvageable
         # results, and the twins recompute whatever never arrives.
+
+    def before_reissue(self, node: "Node", stamp: LevelStamp) -> None:
+        self._register_twin(node, stamp, reactive=False)

@@ -127,45 +127,11 @@ class LevelStamp:
             and other.digits[: len(self.digits)] == self.digits
         )
 
-    def is_descendant_of(self, other: "LevelStamp") -> bool:
-        """Strict descendant test."""
-        return other.is_ancestor_of(self)
-
     def is_parent_of(self, other: "LevelStamp") -> bool:
         return (
             len(other.digits) == len(self.digits) + 1
             and other.digits[: len(self.digits)] == self.digits
         )
-
-    def is_grandparent_of(self, other: "LevelStamp") -> bool:
-        return (
-            len(other.digits) == len(self.digits) + 2
-            and other.digits[: len(self.digits)] == self.digits
-        )
-
-    def related(self, other: "LevelStamp") -> bool:
-        """True if one stamp is an ancestor of (or equal to) the other."""
-        a, b = self.digits, other.digits
-        n = min(len(a), len(b))
-        return a[:n] == b[:n]
-
-    def distance_to_descendant(self, other: "LevelStamp") -> int:
-        """Generation count from self down to descendant ``other``.
-
-        Raises ``ValueError`` if ``other`` is not a (weak) descendant.
-        """
-        if not (self == other or self.is_ancestor_of(other)):
-            raise ValueError(f"{other} is not a descendant of {self}")
-        return len(other.digits) - len(self.digits)
-
-    def common_ancestor(self, other: "LevelStamp") -> "LevelStamp":
-        """The deepest stamp that is a (weak) ancestor of both."""
-        prefix = []
-        for a, b in zip(self.digits, other.digits):
-            if a != b:
-                break
-            prefix.append(a)
-        return LevelStamp._unchecked(tuple(prefix))
 
     # -- ordering / rendering -----------------------------------------------
 

@@ -141,21 +141,6 @@ class ProtocolError(SimError):
     """
 
 
-class SimulationStalledError(SimError):
-    """Raised when the event queue drains before the root task completes.
-
-    A stall indicates a deadlock in the protocol (e.g. an orphan waiting on a
-    node that will never answer) and is always a bug or an unrecoverable fault
-    pattern, such as simultaneous parent+grandparent failure under splice
-    recovery without great-grandparent pointers.
-    """
-
-    def __init__(self, message: str, pending_tasks: int = 0, time: float = 0.0):
-        self.pending_tasks = pending_tasks
-        self.time = time
-        super().__init__(message)
-
-
 class SimulationBudgetError(SimError):
     """Raised when a run exceeds its configured event or time budget."""
 
@@ -184,11 +169,3 @@ class DeterminacyViolationError(RecoveryError):
         super().__init__(
             f"determinacy violation at stamp {stamp}: {first!r} != {second!r}"
         )
-
-
-class UnrecoverableFailureError(RecoveryError):
-    """Raised when the configured policy cannot recover a fault pattern."""
-
-
-class VoteInconclusiveError(RecoveryError):
-    """Raised when replicated-task voting cannot reach a majority (§5.3)."""

@@ -3,7 +3,9 @@
 Every built-in model is registered here under a short name (``repro
 faults list`` shows the table, ``repro faults describe NAME`` one
 model's parameters).  A registry entry is a declaration — name, docs,
-a ``{key: Param}`` table and a factory;
+a ``{key: Param}`` table and a factory that takes every key of the table
+(``NemesisSpec.build`` fills the table's defaults in, so a default is
+written here once);
 :class:`repro.api.NemesisSpec` parses spec strings against these tables
 through the one clause grammar (:mod:`repro.load.grammar`) and arms the
 models: ``NemesisSpec.parse(text).build(base_makespan)``.
@@ -113,7 +115,7 @@ register(
             "delay": Param("float", 40.0, "gap between cascade deaths"),
             "max": Param("int", 0, "victim cap (0 = processors - 1)"),
         },
-        build=lambda at, node, prob=0.5, delay=40.0, max=0: CascadingCrash(
+        build=lambda at, node, prob, delay, max: CascadingCrash(
             at, int(node), spread_prob=prob, spread_delay=delay,
             max_victims=int(max) or None,
         ),
@@ -148,8 +150,7 @@ register(
             "start": Param("float", 0.0, "window start", fraction=True),
             "dur": Param("float", float("inf"), "window length", fraction=True),
         },
-        build=lambda drop=0.0, dup=0.0, reorder=0.0, span=30.0, notify=0,
-        start=0.0, dur=float("inf"): MessageChaos(
+        build=lambda drop, dup, reorder, span, notify, start, dur: MessageChaos(
             drop=drop, duplicate=dup, reorder=reorder, span=span,
             notify_drops=bool(notify), start=start, duration=dur,
         ),
@@ -167,7 +168,7 @@ register(
             "dur": Param("float", None, "slowdown duration", fraction=True),
             "factor": Param("float", 4.0, "step-time multiplier (>= 1)"),
         },
-        build=lambda node, start, dur, factor=4.0: GrayFailure(
+        build=lambda node, start, dur, factor: GrayFailure(
             int(node), start, dur, factor=factor
         ),
         example="grayfail:node=1,start=0.2,dur=0.5,factor=4",
@@ -181,7 +182,7 @@ register(
         params={
             "max": Param("float", 20.0, "max extra notice delay"),
         },
-        build=lambda max=20.0: DetectorJitter(max_extra=max),
+        build=lambda max: DetectorJitter(max_extra=max),
         example="jitter:max=25",
     )
 )

@@ -107,17 +107,3 @@ def compile_program(source: str) -> Program:
             f"program must contain exactly one main expression, found {len(mains)}"
         )
     return Program(defs=defs, main=mains[0], source=source)
-
-
-def compile_defs(source: str) -> Program:
-    """Compile a definitions-only library (main must be attached later)."""
-    forms = parse_many(source)
-    defs: Dict[str, FunctionDef] = {}
-    for form in forms:
-        if not _is_define(form):
-            raise ParseError(f"definition library contains a non-define form: {form!r}")
-        fdef = _compile_define(form)
-        if fdef.name in defs:
-            raise ParseError(f"duplicate definition of {fdef.name!r}")
-        defs[fdef.name] = fdef
-    return Program(defs=defs, main=None, source=source)

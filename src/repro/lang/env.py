@@ -54,18 +54,6 @@ class Env:
             env = env._parent
         return False
 
-    def flatten(self) -> Dict[str, Any]:
-        """All visible bindings, innermost shadowing outer (for debugging)."""
-        chain = []
-        env: Optional[Env] = self
-        while env is not None:
-            chain.append(env._frame)
-            env = env._parent
-        out: Dict[str, Any] = {}
-        for frame in reversed(chain):
-            out.update(frame)
-        return out
-
     def depth(self) -> int:
         """Number of frames in the chain."""
         n = 0

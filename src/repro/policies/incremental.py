@@ -65,44 +65,19 @@ class IncrementalRecovery(RollbackRecovery):
     # -- recovery -----------------------------------------------------------------
 
     def on_failure_detected(self, node: "Node", dead_node: int) -> None:
-        replayed: List["LevelStamp"] = []
-        if self.persist == "volatile":
-            # The table did not survive: discard the entry unused.  The
-            # drop is untraced bookkeeping, exactly like rollback's
-            # reissue-time drops, so coverage accounting is unchanged.
-            table = self.table_of(node)
-            for checkpoint in list(table.entry(dead_node)):
-                table.drop(dead_node, checkpoint.stamp, checkpoint.task_uid)
-                holder = self.machine.instance(checkpoint.task_uid)
-                if holder is not None:
-                    record = holder.record_for_child(checkpoint.stamp)
-                    if record is not None:
-                        record.checkpointed = False
-        else:
-            replayed = self._replay_entry(node, dead_node)
-        self._repair_waiters(node, dead_node, replayed)
-
-    def _replay_entry(self, node: "Node", dead_node: int) -> List["LevelStamp"]:
-        """Rollback's checkpoint replay, returning the replayed stamps."""
-        table = self.table_of(node)
-        replayed: List["LevelStamp"] = []
-        for checkpoint in table.entry(dead_node):
-            table.drop(dead_node, checkpoint.stamp, checkpoint.task_uid)
-            holder = self.machine.instance(checkpoint.task_uid)
-            if holder is None:
-                continue
-            record = holder.record_for_child(checkpoint.stamp)
-            if record is None or record.has_result:
-                continue
-            record.checkpointed = False
-            node.reissue_record(holder, record, reason="incremental-replay")
-            replayed.append(checkpoint.stamp)
-        return replayed
+        # ``volatile``: the table did not survive — rollback's replay runs
+        # with ``reissue=False``, discarding the entry unused.
+        replayed = self.replay_entry(
+            node, dead_node, reason="incremental-replay", reissue=self.persist != "volatile"
+        )
+        repaired = self._repair_waiters(node, dead_node, replayed)
+        self.recovered(replayed or repaired)
 
     def _repair_waiters(
         self, node: "Node", dead_node: int, replayed: List["LevelStamp"]
-    ) -> None:
-        """The online pass: reissue every live waiter's lost sub-tree.
+    ) -> bool:
+        """The online pass: reissue every live waiter's lost sub-tree
+        (True when it reissued anything).
 
         Records just replayed from the table have ``executor`` reset to
         ``None``, so the scan naturally picks up only the remainder.
@@ -110,7 +85,7 @@ class IncrementalRecovery(RollbackRecovery):
         checkpoint are skipped — the ancestor's replay regenerates that
         whole region.
         """
-        repaired = bool(replayed)
+        repaired = False
         for task in list(node.live_tasks()):
             for record in task.waiting_on(dead_node):
                 if self.persist == "hybrid" and any(
@@ -119,5 +94,4 @@ class IncrementalRecovery(RollbackRecovery):
                     continue
                 node.reissue_record(task, record, reason="incremental-repair")
                 repaired = True
-        if repaired:
-            self.machine.metrics.recoveries_triggered += 1
+        return repaired

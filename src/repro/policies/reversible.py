@@ -43,8 +43,7 @@ class ReversibleRecovery(RollbackRecovery):
     name = "reversible"
 
     def on_failure_detected(self, node: "Node", dead_node: int) -> None:
-        if self._unwind_results(node, dead_node):
-            self.machine.metrics.recoveries_triggered += 1
+        self.recovered(self._unwind_results(node, dead_node))
         super().on_failure_detected(node, dead_node)
 
     def _unwind_results(self, node: "Node", dead_node: int) -> bool:

@@ -583,7 +583,7 @@ class Node:
             if task.status is _COMPLETED:
                 # Case 8: "The processor which contained P' may no longer
                 # recognize the arrived answer.  The result is discarded."
-                self._ignore_result(msg, reason="addressee-completed")
+                self.ignore_result(msg, reason="addressee-completed")
                 return
             record = task.record_for_child(msg.sender_stamp)
             if record is not None:
@@ -603,7 +603,7 @@ class Node:
                         buffered=True,
                     )
                 return
-        self._ignore_result(msg, reason="no-addressee")
+        self.ignore_result(msg, reason="no-addressee")
 
     def deliver_to_record(
         self, task: TaskInstance, record: SpawnRecord, msg: ResultMsg
@@ -671,7 +671,12 @@ class Node:
         task.pending_deliveries[record.digit] = msg.value
         self._make_ready(task)
 
-    def _ignore_result(self, msg: ResultMsg, reason: str) -> None:
+    def ignore_result(self, msg: ResultMsg, reason: str) -> None:
+        """Discard a result nobody here can use (§4.1 case 8 and kin).
+
+        Public because the splice policy's grandparent side ignores
+        obsolete orphan returns through this same path.
+        """
         self.metrics.results_ignored += 1
         if self.trace.enabled:
             self.trace.emit(
@@ -687,19 +692,8 @@ class Node:
     def abort_completed_sender(self, msg: ResultMsg, reason: str) -> None:
         """Rollback semantics for an orphan: discard its finished work."""
         task = self._find_local_completed(msg.sender_stamp, msg.replica)
-        if task is None:
-            return
-        task.status = _ABORTED
-        self.metrics.tasks_aborted += 1
-        if self.trace.enabled:
-            self.trace.emit(
-                self.queue.now,
-                self.id,
-                "task_aborted",
-                stamp=task.stamp,
-                uid=task.uid,
-                reason=reason,
-            )
+        if task is not None:
+            self._mark_aborted(task, reason)
 
     def _find_local_completed(
         self, stamp: LevelStamp, replica: int
@@ -717,7 +711,6 @@ class Node:
         """Abort a live local task (cascading waste is accounted at run end)."""
         if task.status is _COMPLETED or task.status is _ABORTED:
             return
-        task.status = _ABORTED
         if task.queued:
             task.queued = False
             try:
@@ -729,6 +722,11 @@ class Node:
                 self.queue.cancel(record.ack_timer)
                 record.ack_timer = None
             self.spawn_index.pop(record.child_stamp, None)
+        self._mark_aborted(task, reason)
+
+    def _mark_aborted(self, task: TaskInstance, reason: str) -> None:
+        """The tail every abort ends in: status, count, trace."""
+        task.status = _ABORTED
         self.metrics.tasks_aborted += 1
         if self.trace.enabled:
             self.trace.emit(

@@ -2,14 +2,13 @@
 
 from repro.util.idgen import IdGenerator
 from repro.util.rng import RngHub
-from repro.util.stats import Summary, confidence_interval, summarize
+from repro.util.stats import Summary, summarize
 from repro.util.tables import format_table
 
 __all__ = [
     "IdGenerator",
     "RngHub",
     "Summary",
-    "confidence_interval",
     "summarize",
     "format_table",
 ]

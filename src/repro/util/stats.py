@@ -64,37 +64,6 @@ def summarize(values: Iterable[float]) -> Summary:
     )
 
 
-def confidence_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation confidence interval for the sample mean.
-
-    For the small repetition counts used in benches (5-30 runs) the normal
-    approximation is adequate; we avoid a scipy dependency in the hot path.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    np = _numpy()
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot compute a confidence interval of an empty sample")
-    mean = float(arr.mean())
-    if arr.size == 1:
-        return (mean, mean)
-    # Two-sided z-score via the inverse error function.
-    z = math.sqrt(2.0) * _erfinv(level)
-    half = z * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    return (mean - half, mean + half)
-
-
-def _erfinv(y: float) -> float:
-    """Inverse error function (Winitzki's approximation, ~1e-4 accurate)."""
-    a = 0.147
-    ln_term = math.log(1.0 - y * y)
-    first = 2.0 / (math.pi * a) + ln_term / 2.0
-    return math.copysign(
-        math.sqrt(math.sqrt(first * first - ln_term / a) - first), y
-    )
-
-
 def _lerp_percentiles(values: Iterable[float], probs: Sequence[float]) -> tuple:
     """``np.percentile(values, probs)`` bit for bit: sort, then numpy's
     two-sided linear interpolation between the neighbours of
@@ -249,23 +218,3 @@ def bootstrap_delta_ci(
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(deltas, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return (float(lo), float(hi))
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean, for aggregating speedup ratios across workloads."""
-    np = _numpy()
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot take the geometric mean of an empty sample")
-    if (arr <= 0).any():
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.log(arr).mean()))
-
-
-def ratio_of_means(numerators: Sequence[float], denominators: Sequence[float]) -> float:
-    """Ratio of sample means, the standard aggregate for overhead factors."""
-    num = summarize(numerators).mean
-    den = summarize(denominators).mean
-    if den == 0:
-        raise ZeroDivisionError("denominator sample has zero mean")
-    return num / den

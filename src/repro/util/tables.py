@@ -57,23 +57,3 @@ def format_table(
         out.append(render_row(cells))
     out.append(line())
     return "\n".join(out)
-
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[Any],
-    series: dict[str, Sequence[Any]],
-    title: str | None = None,
-) -> str:
-    """Render one or more named series against a shared x-axis as a table."""
-    headers = [x_label, *series.keys()]
-    columns = list(series.values())
-    for name, col in series.items():
-        if len(col) != len(x_values):
-            raise ValueError(
-                f"series {name!r} has {len(col)} points but x-axis has {len(x_values)}"
-            )
-    rows = [
-        [x, *(col[i] for col in columns)] for i, x in enumerate(x_values)
-    ]
-    return format_table(headers, rows, title=title)

@@ -6,14 +6,27 @@ fanout (how much parallelism a failure severs), and per-task grain (how
 much work an orphan's salvaged result embodies).
 
 All generators are deterministic: ``random_tree`` takes an explicit seed.
+
+:data:`SHAPES` states each kind once — builder, argument names, the
+minimum each argument may take, how many are required, and the task
+count as arithmetic on the arguments.  ``WorkloadSpec`` parses,
+validates and builds ``kind:ARG:...`` strings against it, and the
+builders' own range checks read it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import inspect
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.sim.behavior import TreeSpec, TreeTaskSpec
 from repro.util.rng import RngHub
+
+#: The largest tree a spec string may ask for; the benchmark's largest
+#: (``balanced:13:2``) has 16 383 tasks.
+MAX_TREE_TASKS = 1 << 18
 
 
 class _Builder:
@@ -32,36 +45,48 @@ class _Builder:
     def spec(self) -> TreeSpec:
         return TreeSpec(self.nodes)
 
-    # The recursive shapes recurse through ``self``: a nested function
-    # that calls itself is a function <-> closure-cell cycle, which kept
-    # the builder and its pre-reroot tree alive until a collector pass.
+    # The shapes are loops, not recursions, so depth is bounded by memory
+    # and never by the interpreter's stack.
 
     def balanced(self, d: int, fanout: int, work: int) -> int:
-        if d == 0:
-            return self.add(work, ())
-        return self.add(work, tuple(self.balanced(d - 1, fanout, work) for _ in range(fanout)))
+        level = [self.add(work, ()) for _ in range(fanout**d)]
+        for _ in range(d):
+            level = [
+                self.add(work, tuple(level[i : i + fanout]))
+                for i in range(0, len(level), fanout)
+            ]
+        return level[0]
 
     def skewed(self, d: int, fanout: int, work: int) -> int:
-        if d == 0:
-            return self.add(work, ())
-        leaves = tuple(self.add(work, ()) for _ in range(max(0, fanout - 1)))
-        return self.add(work, leaves + (self.skewed(d - 1, fanout, work),))
+        spine = self.add(work, ())
+        for _ in range(d):
+            leaves = tuple(self.add(work, ()) for _ in range(max(0, fanout - 1)))
+            spine = self.add(work, leaves + (spine,))
+        return spine
 
-    def random(self, hub: RngHub, budget: list, max_fanout: int, work_range: tuple) -> int:
-        n_children = min(hub.integers("fanout", 0, max_fanout + 1), budget[0])
-        budget[0] -= n_children
-        children = tuple(
-            self.random(hub, budget, max_fanout, work_range) for _ in range(n_children)
-        )
-        return self.add(hub.integers("work", work_range[0], work_range[1] + 1), children)
+    def random(self, hub: RngHub, budget: int, max_fanout: int, work_range: tuple) -> int:
+        # Depth-first over an explicit stack of (children wanted, children
+        # built): a node's fanout is drawn on the way down and its work on
+        # the way up, so both streams are read in preorder / postorder.
+        stack = []
+        while True:
+            wanted = min(hub.integers("fanout", 0, max_fanout + 1), budget)
+            budget -= wanted
+            built: list = []
+            while len(built) == wanted:
+                nid = self.add(
+                    hub.integers("work", work_range[0], work_range[1] + 1), tuple(built)
+                )
+                if not stack:
+                    return nid
+                wanted, built = stack.pop()
+                built.append(nid)
+            stack.append((wanted, built))
 
 
 def balanced_tree(depth: int, fanout: int = 2, work: int = 10) -> TreeSpec:
     """A complete ``fanout``-ary tree of the given depth, uniform grain."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if fanout < 1:
-        raise ValueError("fanout must be >= 1")
+    SHAPES["balanced"].require(depth, fanout, work)
     builder = _Builder()
     root = builder.balanced(depth, fanout, work)
     # Re-root: TreeSpec requires the root at id 0; remap ids.
@@ -71,8 +96,7 @@ def balanced_tree(depth: int, fanout: int = 2, work: int = 10) -> TreeSpec:
 def chain_tree(length: int, work: int = 10) -> TreeSpec:
     """A linear chain (each task spawns one child): worst case for
     rollback, since a late fault severs everything below one cut."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    SHAPES["chain"].require(length, work)
     builder = _Builder()
     prev: Optional[int] = None
     for _ in range(length):
@@ -83,8 +107,7 @@ def chain_tree(length: int, work: int = 10) -> TreeSpec:
 def wide_tree(width: int, work: int = 10) -> TreeSpec:
     """One root fanning out to ``width`` leaves: maximal parallelism,
     minimal depth — the easy case for every recovery scheme."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    SHAPES["wide"].require(width, work)
     builder = _Builder()
     leaves = tuple(builder.add(work, ()) for _ in range(width))
     root = builder.add(work, leaves)
@@ -95,8 +118,7 @@ def skewed_tree(depth: int, fanout: int = 3, work: int = 10) -> TreeSpec:
     """A 'vine with tufts': each level has one spine child that recurses
     and ``fanout - 1`` leaf children.  Models the unbalanced trees of
     search workloads (nqueens-like)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    SHAPES["skewed"].require(depth, fanout, work)
     builder = _Builder()
     root = builder.skewed(depth, fanout, work)
     return _reroot(builder.spec(), root)
@@ -114,10 +136,9 @@ def random_tree(
     tree growing until the budget runs out), work uniform in
     ``work_range``.  Fully determined by ``seed``.
     """
-    if target_tasks < 1:
-        raise ValueError("target_tasks must be >= 1")
+    SHAPES["random"].require(seed, target_tasks)
     builder = _Builder()
-    root = builder.random(RngHub(seed), [target_tasks - 1], max_fanout, work_range)
+    root = builder.random(RngHub(seed), target_tasks - 1, max_fanout, work_range)
     return _reroot(builder.spec(), root)
 
 
@@ -141,3 +162,84 @@ def _reroot(spec: TreeSpec, root_id: int) -> TreeSpec:
             post_work=node.post_work,
         )
     return TreeSpec(renumbered)
+
+
+# -- the shape table -----------------------------------------------------------
+
+
+def _balanced_tasks(depth: int, fanout: int, work: int) -> int:
+    if fanout == 1:
+        return depth + 1
+    total = level = 1
+    for _ in range(depth):
+        if total > MAX_TREE_TASKS:  # already refused: stop multiplying
+            break
+        level *= fanout
+        total += level
+    return total
+
+
+@dataclass(frozen=True)
+class TreeShape:
+    """One synthetic-tree kind: what builds it and what it accepts."""
+
+    build: Callable[..., TreeSpec]
+    #: ``(argument name, minimum or None)`` in positional order.
+    args: Tuple[Tuple[str, Optional[int]], ...]
+    #: How many leading arguments must be given (the rest have defaults).
+    required: int
+    #: Task count (for ``random``, its ceiling) from the full argument list.
+    tasks: Callable[..., int]
+
+    def out_of_range(self, args: Sequence[int]) -> Optional[Tuple[int, str]]:
+        """``(index, why)`` of the first argument below its minimum, or None."""
+        for at, ((name, minimum), value) in enumerate(zip(self.args, args)):
+            if minimum is not None and value < minimum:
+                return at, f"{name} must be >= {minimum}"
+        return None
+
+    def require(self, *args: int) -> None:
+        """The builders' own range check (the Python API is not size-capped)."""
+        problem = self.out_of_range(args)
+        if problem is not None:
+            raise ValueError(problem[1])
+
+    def refusal(self, args: Sequence[int]) -> Optional[Tuple[int, str]]:
+        """Why a spec string may not ask for ``args``: an argument out of
+        range, or more than :data:`MAX_TREE_TASKS` tasks — counted by
+        arithmetic (the builder's defaults fill what is not given), so
+        nothing is built to find out."""
+        problem = self.out_of_range(args)
+        if problem is None:
+            full = tuple(args) + self._defaults[len(args) : len(self.args)]
+            if self.tasks(*full) > MAX_TREE_TASKS:
+                problem = 0, f"asks for more than {MAX_TREE_TASKS} tasks"
+        return problem
+
+    @cached_property
+    def _defaults(self) -> tuple:
+        # the builder's own keyword defaults by position, read once: a
+        # sweep parses the same few kinds thousands of times
+        return tuple(p.default for p in inspect.signature(self.build).parameters.values())
+
+
+#: Kind -> shape, in the order diagnostics list the kinds.
+SHAPES: Dict[str, TreeShape] = {
+    "balanced": TreeShape(
+        balanced_tree, (("depth", 0), ("fanout", 1), ("work", None)), 1, _balanced_tasks
+    ),
+    "chain": TreeShape(
+        chain_tree, (("length", 1), ("work", None)), 1, lambda length, work: length
+    ),
+    "skewed": TreeShape(
+        skewed_tree, (("depth", 0), ("fanout", None), ("work", None)), 1,
+        lambda depth, fanout, work: 1 + depth * max(1, fanout),
+    ),
+    "wide": TreeShape(
+        wide_tree, (("width", 1), ("work", None)), 1, lambda width, work: width + 1
+    ),
+    "random": TreeShape(
+        random_tree, (("seed", None), ("target_tasks", 1)), 2,
+        lambda seed, target_tasks: target_tasks,
+    ),
+}

@@ -33,6 +33,7 @@ class Family:
     parse: Callable[[str], Any]
     given: Callable[[Any], Dict[str, Any]]  # spec -> the values it carries
     keyed: bool = True  # False for the positional ``replicated:K``
+    min_int: int = 0  # the least integer the family's parse accepts
 
     def spell(self, items) -> str:
         if not self.keyed:
@@ -60,7 +61,7 @@ FAMILIES = (
         Family("policy-incremental", "policy", "incremental", POLICY_PARAMS["incremental"],
                PolicySpec.parse, lambda s: {"persist": s.persist}),
         Family("policy-replicated", "policy", "replicated", POLICY_PARAMS["replicated"],
-               PolicySpec.parse, lambda s: {"k": s.k}, keyed=False),
+               PolicySpec.parse, lambda s: {"k": s.k}, keyed=False, min_int=1),
     ]
 )
 KEYED = [f for f in FAMILIES if f.keyed]
@@ -69,7 +70,7 @@ by_label = pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
 keyed_by_label = pytest.mark.parametrize("family", KEYED, ids=lambda f: f.label)
 
 
-def _values(param: Param):
+def _values(param: Param, min_int: int = 0):
     if param.kind == "choice":
         return st.sampled_from(param.choices)
     if param.kind == "nodes":
@@ -77,7 +78,7 @@ def _values(param: Param):
     if param.kind == "flag":
         return st.integers(0, 1)
     if param.kind == "int":
-        return st.integers(0, 10**6)
+        return st.integers(min_int, 10**6)
     return st.floats(allow_nan=False)  # inf is a legal float (chaos:dur)
 
 
@@ -96,7 +97,7 @@ def _required(family: Family):
 @given(data=st.data())
 def test_parse_render_roundtrip_in_declaration_order(family, data):
     drawn = {
-        key: data.draw(_values(param), label=key)
+        key: data.draw(_values(param, family.min_int), label=key)
         for key, param in family.table.items()
         if param.required or data.draw(st.booleans(), label=f"give {key}")
     }

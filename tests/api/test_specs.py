@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api import (
     RUNSPEC_SCHEMA,
+    Experiment,
     FaultSpec,
     MachineSpec,
     NemesisSpec,
@@ -14,6 +17,7 @@ from repro.api import (
     SpecError,
     WorkloadSpec,
 )
+from repro.api.specs import POLICY_PARAMS
 from repro.errors import ReproError
 
 
@@ -497,3 +501,94 @@ class TestRunSpec:
         )
         with pytest.raises(SpecError):
             spec.validate()
+
+
+# -- hostile strings: parse-then-build succeeds or raises SpecError, nothing else ----
+
+#: Scalars a positional grammar may meet: in range, below every minimum,
+#: past the tree-size limit, deeper than the interpreter's stack, and not
+#: integers at all (``int`` itself accepts padding, a sign and any Unicode digit).
+_SCALARS = (
+    "-1", "0", "1", "2", "3", "7", "50", "4095", "300000", "9" * 25,
+    "", "x", "1.5", " 4", "+2", "1e3", "٣", "nan", "inf", "0.5",
+)
+_scalars = st.lists(st.sampled_from(_SCALARS), max_size=4)
+_WORKLOAD_HEADS = (
+    "balanced", "chain", "wide", "skewed", "random", "prog", "prog:fib",
+    "prog:nosuch", "fib-10", "nope", "",
+)
+_POLICY_BODIES = (
+    "0", "-1", "3", "x", "", "k=3", "persist=durable", "persist=bogus", "persist",
+    "persist=hybrid,persist=hybrid",
+)
+
+
+def _refused_or(build, text):
+    try:
+        return build(text)
+    except SpecError:
+        return None  # the one admissible failure; anything else propagates
+
+
+class TestHostileStrings:
+    @given(st.sampled_from(_WORKLOAD_HEADS), _scalars)
+    def test_workload_strings_build_or_are_refused(self, head, args):
+        from repro.workloads.trees import MAX_TREE_TASKS
+
+        built = _refused_or(lambda t: WorkloadSpec.parse(t).build(), ":".join([head] + args))
+        if built is not None and built[1] is not None:
+            assert built[1] <= MAX_TREE_TASKS
+
+    @given(
+        st.sampled_from(tuple(POLICY_PARAMS) + ("healing", "")),
+        st.lists(st.sampled_from(_POLICY_BODIES), max_size=2),
+    )
+    def test_policy_strings_build_or_are_refused(self, name, bodies):
+        policy = _refused_or(lambda t: PolicySpec.parse(t).build(), ":".join([name] + bodies))
+        assert policy is None or policy.name == name
+
+    @given(
+        st.sampled_from(("", "time:", "frac:", "bogus:")),
+        st.lists(st.tuples(st.sampled_from(_SCALARS), st.sampled_from(_SCALARS)), max_size=3),
+    )
+    def test_fault_strings_build_or_are_refused(self, prefix, entries):
+        text = prefix + "+".join(f"{when}:{node}" for when, node in entries)
+        _refused_or(lambda t: FaultSpec.parse(t).schedule(100.0), text)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("balanced:0:0:0", len("balanced:0:")),
+            ("balanced:-1:2:3", len("balanced:")),
+            ("chain:-1:5", len("chain:")),
+            ("wide:0:0", len("wide:")),
+            ("random:1:0", len("random:1:")),
+            ("balanced:50:50:1", len("balanced:")),  # too many tasks: points at the shape
+            ("chain:262145", len("chain:")),
+        ],
+    )
+    def test_workload_shape_is_checked_before_anything_is_built(self, text, position):
+        with pytest.raises(SpecError) as exc_info:
+            WorkloadSpec.parse(text)
+        err = exc_info.value
+        assert err.field == f"workload.{text.partition(':')[0]}"
+        assert err.position == position and err.spec == text
+
+    def test_the_size_limit_is_arithmetic_and_clears_the_benchmark(self):
+        from repro.workloads.trees import MAX_TREE_TASKS
+
+        assert MAX_TREE_TASKS >= 8 * 16383  # the benchmark's largest tree, with room
+        WorkloadSpec.parse(f"chain:{MAX_TREE_TASKS}")  # parses; nothing is built to check
+        for huge in ("balanced:1000000000:2", "balanced:5:" + "9" * 40, "skewed:99999999:3"):
+            with pytest.raises(SpecError, match="more than"):
+                WorkloadSpec.parse(huge)
+
+    @pytest.mark.parametrize("text", ["replicated:0", "replicated:-1"])
+    def test_replication_factor_below_one_is_refused_at_parse(self, text):
+        with pytest.raises(SpecError, match=">= 1") as exc_info:
+            PolicySpec.parse(text)
+        err = exc_info.value
+        assert err.field == "policy.k" and err.position == len("replicated:")
+        # documents and the builder go through the same parse
+        with pytest.raises(SpecError):
+            Experiment.workload("fib-10").policy(text)

@@ -72,9 +72,10 @@ class TestCoverageBeatsRandomOnThePinnedBudget:
     def test_strictly_more_distinct_signatures(self):
         rand_keys, _, _ = _random_baseline()
         cov = _coverage()
-        assert len(cov.signature_keys()) > len(rand_keys)
+        cov_keys = [entry["key"] for entry in cov.corpus]
+        assert len(cov_keys) > len(rand_keys)
         # the corpus is exactly the novel-signature schedules
-        assert len(set(cov.signature_keys())) == len(cov.corpus)
+        assert len(set(cov_keys)) == len(cov.corpus)
 
     def test_finds_a_violating_reproducer_random_misses(self):
         _, _, rand_minimals = _random_baseline()

@@ -7,12 +7,13 @@ violates, and none of its own shrink candidates do (local minimality).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Experiment
 from repro.api.specs import NemesisSpec
-from repro.check import CheckConfig, shrink
-from repro.check.search import _check_nemesis
+from repro.check import CheckConfig, check_spec, shrink
 from repro.faults import shrink_candidates, spec_size
 
 BASE = (
@@ -23,6 +24,11 @@ BASE = (
 #: A hand-written schedule known to violate (the notified one-sided
 #: drop regime plus a decoy jitter clause the shrinker should discard).
 VIOLATING = "chaos:drop=0.2,dup=0.1,notify=1,start=0.1,dur=0.6+jitter:max=25"
+
+
+def _violations(nemesis: NemesisSpec):
+    _, report = check_spec(replace(BASE, nemesis=nemesis).validate(), CheckConfig())
+    return report.violations
 
 
 class TestShrinkCandidates:
@@ -57,7 +63,7 @@ class TestShrink:
     @pytest.fixture(scope="class")
     def shrunk(self):
         nemesis = NemesisSpec.parse(VIOLATING)
-        assert _check_nemesis(BASE, nemesis, CheckConfig()).violations
+        assert _violations(nemesis)
         return shrink(BASE, nemesis)
 
     def test_known_violation_shrinks_deterministically(self, shrunk):
@@ -68,12 +74,12 @@ class TestShrink:
 
     def test_minimal_still_violates(self, shrunk):
         minimal, _ = shrunk
-        assert _check_nemesis(BASE, minimal, CheckConfig()).violations
+        assert _violations(minimal)
 
     def test_minimal_is_locally_minimal(self, shrunk):
         minimal, _ = shrunk
         for candidate in shrink_candidates(minimal):
-            assert not _check_nemesis(BASE, candidate, CheckConfig()).violations
+            assert not _violations(candidate)
 
     def test_shrinking_discards_the_decoy_clause(self, shrunk):
         minimal, trail = shrunk

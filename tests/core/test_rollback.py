@@ -11,6 +11,7 @@ from repro.core import NoFaultTolerance, RollbackRecovery
 from repro.lang.programs import get_program
 from repro.sim import Fault, FaultSchedule, InterpWorkload, Machine, TreeWorkload
 from repro.sim.machine import run_simulation
+from repro.sim.task import TaskStatus
 from repro.workloads.trees import balanced_tree, chain_tree, random_tree
 
 
@@ -207,3 +208,69 @@ def test_recovery_correctness_property(seed, victim, fault_frac):
     )
     assert result.completed, result.stall_reason
     assert result.verified is True
+
+
+class TestReplayEntry:
+    """``replay_entry`` — the §3.2 loop — on a hand-built table."""
+
+    DEAD, OTHER = 2, 3
+
+    def build(self):
+        from repro.core.packets import SUPER_ROOT_NODE, ReturnAddress, TaskPacket, WorkSpec
+        from repro.core.stamps import LevelStamp
+        from repro.sim.task import SpawnRecord, SpawnState, TaskInstance
+
+        policy = RollbackRecovery()
+        machine = Machine(
+            SimConfig(n_processors=4), TreeWorkload(balanced_tree(1, 3, 1), "t"), policy
+        )
+        node = machine.node(0)
+        work = WorkSpec(kind="tree", tree_node=1)
+        holder = TaskInstance(
+            1, TaskPacket(LevelStamp.of(0), work, ReturnAddress(SUPER_ROOT_NODE, 0)), 0, None
+        )
+        holder.status = TaskStatus.SUSPENDED
+        node.instances[holder.uid] = holder
+        machine.register_instance(holder)
+        table = policy.table_of(node)
+        # digit 0: awaited on DEAD; 1: answered, checkpoint stale; 2: awaited on OTHER
+        for digit, executor in ((0, self.DEAD), (1, self.DEAD), (2, self.OTHER)):
+            stamp = holder.stamp.child(digit)
+            packet = TaskPacket(stamp, work, ReturnAddress(0, holder.uid))
+            holder.spawn_records[digit] = SpawnRecord(
+                digit, stamp, packet, state=SpawnState.PLACED, executor=executor,
+                checkpointed=True,
+            )
+            assert table.record(executor, stamp, packet, holder.uid) is not None
+        holder.spawn_records[1].fulfill(1)
+        # and a checkpoint whose holder instance no longer exists
+        assert table.record(self.DEAD, LevelStamp.of(7, 0), packet, task_uid=99) is not None
+        return policy, machine, node, holder
+
+    def test_reissue_false_discards_the_entry_unused(self):
+        policy, machine, node, holder = self.build()
+        table = policy.table_of(node)
+        assert policy.replay_entry(node, self.DEAD, reason="unused", reissue=False) == []
+        assert table.entry(self.DEAD) == [] and len(table.entry(self.OTHER)) == 1
+        table.check_invariant()
+        awaited, _, elsewhere = (holder.spawn_records[d] for d in (0, 1, 2))
+        assert not awaited.checkpointed and awaited.executor == self.DEAD
+        assert elsewhere.checkpointed
+        assert machine.metrics.tasks_reissued == 0 and not awaited.reissued
+        assert len(machine.trace) == 0
+
+    def test_by_default_only_the_awaited_checkpoint_is_reissued(self):
+        policy, machine, node, holder = self.build()
+        awaited = holder.spawn_records[0]
+        replayed = policy.replay_entry(node, self.DEAD, reason="why")
+        assert replayed == [awaited.child_stamp]
+        assert policy.table_of(node).entry(self.DEAD) == []
+        assert awaited.reissued and awaited.executor != self.DEAD
+        assert machine.metrics.tasks_reissued == 1
+        (reissue,) = machine.trace.of_kind("recovery_reissue")
+        assert reissue.detail["reason"] == "why"
+        # counting is the caller's one-liner, not the loop's
+        assert machine.metrics.recoveries_triggered == 0
+        policy.recovered(replayed)
+        policy.recovered([])
+        assert machine.metrics.recoveries_triggered == 1

@@ -74,35 +74,18 @@ class TestGenealogy:
         assert not b.is_ancestor_of(a)
         assert not a.is_ancestor_of(a)
 
-    def test_parent_grandparent_predicates(self):
+    def test_parent_predicate(self):
         g = LevelStamp.of(0)
         p = g.child(1)
         c = p.child(2)
         assert g.is_parent_of(p)
         assert not g.is_parent_of(c)
-        assert g.is_grandparent_of(c)
-        assert not g.is_grandparent_of(p)
 
     def test_unrelated(self):
         a = LevelStamp.of(0, 1)
         b = LevelStamp.of(1, 0)
         assert not a.is_ancestor_of(b)
-        assert not a.related(b)
-        assert a.related(a)
-
-    def test_distance(self):
-        a = LevelStamp.of(0)
-        d = LevelStamp.of(0, 1, 2, 3)
-        assert a.distance_to_descendant(d) == 3
-        assert a.distance_to_descendant(a) == 0
-        with pytest.raises(ValueError):
-            d.distance_to_descendant(a)
-
-    def test_common_ancestor(self):
-        a = LevelStamp.of(0, 1, 2)
-        b = LevelStamp.of(0, 1, 5, 6)
-        assert a.common_ancestor(b) == LevelStamp.of(0, 1)
-        assert a.common_ancestor(a) == a
+        assert not b.is_ancestor_of(a)
 
     @given(stamps, digits)
     def test_child_parent_roundtrip(self, stamp, digit):
@@ -119,12 +102,6 @@ class TestGenealogy:
     def test_ancestor_transitive(self, a, b, c):
         if a.is_ancestor_of(b) and b.is_ancestor_of(c):
             assert a.is_ancestor_of(c)
-
-    @given(stamps, stamps)
-    def test_common_ancestor_is_ancestor_of_both(self, a, b):
-        ca = a.common_ancestor(b)
-        for s in (a, b):
-            assert ca == s or ca.is_ancestor_of(s)
 
     @given(stamps)
     def test_root_is_weak_ancestor_of_all(self, s):

@@ -276,6 +276,32 @@ class TestRegistryAndGrammar:
             model = one_model(info.example, base_makespan=100.0)
             assert model.name == info.name
 
+    #: Each model's bare clause (required parameters only) beside the same
+    #: object from the Python API, whose constructors keep their own defaults.
+    BARE = {
+        "crash": ("crash:at=0.5,node=1", lambda: ScheduledCrash.single(0.5, 1)),
+        "cascade": ("cascade:at=0.5,node=1", lambda: CascadingCrash(0.5, 1)),
+        "partition": (
+            "partition:start=0.25,dur=0.5,group=0-1", lambda: Partition(0.25, 0.5, (0, 1))
+        ),
+        "chaos": ("chaos", MessageChaos),
+        "grayfail": ("grayfail:node=1,start=0.25,dur=0.5", lambda: GrayFailure(1, 0.25, 0.5)),
+        "jitter": ("jitter", DetectorJitter),
+    }
+
+    def test_the_bare_clauses_cover_the_registry(self):
+        assert set(self.BARE) == set(all_models())
+
+    @pytest.mark.parametrize("name", sorted(BARE))
+    def test_a_bare_clause_arms_the_tables_defaults(self, name):
+        # the registry's factories carry no defaults of their own, so what a
+        # bare clause arms *is* the default column `faults describe` prints
+        text, python_api = self.BARE[name]
+        table = get_model(name).params
+        (clause,) = NemesisSpec.parse(text).clauses
+        assert [key for key, _ in clause.params] == [k for k, p in table.items() if p.required]
+        assert vars(one_model(text)) == vars(python_api())
+
     def test_fraction_params_scale_with_base_makespan(self):
         model = one_model("crash:at=0.5,node=1", base_makespan=200.0)
         assert list(model.schedule)[0].time == 100.0

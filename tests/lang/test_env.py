@@ -43,11 +43,6 @@ class TestEnv:
         assert EMPTY_ENV.depth() == 1
         assert EMPTY_ENV.extend([], []).depth() == 2
 
-    def test_flatten_shadowing(self):
-        env = EMPTY_ENV.extend(["x", "y"], [1, 2]).extend(["x"], [9])
-        flat = env.flatten()
-        assert flat == {"x": 9, "y": 2}
-
     @given(
         st.dictionaries(st.text(min_size=1, max_size=4), st.integers(), max_size=6),
         st.dictionaries(st.text(min_size=1, max_size=4), st.integers(), max_size=6),

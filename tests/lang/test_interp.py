@@ -14,7 +14,7 @@ from repro.errors import (
     TypeMismatchError,
     UnboundVariableError,
 )
-from repro.lang.compileprog import compile_defs, compile_program
+from repro.lang.compileprog import Program, compile_program
 from repro.lang.interp import EvalStats, evaluate, run_program
 
 
@@ -178,19 +178,15 @@ class TestProgramCompilation:
         with pytest.raises(ParseError):
             compile_program("(define (f) 1) (define (f) 2) (f)")
 
-    def test_compile_defs_rejects_main(self):
-        with pytest.raises(ParseError):
-            compile_defs("(define (f) 1) (f)")
-
     def test_with_main(self):
-        lib = compile_defs("(define (sq x) (* x x))")
+        lib = compile_program("(define (sq x) (* x x)) (sq 2)")
         program = lib.with_main("(sq 9)")
         assert evaluate(program) == 81
 
     def test_evaluate_requires_main(self):
-        lib = compile_defs("(define (f) 1)")
+        lib = compile_program("(define (f) 1) (f)")
         with pytest.raises(EvalError):
-            evaluate(lib)
+            evaluate(Program(defs=lib.defs))
 
 
 class TestDeterminacy:

@@ -577,6 +577,38 @@ class TestDiagnostics:
         assert err.startswith("error: unknown ") and "'nosuch'" in err
         assert '"' not in err and "\\" not in err
 
+    @pytest.mark.parametrize(
+        "workload",
+        ["balanced:0:0:0", "chain:-1:5", "wide:0:0", "random:1:0", "balanced:-1:2:3",
+         "balanced:50:50:1"],
+    )
+    def test_a_shape_nothing_can_be_built_from_is_one_line(self, workload, capsys):
+        # was: a ValueError traceback out of the tree builder (exit 1), and
+        # for balanced:50:50:1 a build that never returned
+        code, text = run_cli("run", workload)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: workload kind ")
+        assert repr(workload) in err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_replication_factor_below_one_never_reaches_the_simulator(self, k, capsys, tmp_path):
+        # the flag value is refused by argparse (usage + one error line) ...
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "fib-10", f"--policy=replicated:{k}")
+        assert exit_info.value.code == 2
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert "replication factor must be >= 1" in line
+        # ... and the same string inside a document by the one handler in main
+        code, doc = run_cli("run", "fib-10", "--policy", "replicated:3", "--dry-run")
+        assert code == 0
+        path = tmp_path / "spec.json"
+        path.write_text(doc.replace('"replicated:3"', f'"replicated:{k}"'), encoding="utf-8")
+        code, text = run_cli("run", "--spec-json", str(path))
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "replication factor must be >= 1" in err
+
     def test_every_verb_has_a_handler(self):
         from repro.cli import HANDLERS, build_parser
 

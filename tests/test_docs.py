@@ -198,10 +198,17 @@ OVERFLOW_POLICY_NAMES = ("drop", "tail", "backpressure")
 
 #: The policy-spec names are API: RunSpec documents, sweep cache keys,
 #: CLI flags, and docs all match on these strings, so renames are
-#: breaking changes and must be made deliberately (here,
-#: docs/POLICIES.md, and docs/API.md).
-SIMPLE_POLICY_NAMES = ("none", "rollback", "splice", "reversible")
-PERSIST_MODE_NAMES = ("volatile", "durable", "hybrid")
+#: breaking changes and must be made deliberately (here and in the one
+#: catalog table, ``repro.api.specs.POLICY_PARAMS``; the CLI, the
+#: ``--policy`` help and docs/POLICIES.md are checked against that table).
+POLICY_CATALOG = {
+    "none": {},
+    "rollback": {},
+    "splice": {},
+    "reversible": {},
+    "incremental": {"persist": ("volatile", "durable", "hybrid")},
+    "replicated": {"k": ()},
+}
 
 #: The public surface of repro.policies, pinned like repro.api: the
 #: PolicySpec builder and docs/POLICIES.md reference these names.
@@ -640,24 +647,30 @@ class TestPolicyReferences:
         from repro.api.specs import POLICY_PARAMS
         from repro.policies import PERSIST_MODES
 
-        assert PolicySpec._SIMPLE == SIMPLE_POLICY_NAMES, (
+        catalog = {
+            name: {key: param.choices for key, param in table.items()}
+            for name, table in POLICY_PARAMS.items()
+        }
+        assert catalog == POLICY_CATALOG, (
             "policy-spec names changed; RunSpec documents and sweep caches "
             "match on these strings — update here and docs/POLICIES.md "
             "deliberately"
         )
-        assert POLICY_PARAMS["incremental"]["persist"].choices == PERSIST_MODE_NAMES
-        assert PERSIST_MODES == PERSIST_MODE_NAMES
+        assert PERSIST_MODES == POLICY_CATALOG["incremental"]["persist"]
+        for name in POLICY_PARAMS:
+            # every row builds, and the class it builds answers to the row's name
+            assert PolicySpec.parse(name).build().name == name
 
     def test_cli_policy_help_names_every_policy(self):
+        from repro.api.specs import POLICY_PARAMS
         from repro.cli import POLICIES, POLICY_HELP
 
-        assert set(POLICIES) == set(SIMPLE_POLICY_NAMES) | {
-            "incremental",
-            "replicated",
-        }
-        for name in POLICIES:
+        assert POLICIES == tuple(POLICY_PARAMS)
+        for name, table in POLICY_PARAMS.items():
             assert name in POLICY_HELP, f"policy {name!r} missing from --policy help"
-        assert "persist=volatile|durable|hybrid" in POLICY_HELP
+            for key, param in table.items():
+                if param.choices:
+                    assert f"{key}={'|'.join(param.choices)}" in POLICY_HELP
         assert "replicated[:K]" in POLICY_HELP
 
     def test_cli_policy_flag_validates_specs(self):
@@ -676,15 +689,61 @@ class TestPolicyReferences:
             )
 
     def test_every_policy_documented_in_policies_md(self):
+        from repro.api import PolicySpec
+        from repro.api.specs import POLICY_PARAMS
+
         policies_doc = read_docs()["docs/POLICIES.md"]
-        for name in SIMPLE_POLICY_NAMES + ("incremental", "replicated"):
-            assert f"`{name}" in policies_doc, (
-                f"policy {name!r} missing from docs/POLICIES.md"
+        section = policies_doc.split("## Policy catalog", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        # the doc's catalog table is the code's: same names, same classes
+        documented = {row[0].partition("[")[0]: row[1] for row in rows}
+        assert documented == {
+            name: type(PolicySpec.parse(name).build()).__name__ for name in POLICY_PARAMS
+        }
+        for table in POLICY_PARAMS.values():
+            for param in table.values():
+                for choice in param.choices:
+                    assert f"`{choice}`" in policies_doc, (
+                        f"parameter value {choice!r} missing from docs/POLICIES.md"
+                    )
+
+    def test_recovery_rules_table_names_real_methods_and_policies(self):
+        from repro.api.specs import POLICY_PARAMS
+        from repro.core import RollbackRecovery, SpliceRecovery
+        from repro.policies import IncrementalRecovery, ReversibleRecovery
+        from repro.sim.node import Node
+
+        owners = {
+            cls.__name__: cls
+            for cls in (
+                RollbackRecovery, SpliceRecovery, IncrementalRecovery, ReversibleRecovery, Node,
             )
-        for mode in PERSIST_MODE_NAMES:
-            assert f"`{mode}`" in policies_doc, (
-                f"persist mode {mode!r} missing from docs/POLICIES.md"
-            )
+        }
+        policies_doc = read_docs()["docs/POLICIES.md"]
+        section = policies_doc.split("## Recovery rules", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith(("| Rule", "| ---"))
+        ]
+        assert len(rows) >= 6
+        stated = set()
+        for rule, _, method, composed_by in rows:
+            owner, _, name = method.strip("`").partition(".")
+            assert callable(getattr(owners[owner], name)), f"{rule}: no {method}"
+            assert name in owners[owner].__dict__, f"{method} is inherited, not stated there"
+            stated.add(name)
+            named = re.findall(r"`([a-z]+)`", composed_by)
+            assert named and set(named) <= set(POLICY_PARAMS), (rule, named)
+        # the six rules the policies compose, and the node's two tails
+        assert stated >= {
+            "_unwind_results", "replay_entry", "_register_twin", "_abort_starved_tasks",
+            "_repair_waiters", "recovered", "_mark_aborted", "ignore_result",
+        }
 
     def test_policy_compare_scenarios_registered_and_documented(self):
         registered = set(all_scenarios())

@@ -16,11 +16,8 @@ from repro.util.stats import (
     _resampled_medians,
     bootstrap_delta_ci,
     bootstrap_median_ci,
-    confidence_interval,
-    geometric_mean,
     percentiles,
     quartiles,
-    ratio_of_means,
     summarize,
 )
 
@@ -59,65 +56,6 @@ class TestSummarize:
     def test_str_contains_fields(self):
         text = str(summarize([1.0, 2.0]))
         assert "mean" in text and "n=2" in text
-
-
-class TestConfidenceInterval:
-    def test_single_point_degenerate(self):
-        lo, hi = confidence_interval([5.0])
-        assert lo == hi == 5.0
-
-    def test_contains_mean(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        lo, hi = confidence_interval(values)
-        assert lo <= np.mean(values) <= hi
-
-    def test_wider_at_higher_level(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        lo95, hi95 = confidence_interval(values, 0.95)
-        lo99, hi99 = confidence_interval(values, 0.99)
-        assert hi99 - lo99 > hi95 - lo95
-
-    def test_invalid_level(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 2.0], level=1.5)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            confidence_interval([])
-
-    @given(st.lists(finite_floats, min_size=2, max_size=30))
-    def test_symmetric_around_mean(self, values):
-        lo, hi = confidence_interval(values)
-        mean = float(np.mean(values))
-        assert (mean - lo) == pytest.approx(hi - mean, abs=1e-9 + abs(mean) * 1e-9)
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    @given(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=1, max_size=20))
-    def test_between_min_and_max(self, values):
-        g = geometric_mean(values)
-        assert min(values) <= g * (1 + 1e-9)
-        assert g <= max(values) * (1 + 1e-9)
-
-
-class TestRatioOfMeans:
-    def test_known(self):
-        assert ratio_of_means([2.0, 4.0], [1.0, 2.0]) == pytest.approx(2.0)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            ratio_of_means([1.0], [0.0])
 
 
 class TestQuartiles:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.tables import format_series, format_table
+from repro.util.tables import format_table
 
 
 class TestFormatTable:
@@ -36,19 +36,3 @@ class TestFormatTable:
         out = format_table(["a"], [["wide-cell-content"]])
         assert "wide-cell-content" in out
 
-
-class TestFormatSeries:
-    def test_basic(self):
-        out = format_series("n", [1, 2], {"time": [0.5, 1.5]})
-        assert "| n " in out
-        assert "| time" in out
-        assert "1.5" in out
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("n", [1, 2], {"time": [0.5]})
-
-    def test_multiple_series(self):
-        out = format_series("n", [1], {"a": [1], "b": [2]})
-        header_line = out.splitlines()[1]
-        assert "a" in header_line and "b" in header_line

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.workloads.trees import (
+    MAX_TREE_TASKS,
+    SHAPES,
     balanced_tree,
     chain_tree,
     random_tree,
@@ -117,3 +119,45 @@ class TestRandom:
     def test_work_in_range(self, seed):
         spec = random_tree(seed=seed, target_tasks=15, work_range=(5, 30))
         assert all(5 <= n.work <= 30 for n in spec.nodes.values())
+
+
+class TestShapeTable:
+    """``SHAPES``: each kind's arithmetic agrees with what its builder builds."""
+
+    @given(st.data())
+    def test_task_count_is_the_builders(self, data):
+        kind = data.draw(st.sampled_from(sorted(SHAPES)))
+        shape = SHAPES[kind]
+        args = tuple(
+            data.draw(st.integers(minimum if minimum is not None else -3, 5), label=name)
+            for name, minimum in shape.args
+        )
+        assert shape.refusal(args) is None
+        built = len(shape.build(*args))
+        if kind == "random":
+            assert 1 <= built <= shape.tasks(*args)
+        else:
+            assert built == shape.tasks(*args)
+
+    def test_arguments_left_out_count_at_the_builders_defaults(self):
+        # balanced's fanout defaults to 2: depth 17 is 2**18 - 1 tasks, depth 18 too many
+        assert SHAPES["balanced"].refusal((17,)) is None
+        assert SHAPES["balanced"].refusal((18,)) == (0, f"asks for more than {MAX_TREE_TASKS} tasks")
+        assert SHAPES["balanced"].refusal((18, 1)) is None
+
+    def test_minima_are_the_builders_own_range_checks(self):
+        for kind, shape in SHAPES.items():
+            for at, (name, minimum) in enumerate(shape.args):
+                if minimum is None:
+                    continue
+                args = [max(m or 0, 1) for _, m in shape.args]
+                args[at] = minimum - 1
+                assert shape.out_of_range(args) == (at, f"{name} must be >= {minimum}")
+                with pytest.raises(ValueError, match=f"{name} must be >= {minimum}"):
+                    shape.build(*args)
+
+    def test_depth_is_not_bounded_by_the_interpreter_stack(self):
+        # the recursive builders died past ~450 levels (random:1:1500 included)
+        assert len(balanced_tree(3000, 1)) == 3001
+        assert len(skewed_tree(3000, 2)) == 1 + 3000 * 2
+        assert 1 <= len(random_tree(seed=1, target_tasks=5000)) <= 5000
