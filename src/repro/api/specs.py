@@ -110,7 +110,16 @@ class WorkloadSpec:
                     spec=text, field="workload.prog", value=parts[0],
                     allowed=tuple(sorted(PROGRAMS)), position=len("prog:"),
                 )
-            args = cls._parse_args(text, parts[1:], offset=len("prog:") + len(parts[0]) + 1)
+            at = len("prog:") + len(parts[0]) + 1
+            args = cls._parse_args(text, parts[1:], offset=at)
+            takes = PROGRAMS[parts[0]].spec_arity
+            if args and len(args) != takes:
+                raise SpecError(
+                    f"program {parts[0]!r} takes {takes} integer args "
+                    f"(or none, for its defaults), got {len(args)}",
+                    spec=text, field="workload.prog", value=rest[len(parts[0]) + 1:],
+                    position=at,
+                )
             return cls("prog", name=parts[0], args=args)
         from repro.workloads.trees import SHAPES
 

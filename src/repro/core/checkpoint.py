@@ -26,9 +26,9 @@ which is exact in the absence of racing lineages.
 
 **Indexing.**  ``record`` runs on every placement acknowledgement and a
 drop on every child result, so neither may scan an entry, probe every
-destination, or build per-level containers.  All indexes key on raw
-``digits`` tuples (hashed in C — no ``LevelStamp.__hash__`` runs inside
-the table):
+destination, or build per-level containers.  Both indexes are per entry
+and key on raw ``digits`` tuples (hashed in C — no
+``LevelStamp.__hash__`` runs inside the table):
 
 - ``by_stamp`` (per entry): exact stamp → the checkpoints recorded for
   it, one per holder, as a tuple.  The "is B2 covered?" test walks B2's
@@ -42,9 +42,12 @@ the table):
   ``by_stamp``.  Insertion and removal walk root-ward and stop at the
   first prefix that stays populated, so siblings and cousins of a
   recorded stamp cost one counter update, not one per level.
-- ``_dests`` (per table): ``(digits, holder)`` → the destinations whose
-  entries record that key, so a holder-keyed ``drop_everywhere`` goes
-  straight to the entry instead of probing every destination.
+
+There is no table-wide index from a checkpoint to its entry: whoever
+recorded it was handed the destination and keeps it (the policies store
+it on the spawn record that retains the packet), so a drop goes
+straight to ``drop(dest, stamp, holder)``.  ``drop_everywhere`` is for a
+caller that does not know, and probes every entry.
 
 Tables that belong to one machine share a :class:`HeldTotal`, the
 running machine-wide count of retained checkpoints.
@@ -78,7 +81,6 @@ class FunctionalCheckpoint:
 
 
 _Digits = tuple
-_Key = Tuple[_Digits, int]  # (child stamp digits, holder task uid)
 
 
 class HeldTotal:
@@ -112,7 +114,6 @@ class CheckpointTable:
 
     def __init__(self, total: Optional[HeldTotal] = None) -> None:
         self._entries: Dict[int, _DestEntry] = {}
-        self._dests: Dict[_Key, Tuple[int, ...]] = {}
         self._total = total if total is not None else HeldTotal()
         self._total.tables.add(self)
         self._held = 0
@@ -180,8 +181,6 @@ class CheckpointTable:
             if count:
                 break
             level -= 1
-        key = (digits, task_uid)
-        self._dests[key] = self._dests.get(key, ()) + (dest,)
         self.recorded += 1
         self._total.held += 1
         self._held += 1
@@ -209,7 +208,7 @@ class CheckpointTable:
         else:
             entry.by_stamp[digits] = tuple(c for c in recorded if c.task_uid != task_uid)
         below = entry.below
-        for checkpoint in doomed:
+        for _ in doomed:
             # Mirror of record(): uncount root-ward while prefixes empty.
             level = len(digits) - 1
             while level >= 0:
@@ -220,33 +219,15 @@ class CheckpointTable:
                     break
                 del below[prefix]
                 level -= 1
-            key = (digits, checkpoint.task_uid)
-            dests = self._dests[key]
-            if len(dests) == 1:
-                del self._dests[key]
-            else:
-                at = dests.index(dest)
-                self._dests[key] = dests[:at] + dests[at + 1 :]
         self._held -= len(doomed)
         self._total.held -= len(doomed)
         self.dropped += len(doomed)
         return True
 
     def drop_everywhere(self, stamp: LevelStamp, task_uid: Optional[int] = None) -> int:
-        """Remove a stamp from all entries (placement changed or unknown).
-
-        With the holder given, only the entries that record its key are
-        visited; without one, every destination is probed.
-        """
-        if task_uid is None:
-            dests = tuple(self._entries)
-        else:
-            dests = self._dests.get((stamp.digits, task_uid), ())
-        removed = 0
-        for dest in dests:
-            if self.drop(dest, stamp, task_uid):
-                removed += 1
-        return removed
+        """Remove a stamp from every entry that records it (for a caller
+        that does not know the placement; one that does calls ``drop``)."""
+        return sum(self.drop(dest, stamp, task_uid) for dest in self._entries)
 
     # -- queries --------------------------------------------------------------
 
@@ -282,10 +263,10 @@ class CheckpointTable:
     def check_invariant(self) -> None:
         """Assert the per-lineage topmost invariant (stamp-only form: no
         two entries of one destination may be stamp-related *and* share a
-        holder), and that every index — ``by_stamp``, ``below``,
-        ``_dests``, the held counter and the shared total — agrees with a
-        from-scratch recomputation."""
-        dests_of: Dict[_Key, List[int]] = {}
+        holder), and that every index — ``by_stamp``, ``below``, the held
+        counter and the shared total — agrees with a from-scratch
+        recomputation."""
+        held = 0
         for dest, entry in self._entries.items():
             checkpoints = [c for recorded in entry.by_stamp.values() for c in recorded]
             for a in checkpoints:
@@ -314,13 +295,8 @@ class CheckpointTable:
                     below[child[:-1]] = below.get(child[:-1], 0) + 1
             if entry.below != below:
                 raise AssertionError(f"descendant counts out of sync in entry {dest}")
-            for c in checkpoints:
-                dests_of.setdefault((c.stamp.digits, c.task_uid), []).append(dest)
-        if {k: sorted(v) for k, v in self._dests.items()} != {
-            k: sorted(v) for k, v in dests_of.items()
-        }:
-            raise AssertionError("key->destination map out of sync with entries")
-        if self._held != sum(len(v) for v in dests_of.values()):
+            held += len(checkpoints)
+        if self._held != held:
             raise AssertionError("held counter out of sync with entries")
         if self._total.held != sum(t.held() for t in self._total.tables):
             raise AssertionError("shared held total out of sync with its tables")

@@ -40,6 +40,10 @@ class FaultTolerance:
     name = "base"
     #: Whether parents arm the state-b acknowledgement timeout (§4.3.2).
     uses_ack_timers = True
+    #: Whether nodes keep ``Node.spawn_index``, the child-stamp index of
+    #: outstanding spawn records (only a policy that looks a record up by
+    #: a stamp it was not handed pays for one).
+    uses_spawn_index = False
 
     def __init__(self) -> None:
         self.machine: "Machine" = None  # set by attach()

@@ -92,9 +92,11 @@ class RollbackRecovery(FaultTolerance):
 
     def on_placement_ack(self, node, task, record, ack) -> None:
         table = self.table_of(node)
-        # A re-placement moves the checkpoint to the new executor's entry.
-        if record.checkpointed:
-            table.drop_everywhere(record.child_stamp, task.uid)
+        # A re-placement moves the checkpoint to the new executor's entry;
+        # the record remembers which entry it was recorded in.
+        if record.checkpoint_dest is not None:
+            table.drop(record.checkpoint_dest, record.child_stamp, task.uid)
+            record.checkpoint_dest = None
         checkpoint = table.record(
             ack.executor,
             record.child_stamp,
@@ -102,8 +104,8 @@ class RollbackRecovery(FaultTolerance):
             task.uid,
             covers=self.instance_covers,
         )
-        record.checkpointed = checkpoint is not None
         if checkpoint is not None:
+            record.checkpoint_dest = ack.executor
             metrics = self.machine.metrics
             metrics.checkpoints_recorded += 1
             # The tables keep the machine-wide total current as they
@@ -123,8 +125,11 @@ class RollbackRecovery(FaultTolerance):
 
     def on_child_result(self, node, task, record, value) -> None:
         # The child's whole subtree completed: its recovery point is moot.
-        if record.checkpointed:
-            if self.table_of(node).drop_everywhere(record.child_stamp, task.uid):
+        dest = record.checkpoint_dest
+        if dest is not None:
+            record.checkpoint_dest = None
+            # False when a newer topmost stamp subsumed the checkpoint since.
+            if self.table_of(node).drop(dest, record.child_stamp, task.uid):
                 self.machine.metrics.checkpoints_dropped += 1
                 if node.trace.enabled:
                     node.trace.emit(
@@ -133,7 +138,6 @@ class RollbackRecovery(FaultTolerance):
                         "checkpoint_dropped",
                         stamp=record.child_stamp,
                     )
-            record.checkpointed = False
 
     # -- recovery -----------------------------------------------------------------
 
@@ -162,7 +166,7 @@ class RollbackRecovery(FaultTolerance):
             record = holder.record_for_child(checkpoint.stamp)
             if record is None or record.has_result:
                 continue
-            record.checkpointed = False
+            record.checkpoint_dest = None
             if reissue:
                 self.before_reissue(node, checkpoint.stamp)
                 node.reissue_record(holder, record, reason=reason)

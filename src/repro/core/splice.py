@@ -60,6 +60,7 @@ class SpliceRecovery(RollbackRecovery):
     """Rollback plus grandparent relays and partial-result inheritance."""
 
     name = "splice"
+    uses_spawn_index = True  # the grandparent side finds a dead task's record by stamp
 
     def make_node_state(self, node: "Node") -> _NodeState:
         return _NodeState(table=CheckpointTable(self.held_total))
@@ -154,8 +155,9 @@ class SpliceRecovery(RollbackRecovery):
         if holder is None:
             return None
         twin = self._register_twin(node, stamp, reactive=True)
-        record.checkpointed = False
-        self.table_of(node).drop_everywhere(stamp, holder.uid)
+        if record.checkpoint_dest is not None:
+            self.table_of(node).drop(record.checkpoint_dest, stamp, holder.uid)
+            record.checkpoint_dest = None
         node.reissue_record(holder, record, reason="splice-twin")
         # Reactive twin creation is a recovery activation in its own
         # right (the orphan's reroute, not the detector, initiated it).

@@ -27,6 +27,16 @@ class NamedProgram:
     reference: Callable[..., Any]  # ground-truth answer
     default_args: Tuple[Any, ...]
 
+    @property
+    def spec_arity(self) -> int:
+        """How many integers a ``prog:NAME:ARG:...`` spec gives to replace
+        the defaults: one per field of the template (the defaults fill
+        exactly those), or 0 when a parameter is not an integer (qsort's
+        list is defaults-only)."""
+        if all(isinstance(arg, int) for arg in self.default_args):
+            return len(self.default_args)
+        return 0
+
     def build(self, *args: Any) -> Program:
         """Compile an instance of the program for the given arguments."""
         if not args:

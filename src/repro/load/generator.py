@@ -324,7 +324,7 @@ class LoadGenerator:
         if host is None:  # pragma: no cover - defensive
             return
         self.state.tree_arrived(index)
-        host.pending_deliveries[("arrival", index)] = index
+        host.deliver(("arrival", index), index)
         machine.super_root._make_ready(host)
 
     def summary(self, makespan: float) -> LoadSummary:

@@ -64,7 +64,7 @@ class ReversibleRecovery(RollbackRecovery):
                 record.result = None
                 record.has_result = False
                 record.fulfilled_by = None
-                node.spawn_index[record.child_stamp] = (task.uid, record)
+                node.index_spawn(task, record)
                 if node.trace.enabled:
                     node.trace.emit(
                         node.queue.now,

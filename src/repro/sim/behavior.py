@@ -145,7 +145,8 @@ class InterpBehavior(TaskBehavior):
     # -- driving --------------------------------------------------------------
 
     def advance(self, delivered: Dict[Digit, Any]) -> Advance:
-        self._results.update(delivered)
+        if delivered:
+            self._results.update(delivered)
         self._steps = 0
         self._demands = []
         old_limit = sys.getrecursionlimit()
@@ -347,20 +348,37 @@ class TreeSpec:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def _fold(self, visit, node_id: int) -> int:
+        """``visit(spec, child_results)`` over the subtree, children first.
+
+        A loop, not a recursion: a chain as deep as the interpreter's
+        stack limit is a legal tree.  Reversed pre-order puts every child
+        ahead of its parent.
+        """
+        nodes = self.nodes
+        order: List[int] = []
+        stack = [node_id]
+        while stack:
+            current = stack.pop()
+            order.append(current)
+            stack.extend(nodes[current].children)
+        results: Dict[int, int] = {}
+        for current in reversed(order):
+            spec = nodes[current]
+            results[current] = visit(spec, [results[c] for c in spec.children])
+        return results[node_id]
+
     def expected_value(self, node_id: int = 0) -> int:
-        spec = self.nodes[node_id]
-        return spec.value + sum(self.expected_value(c) for c in spec.children)
+        return self._fold(lambda spec, below: spec.value + sum(below), node_id)
 
     def total_work(self, node_id: int = 0) -> int:
-        spec = self.nodes[node_id]
-        own = spec.work + (spec.post_work if spec.children else 0)
-        return own + sum(self.total_work(c) for c in spec.children)
+        return self._fold(
+            lambda spec, below: spec.work + (spec.post_work if below else 0) + sum(below),
+            node_id,
+        )
 
     def depth(self, node_id: int = 0) -> int:
-        spec = self.nodes[node_id]
-        if not spec.children:
-            return 0
-        return 1 + max(self.depth(c) for c in spec.children)
+        return self._fold(lambda spec, below: 1 + max(below) if below else 0, node_id)
 
 
 class TreeBehavior(TaskBehavior):
@@ -376,7 +394,8 @@ class TreeBehavior(TaskBehavior):
         self._collected: Dict[Digit, Any] = {}
 
     def advance(self, delivered: Dict[Digit, Any]) -> Advance:
-        self._collected.update(delivered)
+        if delivered:
+            self._collected.update(delivered)
         if self._phase == 0:
             chunk = self.node.chunk
             if chunk is not None and self._remaining_work > chunk:

@@ -298,9 +298,10 @@ class Machine:
 
         Useful work is what is reachable from the root host by following
         *consumed-result* edges: each fulfilled spawn record remembers
-        which instance's result filled it.  Everything else — aborted
-        instances, stranded orphans, losing duplicate activations — is
-        waste (the quantity rollback pays and splice tries to save).
+        which instance's result filled it, and a retired task keeps just
+        those uids (``TaskInstance.consumed_uids``).  Everything else —
+        aborted instances, stranded orphans, losing duplicate activations
+        — is waste (the quantity rollback pays and splice tries to save).
         """
         useful: set[int] = set()
         stack = [self.root_host_uid] if self.root_host_uid is not None else []
@@ -312,9 +313,7 @@ class Machine:
             task = self.instance_registry.get(uid)
             if task is None:
                 continue
-            for record in task.spawn_records.values():
-                if record.has_result and record.fulfilled_by is not None:
-                    stack.append(record.fulfilled_by)
+            stack.extend(task.consumed_uids())
         wasted = 0
         for uid, task in self.instance_registry.items():
             if uid not in useful:

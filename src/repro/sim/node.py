@@ -54,7 +54,7 @@ from repro.sim.messages import (
     ResultMsg,
     TaskPacketMsg,
 )
-from repro.sim.task import SpawnRecord, SpawnState, TaskInstance, TaskStatus
+from repro.sim.task import NOTHING, SpawnRecord, SpawnState, TaskInstance, TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
@@ -80,7 +80,9 @@ class Node:
         self.policy = machine.policy
         self.cost = machine.config.cost
         self.is_super_root = node_id == SUPER_ROOT_NODE
-        #: All local instances by uid (kept after completion for accounting).
+        #: All local instances by uid.  One that is no longer live stays
+        #: as its tombstone (see :meth:`TaskInstance.retire`): lineage
+        #: tests, case 8 and the waste accounting still ask after it.
         self.instances: Dict[int, TaskInstance] = {}
         self.run_queue: deque[int] = deque()
         self.current: Optional[int] = None  # uid of the executing instance
@@ -89,10 +91,13 @@ class Node:
         #: a burst of simultaneous spawns spreads instead of piling onto
         #: whichever node looked idle at the instant of the first choice.
         self.inbound_pending: int = 0
-        #: Index of outstanding spawn records by child stamp (used by the
-        #: splice policy's grandchild lookup).  A stamp may be spawned by at
-        #: most one *live* local instance at a time.
-        self.spawn_index: Dict[LevelStamp, Tuple[int, SpawnRecord]] = {}
+        #: Index of outstanding spawn records by child stamp, kept only
+        #: under a policy that reads it (splice's grandchild lookup), else
+        #: None.  A stamp may be spawned by at most one *live* local
+        #: instance at a time.
+        self.spawn_index: Optional[Dict[LevelStamp, Tuple[int, SpawnRecord]]] = (
+            {} if self.policy.uses_spawn_index else None
+        )
         #: Processors this node knows to be dead.
         self.known_dead: Set[int] = set()
         self.ft_state = None  # policy-specific state, set by the machine
@@ -131,6 +136,7 @@ class Node:
         for task in self.live_tasks():
             task.status = _ABORTED
             task.queued = False
+            task.retire()
         self.run_queue.clear()
         self.current = None
 
@@ -200,8 +206,7 @@ class Node:
         if self.inbound_pending > 0:
             self.inbound_pending -= 1
         uid = self.machine.new_task_uid()
-        behavior = self.machine.workload.make_behavior(packet.work)
-        task = TaskInstance(uid, packet, self.id, behavior)
+        task = TaskInstance(uid, packet, self.id)
         self.instances[uid] = task
         self.machine.register_instance(task)
         self.metrics.tasks_accepted += 1
@@ -271,6 +276,8 @@ class Node:
             return
         self.current = task.uid
         task.status = _RUNNING
+        if task.behavior is None:  # first slice: a queued task carried none
+            task.behavior = self.machine.workload.make_behavior(task.packet.work)
         trace = self.trace
         if trace.enabled:
             trace.emit(
@@ -283,7 +290,7 @@ class Node:
         while True:
             delivered = task.pending_deliveries
             if delivered:
-                task.pending_deliveries = {}
+                task.pending_deliveries = NOTHING
             advance = task.behavior.advance(delivered)
             steps = advance.steps
             slice_steps += steps
@@ -300,7 +307,7 @@ class Node:
                     record.executor = None
                     record.fulfill(value)
                     record.fulfilled_by = sender_uid
-                    task.pending_deliveries[demand.digit] = value
+                    task.deliver(demand.digit, value)
                     metrics.results_salvaged += 1
                     if trace.enabled:
                         trace.emit(
@@ -335,9 +342,18 @@ class Node:
             replica=0,
         )
         record = SpawnRecord(digit=demand.digit, child_stamp=child_stamp, packet=packet)
-        task.spawn_records[demand.digit] = record
-        self.spawn_index[child_stamp] = (task.uid, record)
+        task.add_record(record)
+        self.index_spawn(task, record)
         return record
+
+    def index_spawn(self, task: TaskInstance, record: SpawnRecord) -> None:
+        """Enter an outstanding record in the spawn index, if one is kept.
+
+        Public because a policy that un-receives a result (reversible's
+        unwind) makes the record outstanding again.
+        """
+        if self.spawn_index is not None:
+            self.spawn_index[record.child_stamp] = (task.uid, record)
 
     def _finish_slice(
         self,
@@ -547,8 +563,11 @@ class Node:
             )
         self.policy.on_task_completed(self, task)
         if self.machine.is_root_host(task):
+            # The host is not retired: its record for the root task is the
+            # pre-evaluation checkpoint core/superroot.py reads after a run.
             self.machine.finish(task.result)
             return
+        task.retire()
         self.send_result(task)
 
     def send_result(self, task: TaskInstance, addressee: Optional[ReturnAddress] = None) -> None:
@@ -591,8 +610,7 @@ class Node:
                 return
             if msg.relayed and task.stamp.is_parent_of(msg.sender_stamp):
                 # Salvaged result arriving before the demand: buffer it.
-                digit = msg.sender_stamp.last_digit
-                task.inherited_results[digit] = (msg.value, msg.sender_instance)
+                task.inherit(msg.sender_stamp.last_digit, msg.value, msg.sender_instance)
                 if self.trace.enabled:
                     self.trace.emit(
                         self.queue.now,
@@ -667,8 +685,9 @@ class Node:
                     uid=task.uid,
                 )
         self.policy.on_child_result(self, task, record, msg.value)
-        self.spawn_index.pop(record.child_stamp, None)
-        task.pending_deliveries[record.digit] = msg.value
+        if self.spawn_index is not None:
+            self.spawn_index.pop(record.child_stamp, None)
+        task.deliver(record.digit, msg.value)
         self._make_ready(task)
 
     def ignore_result(self, msg: ResultMsg, reason: str) -> None:
@@ -721,12 +740,14 @@ class Node:
             if record.ack_timer is not None:
                 self.queue.cancel(record.ack_timer)
                 record.ack_timer = None
-            self.spawn_index.pop(record.child_stamp, None)
+            if self.spawn_index is not None:
+                self.spawn_index.pop(record.child_stamp, None)
         self._mark_aborted(task, reason)
 
     def _mark_aborted(self, task: TaskInstance, reason: str) -> None:
-        """The tail every abort ends in: status, count, trace."""
+        """The tail every abort ends in: status, tombstone, count, trace."""
         task.status = _ABORTED
+        task.retire()
         self.metrics.tasks_aborted += 1
         if self.trace.enabled:
             self.trace.emit(

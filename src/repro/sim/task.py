@@ -17,13 +17,23 @@ The record also *retains the packet copy* — that retained copy is the
 implicit functional checkpoint of §2: "As a child task is spawned to a new
 node, the parent task may retain a copy of the task packet.  This retained
 copy is all that the parent needs to regenerate the child task."
+
+An instance weighs what its state needs.  *Queued* (accepted, not yet
+run) it is the instance plus its packet: the behaviour is built at the
+first slice and each buffer at its first write.  *Live* it carries the
+behaviour, its spawn records and whatever results are buffered.  Once
+*reduced away* (completed, aborted or killed) :meth:`TaskInstance.retire`
+leaves a tombstone — uid, packet, status, steps, result and the uids
+whose results it consumed — which is all that lineage tests, duplicate
+detection and the end-of-run waste accounting read.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.packets import TaskPacket
 from repro.core.stamps import Digit, LevelStamp
@@ -44,9 +54,21 @@ class SpawnState(enum.Enum):
     FULFILLED = "g"
 
 
+#: What an instance's buffers and record map read as before their first
+#: write and after :meth:`TaskInstance.retire`: one shared, read-only,
+#: empty mapping (a write has to go through the method that creates the
+#: dict).
+NOTHING: Mapping = MappingProxyType({})
+
+
 @dataclass(slots=True)
 class SpawnRecord:
-    """Parent-side state for one spawned child."""
+    """Parent-side state for one spawned child.
+
+    The record *is* the functional checkpoint — it retains the packet —
+    so it, not a second map, also says which destination entry of the
+    node's checkpoint table lists it (``checkpoint_dest``).
+    """
 
     digit: Digit
     child_stamp: LevelStamp
@@ -65,11 +87,17 @@ class SpawnRecord:
     vote_decided: bool = False
     #: Scheduled ack-timeout event handle (cancelled on ack).
     ack_timer: Any = None
-    #: True once this record's packet has a checkpoint in the node table.
-    checkpointed: bool = False
+    #: The destination entry of the node's checkpoint table this record's
+    #: packet is recorded in, or None while it has no checkpoint there.
+    checkpoint_dest: Optional[int] = None
     #: True once a recovery policy has reissued this record's packet; the
     #: next fulfilment then closes a recovery (traced as recovery_complete).
     reissued: bool = False
+
+    @property
+    def checkpointed(self) -> bool:
+        """True once this record's packet has a checkpoint in the node table."""
+        return self.checkpoint_dest is not None
 
     def fulfill(self, value: Any) -> None:
         self.result = value
@@ -81,7 +109,10 @@ class TaskInstance:
     """One activation of a task packet on a node.
 
     Thousands of instances are live in a large run, so the class is
-    ``__slots__``-ed; new per-instance state must be declared here.
+    ``__slots__``-ed; new per-instance state must be declared here — and
+    should come to exist when first written, because most instances of a
+    large run are queued leaves that have not run a step (see the module
+    docstring for what each state holds).
     """
 
     __slots__ = (
@@ -95,29 +126,79 @@ class TaskInstance:
         "pending_deliveries",
         "steps_executed",
         "result",
-        "is_twin",
         "queued",
+        "consumed",
     )
 
-    def __init__(self, uid: int, packet: TaskPacket, node: int, behavior):
+    def __init__(self, uid: int, packet: TaskPacket, node: int, behavior=None):
         self.uid = uid
         self.packet = packet
         self.node = node
+        #: None until the node runs the first slice (the root host is
+        #: handed its behaviour), and again once retired.
         self.behavior = behavior
         self.status = TaskStatus.READY
         #: Spawn records keyed by the child's stamp digit.
-        self.spawn_records: Dict[Digit, SpawnRecord] = {}
+        self.spawn_records: Mapping[Digit, SpawnRecord] = NOTHING
         #: Salvaged results delivered before the corresponding demand was
         #: issued (splice recovery): consulted at demand time.
-        self.inherited_results: Dict[Digit, Any] = {}
-        #: Results that arrived and have not yet been consumed by a slice.
-        self.pending_deliveries: Dict[Digit, Any] = {}
+        self.inherited_results: Mapping[Digit, Any] = NOTHING
+        #: Results that arrived and have not yet been consumed by a slice
+        #: (written by :meth:`deliver`).
+        self.pending_deliveries: Mapping[Digit, Any] = NOTHING
         self.steps_executed = 0
         self.result: Any = None
-        self.is_twin = False
         #: True while this task's uid sits in its node's run queue — the
         #: O(1) mirror of queue membership the node maintains.
         self.queued = False
+        #: Set by :meth:`retire`: what :meth:`consumed_uids` read off the
+        #: spawn records before they were dropped.
+        self.consumed: Optional[Tuple[int, ...]] = None
+
+    # The three writers: each map comes to exist at its first entry.
+
+    def add_record(self, record: SpawnRecord) -> None:
+        if self.spawn_records:
+            self.spawn_records[record.digit] = record
+        else:
+            self.spawn_records = {record.digit: record}
+
+    def deliver(self, digit: Digit, value: Any) -> None:
+        """Buffer a value for the next slice to consume."""
+        if self.pending_deliveries:
+            self.pending_deliveries[digit] = value
+        else:
+            self.pending_deliveries = {digit: value}
+
+    def inherit(self, digit: Digit, value: Any, sender_uid: int) -> None:
+        """Buffer a salvaged result that outran its demand."""
+        if self.inherited_results:
+            self.inherited_results[digit] = (value, sender_uid)
+        else:
+            self.inherited_results = {digit: (value, sender_uid)}
+
+    def consumed_uids(self) -> Tuple[int, ...]:
+        """Uids of the instances whose results filled this task's records
+        — the edges the end-of-run waste accounting follows."""
+        if self.consumed is not None:
+            return self.consumed
+        if not self.spawn_records:  # a leaf, or a task that never ran
+            return ()
+        return tuple(
+            r.fulfilled_by
+            for r in self.spawn_records.values()
+            if r.has_result and r.fulfilled_by is not None
+        )
+
+    def retire(self) -> None:
+        """Reduce a task that stopped being live to its tombstone (state
+        *g* seen from the child's side: "reduced away").
+
+        Idempotent — a completed task may be aborted later as an orphan.
+        """
+        self.consumed = self.consumed_uids()  # its own answer once set
+        self.behavior = None
+        self.spawn_records = self.inherited_results = self.pending_deliveries = NOTHING
 
     @property
     def stamp(self) -> LevelStamp:

@@ -67,6 +67,7 @@ class TreeWorkload(Workload):
     def __init__(self, spec: TreeSpec, name: str = "tree"):
         self.spec = spec
         self.name = name
+        self._oracle: Any = _UNSET
 
     def root_work(self) -> WorkSpec:
         return WorkSpec(kind="tree", tree_node=0)
@@ -77,7 +78,9 @@ class TreeWorkload(Workload):
         return TreeBehavior(self.spec, work.tree_node)
 
     def expected_value(self) -> Any:
-        return self.spec.expected_value()
+        if self._oracle is _UNSET:
+            self._oracle = self.spec.expected_value()
+        return self._oracle
 
 
 class _Unset:

@@ -18,6 +18,7 @@ from repro.api import (
     WorkloadSpec,
 )
 from repro.api.specs import POLICY_PARAMS
+from repro.lang.programs import PROGRAMS
 from repro.errors import ReproError
 
 
@@ -74,6 +75,38 @@ class TestWorkloadSpec:
         with pytest.raises(SpecError) as exc_info:
             WorkloadSpec.parse("prog:nosuch:3")
         assert "fib" in exc_info.value.allowed
+
+    @pytest.mark.parametrize(
+        "text", ["prog:tak:1", "prog:tak:7:4:2:9", "prog:fib:1:2", "prog:qsort:3"]
+    )
+    def test_program_arity_is_checked_at_parse(self, text):
+        with pytest.raises(SpecError, match="takes [013] integer args") as exc_info:
+            WorkloadSpec.parse(text)
+        err = exc_info.value
+        name = text.split(":")[1]
+        assert err.field == "workload.prog" and err.spec == text
+        assert err.position == len(f"prog:{name}:") and text[err.position:] == err.value
+        # documents and the builder go through the same parse
+        with pytest.raises(SpecError, match="integer args"):
+            Experiment.workload(text)
+        with pytest.raises(SpecError, match="integer args"):
+            RunSpec.from_json({"schema": RUNSPEC_SCHEMA, "workload": text})
+
+    def test_every_program_builds_from_its_defaults_and_from_its_arity(self):
+        from string import Formatter
+
+        for name, program in PROGRAMS.items():
+            assert WorkloadSpec.parse(f"prog:{name}").build()[0]().program.main is not None
+            # the defaults fill exactly the template's fields, so their
+            # count is the arity a spec is checked against
+            fields = {f for _, f, _, _ in Formatter().parse(program.source_template)} - {None}
+            assert fields == {str(i) for i in range(len(program.default_args))}
+            if program.spec_arity:
+                assert program.spec_arity == len(fields)
+                text = ":".join([f"prog:{name}", *map(str, program.default_args)])
+                assert WorkloadSpec.parse(text).build()[0]().program.main is not None
+            else:
+                assert name == "qsort"
 
 
 class TestPolicySpec:
@@ -514,9 +547,8 @@ _SCALARS = (
 )
 _scalars = st.lists(st.sampled_from(_SCALARS), max_size=4)
 _WORKLOAD_HEADS = (
-    "balanced", "chain", "wide", "skewed", "random", "prog", "prog:fib",
-    "prog:nosuch", "fib-10", "nope", "",
-)
+    "balanced", "chain", "wide", "skewed", "random", "prog", "prog:nosuch", "fib-10", "nope", "",
+) + tuple(f"prog:{name}" for name in PROGRAMS)
 _POLICY_BODIES = (
     "0", "-1", "3", "x", "", "k=3", "persist=durable", "persist=bogus", "persist",
     "persist=hybrid,persist=hybrid",
@@ -538,6 +570,8 @@ class TestHostileStrings:
         built = _refused_or(lambda t: WorkloadSpec.parse(t).build(), ":".join([head] + args))
         if built is not None and built[1] is not None:
             assert built[1] <= MAX_TREE_TASKS
+        if built is not None and head.startswith("prog:"):
+            built[0]()  # a program is instantiated by the factory: an accepted arity compiles
 
     @given(
         st.sampled_from(tuple(POLICY_PARAMS) + ("healing", "")),

@@ -237,10 +237,10 @@ class TestReplayEntry:
         for digit, executor in ((0, self.DEAD), (1, self.DEAD), (2, self.OTHER)):
             stamp = holder.stamp.child(digit)
             packet = TaskPacket(stamp, work, ReturnAddress(0, holder.uid))
-            holder.spawn_records[digit] = SpawnRecord(
+            holder.add_record(SpawnRecord(
                 digit, stamp, packet, state=SpawnState.PLACED, executor=executor,
-                checkpointed=True,
-            )
+                checkpoint_dest=executor,
+            ))
             assert table.record(executor, stamp, packet, holder.uid) is not None
         holder.spawn_records[1].fulfill(1)
         # and a checkpoint whose holder instance no longer exists

@@ -12,7 +12,7 @@ from repro.errors import DeterminacyViolationError, ProtocolError
 from repro.sim import FaultSchedule, TreeWorkload
 from repro.sim.machine import Machine
 from repro.sim.messages import ResultMsg, TaskPacketMsg
-from repro.sim.task import SpawnState, TaskStatus
+from repro.sim.task import SpawnState, TaskInstance, TaskStatus
 from repro.workloads.trees import balanced_tree
 from repro.sim.behavior import TreeSpec, TreeTaskSpec
 
@@ -26,20 +26,24 @@ def small_machine(policy=None, n=3, seed=0, **cost_kw):
 
 
 class TestAcks:
-    def test_spawn_records_move_to_placed(self):
+    @pytest.fixture
+    def all_records(self, monkeypatch):
+        """Every spawn record of a finished run: a retired task drops its
+        records, so the run keeps them by never retiring."""
+        monkeypatch.setattr(TaskInstance, "retire", lambda self: None)
         m = small_machine()
-        result = m.run()
-        assert result.completed
-        for task in m.instance_registry.values():
-            for record in task.spawn_records.values():
-                assert record.state in (SpawnState.PLACED, SpawnState.FULFILLED)
+        assert m.run().completed
+        records = [r for t in m.instance_registry.values() for r in t.spawn_records.values()]
+        assert len(records) == 7  # the host's one and the six spawns of the tree
+        return records
 
-    def test_ack_cancels_timer(self):
-        m = small_machine()
-        result = m.run()
-        for task in m.instance_registry.values():
-            for record in task.spawn_records.values():
-                assert record.ack_timer is None or record.ack_timer.cancelled
+    def test_spawn_records_move_to_placed(self, all_records):
+        for record in all_records:
+            assert record.state in (SpawnState.PLACED, SpawnState.FULFILLED)
+
+    def test_ack_cancels_timer(self, all_records):
+        for record in all_records:
+            assert record.ack_timer is None or record.ack_timer.cancelled
 
     def test_no_spurious_reissues_fault_free(self):
         m = small_machine()

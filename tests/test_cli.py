@@ -90,6 +90,19 @@ class TestRun:
         assert err.startswith("error:") and "'x'" in err
         assert "Traceback" not in err
 
+    def test_a_deep_chain_runs_and_verifies(self):
+        # deeper than the interpreter's stack: nothing per-task may recurse
+        code, text = run_cli("run", "chain:900:1", "--processors", "4")
+        assert code == 0
+        assert "value=900 [verified]" in text
+
+    def test_wrong_program_arity_one_line_diagnostic(self, capsys):
+        code, text = run_cli("run", "prog:tak:1")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "takes 3 integer args" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_nemesis_flag(self):
         code, text = run_cli(
             "run", "balanced:3:2:10", "--policy", "splice",

@@ -56,6 +56,36 @@ class TestChain:
         with pytest.raises(ValueError):
             chain_tree(0)
 
+    def test_a_chain_deeper_than_the_stack_still_folds(self):
+        spec = chain_tree(5000, 1)
+        assert (spec.expected_value(), spec.depth()) == (5000, 4999)
+        assert spec.total_work() == 5000 + 4999  # work each, post-work on every parent
+
+
+def _recursive(spec, node_id=0):
+    """The folds as they were written: ``(value, total work, depth)``."""
+    node = spec.nodes[node_id]
+    below = [_recursive(spec, child) for child in node.children]
+    return (
+        node.value + sum(v for v, _, _ in below),
+        node.work + (node.post_work if below else 0) + sum(w for _, w, _ in below),
+        1 + max(d for _, _, d in below) if below else 0,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [balanced_tree(4, 3, 7), chain_tree(40, 3), wide_tree(9, 2), skewed_tree(5, 3, 4)]
+    + [random_tree(seed, 60) for seed in (0, 1, 2, 3, 5)],
+    ids=lambda spec: f"{len(spec)}-tasks",
+)
+def test_the_iterative_folds_agree_with_the_recursive_definition(spec):
+    assert (spec.expected_value(), spec.total_work(), spec.depth()) == _recursive(spec)
+    inner = max(n.node_id for n in spec.nodes.values() if n.children)  # some subtree
+    assert (
+        spec.expected_value(inner), spec.total_work(inner), spec.depth(inner)
+    ) == _recursive(spec, inner)
+
 
 class TestWide:
     def test_shape(self):
