@@ -24,17 +24,16 @@ Scenario shapes (work units in reduction steps):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict
 
-from repro.config import CostModel, SimConfig
-from repro.core.cases import classify_from_trace, extract_timeline
+from repro.config import CostModel
+from repro.core.cases import classify_from_trace
 from repro.core.splice import SpliceRecovery
 from repro.core.stamps import LevelStamp
 from repro.sim.behavior import TreeSpec, TreeTaskSpec
 from repro.sim.failure import FaultSchedule
-from repro.sim.machine import Machine, RunResult
-from repro.sim.workload import TreeWorkload
-from repro.workloads.figure1 import PinnedScheduler
+from repro.sim.machine import RunResult
+from repro.workloads.figure1 import pinned_machine
 
 #: Stamps of the actors in every driver tree: the host demands the root G
 #: as stamp 0; G's first child is P; P's first child is C.
@@ -68,12 +67,11 @@ def _run(
     n_processors: int = 4,
     seed: int = 0,
 ) -> CaseOutcome:
-    spec = TreeSpec(nodes)
-    cost = CostModel(detector_delay=detector_delay, detection_timeout=20.0)
-    config = SimConfig(n_processors=n_processors, topology="complete", seed=seed, cost=cost)
-    machine = Machine(config, TreeWorkload(spec, f"fig5-case{expected_case}"), SpliceRecovery())
-    machine.scheduler = PinnedScheduler(machine.topology, machine.rng, pins, pin_once=pin_once)
-    machine.scheduler.attach(machine)
+    machine = pinned_machine(
+        TreeSpec(nodes), pins, SpliceRecovery(), f"fig5-case{expected_case}",
+        cost=CostModel(detector_delay=detector_delay, detection_timeout=20.0),
+        n_processors=n_processors, seed=seed, pin_once=pin_once,
+    )
     result = machine.run(faults=FaultSchedule.single(kill_at, P_NODE))
     observed = classify_from_trace(result.trace, P_STAMP, C_STAMP)
     return CaseOutcome(expected_case=expected_case, observed_case=observed, result=result)

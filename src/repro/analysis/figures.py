@@ -11,15 +11,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.analysis.cases_driver import drive_all_cases
-from repro.analysis.residue import STATES, residue_sweep
+from repro.analysis.residue import residue_sweep
 from repro.core.rollback import RollbackRecovery
 from repro.core.splice import SpliceRecovery
+from repro.core.stamps import LevelStamp
+from repro.sim.trace import TraceRecord
 from repro.util.tables import format_table
 from repro.workloads.figure1 import (
     EXPECTED_CHECKPOINTS,
     EXPECTED_FRAGMENTS,
     EXPECTED_GRANDPARENTS,
-    FIGURE1_PLACEMENT,
     PROCESSOR_NAMES,
     PROCESSORS,
     figure1_scenario,
@@ -51,18 +52,22 @@ class FigureReport:
         }
 
 
-def _stamp_to_name(scenario) -> Dict[str, str]:
+def _stamp_to_name(scenario) -> Dict[LevelStamp, str]:
     """Map simulator stamps to the figure's task names via tree-node ids."""
-    mapping: Dict[str, str] = {}
+    mapping: Dict[LevelStamp, str] = {}
 
-    def walk(stamp_digits, node_id):
-        name = scenario.names[node_id]
-        mapping[".".join(map(str, stamp_digits))] = name
+    def walk(stamp: LevelStamp, node_id: int) -> None:
+        mapping[stamp] = scenario.names[node_id]
         for i, child in enumerate(scenario.spec.nodes[node_id].children):
-            walk(stamp_digits + [i], child)
+            walk(stamp.child(i), child)
 
-    walk([0], 0)  # the root task carries stamp "0" under the super-root
+    walk(LevelStamp.of(0), 0)  # the root task carries stamp 0 under the super-root
     return mapping
+
+
+def _named(names: Dict[LevelStamp, str], records: List[TraceRecord]) -> List[str]:
+    """The records' task names (a stamp outside the drawn tree names itself)."""
+    return [names.get(r.stamp, str(r.stamp)) for r in records]
 
 
 def figure1() -> FigureReport:
@@ -75,21 +80,19 @@ def figure1() -> FigureReport:
     # Checkpoints recorded against processor B, attributed to task names.
     recorded: Dict[str, set] = {}
     dropped: set = set()
-    for record in result.trace:
-        stamp = record.detail.get("stamp")
-        if record.kind == "checkpoint_recorded" and record.detail.get("dest") == PROCESSORS["B"]:
-            if record.time <= scenario.fault_time:
-                holder = PROCESSOR_NAMES.get(record.node, str(record.node))
-                recorded.setdefault(holder, set()).add(names.get(stamp, stamp))
-        if record.kind == "checkpoint_dropped" and record.time <= scenario.fault_time:
-            dropped.add(names.get(stamp, stamp))
+    for record in result.trace.of_kind("checkpoint_recorded", "checkpoint_dropped"):
+        if record.time > scenario.fault_time:
+            continue
+        task = names.get(record.stamp, str(record.stamp))
+        if record.kind == "checkpoint_dropped":
+            dropped.add(task)
+        elif record.extra.get("dest") == PROCESSORS["B"]:
+            holder = PROCESSOR_NAMES.get(record.node, str(record.node))
+            recorded.setdefault(holder, set()).add(task)
     checkpoints = {
         proc: frozenset(tasks - dropped) for proc, tasks in recorded.items()
     }
-    reissued = sorted(
-        names.get(r.detail["stamp"], r.detail["stamp"])
-        for r in result.trace.of_kind("recovery_reissue")
-    )
+    reissued = sorted(_named(names, result.trace.of_kind("recovery_reissue")))
 
     frag_ok = set(fragments) == set(EXPECTED_FRAGMENTS)
     ckpt_ok = checkpoints == EXPECTED_CHECKPOINTS
@@ -133,13 +136,12 @@ def figure1() -> FigureReport:
 def figure2() -> FigureReport:
     """Grandparent pointers (B3 -> A's node, D4 -> C's node)."""
     scenario = figure1_scenario()
-    machine = scenario.machine(SpliceRecovery())
-    result = machine.run(faults=scenario.faults())
+    machine, result = scenario.run(SpliceRecovery())
     names = _stamp_to_name(scenario)
 
     pointers: Dict[str, str] = {}
     for task in machine.instance_registry.values():
-        name = names.get(str(task.stamp))
+        name = names.get(task.stamp)
         if name is None:
             continue
         gp = task.packet.grandparent_node
@@ -172,18 +174,9 @@ def figure3() -> FigureReport:
     machine, result = scenario.run(SpliceRecovery())
     names = _stamp_to_name(scenario)
 
-    twins = [
-        names.get(r.detail["stamp"], r.detail["stamp"])
-        for r in result.trace.of_kind("twin_created")
-    ]
-    salvaged = [
-        names.get(r.detail["stamp"], r.detail["stamp"])
-        for r in result.trace.of_kind("result_salvaged")
-    ]
-    rerouted = [
-        names.get(r.detail["stamp"], r.detail["stamp"])
-        for r in result.trace.of_kind("result_orphan_rerouted")
-    ]
+    twins = _named(names, result.trace.of_kind("twin_created"))
+    salvaged = _named(names, result.trace.of_kind("result_salvaged"))
+    rerouted = _named(names, result.trace.of_kind("result_orphan_rerouted"))
     ok = result.correct and "B2" in twins and "D4" in salvaged and "D4" in rerouted
 
     text = "\n".join(

@@ -22,19 +22,17 @@ raised (a duplicated or contaminated result would trip it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.config import CostModel, SimConfig
+from repro.config import CostModel
 from repro.core.policy import FaultTolerance
 from repro.core.rollback import RollbackRecovery
 from repro.core.splice import SpliceRecovery
 from repro.core.stamps import LevelStamp
 from repro.sim.behavior import TreeSpec, TreeTaskSpec
 from repro.sim.failure import FaultSchedule
-from repro.sim.machine import Machine, RunResult
 from repro.sim.trace import Trace
-from repro.sim.workload import TreeWorkload
-from repro.workloads.figure1 import PinnedScheduler
+from repro.workloads.figure1 import pinned_machine
 
 G_STAMP = LevelStamp.of(0)
 P_STAMP = LevelStamp.of(0, 0)
@@ -57,28 +55,13 @@ def _spec() -> TreeSpec:
     )
 
 
-def _machine(policy: FaultTolerance, seed: int = 0) -> Machine:
-    config = SimConfig(
-        n_processors=4,
-        topology="complete",
-        seed=seed,
-        cost=CostModel(detector_delay=15.0, detection_timeout=10.0),
-    )
-    machine = Machine(config, TreeWorkload(_spec(), "fig6-chain"), policy)
-    machine.scheduler = PinnedScheduler(
-        machine.topology, machine.rng, {0: 0, 1: P_NODE, 2: 2}
-    )
-    machine.scheduler.attach(machine)
-    return machine
+#: G, P and C each on its own processor, under a fast failure detector.
+_PINS = {0: 0, 1: P_NODE, 2: 2}
+_COST = CostModel(detector_delay=15.0, detection_timeout=10.0)
 
 
-def _event_time(trace: Trace, kind: str, **match) -> Optional[float]:
-    for record in trace:
-        if record.kind != kind:
-            continue
-        if all(record.detail.get(k) == v for k, v in match.items()):
-            return record.time
-    return None
+def _event_time(trace: Trace, kind: str, stamp: LevelStamp) -> Optional[float]:
+    return next((r.time for r in trace.of_kind(kind) if r.stamp == stamp), None)
 
 
 @dataclass(frozen=True)
@@ -91,19 +74,18 @@ class StateWindows:
 
 def measure_windows(seed: int = 0) -> StateWindows:
     """Probe a fault-free run and derive a kill time inside each state."""
-    probe = _machine(SpliceRecovery(), seed)
+    probe = pinned_machine(_spec(), _PINS, SpliceRecovery(), "fig6-chain", cost=_COST, seed=seed)
     result = probe.run()
     if not result.completed:
         raise RuntimeError(f"probe run stalled: {result.stall_reason}")
-    trace = result.trace
-    p, c = str(P_STAMP), str(C_STAMP)
-    t_spawn_p = _event_time(trace, "spawn", stamp=p)
-    t_accept_p = _event_time(trace, "task_accepted", stamp=p)
-    t_spawn_c = _event_time(trace, "spawn", stamp=c)
-    t_accept_c = _event_time(trace, "task_accepted", stamp=c)
-    t_c_result_in_p = _event_time(trace, "result_received", stamp=c)
-    t_p_completed = _event_time(trace, "task_completed", stamp=p)
-    t_p_result_in_g = _event_time(trace, "result_received", stamp=p)
+    trace, p, c = result.trace, P_STAMP, C_STAMP
+    t_spawn_p = _event_time(trace, "spawn", p)
+    t_accept_p = _event_time(trace, "task_accepted", p)
+    t_spawn_c = _event_time(trace, "spawn", c)
+    t_accept_c = _event_time(trace, "task_accepted", c)
+    t_c_result_in_p = _event_time(trace, "result_received", c)
+    t_p_completed = _event_time(trace, "task_completed", p)
+    t_p_result_in_g = _event_time(trace, "result_received", p)
     needed = [
         t_spawn_p, t_accept_p, t_spawn_c, t_accept_c,
         t_c_result_in_p, t_p_completed, t_p_result_in_g,
@@ -159,7 +141,7 @@ def residue_sweep(
     for pname, pfactory in policies.items():
         for state in STATES:
             kill_at = windows.times[state]
-            machine = _machine(pfactory(), seed)
+            machine = pinned_machine(_spec(), _PINS, pfactory(), "fig6-chain", cost=_COST, seed=seed)
             result = machine.run(faults=FaultSchedule.single(kill_at, P_NODE))
             outcomes.append(
                 ResidueOutcome(

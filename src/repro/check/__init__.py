@@ -29,11 +29,7 @@ from repro.check.corpus import (
     run_corpus,
     write_corpus,
 )
-from repro.check.coverage import (
-    CoverageSignature,
-    recovery_stats,
-    signature_from_context,
-)
+from repro.check.coverage import CoverageSignature, signature_from_context
 from repro.check.oracles import (
     ORACLE_NAMES,
     STATUSES,
@@ -88,7 +84,6 @@ __all__ = [
     "ledger_path",
     "load_corpus",
     "oracle",
-    "recovery_stats",
     "run_corpus",
     "search",
     "select_oracles",

@@ -26,9 +26,9 @@ Determinism contract (pinned by ``tests/check/test_coverage.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.check.oracles import CheckContext, CheckReport, recovery_windows
+from repro.check.oracles import CheckContext, CheckReport
 
 #: Count buckets: 0, 1, 2, 3 exact, then powers of two (4-7, 8-15, ...).
 #: A fixed, documented grid — signatures from different processes and
@@ -55,40 +55,6 @@ def bucket_margin(ratio: float) -> int:
     if ratio <= 0.0:
         return 0
     return min(_MARGIN_CAP, int(ratio / MARGIN_GRID))
-
-
-@dataclass(frozen=True)
-class RecoveryStats:
-    """Shape of a run's recovery windows (reissue -> close intervals)."""
-
-    #: Recovery windows opened (= ``recovery_reissue`` records).
-    windows: int
-    #: Maximum number of simultaneously-open windows.
-    max_overlap: int
-    #: Worst window-duration / horizon ratio (open windows are measured
-    #: to the end of the run).  0.0 when no window ever opened.
-    worst_ratio: float
-    #: Windows still open when the run ended.
-    left_open: int
-
-
-def recovery_stats(ctx: CheckContext) -> RecoveryStats:
-    """Measure the recovery windows of one run.
-
-    Reads the pairing the ``bounded-recovery`` oracle judges
-    (:func:`~repro.check.oracles.recovery_windows`), so the worst ratio
-    seen here is that oracle's margin.
-    """
-    total, max_overlap, closed, still_open = recovery_windows(ctx)
-    horizon = ctx.horizon if ctx.horizon > 0 else 1.0
-    spans = [done - opened for _, opened, done in closed]
-    spans += [ctx.makespan - opened for opened in still_open.values()]
-    return RecoveryStats(
-        windows=total,
-        max_overlap=max_overlap,
-        worst_ratio=round(max([0.0] + [span / horizon for span in spans]), 6),
-        left_open=len(still_open),
-    )
 
 
 @dataclass(frozen=True)
@@ -144,28 +110,21 @@ class CoverageSignature:
         }
 
 
-def signature_from_context(
-    ctx: CheckContext, report: CheckReport, stats: Optional[RecoveryStats] = None
-) -> CoverageSignature:
+def signature_from_context(ctx: CheckContext, report: CheckReport) -> CoverageSignature:
     """Extract the coverage signature of one evaluated run.
 
-    ``stats`` hands in :func:`recovery_stats` of the same context when
-    the caller already computed it.
+    Reads ``ctx.recovery``, the view ``bounded-recovery`` and
+    ``weak-recovery`` judged, so the margin here is that oracle's margin.
     """
-    if stats is None:
-        stats = recovery_stats(ctx)
-    false_pos, _, onesided = ctx.false_positives
-    reasons = sorted(
-        {str(r.extra.get("reason")) for r in ctx.trace.of_kind("recovery_reissue")}
-    )
+    recovery = ctx.recovery
     return CoverageSignature(
         statuses=tuple((v.oracle, v.status) for v in report.verdicts),
-        windows=bucket_count(stats.windows),
-        overlap=bucket_count(stats.max_overlap),
-        left_open=bucket_count(stats.left_open),
-        false_positives=bucket_count(len(false_pos)),
-        one_sided=bucket_count(len(onesided)),
-        reasons=tuple(reasons),
-        margin=bucket_margin(stats.worst_ratio),
+        windows=bucket_count(recovery.reissues),
+        overlap=bucket_count(recovery.max_overlap),
+        left_open=bucket_count(len(recovery.still_open)),
+        false_positives=bucket_count(len(recovery.false_positives)),
+        one_sided=bucket_count(len(recovery.one_sided)),
+        reasons=recovery.reasons,
+        margin=bucket_margin(recovery.worst_ratio),
         completed=ctx.completed,
     )

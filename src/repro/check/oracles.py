@@ -40,9 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import SpecError
+from repro.load.grammar import FLOAT, coerce
 from repro.sim.trace import Trace, TraceRecord
 
 #: Verdict statuses, from best to worst.
@@ -100,24 +101,57 @@ class CheckConfig:
 
         Corpus replays and ledger consumers round-trip configs through
         this pair, so a search recorded under one horizon is always
-        re-judged under the same one.
+        re-judged under the same one.  Horizons are typed by the spec
+        kernel (a bool is not a number) and ``oracles`` must be a list of
+        catalog names, so a hostile document fails here, before any run.
         """
-        try:
-            fields = dict(
-                horizon_frac=float(payload.get("horizon_frac", 3.0)),
-                horizon_time=(
-                    float(payload["horizon_time"])
-                    if payload.get("horizon_time") is not None
-                    else None
-                ),
-                oracles=tuple(str(n) for n in payload.get("oracles", ())),
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
+        if not isinstance(payload, dict):
             raise SpecError(
-                f"malformed CheckConfig document: {exc}",
+                f"malformed CheckConfig document: {payload!r}",
                 field="check.config", value=payload,
-            ) from None
-        return cls(**fields)  # out of range -> its own check.horizon error
+            )
+        oracles = payload.get("oracles", [])
+        if not (isinstance(oracles, list) and all(n in ORACLE_NAMES for n in oracles)):
+            raise SpecError(
+                f"check.oracles must be a list of oracle names, got {oracles!r}",
+                field="check.oracles", value=oracles, allowed=ORACLE_NAMES,
+            )
+        frac, time = payload.get("horizon_frac", 3.0), payload.get("horizon_time")
+        return cls(  # out of range -> its own check.horizon error
+            horizon_frac=coerce(FLOAT, frac, field="check.horizon"),
+            horizon_time=None if time is None else coerce(FLOAT, time, field="check.horizon"),
+            oracles=tuple(oracles),
+        )
+
+
+#: The kinds :attr:`CheckContext.recovery` folds.
+RECOVERY_KINDS = (
+    "recovery_reissue", "recovery_complete", "result_received",
+    "result_salvaged", "task_aborted", "failure_detected",
+)
+
+
+@dataclass(frozen=True)
+class Recovery:
+    """One run's recovery, derived once per context (``ctx.recovery``):
+    what ``bounded-recovery``, ``weak-recovery`` and the coverage
+    signature all read, so they never disagree about a window."""
+
+    reissues: int  # recovery_reissue records = windows opened
+    max_overlap: int  # the most windows open at once
+    #: ``(stamp, opened, closed)`` per window a result closed, in closing order.
+    closed: Tuple[Tuple[Any, float, float], ...]
+    #: ``(stamp, opened)`` per window still open at the end, in opening order.
+    still_open: Tuple[Tuple[Any, float], ...]
+    reasons: Tuple[str, ...]  # sorted set of reissue reasons
+    #: ``failure_detected`` records whose target never crashed, their
+    #: ``(accuser, accused)`` pairs, and the sorted one-sided pairs.
+    false_positives: Tuple[TraceRecord, ...]
+    pairs: FrozenSet[Tuple[int, int]]
+    one_sided: Tuple[Tuple[int, int], ...]
+    #: Worst window duration / horizon, open windows measured to the end
+    #: of the run, rounded to 6 places; 0.0 when nothing was reissued.
+    worst_ratio: float
 
 
 @dataclass(frozen=True)
@@ -126,7 +160,9 @@ class CheckContext:
 
     Oracles read records through ``ctx.trace.of_kind`` (one per-kind
     index per context, so each touches only the kinds it names) and key
-    on the record fields ``stamp``/``uid``/``extra``, never on ``detail``.
+    on the record fields ``stamp``/``uid``/``extra``, never on ``detail``;
+    anything about recovery windows or detector mistakes comes from
+    ``ctx.recovery``.
     """
 
     records: Tuple[TraceRecord, ...]
@@ -155,16 +191,47 @@ class CheckContext:
         )
 
     @cached_property
-    def false_positives(self) -> Tuple[List[TraceRecord], set, List[Tuple[int, int]]]:
-        """Detections of nodes that never crashed: the records, their
-        ``(accuser, accused)`` pairs, and the sorted one-sided pairs."""
+    def recovery(self) -> Recovery:
+        """One fold over :data:`RECOVERY_KINDS`.  A reissue opens a window
+        for its stamp (a later one supersedes it in place), a result for
+        the stamp closes it, a ``task_aborted`` moots every window its uid
+        held and the aborted task's own, and a detection of a node that
+        never crashed is a false positive."""
         dead = self.dead_nodes()
-        records = [
-            r for r in self.trace.of_kind("failure_detected")
-            if r.extra.get("dead") not in dead
-        ]
-        pairs = {(r.node, r.extra["dead"]) for r in records}
-        return records, pairs, sorted(p for p in pairs if p[::-1] not in pairs)
+        open_at: Dict[Any, Tuple[float, Any]] = {}  # stamp -> (opened, holder uid)
+        closed: List[Tuple[Any, float, float]] = []
+        reasons: set = set()
+        false_pos: List[TraceRecord] = []
+        reissues = overlap = 0
+        for r in self.trace.of_kind(*RECOVERY_KINDS):
+            kind = r.kind
+            if kind == "recovery_reissue":
+                reissues += 1
+                reasons.add(str(r.extra.get("reason")))
+                open_at[r.stamp] = (r.time, r.uid)
+                overlap = max(overlap, len(open_at))
+            elif kind == "failure_detected":
+                if r.extra.get("dead") not in dead:
+                    false_pos.append(r)
+            elif not open_at:
+                continue
+            elif kind == "task_aborted":
+                for s in [s for s, (_, holder) in open_at.items() if holder == r.uid]:
+                    del open_at[s]
+                open_at.pop(r.stamp, None)
+            elif r.stamp in open_at:
+                closed.append((r.stamp, open_at.pop(r.stamp)[0], r.time))
+        horizon = self.horizon if self.horizon > 0 else 1.0
+        spans = [done - opened for _, opened, done in closed]
+        spans += [self.makespan - opened for opened, _ in open_at.values()]
+        pairs = frozenset((r.node, r.extra["dead"]) for r in false_pos)
+        return Recovery(
+            reissues=reissues, max_overlap=overlap, closed=tuple(closed),
+            still_open=tuple((s, opened) for s, (opened, _) in open_at.items()),
+            reasons=tuple(sorted(reasons)), false_positives=tuple(false_pos), pairs=pairs,
+            one_sided=tuple(sorted(p for p in pairs if p[::-1] not in pairs)),
+            worst_ratio=round(max([0.0] + [span / horizon for span in spans]), 6),
+        )
 
 
 @dataclass(frozen=True)
@@ -316,46 +383,12 @@ def _causal_delivery(ctx: CheckContext) -> Verdict:
     return Verdict(name, "pass", f"{received} deliveries, all causally preceded")
 
 
-def recovery_windows(ctx: CheckContext) -> Tuple[int, int, list, Dict[Any, float]]:
-    """Pair every ``recovery_reissue`` with what closes it.
-
-    The one pairing behind ``bounded-recovery`` and
-    :func:`repro.check.coverage.recovery_stats`.  A result for the stamp
-    closes its window, a later reissue of the stamp supersedes it, and a
-    ``task_aborted`` moots it: the holder died, so the windows it held
-    are dropped, and so is the aborted task's own pending recovery.
-    Returns the reissue count, the most windows open at once, ``(stamp,
-    opened, closed)`` per closed window in closing order, and ``stamp ->
-    opened`` for those never closed.
-    """
-    open_at: Dict[Any, Tuple[float, Any]] = {}  # stamp -> (opened, holder uid)
-    closed: List[Tuple[Any, float, float]] = []
-    total = overlap = 0
-    for r in ctx.trace.of_kind(
-        "recovery_reissue", "recovery_complete", "result_received",
-        "result_salvaged", "task_aborted",
-    ):
-        if r.kind == "recovery_reissue":
-            total += 1
-            open_at[r.stamp] = (r.time, r.uid)
-            overlap = max(overlap, len(open_at))
-        elif not open_at:
-            continue
-        elif r.kind == "task_aborted":
-            for s in [s for s, (_, holder) in open_at.items() if holder == r.uid]:
-                del open_at[s]
-            open_at.pop(r.stamp, None)
-        elif r.stamp in open_at:
-            closed.append((r.stamp, open_at.pop(r.stamp)[0], r.time))
-    return total, overlap, closed, {s: t for s, (t, _) in open_at.items()}
-
-
 @oracle("bounded-recovery", "every triggered recovery closes within the horizon")
 def _bounded_recovery(ctx: CheckContext) -> Verdict:
     name = "bounded-recovery"
-    total, _, closed, still_open = recovery_windows(ctx)
+    recovery = ctx.recovery
     horizon = ctx.horizon
-    for stamp, opened, done in closed:
+    for stamp, opened, done in recovery.closed:
         if done - opened > horizon:
             return Verdict(
                 name, "violation",
@@ -363,8 +396,9 @@ def _bounded_recovery(ctx: CheckContext) -> Verdict:
                 f"(> horizon {horizon:g})",
                 window=(opened, done),
             )
+    still_open = recovery.still_open
     if still_open:
-        stamp, opened = min(still_open.items(), key=lambda kv: kv[1])
+        stamp, opened = min(still_open, key=lambda kv: kv[1])
         if not ctx.completed:
             return Verdict(
                 name, "violation",
@@ -381,14 +415,15 @@ def _bounded_recovery(ctx: CheckContext) -> Verdict:
             )
     return Verdict(
         name, "pass",
-        f"{total} recovery reissue(s), all closed within horizon {horizon:g}",
+        f"{recovery.reissues} recovery reissue(s), all closed within horizon {horizon:g}",
     )
 
 
 @oracle("weak-recovery", "classifies false-positive failure detections")
 def _weak_recovery(ctx: CheckContext) -> Verdict:
     name = "weak-recovery"
-    false_pos, pairs, onesided = ctx.false_positives
+    recovery = ctx.recovery
+    false_pos, onesided = recovery.false_positives, recovery.one_sided
     if not false_pos:
         return Verdict(
             name, "pass",
@@ -401,7 +436,7 @@ def _weak_recovery(ctx: CheckContext) -> Verdict:
     if not onesided:
         return Verdict(
             name, "weak",
-            f"{len(pairs)} symmetric false-positive write-off(s) — the "
+            f"{len(recovery.pairs)} symmetric false-positive write-off(s) — the "
             "partition-heal regime; both sides re-execute, determinacy "
             "absorbs the duplicates",
             window=(first, last),

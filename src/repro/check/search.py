@@ -40,11 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.specs import NemesisSpec, RunSpec
-from repro.check.coverage import (
-    CoverageSignature,
-    recovery_stats,
-    signature_from_context,
-)
+from repro.check.coverage import CoverageSignature, signature_from_context
 from repro.check.oracles import (
     CheckConfig,
     CheckReport,
@@ -118,9 +114,8 @@ class Evaluator:
             handle = execute(spec, collect_trace=True, verify=True)
             ctx = build_context(handle, self.config)
             report = evaluate_context(ctx, self.config)
-            stats = recovery_stats(ctx)
-            signature = signature_from_context(ctx, report, stats)
-            self._memo[key] = (report, signature, stats.worst_ratio)
+            signature = signature_from_context(ctx, report)
+            self._memo[key] = (report, signature, ctx.recovery.worst_ratio)
         else:
             self.hits += 1
         report, signature, margin = self._memo[key]

@@ -25,7 +25,7 @@ each case and asserts the paper's predicted outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.stamps import LevelStamp
 from repro.sim.trace import Trace
@@ -45,31 +45,19 @@ class CaseTimeline:
     c_twin_completed: Optional[float]
 
 
-def _accepts(trace: Trace, stamp: str) -> List[Tuple[float, int]]:
-    return [
-        (r.time, r.detail["uid"])
-        for r in trace
-        if r.kind == "task_accepted" and r.detail.get("stamp") == stamp
-    ]
+def _accepts(trace: Trace, stamp: LevelStamp) -> List[Tuple[float, int]]:
+    return [(r.time, r.uid) for r in trace.of_kind("task_accepted") if r.stamp == stamp]
 
 
-def _spawns(trace: Trace, stamp: str) -> List[Tuple[float, int]]:
-    return [
-        (r.time, r.detail["parent_uid"])
-        for r in trace
-        if r.kind == "spawn" and r.detail.get("stamp") == stamp
-    ]
+def _spawns(trace: Trace, stamp: LevelStamp) -> List[Tuple[float, int]]:
+    return [(r.time, r.extra["parent_uid"]) for r in trace.of_kind("spawn") if r.stamp == stamp]
 
 
-def _completion(trace: Trace, stamp: str, uid: Optional[int]) -> Optional[float]:
+def _completion(trace: Trace, stamp: LevelStamp, uid: Optional[int]) -> Optional[float]:
     if uid is None:
         return None
-    for r in trace:
-        if (
-            r.kind == "task_completed"
-            and r.detail.get("stamp") == stamp
-            and r.detail.get("uid") == uid
-        ):
+    for r in trace.of_kind("task_completed"):
+        if r.stamp == stamp and r.uid == uid:
             return r.time
     return None
 
@@ -84,8 +72,7 @@ def extract_timeline(
     the first activation of P's stamp is P, the second is the twin P';
     C vs C' by which P-instance's spawn produced them.
     """
-    p_str, c_str = str(p_stamp), str(c_stamp)
-    p_accepts = _accepts(trace, p_str)
+    p_accepts = _accepts(trace, p_stamp)
     p_uid = p_accepts[0][1] if p_accepts else None
     p_invoked = p_accepts[0][0] if p_accepts else None
     p_twin_uid = p_accepts[1][1] if len(p_accepts) > 1 else None
@@ -94,8 +81,8 @@ def extract_timeline(
     # Spawn events of C's stamp, attributed to P instances; accepts map to
     # spawns in emission order (the network preserves per-route FIFO for
     # the crafted scenarios, and lost packets only drop a trailing accept).
-    c_spawns = _spawns(trace, c_str)
-    c_accepts = _accepts(trace, c_str)
+    c_spawns = _spawns(trace, c_stamp)
+    c_accepts = _accepts(trace, c_stamp)
     c_uid = None
     c_invoked = None
     c_twin_uid = None
@@ -109,21 +96,16 @@ def extract_timeline(
             if accept is not None:
                 c_twin_invoked, c_twin_uid = accept
 
-    p_failed = None
-    for r in trace:
-        if r.kind == "node_failed":
-            p_failed = r.time
-            break
-
+    failures = trace.of_kind("node_failed")
     return CaseTimeline(
-        p_failed=p_failed,
+        p_failed=failures[0].time if failures else None,
         p_invoked=p_invoked,
         p_twin_invoked=p_twin_invoked,
-        p_twin_completed=_completion(trace, p_str, p_twin_uid),
+        p_twin_completed=_completion(trace, p_stamp, p_twin_uid),
         c_invoked=c_invoked,
-        c_completed=_completion(trace, c_str, c_uid),
+        c_completed=_completion(trace, c_stamp, c_uid),
         c_twin_invoked=c_twin_invoked,
-        c_twin_completed=_completion(trace, c_str, c_twin_uid),
+        c_twin_completed=_completion(trace, c_stamp, c_twin_uid),
     )
 
 

@@ -31,17 +31,23 @@ from repro.util.rng import RngHub
 
 
 class Scheduler:
-    """Base class: knows the topology and how to observe node load."""
+    """Base class: knows the topology and how to observe node load.
+
+    Built without a machine; :meth:`attach` (called by ``Machine``) binds
+    the machine, its topology and its random streams.
+    """
 
     name = "base"
 
-    def __init__(self, topology: Topology, rng: RngHub):
-        self.topology = topology
-        self.rng = rng
-        self.machine = None  # bound by Machine
+    def __init__(self) -> None:
+        self.machine = None
+        self.topology: Optional[Topology] = None
+        self.rng: Optional[RngHub] = None
 
     def attach(self, machine) -> None:
         self.machine = machine
+        self.topology = machine.topology
+        self.rng = machine.rng
 
     # -- helpers --------------------------------------------------------------
 
@@ -153,8 +159,8 @@ class RoundRobinScheduler(Scheduler):
 
     name = "round_robin"
 
-    def __init__(self, topology: Topology, rng: RngHub):
-        super().__init__(topology, rng)
+    def __init__(self) -> None:
+        super().__init__()
         self._counter = 0
 
     def place(self, packet: TaskPacket, origin: int, exclude: Set[int]) -> int:
@@ -207,9 +213,9 @@ _SCHEDULERS = {
 }
 
 
-def make_scheduler(name: str, topology: Topology, rng: RngHub) -> Scheduler:
-    """Instantiate a scheduler by config name."""
+def make_scheduler(name: str) -> Scheduler:
+    """Instantiate a scheduler by config name (unattached)."""
     cls = _SCHEDULERS.get(name)
     if cls is None:
         raise SchedulingError(f"unknown scheduler {name!r}")
-    return cls(topology, rng)
+    return cls()

@@ -118,10 +118,9 @@ class Machine:
         self.network = Network(self.topology, self.queue, self.rng, config.cost)
         # A scheduler instance may be injected (pinned placements in the
         # figure reproductions); by default it is built from the config.
+        # Either way it is attached below, once the nodes exist.
         self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else make_scheduler(config.scheduler, self.topology, self.rng)
+            scheduler if scheduler is not None else make_scheduler(config.scheduler)
         )
 
         self.nodes: Dict[int, Node] = {

@@ -10,7 +10,7 @@ sweeps.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 
 def _render(key: str, value: Any) -> Any:
@@ -37,25 +37,20 @@ class TraceRecord:
 
     ``stamp`` (the ``LevelStamp`` itself) and ``uid`` are first-class;
     ``extra`` is the rest of the emit site's keyword payload as passed
-    (the task value, the address: objects, not renderings).  ``detail``
-    is the read-only rendered view (``str(stamp)``, ``repr(value)``) for
-    printing and analysis, built on first access.  A record built from an
-    already-rendered dict (``TraceRecord(t, n, kind, {"stamp": "0.1"})``:
-    tests, synthetic traces) serves that dict as ``detail`` and ``extra``.
+    (the task value, the address: objects, not renderings).  Readers
+    compare these fields.  ``detail`` is the read-only rendered view
+    (``str(stamp)``, ``repr(value)``), built on first access, for printing.
     """
 
     __slots__ = ("time", "node", "kind", "stamp", "uid", "extra", "_detail")
 
     def __init__(self, time: float, node: int, kind: str,
-                 detail: Optional[Dict[str, Any]] = None,
                  stamp: Any = None, uid: Any = None,
                  extra: Optional[Dict[str, Any]] = None) -> None:
         self.time = time
         self.node = node
         self.kind = kind
-        self._detail = detail
-        if detail is not None:
-            stamp, uid, extra = detail.get("stamp"), detail.get("uid"), detail
+        self._detail = None
         self.stamp = stamp
         self.uid = uid
         self.extra = {} if extra is None else extra
@@ -125,8 +120,9 @@ class Trace:
     the hot path.  An enabled trace stores the objects it is handed and
     renders nothing.  ``kind`` must be a literal member of :data:`KINDS`:
     ``tests/sim/test_trace_metrics.py`` checks every emit site statically,
-    ``emit`` checks no event.  The per-kind queries share one index of
-    trace positions; ``Trace(records=...)`` indexes existing records.
+    ``emit`` checks no event.  The queries (``positions``, ``of_kind``,
+    ``count``, ``render``) share one index of trace positions per kind;
+    ``Trace(records=...)`` indexes existing records.
     """
 
     __slots__ = ("enabled", "records", "_positions", "_indexed")
@@ -140,7 +136,7 @@ class Trace:
     def emit(self, time: float, node: int, kind: str,
              stamp: Any = None, uid: Any = None, **extra: Any) -> None:
         if self.enabled:
-            self.records.append(TraceRecord(time, node, kind, None, stamp, uid, extra))
+            self.records.append(TraceRecord(time, node, kind, stamp, uid, extra))
 
     # -- queries -------------------------------------------------------------
 
@@ -161,17 +157,6 @@ class Trace:
             hits = sorted(i for kind in kinds for i in self.positions(kind))
         records = self.records
         return [records[i] for i in hits]
-
-    def where(self, predicate: Callable[[TraceRecord], bool]) -> List[TraceRecord]:
-        return [r for r in self.records if predicate(r)]
-
-    def first(self, kind: str) -> Optional[TraceRecord]:
-        hits = self.positions(kind)
-        return self.records[hits[0]] if hits else None
-
-    def last(self, kind: str) -> Optional[TraceRecord]:
-        hits = self.positions(kind)
-        return self.records[hits[-1]] if hits else None
 
     def count(self, kind: str) -> int:
         return len(self.positions(kind))

@@ -30,17 +30,16 @@ every task is resident exactly as drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.config import SimConfig
+from repro.config import CostModel, SimConfig
 from repro.core.packets import TaskPacket
 from repro.sim.behavior import TreeSpec, TreeTaskSpec
 from repro.sim.failure import FaultSchedule
 from repro.sim.loadbalance import Scheduler
 from repro.sim.machine import Machine, RunResult
 from repro.sim.workload import TreeWorkload
-from repro.util.rng import RngHub
 
 #: Processor letters of the figure.
 PROCESSORS = {"A": 0, "B": 1, "C": 2, "D": 3}
@@ -141,14 +140,8 @@ class PinnedScheduler(Scheduler):
 
     name = "pinned"
 
-    def __init__(
-        self,
-        topology,
-        rng: RngHub,
-        pin_by_tree_node: Dict[int, int],
-        pin_once: bool = False,
-    ):
-        super().__init__(topology, rng)
+    def __init__(self, pin_by_tree_node: Dict[int, int], pin_once: bool = False):
+        super().__init__()
         self.pin_by_tree_node = pin_by_tree_node
         self.pin_once = pin_once
         self._used: Set[int] = set()
@@ -165,6 +158,27 @@ class PinnedScheduler(Scheduler):
         return min(alive, key=lambda n: (self._load(n), n))
 
 
+def pinned_machine(
+    tree: TreeSpec,
+    pins: Dict[int, int],
+    policy,
+    name: str,
+    *,
+    cost: CostModel = CostModel(),
+    n_processors: int = 4,
+    seed: int = 0,
+    pin_once: bool = False,
+) -> Machine:
+    """A traced machine on a complete graph running ``tree`` under
+    ``policy``, with tree node ``n`` placed on processor ``pins[n]``."""
+    return Machine(
+        SimConfig(n_processors=n_processors, topology="complete", seed=seed, cost=cost),
+        TreeWorkload(tree, name),
+        policy,
+        scheduler=PinnedScheduler(pins, pin_once=pin_once),
+    )
+
+
 @dataclass
 class Figure1Scenario:
     """Everything needed to run and interrogate the Figure-1 example."""
@@ -175,40 +189,15 @@ class Figure1Scenario:
     fault_time: float = 250.0
     dead_processor: str = "B"
 
-    def workload(self) -> TreeWorkload:
-        return TreeWorkload(self.spec, name="figure1")
-
-    def config(self, seed: int = 0) -> SimConfig:
-        return SimConfig(n_processors=4, topology="complete", seed=seed)
-
-    def machine(self, policy, seed: int = 0, collect_trace: bool = True) -> Machine:
-        config = self.config(seed)
-        machine = Machine(
-            config,
-            self.workload(),
-            policy,
-            collect_trace=collect_trace,
-        )
-        machine.scheduler = PinnedScheduler(
-            machine.topology,
-            machine.rng,
-            {self.ids[name]: proc for name, proc in FIGURE1_PLACEMENT.items()},
-        )
-        machine.scheduler.attach(machine)
-        return machine
-
     def faults(self) -> FaultSchedule:
         return FaultSchedule.single(self.fault_time, PROCESSORS[self.dead_processor])
 
     def run(self, policy, seed: int = 0) -> Tuple[Machine, RunResult]:
-        machine = self.machine(policy, seed)
-        result = machine.run(faults=self.faults())
-        return machine, result
+        pins = {self.ids[name]: proc for name, proc in FIGURE1_PLACEMENT.items()}
+        machine = pinned_machine(self.spec, pins, policy, "figure1", seed=seed)
+        return machine, machine.run(faults=self.faults())
 
     # -- interrogation ---------------------------------------------------------
-
-    def task_name_of_tree_node(self, tree_node: int) -> str:
-        return self.names[tree_node]
 
     def fragments(self) -> Tuple[FrozenSet[str], ...]:
         """Connected components of surviving tasks after B's tasks vanish.

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+
 import pytest
 
 from repro.analysis.figures import figure1, figure2, figure3, figure5, figure6
 from repro.analysis.residue import STATES, measure_windows, residue_sweep
+from repro.cli import main
 from repro.workloads.figure1 import EXPECTED_CHECKPOINTS, EXPECTED_FRAGMENTS
+
+
+def test_repro_figures_stdout_is_pinned():
+    # recorded while the figure readers still matched rendered ``detail``
+    # strings; they now compare stamp objects and must print the same bytes
+    out = io.StringIO()
+    assert main(["figures"], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+        "664cc48b56a58eaf2770b5fe728dc193c96f8d948f94c65c97dfe2cd32224c67"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from repro.check import (
     build_context,
     check_spec,
     evaluate_context,
-    recovery_stats,
     signature_from_context,
 )
 from repro.check.coverage import bucket_count, bucket_margin
@@ -113,18 +112,18 @@ class TestSignatureDistinguishesRegimes:
 class TestRecoveryStats:
     def test_weak_regime_opens_and_closes_windows(self):
         handle = execute(WEAK, collect_trace=True, verify=True)
-        stats = recovery_stats(build_context(handle, CheckConfig()))
-        assert stats.windows > 0
-        assert stats.left_open == 0  # the run recovered and completed
-        assert 0.0 < stats.worst_ratio
+        recovery = build_context(handle, CheckConfig()).recovery
+        assert recovery.reissues > 0
+        assert recovery.still_open == ()  # the run recovered and completed
+        assert 0.0 < recovery.worst_ratio
 
     def test_stranded_regime_leaves_windows_open(self):
         handle = execute(VIOLATION, collect_trace=True, verify=True)
-        stats = recovery_stats(build_context(handle, CheckConfig()))
-        assert stats.left_open > 0
+        recovery = build_context(handle, CheckConfig()).recovery
+        assert recovery.still_open
         # open windows are still measured — to the end of the run
-        assert stats.worst_ratio > 0.0
-        assert stats.max_overlap > 1
+        assert recovery.worst_ratio > 0.0
+        assert recovery.max_overlap > 1
 
 
 class TestBucketGrids:

@@ -15,6 +15,8 @@ All of it byte-deterministic, so these are regressions, not luck.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
 
@@ -27,6 +29,7 @@ from repro.check import (
     search,
     shrink,
 )
+from repro.cli import main
 from repro.errors import SpecError
 from repro.faults.generate import random_nemesis
 
@@ -111,6 +114,22 @@ class TestCoverageLedger:
         bytes_a = open(a.path, encoding="utf-8").read()
         bytes_b = open(b.path, encoding="utf-8").read()
         assert bytes_a == bytes_b
+
+    def test_a_24_round_document_is_pinned(self, tmp_path):
+        # recorded before the oracles, the signature and the margin were
+        # read off one CheckContext.recovery view; any drift in a window,
+        # a reason or a false positive moves a signature key and this hash
+        argv = [
+            "check", "search", "balanced:3:2:10", "--policy", "rollback",
+            "--processors", "4", "--seed", "3", "--strategy", "coverage",
+            "--rounds", "24", "--out-dir", str(tmp_path),
+        ]
+        assert main(argv, out=io.StringIO()) == 0
+        [path] = tmp_path.iterdir()
+        assert path.name == "search-seed3-coverage-030813a956.json"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c8305de065475d994328bdb81eb847b67e4f3f2a99d60a5b2aef62524a12bc48"
+        )
 
     def test_schema_2_document_shape(self, tmp_path):
         result = search(BASE, seed=SEED, rounds=BUDGET, strategy="coverage",

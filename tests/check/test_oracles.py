@@ -11,7 +11,11 @@ classifier regimes from ``docs/FAULTS.md`` land where documented.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Experiment, Session
 from repro.check import (
@@ -22,14 +26,20 @@ from repro.check import (
     all_oracles,
     check_spec,
     evaluate_context,
+    run_corpus,
 )
+from repro.cli import main
 from repro.errors import SpecError
 from repro.sim.trace import KINDS, TraceRecord
 
+CORPUS_FILE = os.path.join(
+    os.path.dirname(__file__), "..", "baselines", "corpus", "rollback-chaos-wide.json"
+)
 
-def R(time, node, kind, **detail):
+
+def R(time, node, kind, stamp=None, uid=None, **extra):
     assert kind in KINDS
-    return TraceRecord(time, node, kind, detail)
+    return TraceRecord(time, node, kind, stamp, uid, extra)
 
 
 def ctx(records, completed=True, verified=True, makespan=100.0, horizon=300.0, **kw):
@@ -93,6 +103,92 @@ class TestCheckConfigHorizon:
             Session(oracles=CheckConfig(horizon_frac=float("nan")))
         config = CheckConfig(horizon_frac=0.5, horizon_time=700.0)
         assert CheckConfig.from_json(config.to_json()) == config
+
+
+class TestCheckConfigDocuments:
+    @pytest.mark.parametrize("doc, field", [
+        ({"horizon_frac": True}, "check.horizon"),  # a bool is not 1.0
+        ({"horizon_time": False}, "check.horizon"),
+        ({"horizon_frac": "soon"}, "check.horizon"),
+        ({"horizon_frac": [3.0]}, "check.horizon"),
+        ({"oracles": "bounded-recovery"}, "check.oracles"),  # not 16 letters
+        ({"oracles": ["nosuch"]}, "check.oracles"),
+        ({"oracles": [["bounded-recovery"]]}, "check.oracles"),
+        ({"oracles": None}, "check.oracles"),
+        (["horizon_frac", 3.0], "check.config"),
+    ])
+    def test_a_hostile_document_is_a_spec_error(self, doc, field):
+        with pytest.raises(SpecError) as err:
+            CheckConfig.from_json(doc)
+        assert err.value.field == field
+        if field == "check.oracles":
+            assert err.value.allowed == ORACLE_NAMES
+
+    def test_a_hostile_corpus_check_block_fails_before_any_run(self, tmp_path, monkeypatch):
+        import repro.api.session as session_module
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(session_module, "execute", no_run)
+        with open(CORPUS_FILE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for check, field in (({"horizon_frac": True}, "check.horizon"),
+                             ({"oracles": "bounded-recovery"}, "check.oracles")):
+            doc["check"] = check
+            path = tmp_path / "hostile.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(SpecError) as err:
+                run_corpus(str(path))
+            assert err.value.field == field
+
+    def test_the_cli_exits_2_with_one_error_line(self, tmp_path, capsys):
+        with open(CORPUS_FILE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["check"]["horizon_frac"] = True
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", "corpus", "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_CHECK_DOCS = st.fixed_dictionaries({}, optional={
+    "horizon_frac": _JSON | st.floats(0.01, 10.0),
+    "horizon_time": _JSON | st.floats(0.01, 1e4),
+    "oracles": _JSON | st.lists(st.sampled_from(ORACLE_NAMES), max_size=3),
+}) | _JSON
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_CHECK_DOCS)
+def test_any_check_block_loads_or_is_a_spec_error(doc, tmp_path):
+    try:
+        config = CheckConfig.from_json(doc)
+    except SpecError:
+        config = None
+    else:
+        assert CheckConfig.from_json(config.to_json()) == config
+        assert type(config.horizon_frac) is float and set(config.oracles) <= set(ORACLE_NAMES)
+    # the corpus loader reads the same block first, before any entry runs
+    with open(CORPUS_FILE, encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    corpus["check"], corpus["entries"] = doc, []
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus), encoding="utf-8")
+    try:
+        report = run_corpus(str(path))
+    except SpecError:
+        assert config is None
+    else:
+        assert config is not None and report.ok and report.entries == ()
 
 
 class TestResultAgreement:

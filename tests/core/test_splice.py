@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from repro.config import CostModel, SimConfig
 from repro.core import RollbackRecovery, SpliceRecovery
 from repro.lang.programs import get_program
-from repro.sim import Fault, FaultSchedule, InterpWorkload, Machine, TreeWorkload
+from repro.sim import Fault, FaultSchedule, InterpWorkload, TreeWorkload
 from repro.sim.behavior import TreeSpec, TreeTaskSpec
 from repro.sim.machine import run_simulation
-from repro.workloads.figure1 import PinnedScheduler
+from repro.workloads.figure1 import pinned_machine
 from repro.workloads.trees import balanced_tree, chain_tree, random_tree
 
 
@@ -103,17 +103,10 @@ class TestSingleFault:
 
 class TestOrphanPaths:
     def _pinned_machine(self, spec, pins, policy, detector_delay=30.0, n=4, pin_once=True):
-        config = SimConfig(
-            n_processors=n,
-            seed=0,
+        return pinned_machine(
+            spec, pins, policy, "pinned", n_processors=n, pin_once=pin_once,
             cost=CostModel(detector_delay=detector_delay, detection_timeout=15.0),
         )
-        machine = Machine(config, TreeWorkload(spec, "pinned"), policy)
-        machine.scheduler = PinnedScheduler(
-            machine.topology, machine.rng, pins, pin_once=pin_once
-        )
-        machine.scheduler.attach(machine)
-        return machine
 
     def test_orphan_result_rerouted_to_grandparent(self):
         spec = TreeSpec(

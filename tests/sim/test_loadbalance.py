@@ -12,8 +12,6 @@ from repro.errors import SchedulingError
 from repro.sim import FaultSchedule, TreeWorkload
 from repro.sim.loadbalance import make_scheduler
 from repro.sim.machine import Machine, run_simulation
-from repro.sim.topology import Topology
-from repro.util.rng import RngHub
 from repro.workloads.trees import balanced_tree, wide_tree
 
 
@@ -27,13 +25,20 @@ def machine_with(scheduler_name, n=4, workload=None, seed=0):
 
 class TestMakeScheduler:
     def test_known_names(self):
-        topo = Topology("complete", 4)
         for name in ("gradient", "random", "round_robin", "local", "static"):
-            assert make_scheduler(name, topo, RngHub(0)).name == name
+            scheduler = make_scheduler(name)
+            assert scheduler.name == name and scheduler.machine is None
+            # the machine binds itself, its topology and its streams
+            machine = Machine(
+                SimConfig(n_processors=4), TreeWorkload(wide_tree(2, 10), "wide"),
+                scheduler=scheduler,
+            )
+            assert machine.scheduler is scheduler and scheduler.machine is machine
+            assert (scheduler.topology, scheduler.rng) == (machine.topology, machine.rng)
 
     def test_unknown_name(self):
         with pytest.raises(SchedulingError):
-            make_scheduler("magic", Topology("ring", 3), RngHub(0))
+            make_scheduler("magic")
 
 
 class TestPlacementSpread:

@@ -25,8 +25,8 @@ class TestTrace:
         trace.emit(3.0, 1, "task_completed", stamp="0")
         assert len(trace) == 3
         assert trace.count("spawn") == 1
-        assert trace.first("task_accepted").time == 2.0
-        assert trace.last("task_completed").node == 1
+        assert trace.of_kind("task_accepted")[0].time == 2.0
+        assert trace.of_kind("task_completed")[-1].node == 1
         assert len(trace.of_kind("spawn", "task_completed")) == 2
 
     def test_every_emit_site_names_a_literal_kind(self):
@@ -49,15 +49,41 @@ class TestTrace:
         assert sites >= 35, "the walk no longer finds the simulator's emit sites"
         assert not bad, f"emit() with a kind that is not a literal member of KINDS: {bad}"
 
+    def test_only_the_trace_module_reads_a_rendered_detail(self):
+        """``detail`` is the printing view: every other reader in the
+        package compares the record fields (``stamp``, ``uid``, ``extra``)."""
+        root = pathlib.Path(repro.__file__).parent
+
+        def is_detail(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "detail") or (
+                isinstance(node, ast.Name) and node.id == "detail"
+            )
+
+        reads = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "sim" / "trace.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                subscript = isinstance(node, ast.Subscript) and is_detail(node.value)
+                get = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get"
+                    and is_detail(node.func.value)
+                )
+                if subscript or get:
+                    reads.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert not reads, f"rendered detail read outside sim/trace.py: {reads}"
+
     def test_queries_see_records_emitted_after_a_query(self):
         trace = Trace()
         trace.emit(1.0, 0, "spawn", stamp="0")
-        assert trace.count("spawn") == 1 and trace.last("spawn").time == 1.0
+        assert trace.count("spawn") == 1 and trace.of_kind("spawn")[-1].time == 1.0
         trace.emit(2.0, 1, "spawn", stamp="0.1")
         trace.emit(3.0, 1, "task_started", stamp="0.1")
-        assert trace.count("spawn") == 2 and trace.last("spawn").time == 2.0
-        assert trace.first("task_started").time == 3.0
-        assert trace.first("task_aborted") is None and trace.count("task_aborted") == 0
+        assert trace.count("spawn") == 2 and trace.of_kind("spawn")[-1].time == 2.0
+        assert trace.of_kind("task_started")[0].time == 3.0
+        assert trace.of_kind("task_aborted") == [] and trace.count("task_aborted") == 0
         assert [r.time for r in trace.of_kind("task_started", "spawn")] == [1.0, 2.0, 3.0]
         assert trace.of_kind() == []
 
@@ -66,11 +92,12 @@ class TestTrace:
         trace.emit(1.0, 0, "spawn")
         assert len(trace) == 0
 
-    def test_where_and_render(self):
+    def test_positions_and_render(self):
         trace = Trace()
         trace.emit(1.0, 0, "spawn", stamp="0.1")
         trace.emit(2.0, 2, "spawn", stamp="0.2")
-        assert len(trace.where(lambda r: r.node == 2)) == 1
+        trace.emit(3.0, 2, "task_accepted", stamp="0.2")
+        assert list(trace.positions("spawn")) == [0, 1] and trace.positions("node_failed") == ()
         text = trace.render(kinds=("spawn",), limit=1)
         assert "spawn" in text and "0.1" in text
 
@@ -147,6 +174,6 @@ class TestFaultSchedule:
 
 class TestTraceRecordRendering:
     def test_str_contains_fields(self):
-        record = TraceRecord(12.5, 3, "spawn", {"stamp": "0.1"})
+        record = TraceRecord(12.5, 3, "spawn", stamp="0.1")
         text = str(record)
         assert "12.5" in text and "spawn" in text and "0.1" in text

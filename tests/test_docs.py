@@ -164,7 +164,6 @@ CHECK_EXPORTS = {
     "ledger_path",
     "load_corpus",
     "oracle",
-    "recovery_stats",
     "run_corpus",
     "search",
     "select_oracles",
