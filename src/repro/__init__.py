@@ -51,7 +51,7 @@ Package layout
 - :mod:`repro.core`      — functional checkpointing, rollback, splice,
   replication (the paper's contribution)
 - :mod:`repro.faults`    — composable fault models (nemesis)
-- :mod:`repro.baselines` — periodic global checkpointing, restart, TMR
+- :mod:`repro.baselines` — periodic global checkpointing
 - :mod:`repro.workloads` — synthetic call-tree generators, Figure-1 tree
 - :mod:`repro.analysis`  — figure reproductions and their drivers
 - :mod:`repro.exp`       — scenario registry + parallel sweep runner

@@ -1,20 +1,16 @@
 """Baseline fault-tolerance schemes the paper argues against.
 
 - :mod:`repro.baselines.periodic` — synchronous periodic global
-  checkpointing (§2's comparator; refs [3], [5], [15]);
-- :mod:`repro.baselines.restart`  — whole-program restart (§4.3.1's
-  "the user must restart the program" strawman);
-- :mod:`repro.baselines.tmr`      — triple modular redundancy emulated by
-  task replication (Misunas [11], via §5.3).
+  checkpointing (§2's comparator; refs [3], [5], [15]).
+
+Triple modular redundancy (Misunas [11]) needs no module of its own:
+§5.3 emulates it by replicating task packets, so it *is*
+``ReplicatedExecution(k=3)`` (``--policy replicated:3``).
 """
 
 from repro.baselines.periodic import PeriodicCheckpointSimulator, PeriodicRunResult
-from repro.baselines.restart import restart_run
-from repro.baselines.tmr import tmr_policy
 
 __all__ = [
     "PeriodicCheckpointSimulator",
     "PeriodicRunResult",
-    "restart_run",
-    "tmr_policy",
 ]

@@ -64,8 +64,46 @@ def write_corpus(result: SearchResult, path: str) -> str:
     return path
 
 
+def _is_names(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_status_map(value: Any) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+#: What each entry field must be: (name, value when absent, check, wanted).
+_ENTRY_SHAPE = (
+    ("nemesis", None, lambda v: isinstance(v, str), "a nemesis spec string"),
+    ("violations", [], _is_names, "a list of oracle names"),
+    ("statuses", {}, _is_status_map, "an object of oracle -> status"),
+)
+
+
+def _check_shape(path: str, doc: Dict[str, Any]) -> None:
+    """Refuse a document ``run_corpus`` cannot read, before anything runs."""
+
+    def refuse(field: str, value: Any, wanted: str) -> SpecError:
+        return SpecError(
+            f"corpus {path!r}: {field} must be {wanted}", field=f"corpus.{field}", value=value
+        )
+
+    if not isinstance(doc.get("base"), dict):
+        raise refuse("base", doc.get("base"), "a RunSpec document")
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise refuse("entries", entries, "a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise refuse(f"entries[{i}]", entry, "an object")
+        for name, absent, check, wanted in _ENTRY_SHAPE:
+            value = entry.get(name, absent)
+            if not check(value):
+                raise refuse(f"entries[{i}].{name}", value, wanted)
+
+
 def load_corpus(path: str) -> Dict[str, Any]:
-    """Load and schema-check one corpus document."""
+    """Load and check one corpus document: schema tag, then shape."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -79,6 +117,7 @@ def load_corpus(path: str) -> Dict[str, Any]:
             field="corpus.schema", value=doc.get("schema") if isinstance(doc, dict) else doc,
             allowed=(CORPUS_SCHEMA,),
         )
+    _check_shape(path, doc)
     return doc
 
 

@@ -103,22 +103,18 @@ class SpliceRecovery(RollbackRecovery):
                 stamp=msg.sender_stamp,
                 to=grandparent_node,
             )
-        reroute = ResultMsg(
-            src=node.id,
-            dst=grandparent_node,
-            sender_stamp=msg.sender_stamp,
-            replica=msg.replica,
-            value=msg.value,
-            addressee=ReturnAddress(grandparent_node, -1),
-            sender_instance=msg.sender_instance,
-            rerouted=True,
+        node.forward_result(
+            ResultMsg(
+                src=node.id,
+                dst=grandparent_node,
+                sender_stamp=msg.sender_stamp,
+                replica=msg.replica,
+                value=msg.value,
+                addressee=ReturnAddress(grandparent_node, -1),
+                sender_instance=msg.sender_instance,
+                rerouted=True,
+            )
         )
-        if grandparent_node == node.id:
-            node.on_message(reroute)
-        elif grandparent_node in node.known_dead:
-            self.on_result_undeliverable(node, reroute, grandparent_node)
-        else:
-            self.machine.network.send(reroute)
 
     # -- grandparent side -----------------------------------------------------------
 
@@ -191,29 +187,24 @@ class SpliceRecovery(RollbackRecovery):
         executor, instance = twin.placed
         for digit, (value, sender_uid) in list(twin.buffer.items()):
             del twin.buffer[digit]
-            relay = ResultMsg(
-                src=node.id,
-                dst=executor,
-                sender_stamp=twin.stamp.child(digit),
-                value=value,
-                addressee=ReturnAddress(executor, instance),
-                sender_instance=sender_uid,
-                rerouted=True,
-                relayed=True,
-            )
+            stamp = twin.stamp.child(digit)
             node.metrics.results_relayed += 1
             if node.trace.enabled:
                 node.trace.emit(
-                    node.queue.now,
-                    node.id,
-                    "result_relayed",
-                    stamp=relay.sender_stamp,
-                    to=executor,
+                    node.queue.now, node.id, "result_relayed", stamp=stamp, to=executor
                 )
-            if executor == node.id:
-                node.on_message(relay)
-            else:
-                self.machine.network.send(relay)
+            node.send(
+                ResultMsg(
+                    src=node.id,
+                    dst=executor,
+                    sender_stamp=stamp,
+                    value=value,
+                    addressee=ReturnAddress(executor, instance),
+                    sender_instance=sender_uid,
+                    rerouted=True,
+                    relayed=True,
+                )
+            )
 
     # -- placement / cleanup ------------------------------------------------------------
 

@@ -63,7 +63,6 @@ for _name, (_fig, _title, _desc) in _FIGURES.items():
             base={"figure": _fig, "seed": 0},
             axes={},
             columns=("figure", "ok"),
-            tags=("figure",),
         )
     )
 
@@ -86,7 +85,6 @@ register(
             "policy": ("none", "rollback", "splice", "replicated:3"),
         },
         columns=("makespan", "checkpoints_recorded", "checkpoint_peak_held", "messages_total"),
-        tags=("claim",),
     )
 )
 
@@ -106,7 +104,6 @@ register(
             "fault_frac": (0.1, 0.3, 0.5, 0.7, 0.9),
         },
         columns=("makespan", "slowdown", "steps_wasted", "results_salvaged", "tasks_reissued"),
-        tags=("claim",),
     )
 )
 
@@ -131,7 +128,6 @@ register(
         },
         axes={"policy": ("rollback", "splice"), "fault_frac": (0.3, 0.5, 0.7)},
         columns=("makespan", "steps_wasted", "results_salvaged", "verified"),
-        tags=("claim",),
     )
 )
 
@@ -149,7 +145,6 @@ register(
         base={"workload": "balanced:4:3:40", "processors": 6, "seed": 0, "policy": "splice"},
         axes={"faults": ("", "0.5:1", "0.5:4", "0.5:1+0.5:4", "0.3:1+0.6:4")},
         columns=("makespan", "tasks_reissued", "verified"),
-        tags=("claim",),
     )
 )
 
@@ -172,7 +167,6 @@ register(
         },
         axes={"policy": ("replicated:1", "replicated:3", "replicated:5")},
         columns=("completed", "verified", "makespan", "tasks_accepted", "messages_total"),
-        tags=("claim",),
         expect_failures=True,
     )
 )
@@ -207,7 +201,6 @@ register(
             )
         },
         columns=("fault_free_makespan", "sync_time", "faulted_makespan", "lost_work"),
-        tags=("claim", "baseline"),
     )
 )
 
@@ -231,7 +224,6 @@ register(
         },
         axes={"scheduler": ("gradient", "random", "round_robin", "static", "local")},
         columns=("makespan", "slowdown", "utilization_stddev_survivors", "verified"),
-        tags=("claim",),
     )
 )
 
@@ -252,7 +244,6 @@ register(
         },
         axes={"processors": (1, 2, 4, 8)},
         columns=("makespan", "speedup", "utilization_mean"),
-        tags=("claim", "scaling"),
     )
 )
 
@@ -273,7 +264,6 @@ register(
         },
         axes={"processors": (1, 2, 4, 8)},
         columns=("makespan", "speedup", "utilization_mean"),
-        tags=("claim", "scaling"),
     )
 )
 
@@ -299,7 +289,6 @@ register(
             )
         },
         columns=("tree_size", "checkpoints_recorded", "checkpoint_peak_held", "checkpoints_dropped"),
-        tags=("claim", "ablation"),
     )
 )
 
@@ -335,7 +324,6 @@ register(
             "makespan", "verified", "nemesis_partition_blocked",
             "recoveries_triggered", "results_duplicate", "results_ignored",
         ),
-        tags=("chaos",),
     )
 )
 
@@ -369,7 +357,6 @@ register(
             "makespan", "verified", "nemesis_slowdown_time",
             "recoveries_triggered", "steps_wasted",
         ),
-        tags=("chaos",),
     )
 )
 
@@ -403,7 +390,6 @@ register(
             "makespan", "verified", "nemesis_dropped", "nemesis_duplicated",
             "nemesis_delayed", "results_duplicate", "tasks_reissued",
         ),
-        tags=("chaos",),
     )
 )
 
@@ -435,7 +421,6 @@ register(
             "verified", "makespan", "load.arrivals", "load.sojourn_p50",
             "load.sojourn_p95", "load.goodput", "load.queue_depth_mean",
         ),
-        tags=("load",),
     )
 )
 
@@ -476,7 +461,6 @@ register(
             "load.goodput", "load.queue_depth_mean", "load.dropped",
             "load.backpressure_events",
         ),
-        tags=("load",),
     )
 )
 
@@ -512,7 +496,6 @@ register(
             "load.dropped", "load.backpressure_events",
             "recoveries_triggered", "results_duplicate",
         ),
-        tags=("load", "chaos"),
     )
 )
 
@@ -540,7 +523,6 @@ register(
             "makespan", "verified", "checkpoints_recorded",
             "messages_total", "steps_wasted",
         ),
-        tags=("policy",),
     )
 )
 
@@ -579,7 +561,6 @@ register(
             "makespan", "verified", "recoveries_triggered",
             "tasks_reissued", "tasks_aborted", "results_duplicate",
         ),
-        tags=("policy", "chaos"),
     )
 )
 
@@ -609,7 +590,6 @@ register(
             "load.sojourn_p95", "load.goodput", "load.dropped",
             "tasks_reissued",
         ),
-        tags=("policy", "load"),
     )
 )
 
@@ -627,6 +607,5 @@ register(
         base={"workload": "balanced:3:2:10", "processors": 4, "victim": 1},
         axes={"policy": ("rollback", "splice"), "fault_frac": (0.4, 0.8)},
         columns=("makespan", "slowdown", "steps_wasted", "verified"),
-        tags=("smoke",),
     )
 )

@@ -82,7 +82,6 @@ class ScenarioSpec:
     base: Mapping[str, Any] = field(default_factory=dict)
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     columns: Tuple[str, ...] = ()
-    tags: Tuple[str, ...] = ()
     #: Some scenarios *demonstrate* failure (e.g. replication with k=1
     #: stalls under a fault); the CLI then doesn't turn failed points
     #: into a nonzero exit code.

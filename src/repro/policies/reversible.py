@@ -61,9 +61,7 @@ class ReversibleRecovery(RollbackRecovery):
                 # so dropping it here rewinds the record to the
                 # pre-delivery state exactly.
                 task.pending_deliveries.pop(record.digit)
-                record.result = None
-                record.has_result = False
-                record.fulfilled_by = None
+                record.unfulfill()
                 node.index_spawn(task, record)
                 if node.trace.enabled:
                     node.trace.emit(

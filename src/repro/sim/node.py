@@ -17,6 +17,12 @@ from transient state *b* to state *c* (Figure 6).
 All recovery decisions are delegated to the attached
 :class:`~repro.core.policy.FaultTolerance` hooks; the node provides the
 mechanics (records, reissue, result matching, abort) they compose.
+Each protocol rule has one site (docs/POLICIES.md, *Recovery rules*):
+every message leaves through :meth:`Node.send`, every result this node
+answers with through :meth:`Node.forward_result` (the one place a
+written-off peer's result is refused), every a→b edge through
+:meth:`Node._launch` and every ack-timer cancel through
+:meth:`Node._disarm`.
 
 Message handling is charged zero processor time: Rediflow nodes paired the
 reduction engine with an autonomous switching unit, so protocol
@@ -144,13 +150,16 @@ class Node:
 
     def on_message(self, msg: Message) -> None:
         assert self.alive, "dead node received a message (network bug)"
-        if isinstance(msg, TaskPacketMsg):
+        # Exact types (messages are never subclassed): a type test costs
+        # no call on a path every message takes, local ones included.
+        kind = type(msg)
+        if kind is TaskPacketMsg:
             self._handle_task_packet(msg)
-        elif isinstance(msg, ResultMsg):
+        elif kind is ResultMsg:
             self._handle_result(msg)
-        elif isinstance(msg, PlacementAck):
+        elif kind is PlacementAck:
             self._handle_ack(msg)
-        elif isinstance(msg, FailureNotice):
+        elif kind is FailureNotice:
             self.on_failure_notice(msg.dead_node)
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"unknown message type: {msg!r}")
@@ -179,6 +188,14 @@ class Node:
             self.policy.on_packet_undeliverable(self, msg, dead_node)
         # Undeliverable acks/notices need no action: the ack's information
         # is re-derivable (the parent's timeout path covers it).
+
+    def send(self, msg: Message) -> None:
+        """The one way a message leaves this node: one addressed here is
+        handled at once, anything else goes to the network."""
+        if msg.dst == self.id:
+            self.on_message(msg)
+        else:
+            self.machine.network.send(msg)
 
     def on_failure_notice(self, dead_node: int) -> None:
         """Error-detection entry point (idempotent per dead node)."""
@@ -225,19 +242,17 @@ class Node:
 
     def send_ack(self, packet: TaskPacket, uid: int) -> None:
         """Tell the packet's parent which instance on this node runs it."""
-        ack = PlacementAck(
-            src=self.id,
-            dst=packet.parent.node,
-            stamp=packet.stamp,
-            replica=packet.replica,
-            executor=self.id,
-            instance=uid,
-            parent_instance=packet.parent.instance,
+        self.send(
+            PlacementAck(
+                src=self.id,
+                dst=packet.parent.node,
+                stamp=packet.stamp,
+                replica=packet.replica,
+                executor=self.id,
+                instance=uid,
+                parent_instance=packet.parent.instance,
+            )
         )
-        if packet.parent.node == self.id:
-            self._handle_ack(ack)
-        else:
-            self.machine.network.send(ack)
 
     def _make_ready(self, task: TaskInstance) -> None:
         status = task.status
@@ -304,9 +319,7 @@ class Node:
                     # cases 4/5).
                     value, sender_uid = task.inherited_results.pop(demand.digit)
                     record = self._new_record(task, demand)
-                    record.executor = None
-                    record.fulfill(value)
-                    record.fulfilled_by = sender_uid
+                    record.fulfill(value, sender_uid)
                     task.deliver(demand.digit, value)
                     metrics.results_salvaged += 1
                     if trace.enabled:
@@ -432,59 +445,61 @@ class Node:
                 parent_uid=task.uid,
                 work=record.packet.work.describe(),
             )
-        # State and timer must be set *before* routing: a local placement
-        # acks synchronously, moving the record straight to PLACED.
-        record.state = SpawnState.IN_TRANSIT
-        self._arm_ack_timer(task, record)
-        for packet in self.policy.expand_spawn(self, task, record):
-            self._route_packet(packet, record)
+        self._launch(task, record)
 
-    def _route_packet(self, packet: TaskPacket, record: Optional[SpawnRecord]) -> None:
+    def _launch(self, task: TaskInstance, record: SpawnRecord) -> None:
+        """Figure 6's a→b edge, for a first spawn and a reissue alike.
+
+        State and timer are set *before* routing: a local placement acks
+        synchronously, moving the record straight on to PLACED.  Routing
+        goes through the policy's expansion, so replicated execution
+        emits (and re-emits) all k copies.  No timer may be armed on entry
+        (a reissue disarms the old one first).
+        """
+        record.state = SpawnState.IN_TRANSIT
+        if self.policy.uses_ack_timers:
+            record.ack_timer = self.queue.after(
+                self.cost.ack_timeout,
+                partial(self._on_ack_timeout, task, record),
+                label="ack-timeout",
+            )
+        for packet in self.policy.expand_spawn(self, task, record):
+            self._route_packet(packet)
+
+    def _disarm(self, record: SpawnRecord) -> None:
+        """Cancel the record's ack timer, if one is armed."""
+        if record.ack_timer is not None:
+            self.queue.cancel(record.ack_timer)
+            record.ack_timer = None
+
+    def _route_packet(self, packet: TaskPacket) -> None:
         dest = self.policy.placement_for(self, packet)
         if dest is None:
             dest = self.machine.scheduler.place(packet, self.id, self.known_dead)
         msg = TaskPacketMsg(src=self.id, dst=dest, packet=packet)
-        if dest == self.id:
-            self._handle_task_packet(msg)
-        else:
+        if dest != self.id:
             target = self.machine.nodes[dest]
             congestion = self.congestion
             if congestion is not None and congestion.on_route(self, target, msg):
                 return  # packet shed at the full inbox (drop/tail policy)
             target.inbound_pending += 1
-            self.machine.network.send(msg)
-
-    def _arm_ack_timer(self, task: TaskInstance, record: SpawnRecord) -> None:
-        if not self.policy.uses_ack_timers:
-            return
-        if record.ack_timer is not None:
-            self.queue.cancel(record.ack_timer)
-
-        record.ack_timer = self.queue.after(
-            self.cost.ack_timeout,
-            partial(self._on_ack_timeout, task, record),
-            label="ack-timeout",
-        )
+        self.send(msg)
 
     def _on_ack_timeout(self, task: TaskInstance, record: SpawnRecord) -> None:
         record.ack_timer = None
-        if not self.alive or record.state is not SpawnState.IN_TRANSIT:
-            return
-        if task.status is _COMPLETED or task.status is _ABORTED:
-            return
-        # No acknowledgement inside the window: in this network that
-        # means the carrier or executor died.  Reissue (state-b rule).
-        self.reissue_record(task, record, reason="ack-timeout")
+        if self.alive and record.state is SpawnState.IN_TRANSIT:
+            # No acknowledgement inside the window: in this network that
+            # means the carrier or executor died.  Reissue (state-b rule).
+            self.reissue_record(task, record, reason="ack-timeout")
 
     def replace_packet(self, packet: TaskPacket) -> None:
         """Re-place a packet whose carrier died before placement."""
         holder = self.instances.get(packet.parent.instance)
-        if holder is None or holder.status in (TaskStatus.COMPLETED, TaskStatus.ABORTED):
+        if holder is None or holder.status is _COMPLETED or holder.status is _ABORTED:
             return
         record = holder.record_for_child(packet.stamp)
-        if record is None or record.has_result or record.state == SpawnState.PLACED:
-            return
-        self.reissue_record(holder, record, reason="packet-undeliverable")
+        if record is not None and record.state is not SpawnState.PLACED:
+            self.reissue_record(holder, record, reason="packet-undeliverable")
 
     def reissue_record(
         self, task: TaskInstance, record: SpawnRecord, reason: str
@@ -507,17 +522,12 @@ class Node:
                 reason=reason,
                 uid=task.uid,
             )
-        record.state = SpawnState.IN_TRANSIT
         record.executor = None
         record.executor_instance = None
         record.reissued = True
         record.packet = record.packet.reissued_to(ReturnAddress(self.id, task.uid))
-        # Timer before routing: a local placement acks synchronously.
-        self._arm_ack_timer(task, record)
-        # Route through the policy's expansion so replicated execution
-        # re-emits all k copies (executors deduplicate extras).
-        for packet in self.policy.expand_spawn(self, task, record):
-            self._route_packet(packet, record)
+        self._disarm(record)  # the new launch's timer supersedes the old one
+        self._launch(task, record)
 
     # -- acknowledgements -------------------------------------------------------------------
 
@@ -526,16 +536,12 @@ class Node:
         if holder is None or holder.status is _COMPLETED or holder.status is _ABORTED:
             return
         record = holder.record_for_child(ack.stamp)
-        if record is None:
-            return
-        if record.has_result:
+        if record is None or record.has_result:
             return
         record.state = SpawnState.PLACED
         record.executor = ack.executor
         record.executor_instance = ack.instance
-        if record.ack_timer is not None:
-            self.queue.cancel(record.ack_timer)
-            record.ack_timer = None
+        self._disarm(record)
         if self.trace.enabled:
             self.trace.emit(
                 self.queue.now,
@@ -586,13 +592,18 @@ class Node:
             self.trace.emit(
                 self.queue.now, self.id, "result_sent", stamp=task.stamp, to=target
             )
-        if target.node == self.id:
-            self._handle_result(msg)
-        elif target.node in self.known_dead:
-            # Don't bother the network: we already know the parent is dead.
-            self.policy.on_result_undeliverable(self, msg, target.node)
+        self.forward_result(msg)
+
+    def forward_result(self, msg: ResultMsg) -> None:
+        """The one exit for a result this node answers with (a task's own
+        return, splice's orphan reroute) and the one write-off refusal:
+        a result for a node written off never reaches the network, it
+        goes straight to the policy as undeliverable.  Relays, acks and
+        packets do not pass here; they go out regardless."""
+        if msg.dst in self.known_dead:
+            self.policy.on_result_undeliverable(self, msg, msg.dst)
         else:
-            self.machine.network.send(msg)
+            self.send(msg)
 
     def _handle_result(self, msg: ResultMsg) -> None:
         if self.policy.on_result_received(self, msg):
@@ -651,11 +662,8 @@ class Node:
                     uid=task.uid,
                 )
             return
-        record.fulfill(msg.value)
-        record.fulfilled_by = msg.sender_instance
-        if record.ack_timer is not None:
-            self.queue.cancel(record.ack_timer)
-            record.ack_timer = None
+        record.fulfill(msg.value, msg.sender_instance)
+        self._disarm(record)
         self.metrics.results_delivered += 1
         trace = self.trace
         if msg.relayed:
@@ -710,21 +718,14 @@ class Node:
 
     def abort_completed_sender(self, msg: ResultMsg, reason: str) -> None:
         """Rollback semantics for an orphan: discard its finished work."""
-        task = self._find_local_completed(msg.sender_stamp, msg.replica)
-        if task is not None:
-            self._mark_aborted(task, reason)
-
-    def _find_local_completed(
-        self, stamp: LevelStamp, replica: int
-    ) -> Optional[TaskInstance]:
         for task in self.instances.values():
             if (
-                task.stamp == stamp
-                and task.packet.replica == replica
+                task.stamp == msg.sender_stamp
+                and task.packet.replica == msg.replica
                 and task.status is _COMPLETED
             ):
-                return task
-        return None
+                self._mark_aborted(task, reason)
+                return
 
     def abort_task(self, task: TaskInstance, reason: str) -> None:
         """Abort a live local task (cascading waste is accounted at run end)."""
@@ -737,9 +738,7 @@ class Node:
             except ValueError:  # pragma: no cover - flag/queue desync guard
                 pass
         for record in task.spawn_records.values():
-            if record.ack_timer is not None:
-                self.queue.cancel(record.ack_timer)
-                record.ack_timer = None
+            self._disarm(record)
             if self.spawn_index is not None:
                 self.spawn_index.pop(record.child_stamp, None)
         self._mark_aborted(task, reason)

@@ -99,10 +99,21 @@ class SpawnRecord:
         """True once this record's packet has a checkpoint in the node table."""
         return self.checkpoint_dest is not None
 
-    def fulfill(self, value: Any) -> None:
+    def fulfill(self, value: Any, by: Optional[int]) -> None:
+        """c→g: the child's answer arrived, computed by instance ``by``
+        (delivered, relayed or salvaged alike)."""
         self.result = value
         self.has_result = True
+        self.fulfilled_by = by
         self.state = SpawnState.FULFILLED
+
+    def unfulfill(self) -> None:
+        """g→c: un-receive the answer; the child is outstanding again at
+        its last known executor (reversible's unwind)."""
+        self.result = None
+        self.has_result = False
+        self.fulfilled_by = None
+        self.state = SpawnState.PLACED
 
 
 class TaskInstance:

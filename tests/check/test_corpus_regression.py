@@ -84,6 +84,47 @@ def test_a_missing_violation_trips_the_gate(tmp_path):
     assert report.failed[0].missing == tuple(entry["violations"])
 
 
+def _without_base(doc):
+    del doc["base"]
+
+
+def _entry_without_nemesis(doc):
+    del doc["entries"][0]["nemesis"]
+
+
+def _entries_as_an_object(doc):
+    doc["entries"] = {"0": doc["entries"][0]}
+
+
+def _statuses_as_a_list(doc):
+    doc["entries"][0]["statuses"] = [1]
+
+
+@pytest.mark.parametrize(
+    "tamper, field",
+    [
+        (_without_base, "corpus.base"),
+        (_entry_without_nemesis, "corpus.entries[0].nemesis"),
+        (_entries_as_an_object, "corpus.entries"),
+        (_statuses_as_a_list, "corpus.entries[0].statuses"),
+    ],
+)
+def test_a_misshapen_document_is_one_spec_error(tmp_path, capsys, tamper, field):
+    from repro.cli import main
+
+    doc = load_corpus(corpus_files(CORPUS_DIR)[0])
+    tamper(doc)
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SpecError) as caught:
+        load_corpus(str(path))
+    assert caught.value.field == field
+    # and through the CLI: exit 2 with one error line, before anything runs
+    assert main(["check", "corpus", "run", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corpus ") and field[7:] in err[0]
+
+
 def test_unreadable_or_wrong_schema_is_a_spec_error(tmp_path):
     with pytest.raises(SpecError):
         run_corpus(str(tmp_path / "nope.json"))

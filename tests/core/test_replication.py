@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import SimConfig
 from repro.core import NoFaultTolerance, ReplicatedExecution
-from repro.baselines import tmr_policy
 from repro.lang.programs import get_program
 from repro.sim import Fault, FaultSchedule, InterpWorkload, TreeWorkload
 from repro.sim.machine import run_simulation
@@ -104,8 +103,9 @@ class TestFaultMasking:
 
 class TestTmrBaseline:
     def test_tmr_is_k3(self):
-        policy = tmr_policy()
-        assert isinstance(policy, ReplicatedExecution)
+        # Misunas' TMR, emulated by §5.3's packet replication
+        policy = ReplicatedExecution(k=3)
+        assert policy.k == 3 and policy.majority == 2
         result = run(
             TreeWorkload(balanced_tree(3, 2, 20), "bal"),
             policy,

@@ -242,7 +242,7 @@ class TestReplayEntry:
                 checkpoint_dest=executor,
             ))
             assert table.record(executor, stamp, packet, holder.uid) is not None
-        holder.spawn_records[1].fulfill(1)
+        holder.spawn_records[1].fulfill(1, by=None)
         # and a checkpoint whose holder instance no longer exists
         assert table.record(self.DEAD, LevelStamp.of(7, 0), packet, task_uid=99) is not None
         return policy, machine, node, holder

@@ -15,14 +15,30 @@ This suite turns both claims into executable ``weak-recovery`` oracle
 verdicts: the partition regime must classify as **weak, not
 violating**, with the run still correct; the one-sided regime must
 classify as a **violation** on a seed where it strands the run.
+
+``STALLS`` pins one such run under every policy spelling: each stalls,
+with its makespan and full verdict map fixed, so a cure of the one-sided
+write-off shows as a diff of that table.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.api import Experiment
 from repro.check import check_spec
 
 BASE = Experiment.workload("balanced:4:2:30").processors(4).seed(0)
+#: policy -> the makespan at which ``chaos:drop=0.04,notify=1`` stalls it
+STALLS = {
+    "none": 354.0,
+    "rollback": 628.0,
+    "splice": 858.0,
+    "incremental": 628.0,
+    "incremental:persist=hybrid": 628.0,
+    "reversible": 628.0,
+    "replicated": 808.0,
+}
 
 
 def _check(policy, nemesis):
@@ -111,6 +127,25 @@ class TestCompetingPoliciesAtTheBoundary:
         # ...but no waiter was aborted for pointing at a "dead" child,
         # so no completed task's commit is ever orphaned
         assert report.verdict("no-orphan-commit").status == "pass"
+
+    @pytest.mark.parametrize("policy, makespan", sorted(STALLS.items()))
+    def test_the_one_sided_write_off_stalls_every_policy(self, policy, makespan):
+        # Pinned before the write-off is cured: the refusal lives in the
+        # shared node protocol (Node.forward_result), so no recovery
+        # style escapes it — replication included.  A cure shows as a
+        # visible diff of this table.
+        handle, report = _check(policy, "chaos:drop=0.04,notify=1")
+        assert not handle.result.completed
+        assert handle.result.makespan == makespan
+        stranded = "pass" if policy in ("none", "replicated") else "violation"
+        assert {v.oracle: v.status for v in report.verdicts} == {
+            "result-agreement": "violation",
+            "no-orphan-commit": "pass",
+            "checkpoint-coverage": "pass",
+            "causal-delivery": "pass",
+            "bounded-recovery": stranded,
+            "weak-recovery": "violation",
+        }
 
     def test_reversible_unwind_preserves_causal_delivery(self):
         handle, report = _check(

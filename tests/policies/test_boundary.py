@@ -94,10 +94,15 @@ def test_the_lint_sees_a_leak():
 RULE_FILES = sorted(
     glob.glob(os.path.join(SRC, "core", "*.py"))
     + glob.glob(os.path.join(SRC, "policies", "*.py"))
-    + [os.path.join(SRC, "sim", "node.py")]
+    + [os.path.join(SRC, "sim", "node.py"), os.path.join(SRC, "sim", "task.py")]
 )
 RECOVERY_COUNTERS = ("recoveries_triggered", "results_ignored", "tasks_aborted", "twins_created")
 RECOVERY_KINDS = ("result_ignored", "task_aborted", "twin_created")
+#: The node protocol's rules, keyed by the call that states them: every
+#: send to the network, every ack-timer cancel, every a→b routing.
+PROTOCOL_CALLS = {("network", "send"), ("queue", "cancel"), (None, "expand_spawn")}
+#: Spawn-record fields only the record's own fulfil / un-fulfil write.
+RECORD_FIELDS = ("has_result", "fulfilled_by")
 COMPOSING_POLICIES = {
     "core/rollback.py", "core/splice.py", "policies/incremental.py", "policies/reversible.py",
 }
@@ -112,50 +117,125 @@ def _calls_entry(expr: ast.AST) -> bool:
     )
 
 
+def _protocol_call(call: ast.Call):
+    """``"network.send"``-style name of a protocol call, else None."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    owner = func.value.attr if isinstance(func.value, ast.Attribute) else None
+    for want_owner, method in PROTOCOL_CALLS:
+        if func.attr == method and want_owner in (None, owner):
+            return f"{want_owner}.{method}" if want_owner else method
+    return None
+
+
+def _refuses_on_write_off(branch: ast.If) -> bool:
+    # ``if <x> in <y>.known_dead:`` whose body hands a result to the policy
+    test_reads_known_dead = any(
+        isinstance(n, ast.Compare)
+        and isinstance(n.ops[0], ast.In)
+        and isinstance(n.comparators[0], ast.Attribute)
+        and n.comparators[0].attr == "known_dead"
+        for n in ast.walk(branch.test)
+    )
+    return test_reads_known_dead and any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "on_result_undeliverable"
+        for stmt in branch.body
+        for n in ast.walk(stmt)
+    )
+
+
+def _with_function(tree: ast.AST):
+    """``(node, name of the innermost def around it)`` for every node."""
+    stack = [(tree, "")]
+    while stack:
+        node, func = stack.pop()
+        yield node, func
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
 def rule_sites(source: str) -> dict:
-    """``{rule: [line, ...]}`` for every statement of a recovery rule in ``source``."""
+    """``{rule: [(line, function), ...]}`` for every statement of a
+    recovery or node-protocol rule in ``source``."""
     sites: dict = {}
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.For, ast.comprehension)) and _calls_entry(node.iter):
-            sites.setdefault("entry-loop", []).append(getattr(node, "lineno", node.iter.lineno))
+
+    def site(rule, node, func):
+        sites.setdefault(rule, []).append((node.lineno, func))
+
+    for node, func in _with_function(ast.parse(source)):
+        if isinstance(node, ast.For) and _calls_entry(node.iter):
+            site("entry-loop", node, func)
+        elif isinstance(node, ast.comprehension) and _calls_entry(node.iter):
+            site("entry-loop", node.iter, func)
         elif (
             isinstance(node, ast.AugAssign)
             and isinstance(node.op, ast.Add)
             and isinstance(node.target, ast.Attribute)
             and node.target.attr in RECOVERY_COUNTERS
         ):
-            sites.setdefault(f"+= {node.target.attr}", []).append(node.lineno)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-        ):
-            for arg in node.args:
-                if isinstance(arg, ast.Constant) and arg.value in RECOVERY_KINDS:
-                    sites.setdefault(f"emit {arg.value}", []).append(node.lineno)
+            site(f"+= {node.target.attr}", node, func)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and target.attr in RECORD_FIELDS:
+                    site(f"write {target.attr}", node, func)
+        elif isinstance(node, ast.If) and _refuses_on_write_off(node):
+            site("known_dead refusal", node, func)
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "emit":
+                for arg in node.args:
+                    if isinstance(arg, ast.Constant) and arg.value in RECOVERY_KINDS:
+                        site(f"emit {arg.value}", node, func)
+            call = _protocol_call(node)
+            if call is not None:
+                site(f"{call}(", node, func)
         elif isinstance(node, ast.FunctionDef) and node.name == "on_failure_detected":
             for inner in ast.walk(node):
                 if isinstance(inner, _LOOPS):
-                    sites.setdefault("loop in on_failure_detected", []).append(inner.lineno)
+                    site("loop in on_failure_detected", inner, func)
     return sites
 
 
-def test_every_recovery_rule_has_exactly_one_site():
+def _all_sites() -> dict:
     found: dict = {}
     for path in RULE_FILES:
         rel = os.path.relpath(path, SRC)
         with open(path, "r", encoding="utf-8") as fh:
-            for rule, lines in rule_sites(fh.read()).items():
+            for rule, at in rule_sites(fh.read()).items():
                 if rule == "loop in on_failure_detected" and rel not in COMPOSING_POLICIES:
                     continue
-                found.setdefault(rule, []).extend(f"{rel}:{line}" for line in lines)
+                found.setdefault(rule, []).extend(
+                    f"{rel}:{func}" for _, func in sorted(at)
+                )
+    return found
+
+
+def test_every_recovery_rule_has_exactly_one_site():
+    found = _all_sites()
     expected = (
         ["entry-loop"]
         + [f"+= {name}" for name in RECOVERY_COUNTERS]
         + [f"emit {kind}" for kind in RECOVERY_KINDS]
+        + ["network.send(", "queue.cancel(", "expand_spawn(", "known_dead refusal"]
+        + [f"write {name}" for name in RECORD_FIELDS]
     )
-    # exactly the expected rules (so no composing policy loops), one site each
-    assert {rule: len(at) for rule, at in found.items()} == dict.fromkeys(expected, 1), found
+    # exactly the expected rules (so no composing policy loops), and one
+    # site each — the record fields one fulfil and one un-fulfil
+    counts = {rule: len(at) for rule, at in found.items()}
+    assert counts == {rule: 2 if rule.startswith("write ") else 1 for rule in expected}, found
+
+
+def test_each_node_protocol_rule_lives_in_its_method():
+    found = _all_sites()
+    assert found["network.send("] == ["sim/node.py:send"]
+    assert found["queue.cancel("] == ["sim/node.py:_disarm"]
+    assert found["expand_spawn("] == ["sim/node.py:_launch"]
+    assert found["known_dead refusal"] == ["sim/node.py:forward_result"]
+    for name in RECORD_FIELDS:
+        assert found[f"write {name}"] == ["sim/task.py:fulfill", "sim/task.py:unfulfill"]
 
 
 def test_the_scan_sees_a_duplicated_site():
@@ -170,10 +250,36 @@ def test_the_scan_sees_a_duplicated_site():
         "    node.metrics.twins_created = 0\n"
         "    node.trace.emit(now, node.id, 'task_aborted')\n"
         "    node.trace.emit(now, node.id, 'task_started')\n"
+        "def send_twice(node, msg, record, task):\n"
+        "    node.machine.network.send(msg)\n"
+        "    self.machine.network.send(msg)\n"
+        "    node.queue.cancel(record.ack_timer)\n"
+        "    self.queue.cancel(timer)\n"
+        "    for p in self.policy.expand_spawn(node, task, record): pass\n"
+        "    packets = node.policy.expand_spawn(node, task, record)\n"
+        "    record.has_result = False\n"
+        "    record.fulfilled_by = None\n"
+        "    twin.has_result = record.has_result\n"
+        "    record.fulfilled_by = msg.sender_instance\n"
+        "    if msg.dst in node.known_dead:\n"
+        "        node.policy.on_result_undeliverable(node, msg, msg.dst)\n"
+        "    elif gp in self.known_dead and gp != node.id:\n"
+        "        self.on_result_undeliverable(node, msg, gp)\n"
+        "    if dead in self.known_dead:\n"
+        "        return\n"
+        "    self.machine.network.post(msg)\n"
+        "    node.queue.schedule(1.0, msg)\n"
     )
     assert {rule: len(at) for rule, at in rule_sites(twice).items()} == {
         "entry-loop": 2,
         "+= twins_created": 2,
         "emit task_aborted": 2,
         "loop in on_failure_detected": 2,
+        "network.send(": 2,
+        "queue.cancel(": 2,
+        "expand_spawn(": 2,
+        "write has_result": 2,
+        "write fulfilled_by": 2,
+        "known_dead refusal": 2,
     }
+    assert sorted(rule_sites(twice)["network.send("]) == [(12, "send_twice"), (13, "send_twice")]

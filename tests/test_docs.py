@@ -724,11 +724,16 @@ class TestPolicyReferences:
         }
         policies_doc = read_docs()["docs/POLICIES.md"]
         section = policies_doc.split("## Recovery rules", 1)[1].split("\n## ", 1)[0]
-        rows = [
-            [cell.strip() for cell in line.strip("|").split("|")]
-            for line in section.splitlines()
-            if line.startswith("| ") and not line.startswith(("| Rule", "| ---"))
-        ]
+        # two tables, told apart by their last column's heading
+        tables: dict = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if line.startswith("| Rule"):
+                rows = tables.setdefault(cells[-1], [])
+            elif line.startswith("| ") and not line.startswith("| ---"):
+                rows.append(cells)
+        assert set(tables) == {"Composed by", "Lint rule (one site)"}
+        rows = tables["Composed by"]
         assert len(rows) >= 6
         stated = set()
         for rule, _, method, composed_by in rows:
@@ -742,6 +747,26 @@ class TestPolicyReferences:
         assert stated >= {
             "_unwind_results", "replay_entry", "_register_twin", "_abort_starved_tasks",
             "_repair_waiters", "recovered", "_mark_aborted", "ignore_result",
+        }
+        # the node-protocol table: real methods, each lint rule one the
+        # site scan counts
+        from repro.sim.task import SpawnRecord
+
+        owners["SpawnRecord"] = SpawnRecord
+        with open(
+            os.path.join(REPO_ROOT, "tests", "policies", "test_boundary.py"), encoding="utf-8"
+        ) as fh:
+            scan = fh.read()
+        protocol = set()
+        for rule, _, method, lint in tables["Lint rule (one site)"]:
+            owner, _, name = method.strip("`").partition(".")
+            assert name in owners[owner].__dict__, f"{rule}: no {method}"
+            protocol.add(f"{owner}.{name}")
+            for lint_rule in re.findall(r"`([^`]+)`", lint):
+                assert f'"{lint_rule}"' in scan, lint_rule
+        assert protocol == {
+            "Node.send", "Node.forward_result", "Node._launch", "Node._disarm",
+            "SpawnRecord.fulfill", "SpawnRecord.unfulfill",
         }
 
     def test_policy_compare_scenarios_registered_and_documented(self):
