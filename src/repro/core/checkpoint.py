@@ -27,20 +27,21 @@ which is exact in the absence of racing lineages.
 **Indexing.**  ``record`` runs on every placement acknowledgement and a
 drop on every child result, so neither may scan an entry, probe every
 destination, or build per-level containers.  Both indexes are per entry
-and key on raw ``digits`` tuples (hashed in C — no
-``LevelStamp.__hash__`` runs inside the table):
+and key on stamps themselves: the ancestors a walk steps through are the
+``up`` links of the stamp in hand (the live parents' own stamps), so the
+table allocates no key.
 
 - ``by_stamp`` (per entry): exact stamp → the checkpoints recorded for
-  it, one per holder, as a tuple.  The "is B2 covered?" test walks B2's
-  ancestor prefixes root-ward — O(depth) hash probes instead of O(entry)
+  it, one per holder, as a tuple.  The "is B2 covered?" test walks B2
+  and its ancestors root-ward — O(depth) hash probes instead of O(entry)
   ``is_ancestor_of`` calls.
-- ``below`` (per entry): prefix → how many checkpoints sit directly
-  under it plus how many of its child prefixes have anything below
-  them.  A prefix is present exactly when the entry records a proper
+- ``below`` (per entry): ancestor stamp → how many checkpoints sit
+  directly under it plus how many of its children have anything below
+  them.  A stamp is present exactly when the entry records a proper
   descendant of it, so the reverse (subsumption) test — "does B2 cover
   recorded descendants?" — is one probe, and only a hit enumerates
   ``by_stamp``.  Insertion and removal walk root-ward and stop at the
-  first prefix that stays populated, so siblings and cousins of a
+  first ancestor that stays populated, so siblings and cousins of a
   recorded stamp cost one counter update, not one per level.
 
 There is no table-wide index from a checkpoint to its entry: whoever
@@ -80,9 +81,6 @@ class FunctionalCheckpoint:
     task_uid: int
 
 
-_Digits = tuple
-
-
 class HeldTotal:
     """Checkpoints retained by every table that shares this object.
 
@@ -105,8 +103,8 @@ class _DestEntry:
     __slots__ = ("by_stamp", "below")
 
     def __init__(self) -> None:
-        self.by_stamp: Dict[_Digits, Tuple[FunctionalCheckpoint, ...]] = {}
-        self.below: Dict[_Digits, int] = {}
+        self.by_stamp: Dict[LevelStamp, Tuple[FunctionalCheckpoint, ...]] = {}
+        self.below: Dict[LevelStamp, int] = {}
 
 
 class CheckpointTable:
@@ -142,45 +140,44 @@ class CheckpointTable:
         entry = self._entries.get(dest)
         if entry is None:
             entry = self._entries[dest] = _DestEntry()
-        digits = stamp.digits
-        depth = len(digits)
         # Coverage test: walk the stamp and its proper ancestors leaf-ward
         # to root-ward; any recorded holder in the same lineage suppresses.
         by_stamp = entry.by_stamp
         if by_stamp:
-            for level in range(depth, -1, -1):
-                recorded = by_stamp.get(digits[:level])
+            level = stamp
+            while level is not None:
+                recorded = by_stamp.get(level)
                 if recorded:
                     for prior in recorded:
                         if covers is None or covers(prior.task_uid, task_uid):
                             self.suppressed += 1
                             return None
+                level = level.up
         # A new topmost stamp can also *subsume* previously recorded
         # descendants of the same lineage (possible after recovery
         # re-placements): drop them so the invariant holds.
         below = entry.below
-        if digits in below:
+        if stamp in below:
             subsumed = [
                 prior
                 for deeper, recorded in by_stamp.items()
-                if len(deeper) > depth and deeper[:depth] == digits
+                if stamp.is_ancestor_of(deeper)
                 for prior in recorded
                 if covers is None or covers(task_uid, prior.task_uid)
             ]
             for prior in subsumed:
                 self.drop(dest, prior.stamp, prior.task_uid)
         checkpoint = FunctionalCheckpoint(stamp, dest, packet, task_uid)
-        by_stamp[digits] = by_stamp.get(digits, ()) + (checkpoint,)
-        # Count the newcomer under its parent prefix; a prefix that was
-        # empty until now becomes a populated child of *its* parent.
-        level = depth - 1
-        while level >= 0:
-            prefix = digits[:level]
-            count = below.get(prefix, 0)
-            below[prefix] = count + 1
+        by_stamp[stamp] = by_stamp.get(stamp, ()) + (checkpoint,)
+        # Count the newcomer under its parent; an ancestor that was empty
+        # until now becomes a populated child of *its* parent.
+        level = stamp.up
+        while level is not None:
+            count = below.get(level, 0)
+            below[level] = count + 1
             if count:
                 break
-            level -= 1
+            level = level.up
         self.recorded += 1
         self._total.held += 1
         self._held += 1
@@ -193,8 +190,7 @@ class CheckpointTable:
         entry = self._entries.get(dest)
         if entry is None:
             return False
-        digits = stamp.digits
-        recorded = entry.by_stamp.get(digits)
+        recorded = entry.by_stamp.get(stamp)
         if not recorded:
             return False
         if task_uid is None:
@@ -204,21 +200,20 @@ class CheckpointTable:
             if not doomed:
                 return False
         if len(doomed) == len(recorded):
-            del entry.by_stamp[digits]
+            del entry.by_stamp[stamp]
         else:
-            entry.by_stamp[digits] = tuple(c for c in recorded if c.task_uid != task_uid)
+            entry.by_stamp[stamp] = tuple(c for c in recorded if c.task_uid != task_uid)
         below = entry.below
         for _ in doomed:
-            # Mirror of record(): uncount root-ward while prefixes empty.
-            level = len(digits) - 1
-            while level >= 0:
-                prefix = digits[:level]
-                count = below[prefix] - 1
+            # Mirror of record(): uncount root-ward while ancestors empty.
+            level = stamp.up
+            while level is not None:
+                count = below[level] - 1
                 if count:
-                    below[prefix] = count
+                    below[level] = count
                     break
-                del below[prefix]
-                level -= 1
+                del below[level]
+                level = level.up
         self._held -= len(doomed)
         self._total.held -= len(doomed)
         self.dropped += len(doomed)
@@ -242,9 +237,8 @@ class CheckpointTable:
         )
 
     def lookup(self, stamp: LevelStamp) -> Optional[FunctionalCheckpoint]:
-        digits = stamp.digits
         for entry in self._entries.values():
-            recorded = entry.by_stamp.get(digits)
+            recorded = entry.by_stamp.get(stamp)
             if recorded:
                 return recorded[0]
         return None
@@ -277,22 +271,18 @@ class CheckpointTable:
                                 f"topmost invariant violated in entry {dest}: "
                                 f"{a.stamp} covers {b.stamp} (holder {a.task_uid})"
                             )
-            for digits, recorded in entry.by_stamp.items():
-                if not recorded or any(
-                    c.stamp.digits != digits or c.dest != dest for c in recorded
-                ):
+            for stamp, recorded in entry.by_stamp.items():
+                if not recorded or any(c.stamp != stamp or c.dest != dest for c in recorded):
                     raise AssertionError(f"by_stamp index out of sync in entry {dest}")
-            # below[p] = checkpoints whose parent prefix is p, plus child
-            # prefixes of p that have a recorded proper descendant.
+            # below[a] = checkpoints whose parent is a, plus children of a
+            # that have a recorded proper descendant.
             populated = {
-                c.stamp.digits[:level]
-                for c in checkpoints
-                for level in range(len(c.stamp.digits))
+                c.stamp.ancestor_at(level) for c in checkpoints for level in range(c.stamp.depth)
             }
-            below: Dict[_Digits, int] = {}
-            for child in [c.stamp.digits for c in checkpoints] + list(populated):
-                if child:
-                    below[child[:-1]] = below.get(child[:-1], 0) + 1
+            below: Dict[LevelStamp, int] = {}
+            for child in [c.stamp for c in checkpoints] + list(populated):
+                if not child.is_root:
+                    below[child.parent()] = below.get(child.parent(), 0) + 1
             if entry.below != below:
                 raise AssertionError(f"descendant counts out of sync in entry {dest}")
             held += len(checkpoints)

@@ -19,12 +19,17 @@ stamp assignment *re-execution stable*: a regenerated twin of a task
 assigns its children exactly the stamps the original assigned, regardless
 of result-arrival order.  That stability is what lets splice recovery
 match an orphan's salvaged result to the twin's demand (§4.1 cases 4-7).
+
+A stamp is stored as §3.1 builds it: its parent's stamp (``up``), one
+digit, its depth and its hash, computed once.  A child shares its
+parent's whole prefix, so stamping is O(1), and a prefix test walks the
+deeper stamp up by the depth gap.  Equality is by value, and stops as
+soon as both walks reach one shared stamp.  ``digits`` is derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 Digit = Union[int, Tuple[int, ...]]
 
@@ -41,97 +46,103 @@ def _validate_digit(digit: Digit) -> None:
     raise TypeError(f"invalid stamp digit: {digit!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class LevelStamp:
-    """A task's level stamp: the tuple of digits from the root.
+    """A task's level stamp: its parent's stamp with one digit appended.
 
     The root task carries the empty stamp (the paper's "null level
     number").  ``s.child(d)`` appends one digit.
     """
 
-    digits: Tuple[Digit, ...] = ()
+    __slots__ = ("up", "digit", "depth", "_hash")
 
-    def __post_init__(self) -> None:
-        for digit in self.digits:
-            _validate_digit(digit)
+    def __init__(self, up: Optional[LevelStamp], digit: Optional[Digit]) -> None:
+        self.up, self.digit = up, digit
+        self.depth = 0 if up is None else up.depth + 1
+        self._hash = hash(()) if up is None else hash((up._hash, digit))
 
     def __hash__(self) -> int:
-        # The dataclass-generated hash wraps digits in another tuple;
-        # stamps key the simulator's hottest dicts, so hash the digits
-        # directly (consistent with the generated __eq__ on digits).
-        return hash(self.digits)
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LevelStamp):
+            return NotImplemented
+        a, b = self, other
+        if a._hash != b._hash or a.depth != b.depth:
+            return False
+        while a is not b:
+            if a.digit != b.digit:
+                return False
+            a, b = a.up, b.up
+        return True
+
+    def __reduce__(self):
+        # Through the digits, so a deep stamp pickles without recursing.
+        return (LevelStamp.of, self.digits)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _unchecked(digits: Tuple[Digit, ...]) -> "LevelStamp":
-        """Internal: build a stamp from already-validated digits.
-
-        Derivations of an existing stamp (child, parent, prefix) only
-        ever recombine validated digits; skipping ``__post_init__``'s
-        re-validation keeps them O(copy) instead of O(depth) checks.
-        """
-        stamp = object.__new__(LevelStamp)
-        object.__setattr__(stamp, "digits", digits)
-        return stamp
-
-    @staticmethod
-    def root() -> "LevelStamp":
+    def root() -> LevelStamp:
         return _ROOT
 
     @staticmethod
-    def of(*digits: Digit) -> "LevelStamp":
+    def of(*digits: Digit) -> LevelStamp:
         """Build a stamp from digits: ``LevelStamp.of(0, 2, 1)``."""
-        return LevelStamp(tuple(digits))
+        stamp = _ROOT
+        for digit in digits:
+            stamp = stamp.child(digit)
+        return stamp
 
-    def child(self, digit: Digit) -> "LevelStamp":
+    def child(self, digit: Digit) -> LevelStamp:
         """The stamp of this task's child at spawn position ``digit``."""
         _validate_digit(digit)
-        return LevelStamp._unchecked(self.digits + (digit,))
+        return LevelStamp(self, digit)
 
-    def parent(self) -> "LevelStamp":
+    def parent(self) -> LevelStamp:
         """The parent task's stamp; the root has no parent."""
-        if not self.digits:
+        if self.up is None:
             raise ValueError("the root stamp has no parent")
-        return LevelStamp._unchecked(self.digits[:-1])
+        return self.up
 
-    def ancestor_at(self, depth: int) -> "LevelStamp":
+    def ancestor_at(self, depth: int) -> LevelStamp:
         """The ancestor stamp at the given depth (0 = root)."""
         if not 0 <= depth <= self.depth:
             raise ValueError(f"depth {depth} out of range for {self}")
-        return LevelStamp._unchecked(self.digits[:depth])
+        stamp = self
+        for _ in range(self.depth - depth):
+            stamp = stamp.up
+        return stamp
 
     # -- structure ----------------------------------------------------------
 
     @property
-    def depth(self) -> int:
-        """Level in the call tree (root = 0)."""
-        return len(self.digits)
+    def digits(self) -> Tuple[Digit, ...]:
+        """Every digit from the root, as a tuple (derived, O(depth))."""
+        out = []
+        stamp = self
+        while stamp.up is not None:
+            out.append(stamp.digit)
+            stamp = stamp.up
+        return tuple(reversed(out))
 
     @property
     def is_root(self) -> bool:
-        return not self.digits
+        return self.up is None
 
     @property
     def last_digit(self) -> Digit:
-        if not self.digits:
+        if self.up is None:
             raise ValueError("the root stamp has no digits")
-        return self.digits[-1]
+        return self.digit
 
     # -- genealogy ----------------------------------------------------------
 
-    def is_ancestor_of(self, other: "LevelStamp") -> bool:
+    def is_ancestor_of(self, other: LevelStamp) -> bool:
         """Strict ancestor test: proper prefix of ``other``."""
-        return (
-            len(self.digits) < len(other.digits)
-            and other.digits[: len(self.digits)] == self.digits
-        )
+        return self.depth < other.depth and other.ancestor_at(self.depth) == self
 
-    def is_parent_of(self, other: "LevelStamp") -> bool:
-        return (
-            len(other.digits) == len(self.digits) + 1
-            and other.digits[: len(self.digits)] == self.digits
-        )
+    def is_parent_of(self, other: LevelStamp) -> bool:
+        return self == other.up
 
     # -- ordering / rendering -----------------------------------------------
 
@@ -143,21 +154,16 @@ class LevelStamp:
         )
 
     def __str__(self) -> str:
-        if not self.digits:
-            return "ε"
-        parts = []
-        for digit in self.digits:
-            if isinstance(digit, int):
-                parts.append(str(digit))
-            else:
-                parts.append("(" + "-".join(str(d) for d in digit) + ")")
-        return ".".join(parts)
+        return ".".join(
+            str(digit) if isinstance(digit, int) else "(" + "-".join(map(str, digit)) + ")"
+            for digit in self.digits
+        ) or "ε"
 
     def __repr__(self) -> str:
         return f"LevelStamp({self})"
 
 
-_ROOT = LevelStamp(())
+_ROOT = LevelStamp(None, None)
 
 
 def topmost(stamps: Iterable[LevelStamp]) -> Tuple[LevelStamp, ...]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -17,7 +17,7 @@ from repro.api import (
     SpecError,
     WorkloadSpec,
 )
-from repro.api.specs import POLICY_PARAMS
+from repro.api.specs import MACHINE_PARAMS, POLICY_PARAMS
 from repro.lang.programs import PROGRAMS
 from repro.errors import ReproError
 
@@ -626,3 +626,48 @@ class TestHostileStrings:
         # documents and the builder go through the same parse
         with pytest.raises(SpecError):
             Experiment.workload("fib-10").policy(text)
+
+
+#: JSON values, with the tokens the grammars know mixed in so that some
+#: documents get past the first check and fail (or load) deeper down.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from([
+        RUNSPEC_SCHEMA, "balanced:3:2:10", "prog:tak:7:4:2", "splice", "replicated:3",
+        "0.5:1", "time:600:2", "frac", "time", "chaos:drop=0.1", "poisson:rate=1,horizon=9",
+        "torus", "static", "8", "-1", "nan",
+    ]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["mode", "schedule", "hop_latency", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+_RUN_KEYS = (
+    "schema", "workload", "policy", "machine", "seed", "faults", "nemesis", "arrivals",
+    "base_policy", "speedup_base_processors",
+)
+_MACHINE_KEYS = tuple(k for k in MACHINE_PARAMS if not k.startswith("cost.")) + ("cost",)
+_COST_FIELDS = tuple(k[len("cost."):] for k in MACHINE_PARAMS if k.startswith("cost."))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_RUN_KEYS), _json_values, max_size=4),
+    st.dictionaries(st.sampled_from(_MACHINE_KEYS), _json_values, max_size=3),
+    st.dictionaries(st.sampled_from(_COST_FIELDS), _json_values, max_size=2),
+)
+def test_hostile_documents_load_or_raise_spec_error(run_over, machine_over, cost_over):
+    """Arbitrary JSON values under the document keys either load or raise
+    ``SpecError`` — never another exception."""
+    base = RunSpec.from_params({"workload": "balanced:3:2:10", "seed": 0}).to_json()
+    machine = {**base["machine"], **machine_over}
+    if cost_over:
+        machine["cost"] = cost_over
+    for load, doc in (
+        (RunSpec.from_json, {**base, **run_over}),
+        (RunSpec.from_json, {**base, "machine": machine}),
+        (MachineSpec.from_json, machine),
+    ):
+        try:
+            load(doc)
+        except SpecError:
+            pass

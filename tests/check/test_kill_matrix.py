@@ -21,6 +21,7 @@ import pytest
 
 from repro.api import Experiment
 from repro.check import check_spec
+from repro.core.checkpoint import CheckpointTable
 from repro.core.rollback import RollbackRecovery
 from repro.core.splice import SpliceRecovery, _TwinState
 from repro.policies.incremental import IncrementalRecovery
@@ -78,6 +79,19 @@ def _refuse_nothing(self, msg):
     self.send(msg)  # a result for a written-off node goes out anyway
 
 
+_record = CheckpointTable.record
+
+
+def _covers_nothing(self, dest, stamp, packet, task_uid, covers=None):
+    # §3.2's "C does nothing" never fires: every spawn is checkpointed
+    return _record(self, dest, stamp, packet, task_uid, covers=lambda a, b: False)
+
+
+def _stamp_only_coverage(self, dest, stamp, packet, task_uid, covers=None):
+    # lineage ignored: any recorded stamp ancestor suppresses
+    return _record(self, dest, stamp, packet, task_uid, covers=None)
+
+
 #: name -> (class, method, broken replacement, policies the rule belongs to)
 MUTANTS = {
     "skip-replay": (RollbackRecovery, "replay_entry", _skip_replay, POLICIES),
@@ -93,6 +107,8 @@ MUTANTS = {
     "unregistered-twin": (SpliceRecovery, "_register_twin", _unregistered_twin, ("splice",)),
     "never-disarm": (Node, "_disarm", _never_disarm, POLICIES),
     "refuse-nothing": (Node, "forward_result", _refuse_nothing, POLICIES),
+    "covers-nothing": (CheckpointTable, "record", _covers_nothing, POLICIES),
+    "stamp-only-coverage": (CheckpointTable, "record", _stamp_only_coverage, POLICIES),
 }
 
 
@@ -158,6 +174,8 @@ KILLS = {
     "unregistered-twin": set(),
     "never-disarm": set(),
     "refuse-nothing": set(),
+    "covers-nothing": set(),
+    "stamp-only-coverage": set(),
 }
 
 

@@ -127,7 +127,7 @@ class TestQueries:
 # invariant — the paper's §3.2 data-structure contract.
 _stamps = st.lists(
     st.integers(min_value=0, max_value=2), min_size=0, max_size=4
-).map(lambda ds: LevelStamp(tuple(ds)))
+).map(lambda ds: LevelStamp.of(*ds))
 _ops = st.lists(
     st.tuples(st.sampled_from(["record", "drop"]), st.integers(0, 2), _stamps),
     max_size=40,
@@ -283,11 +283,18 @@ class _ReferenceTable:
 
 _DESTS = (0, 1, 2)
 _HOLDERS = (0, 1, 2, 3)
+#: One parent object every chained stamp below hangs from.
+_SHARED = LevelStamp.of(1)
+_CHAINED = [_SHARED, _SHARED.child(0), _SHARED.child(1)]
+_CHAINED.append(_CHAINED[1].child(1))
 #: A universe small enough that random sequences keep colliding: the same
 #: key under two destinations, ancestors recorded after descendants, drops
-#: that hit.
-_close_stamps = st.lists(st.integers(0, 1), max_size=3).map(
-    lambda ds: LevelStamp(tuple(ds))
+#: that hit.  Stamps built from the root and ``child()`` chains from
+#: ``_SHARED`` (the same objects each time) collide by value as well as
+#: by identity.
+_close_stamps = st.one_of(
+    st.lists(st.integers(0, 1), max_size=3).map(lambda ds: LevelStamp.of(*ds)),
+    st.sampled_from(_CHAINED),
 )
 #: Instance genealogy: each holder's parent is a smaller uid or nobody, so
 #: some holders share a lineage and others race (cf. TestLineageAwareCoverage).

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from repro.core.stamps import LevelStamp, topmost
 int_digits = st.integers(min_value=0, max_value=5)
 tuple_digits = st.tuples(int_digits, int_digits)
 digits = st.one_of(int_digits, tuple_digits)
-stamps = st.lists(digits, max_size=6).map(lambda ds: LevelStamp(tuple(ds)))
+stamps = st.lists(digits, max_size=6).map(lambda ds: LevelStamp.of(*ds))
 
 
 class TestConstruction:
@@ -157,3 +159,128 @@ class TestTopmost:
         for s in items:
             covers = [k for k in kept if k == s or k.is_ancestor_of(s)]
             assert len(covers) == 1
+
+
+class _TupleStamp:
+    """A stamp as the tuple of every digit from the root, with genealogy
+    as prefix slices — §3.1 read literally.  The judge the node stamp
+    (parent link, digit, depth, hash) must agree with."""
+
+    def __init__(self, digits):
+        self.digits = tuple(digits)
+
+    def parent(self):
+        if not self.digits:
+            raise ValueError("the root stamp has no parent")
+        return self.digits[:-1]
+
+    def ancestor_at(self, depth):
+        return self.digits[:depth]
+
+    def last_digit(self):
+        if not self.digits:
+            raise ValueError("the root stamp has no digits")
+        return self.digits[-1]
+
+    def is_ancestor_of(self, other):
+        n = len(self.digits)
+        return n < len(other.digits) and other.digits[:n] == self.digits
+
+    def is_parent_of(self, other):
+        n = len(self.digits)
+        return len(other.digits) == n + 1 and other.digits[:n] == self.digits
+
+    def sort_key(self):
+        return tuple(
+            (0, digit, ()) if isinstance(digit, int) else (1, -1, digit)
+            for digit in self.digits
+        )
+
+    def __str__(self):
+        if not self.digits:
+            return "ε"
+        return ".".join(
+            str(d) if isinstance(d, int) else "(" + "-".join(str(x) for x in d) + ")"
+            for d in self.digits
+        )
+
+
+def _chain(stamp, digits):
+    """Stamp ``digits`` below ``stamp`` one ``child()`` at a time."""
+    for digit in digits:
+        stamp = stamp.child(digit)
+    return stamp
+
+
+# A small alphabet, so that independently drawn stamps often share a
+# prefix or are equal: ints and int tuples (including the empty tuple).
+_digit = st.one_of(st.integers(0, 2), st.lists(st.integers(0, 1), max_size=2).map(tuple))
+_path = st.lists(_digit, max_size=64)
+
+
+class TestAgainstTheTupleReference:
+    @given(_path)
+    def test_every_derivation_agrees(self, ds):
+        stamp, ref = LevelStamp.of(*ds), _TupleStamp(ds)
+        assert stamp.digits == ref.digits
+        assert stamp.depth == len(ds)
+        assert stamp.is_root == (not ds)
+        assert str(stamp) == str(ref)
+        assert stamp.sort_key() == ref.sort_key()
+        for depth in range(len(ds) + 1):
+            assert stamp.ancestor_at(depth).digits == ref.ancestor_at(depth)
+        if ds:
+            assert stamp.parent().digits == ref.parent()
+            assert stamp.last_digit == ref.last_digit()
+        else:
+            with pytest.raises(ValueError):
+                stamp.parent()
+            with pytest.raises(ValueError):
+                stamp.last_digit
+
+    @given(_path)
+    def test_stamps_built_apart_are_equal_with_equal_hashes(self, ds):
+        built, chained = LevelStamp.of(*ds), _chain(LevelStamp.root(), ds)
+        assert built == chained and not built != chained
+        assert hash(built) == hash(chained)
+        assert {built: 1}[chained] == 1
+
+    @given(_path, _path, _path, st.booleans(), st.booleans())
+    def test_genealogy_agrees(self, prefix, tail_a, tail_b, share_a, share_b):
+        # Either below one shared parent object or built apart from the root.
+        shared = LevelStamp.of(*prefix)
+        a = _chain(shared, tail_a) if share_a else LevelStamp.of(*prefix, *tail_a)
+        b = _chain(shared, tail_b) if share_b else LevelStamp.of(*prefix, *tail_b)
+        ref_a, ref_b = _TupleStamp(prefix + tail_a), _TupleStamp(prefix + tail_b)
+        assert (a == b) == (ref_a.digits == ref_b.digits)
+        if a == b:
+            assert hash(a) == hash(b)
+        for x, y, rx, ry in ((a, b, ref_a, ref_b), (b, a, ref_b, ref_a)):
+            assert x.is_ancestor_of(y) == rx.is_ancestor_of(ry)
+            assert x.is_parent_of(y) == rx.is_parent_of(ry)
+
+    @given(st.lists(st.tuples(_path, st.booleans()), max_size=12))
+    def test_topmost_agrees(self, drawn):
+        shared = LevelStamp.of(0)
+        items = [
+            _chain(shared, ds) if share else LevelStamp.of(0, *ds) for ds, share in drawn
+        ]
+        refs = [_TupleStamp((0, *ds)) for ds, _ in drawn]
+        want = {
+            r.digits
+            for r in refs
+            if not any(o.is_ancestor_of(r) for o in refs)
+        }
+        kept = topmost(items)
+        assert [s.digits for s in kept] == sorted(
+            want, key=lambda ds: _TupleStamp(ds).sort_key()
+        )
+
+    def test_a_deep_stamp_pickles_without_recursion(self):
+        ds = [i % 3 if i % 2 else (i % 2, i % 5) for i in range(5000)]
+        stamp = _chain(LevelStamp.root(), ds)
+        copy = pickle.loads(pickle.dumps(stamp))
+        assert copy is not stamp
+        assert copy == stamp and hash(copy) == hash(stamp)
+        assert copy.digits == tuple(ds)
+        assert pickle.loads(pickle.dumps(LevelStamp.root())) is LevelStamp.root()

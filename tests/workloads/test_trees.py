@@ -60,6 +60,11 @@ class TestChain:
         spec = chain_tree(5000, 1)
         assert (spec.expected_value(), spec.depth()) == (5000, 4999)
         assert spec.total_work() == 5000 + 4999  # work each, post-work on every parent
+        # ...and simulates: stamping and checkpointing are O(depth) a task.
+        from repro.api import Experiment, execute
+
+        run = execute(Experiment.workload("chain:5000:1").policy("rollback").processors(4).build())
+        assert run.completed and run.verified
 
 
 def _recursive(spec, node_id=0):
