@@ -40,8 +40,6 @@ from repro.api.session import (
     RunHandle,
     Session,
     execute,
-    replicate,
-    replicate_seeds,
 )
 from repro.api.specs import (
     RUNSPEC_SCHEMA,
@@ -71,6 +69,4 @@ __all__ = [
     "SpecError",
     "WorkloadSpec",
     "execute",
-    "replicate",
-    "replicate_seeds",
 ]

@@ -22,7 +22,6 @@ runs, and registry sweeps can never drift apart.
 
 from __future__ import annotations
 
-import hashlib
 import statistics
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -191,8 +190,9 @@ def execute(
             base_cfg = config.with_(n_processors=spec.speedup_base_processors)
         base = _baseline(spec.workload.to_spec_str(), base_policy, base_cfg)
 
-    faults = spec.faults.schedule(base[0] if base else None)
-    nemesis = spec.nemesis.build(base[0]) if spec.nemesis else None
+    base_makespan = base[0] if base else None
+    faults = spec.faults.schedule(base_makespan)
+    nemesis = spec.nemesis.build(base_makespan) if spec.nemesis else None
     load = spec.arrivals.build() if spec.arrivals else None
     result = run_simulation(
         wfactory(), config, policy=spec.policy.build(),
@@ -201,14 +201,7 @@ def execute(
     )
 
     util_mean, util_spread = _util_stats(result)
-    if spec.faults.mode == "frac":
-        fault_times = (
-            [round(max(1.0, f * base[0]), 6) for f, _ in spec.faults.entries]
-            if base
-            else []
-        )
-    else:
-        fault_times = [round(t, 6) for t, _ in spec.faults.entries]
+    fault_times = [round(t, 6) for t, _ in spec.faults.crashes(base_makespan)]
     out: Dict[str, Any] = {
         "workload": spec.workload.to_spec_str(),
         "policy": policy_str,
@@ -243,52 +236,6 @@ def execute(
         if spec.speedup_base_processors is not None:
             out["speedup"] = round(base_makespan / result.makespan, 6)
     return RunHandle(spec=spec, result=result, record=out, baseline=base)
-
-
-# -- seed-set replication ------------------------------------------------------
-
-
-def replicate_seeds(spec: RunSpec, n: int) -> List[int]:
-    """The deterministic seed set for ``n`` replicates of one RunSpec.
-
-    Seed 0 is the spec's own seed; seeds 1..n-1 derive from the sha256
-    of the spec's canonical JSON document plus the replicate index —
-    reproducible across processes and machines, never from ``hash()``
-    or run order.  The replication axis therefore lives entirely in the
-    seed: every replicate describes the same experiment at a different
-    point of the stochastic stream.
-    """
-    n = int(n)
-    if n < 1:
-        raise SpecError("replicates need n >= 1", field="replications", value=n)
-    from repro.util.jsonio import compact_dumps
-
-    doc = compact_dumps(spec.to_json())
-    seeds = [spec.seed]
-    for r in range(1, n):
-        digest = hashlib.sha256(f"{doc}#replicate={r}".encode("utf-8")).digest()
-        seeds.append(int.from_bytes(digest[:8], "big") >> 1)
-    return seeds
-
-
-def replicate(spec: "SpecLike", n: int) -> List[RunSpec]:
-    """Expand one spec into ``n`` deterministically-seeded RunSpecs.
-
-    Replicate 0 is the resolved spec itself, so ``replicate(spec, 1)``
-    is the identity; the rest differ only in ``seed``
-    (:func:`replicate_seeds`).  This is the API-level counterpart of
-    the scenario ``replications`` axis — feed the list to
-    :meth:`Session.run_many` or aggregate the records with
-    :mod:`repro.report`.  The two layers deliberately derive their
-    seed sets from different identities (the RunSpec document here;
-    the scenario name + cell params in ``exp.scenario.replicate_seed``),
-    so replicates 1..N-1 of a grid cell and of its extracted RunSpec
-    are *different draws* — equally valid, not interchangeable.  To
-    reproduce a sweep's exact replicate runs, replay the seeds recorded
-    in its report (``CellSummary.seeds``) or cached points.
-    """
-    base = Session.resolve(spec)
-    return [replace(base, seed=seed) for seed in replicate_seeds(base, n)]
 
 
 # -- the fluent builder --------------------------------------------------------
@@ -540,11 +487,3 @@ class Session:
     def run_many(self, specs: Iterable[SpecLike]) -> List[RunHandle]:
         """Execute several specs in order, returning their handles."""
         return [self.run(spec) for spec in specs]
-
-    def run_replicates(self, spec: SpecLike, n: int) -> List[RunHandle]:
-        """Execute ``n`` deterministically-seeded replicates of one spec.
-
-        Sugar for ``run_many(replicate(spec, n))``; the handles arrive
-        in replicate order (replicate 0 = the spec's own seed).
-        """
-        return self.run_many(replicate(spec, n))

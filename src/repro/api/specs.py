@@ -46,7 +46,7 @@ String grammars:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SCHEDULERS, TOPOLOGIES, CostModel, SimConfig
 from repro.errors import SpecError
@@ -360,27 +360,30 @@ class FaultSpec:
     def __bool__(self) -> bool:
         return bool(self.entries)
 
-    def schedule(self, base_makespan: Optional[float] = None):
-        """Build the :class:`~repro.sim.failure.FaultSchedule`.
+    def crashes(self, base_makespan: Optional[float] = None) -> Sequence[Tuple[float, int]]:
+        """The ``(sim time, node)`` of every entry, in entry order.
 
         Fraction-mode entries are placed at ``max(1.0, frac * base)``
         exactly as the historical point runners did.
         """
-        from repro.sim.failure import Fault, FaultSchedule
-
-        if not self.entries:
-            return FaultSchedule.none()
-        if self.mode != "time" and base_makespan is None:
+        if self.mode == "time" or not self.entries:
+            return self.entries
+        if base_makespan is None:
             raise SpecError(
                 "fraction-mode fault schedule needs a baseline makespan",
                 field="faults.mode", value=self.mode,
             )
+        return [(max(1.0, when * base_makespan), node) for when, node in self.entries]
+
+    def schedule(self, base_makespan: Optional[float] = None):
+        """Build the :class:`~repro.sim.failure.FaultSchedule` of :meth:`crashes`."""
+        from repro.sim.failure import Fault, FaultSchedule
+
+        if not self.entries:
+            return FaultSchedule.none()
+        crashes = self.crashes(base_makespan)
         try:
-            if self.mode == "time":
-                return FaultSchedule.of(*(Fault(when, node) for when, node in self.entries))
-            return FaultSchedule.of(
-                *(Fault(max(1.0, when * base_makespan), node) for when, node in self.entries)
-            )
+            return FaultSchedule.of(*(Fault(when, node) for when, node in crashes))
         except ValueError as exc:  # a negative time or node: Fault's own check
             raise SpecError(str(exc), spec=self.to_spec_str(), field="faults") from None
 

@@ -34,6 +34,7 @@ from repro.core.packets import ReturnAddress, TaskPacket
 from repro.core.policy import FaultTolerance
 from repro.core.stamps import LevelStamp
 from repro.lang.values import value_equal
+from repro.sim.task import SpawnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.messages import ResultMsg, TaskPacketMsg
@@ -137,7 +138,7 @@ class ReplicatedExecution(FaultTolerance):
         if task.status in (TaskStatus.COMPLETED, TaskStatus.ABORTED):
             return False
         record = task.record_for_child(msg.sender_stamp)
-        if record is None or record.has_result:
+        if record is None or record.state is SpawnState.FULFILLED:
             return False
         if record.votes is None:
             record.votes = []
@@ -173,13 +174,11 @@ class ReplicatedExecution(FaultTolerance):
         """A replica's carrier died.  The record recovers via other
         replicas' votes; re-place only if *no* replica was ever placed
         (otherwise the ack/vote machinery is already running)."""
-        from repro.sim.task import SpawnState
-
         holder = self.machine.instance(msg.packet.parent.instance)
         if holder is None:
             return
         record = holder.record_for_child(msg.packet.stamp)
-        if record is None or record.has_result:
+        if record is None or record.state is SpawnState.FULFILLED:
             return
         if record.state == SpawnState.IN_TRANSIT and not record.votes:
             node.reissue_record(holder, record, reason="replica-lost")

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, List
 
 from repro.core.checkpoint import CheckpointTable, HeldTotal
 from repro.core.policy import FaultTolerance
+from repro.sim.task import SpawnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.stamps import LevelStamp
@@ -164,7 +165,7 @@ class RollbackRecovery(FaultTolerance):
             if holder is None:
                 continue
             record = holder.record_for_child(checkpoint.stamp)
-            if record is None or record.has_result:
+            if record is None or record.state is SpawnState.FULFILLED:
                 continue
             record.checkpoint_dest = None
             if reissue:

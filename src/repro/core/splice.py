@@ -33,6 +33,7 @@ from repro.core.checkpoint import CheckpointTable
 from repro.core.packets import ReturnAddress
 from repro.core.rollback import RollbackRecovery, RollbackState
 from repro.core.stamps import LevelStamp
+from repro.sim.task import SpawnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.messages import ResultMsg
@@ -129,7 +130,7 @@ class SpliceRecovery(RollbackRecovery):
             node.ignore_result(msg, reason="no-retained-packet")
             return True
         holder_uid, record = entry
-        if record.has_result:
+        if record.state is SpawnState.FULFILLED:
             # The dead task's answer already arrived (via an earlier twin
             # or before the failure): this orphan return is obsolete.
             node.ignore_result(msg, reason="parent-result-known")

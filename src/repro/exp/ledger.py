@@ -349,12 +349,23 @@ def _parse_lines(path: str) -> tuple:
                 )
                 torn += 1
                 continue
-            raise ReproError(
-                f"sweep ledger {path} is corrupt at line {lineno + 1}: "
-                "only the final line may be torn"
-            ) from None
+            raise _corrupt(path, lineno + 1, "only the final line may be torn") from None
         records.append(record)
     return records, torn
+
+
+def _corrupt(path: str, lineno: int, why: str) -> ReproError:
+    return ReproError(f"sweep ledger {path} is corrupt at line {lineno}: {why}")
+
+
+def _count(
+    path: str, lineno: int, record: Dict[str, Any], name: str, low: int, default: Any = None
+) -> int:
+    """``record.get(name, default)``, which must be an integer ``>= low``."""
+    value = record.get(name, default)
+    if type(value) is not int or value < low:
+        raise _corrupt(path, lineno, f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def replay_ledger(path: str) -> LedgerState:
@@ -362,7 +373,9 @@ def replay_ledger(path: str) -> LedgerState:
 
     Tolerates a torn final line (skipped with a :class:`LedgerWarning`);
     refuses ledgers with no usable ``run_started`` header, a foreign
-    schema tag, or mid-file corruption (:class:`~repro.errors.ReproError`).
+    schema tag, mid-file corruption, or a record whose fields are not
+    what the writer writes (:class:`~repro.errors.ReproError`, naming
+    the line).
     Duplicate ``point_finished`` records are idempotent — the first
     digest-verified record wins; a record whose payload does not match
     its recorded sha256 is degraded to "not finished" with a warning.
@@ -378,17 +391,24 @@ def replay_ledger(path: str) -> LedgerState:
             f"sweep ledger {path} has schema {header.get('schema')!r}; "
             f"expected {LEDGER_SCHEMA!r}"
         )
+    scenario, key, points = header.get("scenario"), header.get("key"), header.get("points", [])
+    if not (isinstance(scenario, str) and isinstance(key, str) and isinstance(points, list)):
+        raise _corrupt(path, 1, "scenario and key must be strings, points a list")
+    n_points = _count(path, 1, header, "n_points", 0)
+    replications = _count(path, 1, header, "replications", 1, default=1)
     finished: Dict[int, Dict[str, Any]] = {}
     failed: Dict[int, str] = {}
     started = set()
     run_done = False
     sweep_sha: Optional[str] = None
-    for record in records[1:]:
+    # record i sits on line i + 1: only a torn final line is ever skipped
+    for lineno, record in enumerate(records[1:], start=2):
         event = record["event"]
+        if event in ("point_started", "point_finished", "point_failed"):
+            index = _count(path, lineno, record, "index", 0)
         if event == "point_started":
-            started.add(int(record["index"]))
+            started.add(index)
         elif event == "point_finished":
-            index = int(record["index"])
             result = record.get("result")
             if not isinstance(result, dict) or result_digest(result) != record.get(
                 "sha256"
@@ -406,7 +426,6 @@ def replay_ledger(path: str) -> LedgerState:
             finished[index] = result
             failed.pop(index, None)
         elif event == "point_failed":
-            index = int(record["index"])
             if index not in finished:
                 failed[index] = str(record.get("error", ""))
         elif event == "run_finished":
@@ -421,11 +440,11 @@ def replay_ledger(path: str) -> LedgerState:
     return LedgerState(
         path=path,
         run_id=str(header.get("run", "")),
-        scenario=str(header["scenario"]),
-        key=str(header["key"]),
-        replications=int(header.get("replications", 1)),
-        n_points=int(header["n_points"]),
-        points=list(header.get("points", [])),
+        scenario=scenario,
+        key=key,
+        replications=replications,
+        n_points=n_points,
+        points=list(points),
         finished=finished,
         failed=failed,
         started=frozenset(started),

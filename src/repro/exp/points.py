@@ -46,22 +46,18 @@ offending token, the allowed values, and its position in the string.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping
 
-from repro.api.specs import PolicySpec, RunSpec
-from repro.config import SimConfig
-from repro.sim.failure import FaultSchedule
-from repro.sim.machine import run_simulation
-from repro.sim.workload import TreeWorkload
+from repro.api.session import execute
+from repro.api.specs import FaultSpec, MachineSpec, PolicySpec, RunSpec, WorkloadSpec
 
 # -- runners ------------------------------------------------------------------
 
 
 def run_machine_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     """One machine run (optionally faulted), as a flat JSON dict."""
-    from repro.api.session import execute
-
     return execute(RunSpec.from_params(params)).record
 
 
@@ -98,8 +94,6 @@ def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     fanout = int(params.get("fanout", 2))
     work = int(params.get("work", 30))
     processors = int(params.get("processors", 4))
-    spec = balanced_tree(depth, fanout, work)
-
     fault_time = float(params.get("fault_frac", 0.6)) * _periodic_base_makespan(
         depth, fanout, work, processors
     )
@@ -107,42 +101,36 @@ def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     scheme = str(params["scheme"])
     kind, _, arg = scheme.partition(":")
     if kind == "periodic":
-        interval = float(arg)
+        spec, interval = balanced_tree(depth, fanout, work), float(arg)
         ff = PeriodicCheckpointSimulator(spec, processors, interval=interval).run()
         faulted = PeriodicCheckpointSimulator(spec, processors, interval=interval).run(
             fault_time=fault_time
         )
-        return {
-            "scheme": scheme,
-            "fault_free_makespan": ff.makespan,
-            "sync_time": round(ff.checkpoint_time, 6),
-            "faulted_makespan": faulted.makespan,
-            "lost_work": round(faulted.lost_work, 6),
-            "completed": faulted.completed,
-            "verified": faulted.completed,
-        }
-    if kind == "functional":
-        policy = PolicySpec.parse(arg)
-        config = SimConfig(n_processors=processors, seed=int(params["seed"]))
-        workload = lambda: TreeWorkload(spec, "bal")  # noqa: E731
-        ff = run_simulation(
-            workload(), config, policy=policy.build(), collect_trace=False
+        sync_time, lost_work = round(ff.checkpoint_time, 6), round(faulted.lost_work, 6)
+        verified = faulted.completed
+    elif kind == "functional":
+        fault_free = RunSpec(
+            WorkloadSpec("balanced", args=(depth, fanout, work)),
+            PolicySpec.parse(arg),
+            MachineSpec(processors=processors),
+            seed=int(params["seed"]),
         )
-        faulted = run_simulation(
-            workload(), config, policy=policy.build(),
-            faults=FaultSchedule.single(fault_time, int(params.get("victim", 1))),
-            collect_trace=False,
-        )
-        return {
-            "scheme": scheme,
-            "fault_free_makespan": ff.makespan,
-            "sync_time": 0.0,
-            "faulted_makespan": faulted.makespan,
-            "lost_work": float(faulted.metrics.steps_wasted),
-            "completed": faulted.completed,
-            "verified": faulted.verified,
-        }
-    raise KeyError(f"unknown scheme {scheme!r}")
+        crash = FaultSpec(((fault_time, int(params.get("victim", 1))),), "time")
+        ff = execute(fault_free).result
+        faulted = execute(replace(fault_free, faults=crash)).result
+        sync_time, lost_work = 0.0, float(faulted.metrics.steps_wasted)
+        verified = faulted.verified
+    else:
+        raise KeyError(f"unknown scheme {scheme!r}")
+    return {
+        "scheme": scheme,
+        "fault_free_makespan": ff.makespan,
+        "sync_time": sync_time,
+        "faulted_makespan": faulted.makespan,
+        "lost_work": lost_work,
+        "completed": faulted.completed,
+        "verified": verified,
+    }
 
 
 RUNNERS: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {

@@ -160,15 +160,25 @@ def _point_entry(
     return entry
 
 
-def _load_cached(path: str) -> Optional[Dict[str, Any]]:
+def _load_cached(path: str, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
+    """The payload cached at ``path`` if it is a whole sweep of ``spec``;
+    anything else (unreadable, foreign, truncated, malformed) is a miss."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    if isinstance(payload, dict) and isinstance(payload.get("points"), list):
-        return payload
-    return None
+    points = payload.get("points") if isinstance(payload, dict) else None
+    whole = (
+        isinstance(points, list) and len(points) == spec.n_points()
+        and payload.get("scenario") == spec.name and payload.get("key") == spec.key()
+        and all(
+            isinstance(entry, dict) and entry.get("index") == index
+            and isinstance(entry.get("result"), dict)
+            for index, entry in enumerate(points)
+        )
+    )
+    return payload if whole else None
 
 
 def _execute_points(
@@ -305,7 +315,7 @@ def run_scenario(
     path = result_path(cache_dir, spec.name, key) if cache_dir else None
 
     if path and not force:
-        payload = _load_cached(path)
+        payload = _load_cached(path, spec)
         if payload is not None:
             return SweepResult(
                 scenario=spec.name,

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.rollback import RollbackRecovery
+from repro.sim.task import SpawnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.node import Node
@@ -51,7 +52,7 @@ class ReversibleRecovery(RollbackRecovery):
         for task in list(node.live_tasks()):
             for record in task.spawn_records.values():
                 if not (
-                    record.has_result
+                    record.state is SpawnState.FULFILLED
                     and record.executor == dead_node
                     and record.digit in task.pending_deliveries
                 ):

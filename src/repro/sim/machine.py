@@ -10,7 +10,8 @@ whose only task is a host behavior that demands the user program's root
 task and waits for its answer.  Because it is a regular node running the
 regular protocol, the root task enjoys exactly the same functional
 checkpointing and recovery as every other task — the paper's
-"pre-evaluation checkpoint" falls out for free.
+"pre-evaluation checkpoint" falls out for free: it is the host's spawn
+record for the root, ``machine.instance(machine.root_host_uid).spawn_records[0]``.
 """
 
 from __future__ import annotations

@@ -70,6 +70,7 @@ _ABORTED = TaskStatus.ABORTED
 _READY = TaskStatus.READY
 _RUNNING = TaskStatus.RUNNING
 _SUSPENDED = TaskStatus.SUSPENDED
+_FULFILLED = SpawnState.FULFILLED
 
 
 class Node:
@@ -411,7 +412,7 @@ class Node:
                 self._schedule_run()
             return
         for record in new_records:
-            if not record.has_result:  # salvage may have filled it
+            if record.state is not _FULFILLED:  # salvage may have filled it
                 self._dispatch_spawn(task, record)
         if final is not None and final.completed:
             self._complete_task(task, final.value)
@@ -509,7 +510,7 @@ class Node:
         This is *the* recovery primitive: rollback's "reissue all the
         checkpointed tasks" and splice's twin creation both land here.
         """
-        if task.status in (TaskStatus.COMPLETED, TaskStatus.ABORTED) or record.has_result:
+        if task.status is _COMPLETED or task.status is _ABORTED or record.state is _FULFILLED:
             return
         self.metrics.tasks_reissued += 1
         self.metrics.add_busy(self.id, self.cost.reissue_overhead)
@@ -536,7 +537,7 @@ class Node:
         if holder is None or holder.status is _COMPLETED or holder.status is _ABORTED:
             return
         record = holder.record_for_child(ack.stamp)
-        if record is None or record.has_result:
+        if record is None or record.state is _FULFILLED:
             return
         record.state = SpawnState.PLACED
         record.executor = ack.executor
@@ -570,7 +571,7 @@ class Node:
         self.policy.on_task_completed(self, task)
         if self.machine.is_root_host(task):
             # The host is not retired: its record for the root task is the
-            # pre-evaluation checkpoint core/superroot.py reads after a run.
+            # §4.3.1 pre-evaluation checkpoint, still readable after a run.
             self.machine.finish(task.result)
             return
         task.retire()
@@ -642,7 +643,7 @@ class Node:
         Public because the replication policy delivers the majority value
         through this same path after a vote decides.
         """
-        if record.has_result:
+        if record.state is _FULFILLED:
             # Duplicate (cases 6/7): identical by determinacy; ignore it.
             if self.machine.config.verify_determinacy and not value_equal(
                 record.result, msg.value

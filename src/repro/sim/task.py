@@ -54,6 +54,9 @@ class SpawnState(enum.Enum):
     FULFILLED = "g"
 
 
+#: A record holds its child's answer exactly when its state is this one.
+_FULFILLED = SpawnState.FULFILLED
+
 #: What an instance's buffers and record map read as before their first
 #: write and after :meth:`TaskInstance.retire`: one shared, read-only,
 #: empty mapping (a write has to go through the method that creates the
@@ -77,7 +80,6 @@ class SpawnRecord:
     executor: Optional[int] = None
     executor_instance: Optional[int] = None
     result: Any = None
-    has_result: bool = False
     #: uid of the task instance whose result filled this record (used for
     #: useful-vs-wasted work accounting at run end).
     fulfilled_by: Optional[int] = None
@@ -94,16 +96,10 @@ class SpawnRecord:
     #: next fulfilment then closes a recovery (traced as recovery_complete).
     reissued: bool = False
 
-    @property
-    def checkpointed(self) -> bool:
-        """True once this record's packet has a checkpoint in the node table."""
-        return self.checkpoint_dest is not None
-
     def fulfill(self, value: Any, by: Optional[int]) -> None:
         """c→g: the child's answer arrived, computed by instance ``by``
         (delivered, relayed or salvaged alike)."""
         self.result = value
-        self.has_result = True
         self.fulfilled_by = by
         self.state = SpawnState.FULFILLED
 
@@ -111,7 +107,6 @@ class SpawnRecord:
         """g→c: un-receive the answer; the child is outstanding again at
         its last known executor (reversible's unwind)."""
         self.result = None
-        self.has_result = False
         self.fulfilled_by = None
         self.state = SpawnState.PLACED
 
@@ -198,7 +193,7 @@ class TaskInstance:
         return tuple(
             r.fulfilled_by
             for r in self.spawn_records.values()
-            if r.has_result and r.fulfilled_by is not None
+            if r.state is _FULFILLED and r.fulfilled_by is not None
         )
 
     def retire(self) -> None:
@@ -221,7 +216,7 @@ class TaskInstance:
         return self.spawn_records.get(child_stamp.last_digit)
 
     def unfulfilled_records(self) -> List[SpawnRecord]:
-        return [r for r in self.spawn_records.values() if not r.has_result]
+        return [r for r in self.spawn_records.values() if r.state is not _FULFILLED]
 
     def waiting_on(self, node_id: int) -> List[SpawnRecord]:
         """Unfulfilled records whose child was last known on ``node_id``."""

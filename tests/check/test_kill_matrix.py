@@ -9,24 +9,32 @@ policy the rule belongs to — and is judged by the six oracles of
 ``repro check``.  A cell is ``(policy, schedule, oracle)``; it *moved*
 when the mutant's status differs from the unmutated run's.
 
+Two mutants break the judges' instruments instead of the protocol:
+``Trace.positions``, which every trace reader queries, and
+``CheckContext.recovery``, the one fold behind ``bounded-recovery``,
+``weak-recovery`` and the coverage signature.
+
 The cells each mutant moves are pinned here, and docs/CHECK.md renders
 the matrix with one line per survivor saying why the trace cannot see
-it.  A change that lets an oracle see more (or less) of a broken
-protocol edits a pin below, on purpose.
+it: 3 of the 14 mutants are killed.  A change that lets an oracle see
+more (or less) of a broken protocol edits a pin below, on purpose.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Experiment
-from repro.check import check_spec
+from repro.check import CheckContext, build_context, check_spec
 from repro.core.checkpoint import CheckpointTable
 from repro.core.rollback import RollbackRecovery
 from repro.core.splice import SpliceRecovery, _TwinState
 from repro.policies.incremental import IncrementalRecovery
 from repro.policies.reversible import ReversibleRecovery
 from repro.sim.node import Node
+from repro.sim.trace import Trace
 
 POLICIES = ("rollback", "splice", "incremental:persist=hybrid", "reversible")
 #: schedule -> (processors, crashes as (fraction of the fault-free makespan, node))
@@ -92,6 +100,30 @@ def _stamp_only_coverage(self, dest, stamp, packet, task_uid, covers=None):
     return _record(self, dest, stamp, packet, task_uid, covers=None)
 
 
+def _count_nothing(self, anything):
+    pass  # recoveries_triggered never moves
+
+
+_positions = Trace.positions
+
+
+def _hide_results(self, kind):
+    # every trace reader goes through here: none sees a result arrive
+    return () if kind == "result_received" else _positions(self, kind)
+
+
+_recovery = CheckContext.recovery.func
+
+
+def _never_close(self):
+    # a result closes no window: every window stays open to the end of the run
+    folded = _recovery(self)
+    still_open = folded.still_open + tuple((stamp, at) for stamp, at, _ in folded.closed)
+    horizon = self.horizon if self.horizon > 0 else 1.0
+    worst = max([0.0] + [(self.makespan - at) / horizon for _, at in still_open])
+    return replace(folded, closed=(), still_open=still_open, worst_ratio=round(worst, 6))
+
+
 #: name -> (class, method, broken replacement, policies the rule belongs to)
 MUTANTS = {
     "skip-replay": (RollbackRecovery, "replay_entry", _skip_replay, POLICIES),
@@ -109,6 +141,9 @@ MUTANTS = {
     "refuse-nothing": (Node, "forward_result", _refuse_nothing, POLICIES),
     "covers-nothing": (CheckpointTable, "record", _covers_nothing, POLICIES),
     "stamp-only-coverage": (CheckpointTable, "record", _stamp_only_coverage, POLICIES),
+    "count-nothing": (RollbackRecovery, "recovered", _count_nothing, POLICIES),
+    "hide-results": (Trace, "positions", _hide_results, POLICIES),
+    "never-close": (CheckContext, "recovery", property(_never_close), POLICIES),
 }
 
 
@@ -176,14 +211,39 @@ KILLS = {
     "refuse-nothing": set(),
     "covers-nothing": set(),
     "stamp-only-coverage": set(),
+    "count-nothing": set(),
+    "hide-results": set(),
+    "never-close": set(),
 }
 
 
-def test_the_catalog_has_at_least_eight_one_method_mutants():
-    assert len(MUTANTS) >= 8
+def test_the_catalog_has_at_least_fourteen_one_method_mutants():
+    assert len(MUTANTS) >= 14
     assert set(KILLS) == set(MUTANTS)
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_the_kill_matrix_is_pinned(mutant, unmutated):
     assert kill_cells(mutant, unmutated) == KILLS[mutant]
+
+
+@pytest.mark.parametrize(
+    "mutant, reading",
+    [
+        ("count-nothing", lambda handle, ctx: handle.metrics.recoveries_triggered),
+        ("hide-results", lambda handle, ctx: ctx.trace.count("result_received")),
+        ("never-close", lambda handle, ctx: len(ctx.recovery.closed)),
+    ],
+)
+def test_an_instrument_survivor_is_a_swap_that_bit(mutant, reading):
+    # positive on the unbroken run, zero under the mutant: it survives
+    # having changed what its method reports, not by missing the swap
+    readings = []
+    for armed in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if armed:
+                owner, method, broken, _ = MUTANTS[mutant]
+                mp.setattr(owner, method, broken)
+            handle, _ = check_spec(_spec("rollback", "early"))
+            readings.append(reading(handle, build_context(handle)))
+    assert readings[0] > 0 and readings[1] == 0, readings

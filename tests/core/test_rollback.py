@@ -254,8 +254,8 @@ class TestReplayEntry:
         assert table.entry(self.DEAD) == [] and len(table.entry(self.OTHER)) == 1
         table.check_invariant()
         awaited, _, elsewhere = (holder.spawn_records[d] for d in (0, 1, 2))
-        assert not awaited.checkpointed and awaited.executor == self.DEAD
-        assert elsewhere.checkpointed
+        assert awaited.checkpoint_dest is None and awaited.executor == self.DEAD
+        assert elsewhere.checkpoint_dest == self.OTHER
         assert machine.metrics.tasks_reissued == 0 and not awaited.reissued
         assert len(machine.trace) == 0
 

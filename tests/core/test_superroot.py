@@ -1,4 +1,9 @@
-"""Tests for super-root root-task recovery (§4.3.1)."""
+"""Tests for super-root root-task recovery (§4.3.1).
+
+The super-root is machine node ``-1``, a regular node running the
+regular protocol; its host task's spawn record for the user root is the
+pre-evaluation checkpoint, read here straight off the machine.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +11,14 @@ import pytest
 
 from repro.config import SimConfig
 from repro.core import NoFaultTolerance, RollbackRecovery, SpliceRecovery
-from repro.core.superroot import (
-    ROOT_TASK_STAMP,
-    is_super_root,
-    root_checkpoint_packet,
-    root_executor,
-    root_record,
-)
 from repro.core.packets import SUPER_ROOT_NODE
+from repro.core.stamps import LevelStamp
 from repro.sim import FaultSchedule, TreeWorkload
 from repro.sim.machine import Machine
-from repro.workloads.trees import balanced_tree, chain_tree
+from repro.workloads.trees import balanced_tree
+
+#: The user root is the super-root host task's single child.
+ROOT_TASK_STAMP = LevelStamp.of(0)
 
 
 def machine(policy, n=4, seed=0):
@@ -27,10 +29,18 @@ def machine(policy, n=4, seed=0):
     )
 
 
+def root_record(m):
+    """The super-root host's spawn record for the user root, if demanded."""
+    return m.instance(m.root_host_uid).spawn_records.get(0)
+
+
 class TestSuperRootBasics:
-    def test_is_super_root(self):
-        assert is_super_root(SUPER_ROOT_NODE)
-        assert not is_super_root(0)
+    def test_the_super_root_hosts_the_root_demand(self):
+        m = machine(RollbackRecovery())
+        m._start_root_host()
+        assert SUPER_ROOT_NODE == -1
+        assert m.instance(m.root_host_uid).node == SUPER_ROOT_NODE
+        assert all(node.id != SUPER_ROOT_NODE for node in m.processors())
 
     def test_root_checkpoint_exists_before_completion(self):
         m = machine(RollbackRecovery())
@@ -38,7 +48,7 @@ class TestSuperRootBasics:
         # after starting, the host has demanded the root: the retained
         # packet is the pre-evaluation checkpoint
         m.queue.run(until=lambda: root_record(m) is not None, max_events=100)
-        packet = root_checkpoint_packet(m)
+        packet = root_record(m).packet
         assert packet is not None
         assert packet.stamp == ROOT_TASK_STAMP
 
@@ -93,4 +103,4 @@ class TestRootFailure:
         result = m.run()
         assert result.completed
         # after completion the record is fulfilled; executor was recorded
-        assert root_executor(m) is not None
+        assert root_record(m).executor is not None

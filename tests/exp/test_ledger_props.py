@@ -26,6 +26,7 @@ from repro.exp import (
     expand,
     get_scenario,
     ledger_path,
+    list_runs,
     replay_ledger,
     resume_run,
     run_scenario,
@@ -33,6 +34,8 @@ from repro.exp import (
 from repro.exp.points import RUNNERS
 
 SCENARIOS = sorted(all_scenarios())
+#: A header edit that removes the field.
+_DROP = object()
 
 
 def fake_result(index: int) -> dict:
@@ -203,3 +206,91 @@ class TestCrashWindow:
                 assert fh.read() == reference, cut
             # and the repaired ledger is whole again
             assert replay_ledger(cold.ledger_path).run_finished
+
+
+#: Any JSON value, small.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+EVENTS = ("run_started", "point_started", "point_finished", "point_failed", "run_finished")
+RECORDS = st.dictionaries(
+    st.sampled_from(("index", "result", "sha256", "error", "schema")) | st.text(max_size=4),
+    JSON,
+    max_size=4,
+).flatmap(
+    lambda fields: (st.sampled_from(EVENTS) | JSON).map(lambda event: {**fields, "event": event})
+)
+HEADER_FIELDS = ("scenario", "key", "n_points", "replications", "points", "run")
+
+
+class TestHostileRecords:
+    """Whatever JSON follows a valid header, replay returns a state or
+    refuses with one line (``ReproError``), and ``list_runs`` skips a
+    file it cannot use instead of raising."""
+
+    @staticmethod
+    def _hostile_ledger(ledger_dir, header_edits, records) -> str:
+        spec = get_scenario("smoke")
+        with LedgerWriter.start(ledger_dir, spec) as writer:
+            path = writer.path
+        with open(path, "r", encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        for name, value in header_edits.items():
+            if value is _DROP:
+                header.pop(name, None)
+            else:
+                header[name] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            for record in [header] + records:
+                fh.write(json.dumps(record) + "\n")
+        return path
+
+    @given(
+        data=st.data(),
+        records=st.lists(RECORDS, max_size=6),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_replay_refuses_in_one_line_and_listing_never_raises(
+        self, tmp_path, data, records
+    ):
+        edits = data.draw(
+            st.dictionaries(st.sampled_from(HEADER_FIELDS), JSON | st.just(_DROP), max_size=2)
+        )
+        ledger_dir = str(tmp_path / data.draw(st.uuids()).hex)
+        path = self._hostile_ledger(ledger_dir, edits, records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LedgerWarning)
+            try:
+                state = replay_ledger(path)
+            except ReproError as exc:
+                assert "\n" not in str(exc)
+                state = None
+            listed = list_runs(ledger_dir)
+        assert [s.path for s in listed] == ([path] if state is not None else [])
+
+    @pytest.mark.parametrize(
+        "edits, records, line",
+        [
+            ({}, [{"event": "point_started", "index": "x"}], 2),
+            ({}, [{"event": "point_started", "index": 0}, {"event": "point_failed"}], 3),
+            ({}, [{"event": "point_finished", "index": 1.5, "result": {}}], 2),
+            ({}, [{"event": "point_failed", "index": -1}], 2),
+            ({}, [{"event": "point_started", "index": True}], 2),
+            ({"n_points": "four"}, [], 1),
+            ({"scenario": _DROP}, [], 1),
+            ({"replications": [2]}, [], 1),
+            ({"points": {"0": {}}}, [], 1),
+        ],
+    )
+    def test_a_malformed_record_is_corrupt_at_its_line(self, tmp_path, edits, records, line):
+        path = self._hostile_ledger(str(tmp_path), edits, records)
+        with pytest.raises(ReproError, match=f"is corrupt at line {line}: "):
+            replay_ledger(path)
+        with pytest.warns(LedgerWarning, match="skipping unusable sweep ledger"):
+            assert list_runs(str(tmp_path)) == []

@@ -69,6 +69,32 @@ class TestCache:
         assert not again.cache_hit
         assert again.to_json() == first.to_json()
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.update(points=[1, 2]),  # used to die in sweep_table
+            lambda doc: doc.update(points=doc["points"][:3]),  # used to be a 3-row hit
+            lambda doc: doc.update(points=doc["points"][::-1]),
+            lambda doc: doc["points"][0].update(index="0"),
+            lambda doc: doc["points"][1].update(result=[]),
+            lambda doc: doc.update(key="0" * 64),
+            lambda doc: doc.update(scenario="other"),
+        ],
+        ids=["scalars", "truncated", "reordered", "string-index", "list-result",
+             "foreign-key", "foreign-scenario"],
+    )
+    def test_malformed_or_truncated_cache_treated_as_miss(self, tmp_path, damage):
+        first = run_scenario("smoke", cache_dir=str(tmp_path))
+        with open(first.cache_path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        damage(doc)
+        with open(first.cache_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        again = run_scenario("smoke", cache_dir=str(tmp_path))
+        assert not again.cache_hit
+        assert again.to_json() == first.to_json()
+        assert len(sweep_table(again).splitlines()) == len(sweep_table(first).splitlines())
+
     def test_sweep_document_rendered_once(self, tmp_path, monkeypatch):
         # the ~600 KB document of a big sweep is hashed for run_finished
         # and written to the cache from one rendering

@@ -11,7 +11,11 @@ A second walk, over the node and every policy, counts where each
 recovery rule is *stated*: one loop over a checkpoint-table entry, one
 ``+=`` per recovery counter, one ``emit`` per recovery trace kind, and
 no loop at all inside a recovering policy's ``on_failure_detected`` —
-so a rule copied into a second policy fails here too.
+so a rule copied into a second policy fails here too.  The same walk
+over the whole package pins the owner of each fact that once had two:
+one caller of ``run_simulation`` outside ``sim/``, one fault-time
+formula, one writer of a fulfilled spawn state, and no second seed
+derivation in ``api/``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     "src", "repro",
 )
+ALL_FILES = sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True))
 POLICY_FILES = sorted(glob.glob(os.path.join(SRC, "policies", "*.py"))) + [
     os.path.join(SRC, "core", f"{name}.py")
     for name in ("rollback", "splice", "replication")
@@ -102,7 +107,9 @@ RECOVERY_KINDS = ("result_ignored", "task_aborted", "twin_created")
 #: send to the network, every ack-timer cancel, every a→b routing.
 PROTOCOL_CALLS = {("network", "send"), ("queue", "cancel"), (None, "expand_spawn")}
 #: Spawn-record fields only the record's own fulfil / un-fulfil write.
-RECORD_FIELDS = ("has_result", "fulfilled_by")
+RECORD_FIELDS = ("fulfilled_by",)
+#: Second copies of a spawn record's state, deleted: the state says it.
+GONE_NAMES = ("has_result", "checkpointed")
 COMPOSING_POLICIES = {
     "core/rollback.py", "core/splice.py", "policies/incremental.py", "policies/reversible.py",
 }
@@ -147,6 +154,21 @@ def _refuses_on_write_off(branch: ast.If) -> bool:
     )
 
 
+def _fulfilled(expr: ast.AST) -> bool:
+    # ``SpawnState.FULFILLED`` or a module alias of it
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "FULFILLED"
+    return isinstance(expr, ast.Name) and expr.id.lstrip("_") == "FULFILLED"
+
+
+def _fault_time(call: ast.Call) -> bool:
+    # ``max(1.0, ...)``: fraction-mode fault placement
+    return (
+        isinstance(call.func, ast.Name) and call.func.id == "max" and len(call.args) == 2
+        and isinstance(call.args[0], ast.Constant) and repr(call.args[0].value) == "1.0"
+    )
+
+
 def _with_function(tree: ast.AST):
     """``(node, name of the innermost def around it)`` for every node."""
     stack = [(tree, "")]
@@ -160,7 +182,8 @@ def _with_function(tree: ast.AST):
 
 def rule_sites(source: str) -> dict:
     """``{rule: [(line, function), ...]}`` for every statement of a
-    recovery or node-protocol rule in ``source``."""
+    recovery or node-protocol rule, or of a fact with one owner, in
+    ``source``."""
     sites: dict = {}
 
     def site(rule, node, func):
@@ -182,6 +205,11 @@ def rule_sites(source: str) -> dict:
             for target in node.targets:
                 if isinstance(target, ast.Attribute) and target.attr in RECORD_FIELDS:
                     site(f"write {target.attr}", node, func)
+                elif (
+                    isinstance(target, ast.Attribute) and target.attr == "state"
+                    and any(_fulfilled(n) for n in ast.walk(node.value))
+                ):
+                    site("state = FULFILLED", node, func)
         elif isinstance(node, ast.If) and _refuses_on_write_off(node):
             site("known_dead refusal", node, func)
         elif isinstance(node, ast.Call):
@@ -192,16 +220,37 @@ def rule_sites(source: str) -> dict:
             call = _protocol_call(node)
             if call is not None:
                 site(f"{call}(", node, func)
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else (
+                node.func.id if isinstance(node.func, ast.Name) else None
+            )
+            if callee == "run_simulation":
+                site("run_simulation(", node, func)
+            elif _fault_time(node):
+                site("max(1.0,", node, func)
         elif isinstance(node, ast.FunctionDef) and node.name == "on_failure_detected":
             for inner in ast.walk(node):
                 if isinstance(inner, _LOOPS):
                     site("loop in on_failure_detected", inner, func)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names
+            ]
+            if "hashlib" in modules:
+                site("import hashlib", node, func)
+        name = (
+            node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.FunctionDef)
+            else None
+        )
+        if name in GONE_NAMES:
+            site(name, node, func)
     return sites
 
 
-def _all_sites() -> dict:
+def _all_sites(paths=RULE_FILES) -> dict:
     found: dict = {}
-    for path in RULE_FILES:
+    for path in paths:
         rel = os.path.relpath(path, SRC)
         with open(path, "r", encoding="utf-8") as fh:
             for rule, at in rule_sites(fh.read()).items():
@@ -221,6 +270,7 @@ def test_every_recovery_rule_has_exactly_one_site():
         + [f"emit {kind}" for kind in RECOVERY_KINDS]
         + ["network.send(", "queue.cancel(", "expand_spawn(", "known_dead refusal"]
         + [f"write {name}" for name in RECORD_FIELDS]
+        + ["state = FULFILLED"]
     )
     # exactly the expected rules (so no composing policy loops), and one
     # site each — the record fields one fulfil and one un-fulfil
@@ -236,6 +286,20 @@ def test_each_node_protocol_rule_lives_in_its_method():
     assert found["known_dead refusal"] == ["sim/node.py:forward_result"]
     for name in RECORD_FIELDS:
         assert found[f"write {name}"] == ["sim/task.py:fulfill", "sim/task.py:unfulfill"]
+    assert found["state = FULFILLED"] == ["sim/task.py:fulfill"]
+
+
+def test_each_fact_has_one_owner():
+    found = _all_sites(ALL_FILES)
+    # one execution path: outside the simulator, only the session runs it
+    assert [at for at in found["run_simulation("] if not at.startswith("sim/")] == [
+        "api/session.py:_baseline", "api/session.py:execute",
+    ]
+    assert found["max(1.0,"] == ["api/specs.py:crashes"]
+    assert found["state = FULFILLED"] == ["sim/task.py:fulfill"]
+    # a replicate is a scenario replicate: no second seed derivation
+    assert [at for at in found["import hashlib"] if at.startswith("api/")] == []
+    assert {name: found.get(name) for name in GONE_NAMES} == dict.fromkeys(GONE_NAMES)
 
 
 def test_the_scan_sees_a_duplicated_site():
@@ -269,6 +333,18 @@ def test_the_scan_sees_a_duplicated_site():
         "        return\n"
         "    self.machine.network.post(msg)\n"
         "    node.queue.schedule(1.0, msg)\n"
+        "    record.state = SpawnState.FULFILLED\n"
+        "    twin.state = _FULFILLED if done else SpawnState.PLACED\n"
+        "    record.state = SpawnState.PLACED\n"
+        "    result = run_simulation(workload, config)\n"
+        "    handle = sim.run_simulation(workload)\n"
+        "    at = max(1.0, frac * base)\n"
+        "    at = max(1.0, when * makespan)\n"
+        "    at = max(2.0, when) + max(1, n)\n"
+        "import hashlib\n"
+        "from hashlib import sha256\n"
+        "def checkpointed(self):\n"
+        "    return self.checkpoint_dest is not None\n"
     )
     assert {rule: len(at) for rule, at in rule_sites(twice).items()} == {
         "entry-loop": 2,
@@ -278,8 +354,13 @@ def test_the_scan_sees_a_duplicated_site():
         "network.send(": 2,
         "queue.cancel(": 2,
         "expand_spawn(": 2,
-        "write has_result": 2,
         "write fulfilled_by": 2,
         "known_dead refusal": 2,
+        "has_result": 3,
+        "state = FULFILLED": 2,
+        "run_simulation(": 2,
+        "max(1.0,": 2,
+        "import hashlib": 2,
+        "checkpointed": 1,
     }
     assert sorted(rule_sites(twice)["network.send("]) == [(12, "send_twice"), (13, "send_twice")]

@@ -19,10 +19,9 @@ import pytest
 
 from repro.api import Experiment, PolicySpec, WorkloadSpec, execute
 from repro.config import SimConfig
-from repro.core.superroot import root_record
 from repro.sim.failure import Fault, FaultSchedule
 from repro.sim.machine import Machine
-from repro.sim.task import NOTHING, TaskInstance, TaskStatus
+from repro.sim.task import NOTHING, SpawnState, TaskInstance, TaskStatus
 
 POLICIES = (
     "none", "rollback", "splice", "incremental:persist=hybrid", "reversible", "replicated:3",
@@ -92,8 +91,8 @@ def test_after_a_run_only_tombstones_and_the_root_host_remain(policy):
     # an inner task consumed its two children; a leaf consumed nobody
     assert {len(t.consumed) for t in retired if t.status is TaskStatus.COMPLETED} == {0, 2}
     # the root host is not retired: its record is the pre-evaluation checkpoint
-    record = root_record(machine)
-    assert record is not None and record.has_result and record.result == machine.root_value
+    record = machine.instance(machine.root_host_uid).spawn_records[0]
+    assert record.state is SpawnState.FULFILLED and record.result == machine.root_value
     for node in machine.all_nodes():
         table = node.ft_state.table
         table.check_invariant()

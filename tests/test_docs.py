@@ -75,8 +75,6 @@ API_EXPORTS = {
     "SpecError",
     "WorkloadSpec",
     "execute",
-    "replicate",
-    "replicate_seeds",
 }
 
 #: The public surface of repro.report, pinned like repro.api: docs and
