@@ -2,9 +2,10 @@
 
 The execution environment has setuptools but no ``wheel`` package, so PEP
 660 editable installs fail; ``pip install -e . --no-use-pep517`` goes
-through this file.  The simulator needs nothing beyond the standard
-library; ``repro report`` and the bootstrap intervals need the
-``report`` extra (numpy).
+through this file.  The simulator, and ``repro report`` over an
+unreplicated or deterministic sweep, need nothing beyond the standard
+library; the ``report`` extra (numpy) is needed only when a bootstrap
+interval resamples a sample with spread.
 """
 
 import re

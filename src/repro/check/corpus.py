@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.api.specs import NemesisSpec, RunSpec
-from repro.check.oracles import CheckConfig
+from repro.check.oracles import ORACLE_NAMES, CheckConfig
 from repro.check.search import Evaluator, SearchResult
 from repro.errors import SpecError
 from repro.util.jsonio import canonical_dumps, write_atomic
@@ -100,6 +100,16 @@ def _check_shape(path: str, doc: Dict[str, Any]) -> None:
             value = entry.get(name, absent)
             if not check(value):
                 raise refuse(f"entries[{i}].{name}", value, wanted)
+        # an entry that pins no violation would replay as ok vacuously
+        violations, statuses = entry.get("violations", []), entry.get("statuses", {})
+        if not violations or any(
+            name not in ORACLE_NAMES or statuses.get(name) != "violation"
+            for name in violations
+        ):
+            raise refuse(
+                f"entries[{i}].violations", violations,
+                'at least one catalog oracle, each pinned "violation" in statuses',
+            )
 
 
 def load_corpus(path: str) -> Dict[str, Any]:

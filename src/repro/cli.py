@@ -427,6 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit canonical JSON"
     )
 
+    check_audit = check_sub.add_parser(
+        "audit", help="run the mutant protocols under the oracles: the kill matrix"
+    )
+    check_audit.add_argument(
+        "--mutant", default=None, metavar="NAME",
+        help="audit only this mutant (default: every one; docs/CHECK.md lists them)",
+    )
+
     report = sub.add_parser(
         "report", help="statistical reports over (replicated) scenario sweeps"
     )
@@ -992,6 +1000,24 @@ def cmd_check_corpus(args, out) -> int:
     return 0 if report.ok else 1
 
 
+def cmd_check_audit(args, out) -> int:
+    from repro.check import ORACLE_NAMES
+    from repro.faults.mutants import audit, matrix_rows
+
+    kills = audit(args.mutant)
+    print(
+        format_table(
+            ["mutant", "method"] + list(ORACLE_NAMES) + ["verdict"],
+            matrix_rows(kills),
+            title="Kill matrix: runs whose oracle status the mutant moved",
+        ),
+        file=out,
+    )
+    killed = sum(1 for cells in kills.values() if cells)
+    print(f"\nkilled {killed} of {len(kills)} mutants", file=out)
+    return 0
+
+
 def cmd_report_list(args, out) -> int:
     from repro.exp import all_scenarios
     from repro.report import DEFAULT_OUT_DIR
@@ -1101,6 +1127,7 @@ HANDLERS = {
     ("check", "run"): cmd_check_run,
     ("check", "search"): cmd_check_search,
     ("check", "corpus"): cmd_check_corpus,
+    ("check", "audit"): cmd_check_audit,
     ("report", "list"): cmd_report_list,
     ("report", "run"): cmd_report_run,
     ("report", "compare"): cmd_report_compare,

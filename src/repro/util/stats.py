@@ -1,17 +1,21 @@
 """Summary statistics for experiment series.
 
 Thin helpers used by the benchmark harness to aggregate repeated
-simulation runs into the mean/err rows the reports print.  Percentiles
-are standard library (an open-loop run reports its latency tail through
-them); the rest is numpy-backed and imports it on first call, so only
-``repro report`` and the bootstrap need it installed.
+simulation runs into the mean/err rows the reports print.  Summaries,
+percentiles and every interval that needs no draw (an empty, size-1 or
+zero-spread sample) are standard library and give numpy's bits; numpy is
+imported on first call of the resampling path only, so a report over an
+unreplicated or deterministic sweep needs nothing installed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import filterfalse, repeat
+from operator import add
+from typing import Iterable, List, Sequence
 
 from repro.errors import ReproError
 
@@ -21,7 +25,8 @@ def _numpy():
         import numpy
     except ImportError:
         raise ReproError(
-            "summaries and bootstrap intervals need numpy: pip install 'repro[report]'"
+            "bootstrap intervals over a sample with spread need numpy: "
+            "pip install 'repro[report]'"
         ) from None
     return numpy
 
@@ -44,24 +49,70 @@ class Summary:
         )
 
 
+def _pairwise_sum(values: List[float]) -> float:
+    """numpy's pairwise summation of a float64 vector, addition for
+    addition: a running sum under eight values; up to 128, eight running
+    sums over the residues mod 8, combined as a balanced tree, then the
+    tail in order; above, the halves split at ``n // 2`` rounded down to a
+    multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = [reduce(add, values[j:end:8]) for j in range(8)]
+        tree = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        return reduce(add, values[end:], tree)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _sum(values: List[float]) -> float:
+    """``np.add.reduce`` bit for bit: add's +0.0 identity, then the
+    pairwise sum."""
+    return 0.0 + _pairwise_sum(values)
+
+
+def _mixes_zero_signs(values: Iterable[float]) -> bool:
+    """Whether a sample holds both 0.0 and -0.0: the one input whose
+    extreme (or percentile) bits the values alone do not define."""
+    zeros = filterfalse(None, values)  # NaN is truthy: the falsy floats are the zeros
+    return len(set(map(math.copysign, repeat(1.0), zeros))) == 2
+
+
 def summarize(values: Iterable[float]) -> Summary:
     """Summarize a sample of floats.
+
+    Every field is numpy's bit for bit (``mean``, ``std(ddof=1)``,
+    ``min``, ``max``, ``median``), computed on Python floats.  numpy
+    orders tied zeros by SIMD lane, so only a sample whose minimum or
+    maximum is a zero of both signs asks numpy for its extremes.
 
     Raises ``ValueError`` on an empty sample — silently returning NaNs hides
     harness bugs where a sweep produced no runs.
     """
-    np = _numpy()
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    values = list(map(float, values))
+    n = len(values)
+    if n == 0:
         raise ValueError("cannot summarize an empty sample")
-    return Summary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        median=float(np.median(arr)),
-    )
+    mean = _sum(values) / n
+    std = 0.0
+    if n > 1:
+        std = math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
+    if any(map(math.isnan, values)):  # numpy's extremes and median propagate NaN
+        return Summary(n, mean, std, math.nan, math.nan, math.nan)
+    ordered = sorted(values)
+    low, high = ordered[0], ordered[-1]
+    if (low == 0.0 or high == 0.0) and _mixes_zero_signs(values):
+        arr = _numpy().asarray(values, dtype=float)
+        low, high = float(arr.min()), float(arr.max())
+    mid = n // 2
+    if n % 2:
+        median = ordered[mid] + 0.0
+    else:
+        median = (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
+    return Summary(n=n, mean=mean, std=std, minimum=low, maximum=high, median=median)
 
 
 def _lerp_percentiles(values: Iterable[float], probs: Sequence[float]) -> tuple:
@@ -114,16 +165,19 @@ def percentiles(
     return _lerp_percentiles(values, probs)
 
 
-def _zero_spread(arr: np.ndarray) -> float | None:
+def _zero_spread(values: List[float]) -> float | None:
     """The one value of a sample without spread, else ``None``: every
     resample then has that median, so the interval is exact undrawn.
 
     ``+ 0.0`` reads -0.0 as the +0.0 :func:`_resampled_medians` gives;
-    NaN extremes never compare equal; within a factor four of overflow
+    a NaN anywhere means resampling (Python's ``min`` and ``max`` would
+    answer by where it sits); within a factor four of overflow
     ``(v + v) / 2`` and a difference of two medians stop being exact.
     """
-    low = float(arr.min())
-    if low == float(arr.max()) and math.isfinite(4.0 * low):
+    if any(map(math.isnan, values)):
+        return None
+    low = min(values)
+    if low == max(values) and math.isfinite(4.0 * low):
         return low + 0.0
     return None
 
@@ -158,21 +212,23 @@ def bootstrap_median_ci(
     seeded by ``seed``, so the interval is a pure function of
     ``(values, level, n_boot, seed)`` — reports built from it are
     byte-deterministic.  A single-element or zero-spread sample returns
-    its exact degenerate interval without drawing.
+    its exact degenerate interval without drawing; only a draw imports
+    numpy.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if int(n_boot) < 1:
         raise ValueError(f"n_boot must be >= 1, got {n_boot}")
-    np = _numpy()
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    values = list(map(float, values))
+    if not values:
         raise ValueError("cannot bootstrap an empty sample")
-    if arr.size == 1:
-        return (float(arr[0]), float(arr[0]))
-    value = _zero_spread(arr)
+    if len(values) == 1:
+        return (values[0], values[0])
+    value = _zero_spread(values)
     if value is not None:
         return (value, value)
+    np = _numpy()
+    arr = np.asarray(values, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.integers(0, arr.size, size=(int(n_boot), arr.size))
     medians = _resampled_medians(arr, idx)
@@ -194,23 +250,25 @@ def bootstrap_delta_ci(
     independently-seeded replicate runs), so the interval covers the
     difference of medians under replicate-to-replicate variation.
     Degenerate (both single-element or both zero-spread) inputs return
-    an exact interval without drawing.
+    an exact interval without drawing or importing numpy.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if int(n_boot) < 1:
         raise ValueError(f"n_boot must be >= 1, got {n_boot}")
-    np = _numpy()
-    a = np.asarray(list(base), dtype=float)
-    b = np.asarray(list(other), dtype=float)
-    if a.size == 0 or b.size == 0:
+    base = list(map(float, base))
+    other = list(map(float, other))
+    if not base or not other:
         raise ValueError("cannot bootstrap an empty sample")
-    if a.size == 1 and b.size == 1:
-        delta = float(b[0]) - float(a[0])
+    if len(base) == 1 and len(other) == 1:
+        delta = other[0] - base[0]
         return (delta, delta)
-    value_a, value_b = _zero_spread(a), _zero_spread(b)
+    value_a, value_b = _zero_spread(base), _zero_spread(other)
     if value_a is not None and value_b is not None:
         return (value_b - value_a, value_b - value_a)
+    np = _numpy()
+    a = np.asarray(base, dtype=float)
+    b = np.asarray(other, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     idx_a = rng.integers(0, a.size, size=(int(n_boot), a.size))
     idx_b = rng.integers(0, b.size, size=(int(n_boot), b.size))

@@ -75,7 +75,7 @@ def test_a_missing_violation_trips_the_gate(tmp_path):
     # pin a benign schedule as "violating": replay must report it missing
     entry = dict(doc["entries"][0])
     entry["nemesis"] = "jitter:max=10"
-    entry["statuses"] = {}
+    entry["statuses"] = {oracle: "violation" for oracle in entry["violations"]}
     doc["entries"] = [entry]
     tampered = tmp_path / "benign.json"
     tampered.write_text(json.dumps(doc), encoding="utf-8")
@@ -100,6 +100,27 @@ def _statuses_as_a_list(doc):
     doc["entries"][0]["statuses"] = [1]
 
 
+def _pins_nothing(doc):
+    # replayed, this entry could only come back ok
+    doc["entries"][0] = {"nemesis": ""}
+
+
+def _violations_emptied(doc):
+    doc["entries"][0]["violations"] = []
+
+
+def _violation_not_an_oracle(doc):
+    doc["entries"][0]["violations"].append("no-such-oracle")
+
+
+def _violation_pinned_as_pass(doc):
+    doc["entries"][0]["statuses"]["result-agreement"] = "pass"
+
+
+def _violation_not_pinned(doc):
+    del doc["entries"][0]["statuses"]["weak-recovery"]
+
+
 @pytest.mark.parametrize(
     "tamper, field",
     [
@@ -107,6 +128,11 @@ def _statuses_as_a_list(doc):
         (_entry_without_nemesis, "corpus.entries[0].nemesis"),
         (_entries_as_an_object, "corpus.entries"),
         (_statuses_as_a_list, "corpus.entries[0].statuses"),
+        (_pins_nothing, "corpus.entries[0].violations"),
+        (_violations_emptied, "corpus.entries[0].violations"),
+        (_violation_not_an_oracle, "corpus.entries[0].violations"),
+        (_violation_pinned_as_pass, "corpus.entries[0].violations"),
+        (_violation_not_pinned, "corpus.entries[0].violations"),
     ],
 )
 def test_a_misshapen_document_is_one_spec_error(tmp_path, capsys, tamper, field):

@@ -637,6 +637,25 @@ class TestDiagnostics:
 class TestCheck:
     WORKLOAD = "balanced:3:2:10"
 
+    def test_check_audit_prints_the_kill_matrix_and_rate(self):
+        code, text = run_cli("check", "audit")
+        assert code == 0
+        (row,) = [line for line in text.splitlines() if "abort-in-name-only" in line]
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells == ["abort-in-name-only", "Node._mark_aborted", "-", "2/12"] + ["-"] * 4 + [
+            "killed"
+        ]
+        assert text.rstrip().endswith("killed 3 of 14 mutants")
+        code, text = run_cli("check", "audit", "--mutant", "never-unwind")
+        assert code == 0 and "survivor" in text
+        assert text.rstrip().endswith("killed 0 of 1 mutants")
+
+    def test_check_audit_refuses_an_unknown_mutant(self, capsys):
+        code, text = run_cli("check", "audit", "--mutant", "bogus")
+        assert code == 2 and text == ""
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: unknown mutant 'bogus'; known: skip-replay")
+
     def test_check_run_judges_one_flag_built_spec(self):
         code, text = run_cli(
             "check", "run", "balanced:4:2:30", "--nemesis", "crash:at=0.4,node=1"

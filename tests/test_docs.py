@@ -49,7 +49,7 @@ MAPPING_HEADING = "## Where the retired benches went"
 #: the docs may name them only in that table's left-hand column.
 RETIRED_STRINGS = ("repro perf", "BENCH_core.json")
 FAULTS_CLI_REF = re.compile(r"faults (list|describe)")
-CHECK_CLI_REF = re.compile(r"check (list|run|search|corpus)")
+CHECK_CLI_REF = re.compile(r"check (list|run|search|corpus|audit)")
 
 #: The fault-model registry names are API: scenario specs, sweep caches,
 #: and docs all reference them as strings, so renames are breaking
@@ -450,9 +450,9 @@ class TestCheckReferences:
         check_doc = read_docs()["docs/CHECK.md"]
         for text in (readme, check_doc):
             verbs = set(CHECK_CLI_REF.findall(text))
-            assert {"list", "run", "search", "corpus"} <= verbs, (
+            assert {"list", "run", "search", "corpus", "audit"} <= verbs, (
                 "README and CHECK.md must document `check list`, "
-                "`check run`, `check search`, and `check corpus`"
+                "`check run`, `check search`, `check corpus` and `check audit`"
             )
 
     def test_check_cli_verbs_exist(self):
@@ -467,6 +467,7 @@ class TestCheckReferences:
             ["check", "search", "fib-10", "--strategy", "coverage",
              "--rounds", "8", "--maximize", "--corpus-out", "c.json"],
             ["check", "corpus", "run", "tests/baselines/corpus"],
+            ["check", "audit", "--mutant", "skip-replay"],
         ):
             args = parser.parse_args(argv)
             assert args.command == "check"

@@ -1,9 +1,12 @@
-"""Simulating imports no numpy; only the report/bootstrap side does.
+"""Simulating imports no numpy, and neither does reporting until a
+bootstrap draws.
 
 Each check runs in a fresh interpreter (this process imported numpy long
 ago): ``import repro.api`` is the fixed cost in front of every CLI call
 and every pool worker, and numpy was two thirds of it for scalar draws
-the standard library now makes bit for bit.
+the standard library now makes bit for bit.  A report's summaries,
+quartiles and every interval of a sample without spread are standard
+library too, so numpy loads only when an interval resamples.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,11 +30,11 @@ def run_python(script: str, cwd: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_simulating_never_imports_numpy_and_reporting_does(tmp_path):
+def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
     done = run_python(
         """
-        import sys
-        import repro.api, repro.cli, repro.exp, repro.check
+        import os, sys
+        import repro.api, repro.cli, repro.exp, repro.check, repro.faults
         assert "numpy" not in sys.modules, "import"
 
         from repro.api import Experiment
@@ -48,10 +53,28 @@ def test_simulating_never_imports_numpy_and_reporting_does(tmp_path):
         assert len(found.attempts) == 3
         assert "numpy" not in sys.modules, "simulate"
 
-        from repro.report.driver import run_report
+        from repro.report.driver import run_compare, run_report
         report = run_report("smoke", cache_dir="cache", out_dir=None)
         assert report.markdown
-        assert "numpy" in sys.modules, "report"
+        assert "numpy" not in sys.modules, "smoke report"
+
+        # what a sweep user does: cold ledgered sweep, crash, resume, report, compare
+        from repro.exp import get_scenario, resume_run, run_scenario, with_replications
+        spec = with_replications(get_scenario("smoke"), 3)
+        cold = run_scenario(spec, workers=1, cache_dir="session", ledger_dir="ledger")
+        with open(cold.ledger_path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        with open(cold.ledger_path, "wb") as fh:
+            fh.writelines(lines[: len(lines) // 2])
+        os.remove(cold.cache_path)
+        resume_run(cold.run_id, ledger_dir="ledger", workers=1, cache_dir="session")
+        report = run_report("smoke", replications=3, cache_dir="session", out_dir="out")
+        compare = run_compare(
+            "smoke", axis="policy", replications=3, cache_dir="session", out_dir="out"
+        )
+        assert report.markdown and compare.markdown
+        assert "numpy" not in sys.modules, "session"
+        assert "repro.faults.mutants" not in sys.modules, "mutants"
         print("ok")
         """,
         cwd=str(tmp_path),
@@ -60,17 +83,44 @@ def test_simulating_never_imports_numpy_and_reporting_does(tmp_path):
     assert done.stdout.strip() == "ok"
 
 
-def test_report_verb_without_numpy_is_one_error_line(tmp_path):
+def test_a_report_with_spread_imports_numpy(tmp_path):
     done = run_python(
         """
         import sys
-        sys.modules["numpy"] = None  # what an uninstalled numpy looks like to import
-        from repro.cli import main
-        sys.exit(main(["report", "run", "smoke", "--cache-dir", "cache", "--out-dir", "out"]))
+        from repro.report.driver import run_report
+        report = run_report("chaos-storm", replications=5, cache_dir="cache", out_dir=None)
+        assert report.markdown
+        assert "numpy" in sys.modules, "a spread report resamples"
+        print("ok")
         """,
         cwd=str(tmp_path),
     )
-    assert done.returncode == 2
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["report", "run", "smoke"], 0),
+        (["report", "run", "chaos-storm", "--replications", "5"], 2),
+    ],
+    ids=["smoke", "chaos-storm-x5"],
+)
+def test_report_verbs_without_numpy(tmp_path, argv, code):
+    done = run_python(
+        f"""
+        import sys
+        sys.modules["numpy"] = None  # what an uninstalled numpy looks like to import
+        from repro.cli import main
+        sys.exit(main({argv!r} + ["--cache-dir", "cache", "--out-dir", "out"]))
+        """,
+        cwd=str(tmp_path),
+    )
+    assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
-    (line,) = done.stderr.strip().splitlines()
-    assert line.startswith("error:") and "repro[report]" in line
+    if code == 0:
+        assert done.stderr == "" and "# " in done.stdout
+    else:
+        (line,) = done.stderr.strip().splitlines()
+        assert line.startswith("error:") and "repro[report]" in line

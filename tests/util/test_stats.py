@@ -267,6 +267,153 @@ class TestZeroSpread:
                 bootstrap_delta_ci([2.0, 2.0], [1.0, 3.0])
 
 
+# -- standard-library summaries and undrawn intervals --------------------------
+#
+# numpy is the judge again: the references below are the numpy bodies
+# these functions had before they moved to Python floats, and every field
+# must keep its bits, the sign of a zero included.  Samples run to 600
+# values, past the 128 where numpy's pairwise sum splits in halves.
+
+
+def reference_summarize(values) -> Summary:
+    arr = np.asarray(list(values), dtype=float)
+    return Summary(
+        n=int(arr.size),
+        mean=float(arr.mean()),
+        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+        minimum=float(arr.min()),
+        maximum=float(arr.max()),
+        median=float(np.median(arr)),
+    )
+
+
+def reference_zero_spread(values):
+    arr = np.asarray(list(values), dtype=float)
+    low = float(arr.min())
+    if low == float(arr.max()) and math.isfinite(4.0 * low):
+        return low + 0.0
+    return None
+
+
+def reference_undrawn_median_ci(values):
+    """The interval ``bootstrap_median_ci`` returned without drawing, or
+    ``None`` where it drew."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 1:
+        return (float(arr[0]), float(arr[0]))
+    value = reference_zero_spread(arr)
+    return None if value is None else (value, value)
+
+
+def reference_undrawn_delta_ci(base, other):
+    a = np.asarray(list(base), dtype=float)
+    b = np.asarray(list(other), dtype=float)
+    if a.size == 1 and b.size == 1:
+        delta = float(b[0]) - float(a[0])
+        return (delta, delta)
+    value_a, value_b = reference_zero_spread(a), reference_zero_spread(b)
+    if value_a is not None and value_b is not None:
+        return (value_b - value_a, value_b - value_a)
+    return None
+
+
+def summary_bits(summary: Summary) -> tuple:
+    fields = (summary.mean, summary.std, summary.minimum, summary.maximum, summary.median)
+    return summary.n, bits(fields)
+
+
+#: Subnormals, values whose sum overflows, and the awkward set above.
+kernel_values = st.one_of(
+    awkward,
+    any_float,
+    st.sampled_from([2.2e-308, -4.9e-324, 1.7e308, 8.9e307]),
+)
+#: A pool drawn from up to 600 times: long samples, cheap to generate,
+#: with both zeros mixed whenever the pool holds both.
+long_samples = st.builds(
+    lambda pool, n, rnd: [rnd.choice(pool) for _ in range(n)],
+    st.lists(kernel_values, min_size=1, max_size=12),
+    st.integers(1, 600),
+    st.randoms(use_true_random=False),
+)
+#: Long samples of distinct values, where the order of additions shows.
+long_uniform = st.builds(
+    lambda n, rnd: [rnd.uniform(-1e3, 1e3) for _ in range(n)],
+    st.integers(1, 600),
+    st.randoms(use_true_random=False),
+)
+kernel_samples = st.one_of(samples, long_samples, long_uniform)
+
+
+class Drew(Exception):
+    """Raised in place of importing numpy: the function tried to draw."""
+
+
+def tied_zero_extreme(values) -> bool:
+    """No NaN, both zeros present, and a zero is the minimum or maximum:
+    the one sample whose extremes numpy decides by SIMD lane."""
+    values = [float(v) for v in values]
+    if any(math.isnan(v) for v in values) or not mixes_zero_signs(values):
+        return False
+    return min(values) == 0.0 or max(values) == 0.0
+
+
+@quiet
+class TestSummariesAgainstNumpy:
+    @given(values=kernel_samples)
+    def test_summarize_bit_identical_to_numpy(self, values):
+        assert summary_bits(summarize(values)) == summary_bits(reference_summarize(values))
+
+    @given(values=kernel_samples)
+    def test_only_a_tied_zero_extreme_asks_numpy(self, values):
+        judge = mock.Mock(wraps=stats._numpy)
+        with mock.patch.object(stats, "_numpy", judge):
+            summarize(values)
+        assert judge.called == tied_zero_extreme(values)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 17, 33, 64, 129, 257])
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_alternating_zeros_at_every_width(self, n, first):
+        values = [first if i % 2 == 0 else -first for i in range(n)] + [3.0]
+        for sample in (values, [-v for v in values], values[::-1]):
+            assert summary_bits(summarize(sample)) == summary_bits(reference_summarize(sample))
+
+    @given(values=kernel_samples)
+    def test_zero_spread_bit_identical_to_numpy(self, values):
+        got = stats._zero_spread([float(v) for v in values])
+        want = reference_zero_spread(values)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert bits(got) == bits(want)
+
+    def test_zero_spread_sees_a_nan_wherever_it_sits(self):
+        for values in ([math.nan, 1.0, 1.0], [1.0, math.nan, 1.0], [1.0, 1.0, math.nan]):
+            assert stats._zero_spread(values) is None
+
+    @given(values=kernel_samples, level=levels, n_boot=n_boots, seed=seeds)
+    def test_median_ci_undrawn_bit_identical_and_numpy_only_to_draw(
+        self, values, level, n_boot, seed
+    ):
+        want = reference_undrawn_median_ci(values)
+        with mock.patch.object(stats, "_numpy", side_effect=Drew):
+            if want is None:
+                with pytest.raises(Drew):
+                    bootstrap_median_ci(values, level=level, n_boot=n_boot, seed=seed)
+            else:
+                got = bootstrap_median_ci(values, level=level, n_boot=n_boot, seed=seed)
+                assert bits(got) == bits(want)
+
+    @given(base=kernel_samples, other=kernel_samples, seed=seeds)
+    def test_delta_ci_undrawn_bit_identical_and_numpy_only_to_draw(self, base, other, seed):
+        want = reference_undrawn_delta_ci(base, other)
+        with mock.patch.object(stats, "_numpy", side_effect=Drew):
+            if want is None:
+                with pytest.raises(Drew):
+                    bootstrap_delta_ci(base, other, n_boot=25, seed=seed)
+            else:
+                assert bits(bootstrap_delta_ci(base, other, n_boot=25, seed=seed)) == bits(want)
+
+
 # -- standard-library percentiles (PR 17) --------------------------------------
 #
 # np.percentile is the judge: the pure-Python sort + two-sided lerp must
