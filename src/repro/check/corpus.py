@@ -19,7 +19,6 @@ byte-identical corpus.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
@@ -28,7 +27,7 @@ from repro.api.specs import NemesisSpec, RunSpec
 from repro.check.oracles import ORACLE_NAMES, CheckConfig
 from repro.check.search import Evaluator, SearchResult
 from repro.errors import SpecError
-from repro.util.jsonio import canonical_dumps, write_atomic
+from repro.util.jsonio import canonical_dumps, parse_json, write_atomic
 
 #: Corpus document schema tag.
 CORPUS_SCHEMA = "repro-corpus/1"
@@ -116,8 +115,8 @@ def load_corpus(path: str) -> Dict[str, Any]:
     """Load and check one corpus document: schema tag, then shape."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = parse_json(fh.read())
+    except (OSError, ValueError) as exc:
         raise SpecError(
             f"cannot read corpus {path!r}: {exc}", field="corpus.path", value=path
         ) from None

@@ -33,7 +33,6 @@ documents (schema ``repro-check/2``) written atomically under
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 from dataclasses import dataclass, replace
@@ -54,7 +53,7 @@ from repro.faults.generate import (
     random_nemesis,
     shrink_candidates,
 )
-from repro.util.jsonio import canonical_dumps, compact_dumps, write_atomic
+from repro.util.jsonio import canonical_dumps, compact_dumps, sha256_hex, write_atomic
 
 #: Ledger document schema tag.  ``repro-check/1`` ledgers (PR 6) lack
 #: the strategy/corpus/lineage fields; see docs/CHECK.md for the
@@ -262,7 +261,7 @@ def ledger_path(
         "strategy": str(strategy),
         "mode": str(mode),
     }
-    ident = hashlib.sha256(compact_dumps(ident_doc).encode("utf-8")).hexdigest()
+    ident = sha256_hex(compact_dumps(ident_doc))
     return os.path.join(
         out_dir, f"search-seed{int(seed)}-{strategy}-{ident[:10]}.json"
     )

@@ -585,14 +585,14 @@ def _runspec_from_args(args) -> RunSpec:
             "or edit the JSON document instead",
             field="spec-json", value=overridden,
         )
-    import json as _json
+    from repro.util.jsonio import parse_json
 
     try:
         if args.spec_json == "-":
-            payload = _json.load(sys.stdin)
+            payload = parse_json(sys.stdin.read())
         else:
             with open(args.spec_json, "r", encoding="utf-8") as fh:
-                payload = _json.load(fh)
+                payload = parse_json(fh.read())
     except (OSError, ValueError) as exc:
         raise SpecError(
             f"cannot read RunSpec JSON from {args.spec_json}: {exc}",

@@ -58,7 +58,6 @@ append so an external killer has a wide window to land mid-sweep.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -67,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.util.jsonio import append_durable, compact_dumps, sha256_hex
+from repro.util.jsonio import append_durable, compact_dumps, parse_json, sha256_hex
 
 #: Ledger record schema tag (the ``run_started`` header carries it).
 LEDGER_SCHEMA = "repro-ledger/1"
@@ -336,7 +335,7 @@ def _parse_lines(path: str) -> tuple:
         try:
             if lineno == len(lines) - 1 and not terminated:
                 raise ValueError("the append did not complete")
-            record = json.loads(line)
+            record = parse_json(line)
             if not isinstance(record, dict) or "event" not in record:
                 raise ValueError("not a ledger record object")
         except ValueError:

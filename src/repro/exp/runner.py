@@ -26,7 +26,6 @@ produces) is unchanged.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ from repro.exp.scenario import (
     get_scenario,
     with_replications,
 )
-from repro.util.jsonio import canonical_dumps, sha256_hex, write_atomic
+from repro.util.jsonio import canonical_dumps, parse_json, sha256_hex, write_atomic
 
 
 def result_path(cache_dir: str, scenario: str, key: str) -> str:
@@ -165,7 +164,7 @@ def _load_cached(path: str, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
     anything else (unreadable, foreign, truncated, malformed) is a miss."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = parse_json(fh.read())
     except (OSError, ValueError):
         return None
     points = payload.get("points") if isinstance(payload, dict) else None

@@ -30,10 +30,11 @@ True
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+
+from repro.util.jsonio import compact_dumps, sha256_hex
 
 
 def canonical_json(payload: Any) -> str:
@@ -48,8 +49,6 @@ def canonical_json(payload: Any) -> str:
     >>> canonical_json({"b": 1, "a": [1.5, "x"]})
     '{"a":[1.5,"x"],"b":1}'
     """
-    from repro.util.jsonio import compact_dumps
-
     return compact_dumps(payload)
 
 
@@ -58,8 +57,12 @@ def stable_hash(payload: Any, length: int = 16) -> str:
 
     Unlike ``hash()``, this is stable across processes and runs.
     """
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-    return digest[:length]
+    return sha256_hex(canonical_json(payload))[:length]
+
+
+def _seed63(payload: Any) -> int:
+    # the first 8 digest bytes, big-endian, less the top bit
+    return int(sha256_hex(canonical_json(payload))[:16], 16) >> 1
 
 
 @dataclass(frozen=True)
@@ -219,10 +222,7 @@ def point_seed(scenario_name: str, params: Mapping[str, Any]) -> int:
     sha256, so it is reproducible across processes, machines, and worker
     counts — never from ``hash()`` or run order.
     """
-    digest = hashlib.sha256(
-        canonical_json([scenario_name, dict(params)]).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return _seed63([scenario_name, dict(params)])
 
 
 def replicate_seed(
@@ -236,12 +236,7 @@ def replicate_seed(
     across machines, worker counts, and runs, and distinct per cell,
     per scenario, and per replicate index.
     """
-    digest = hashlib.sha256(
-        canonical_json([scenario_name, dict(params), "replicate", replicate]).encode(
-            "utf-8"
-        )
-    ).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return _seed63([scenario_name, dict(params), "replicate", replicate])
 
 
 def expand(spec: ScenarioSpec) -> List[Point]:

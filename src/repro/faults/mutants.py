@@ -3,10 +3,11 @@
 Every recovery and node-protocol rule is stated in one method
 (docs/POLICIES.md, *Recovery rules*), so a broken rule is one method
 swapped for one run.  A :class:`Mutant` names the method, its broken
-replacement and the recovering policies the rule belongs to;
-``with mutant.armed():`` swaps it in and puts the original back.  Two
-mutants break the judges' instruments instead of the protocol:
-``Trace.positions``, which every trace reader queries, and
+replacement and the policies the rule belongs to (the recovering ones,
+or ``replicated:3`` for §5.3's vote); ``with mutant.armed():`` swaps it
+in and puts the original back.  Three mutants break the judges'
+instruments instead of the protocol: ``Trace.emit``, which writes every
+record, ``Trace.positions``, which every trace reader queries, and
 ``CheckContext.recovery``, the one fold behind ``bounded-recovery``,
 ``weak-recovery`` and the coverage signature.
 
@@ -32,6 +33,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 from repro.api import Experiment
 from repro.check import ORACLE_NAMES, CheckContext, check_spec
 from repro.core.checkpoint import CheckpointTable
+from repro.core.replication import ReplicatedExecution
 from repro.core.rollback import RollbackRecovery
 from repro.core.splice import SpliceRecovery, _TwinState
 from repro.policies.incremental import IncrementalRecovery
@@ -147,6 +149,20 @@ def _never_close(self):
     return replace(folded, closed=(), still_open=still_open, worst_ratio=round(worst, 6))
 
 
+def _minority_vote(self):
+    # §5.3's vote accepts an answer half the replicas (rounded down) gave
+    return self.k // 2
+
+
+_emit = Trace.emit
+
+
+def _drop_completions(self, time, node, kind, stamp=None, uid=None, **extra):
+    # the recovery happens; the trace never says it finished
+    if kind != "recovery_complete":
+        _emit(self, time, node, kind, stamp, uid, **extra)
+
+
 MUTANTS: Dict[str, Mutant] = {
     m.name: m
     for m in (
@@ -169,8 +185,13 @@ MUTANTS: Dict[str, Mutant] = {
         Mutant("count-nothing", RollbackRecovery, "recovered", _count_nothing, POLICIES),
         Mutant("hide-results", Trace, "positions", _hide_results, POLICIES),
         Mutant("never-close", CheckContext, "recovery", property(_never_close), POLICIES),
+        Mutant("minority-vote", ReplicatedExecution, "majority", property(_minority_vote),
+               ("replicated:3",)),
+        Mutant("no-completion", Trace, "emit", _drop_completions, POLICIES),
     )
 }
+#: Every policy some mutant names, so each mutated cell has an unmutated twin.
+RUN_POLICIES = tuple(dict.fromkeys(p for m in MUTANTS.values() for p in m.policies))
 
 
 def get_mutant(name: str) -> Mutant:
@@ -192,7 +213,7 @@ def statuses(mutant: Optional[str] = None) -> Dict[Tuple[str, str, str], str]:
     """``{(policy, schedule, oracle): status}`` over the run set, with
     the named mutant armed (only on the policies it belongs to)."""
     out = {}
-    policies, armed = POLICIES, nullcontext()
+    policies, armed = RUN_POLICIES, nullcontext()
     if mutant is not None:
         chosen = get_mutant(mutant)
         policies, armed = chosen.policies, chosen.armed()

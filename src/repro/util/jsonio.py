@@ -1,11 +1,12 @@
-"""Canonical JSON rendering and atomic file writes.
+"""Canonical JSON rendering, SHA-256 identities and atomic file writes.
 
 One writer serves every artifact the repo commits or caches —
 ``repro exp run --json`` payloads, the on-disk sweep result cache,
 report and search-ledger documents, and the durable sweep-ledger
 appends (:mod:`repro.exp.ledger`).  Keeping the encoding in one place
 is what makes "byte-identical for identical results" a checkable
-property rather than a convention.
+property rather than a convention.  One reader, :func:`parse_json`,
+serves every document that comes from outside the process.
 
 >>> canonical_dumps({"b": 1, "a": [1.5, "x"]})
 '{\\n  "a": [\\n    1.5,\\n    "x"\\n  ],\\n  "b": 1\\n}\\n'
@@ -13,11 +14,21 @@ property rather than a convention.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from typing import Any
+
+# CPython's own SHA-256 (``_sha2`` since 3.12, ``_sha256`` before), so no
+# process maps OpenSSL's libcrypto for a digest.  ``hashlib`` is reached
+# only on an interpreter built without them; the digest is the same.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -47,14 +58,38 @@ def compact_dumps(payload: Any) -> str:
 def sha256_hex(text: str) -> str:
     """Full sha256 hex digest of ``text`` (UTF-8).
 
-    The integrity hash used by the sweep ledger: ``point_finished``
-    records carry the digest of their result's :func:`compact_dumps`
-    encoding, ``run_finished`` the digest of the canonical sweep JSON.
+    The one SHA-256 in the package: the sweep ledger's integrity hash
+    (``point_finished`` records carry the digest of their result's
+    :func:`compact_dumps` encoding, ``run_finished`` the digest of the
+    canonical sweep JSON), the spec cache key, every per-point and
+    replicate seed, and a search document's name.
 
     >>> sha256_hex("")[:8]
     'e3b0c442'
     """
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(text.encode("utf-8")).hexdigest()
+
+
+def parse_json(text: str) -> Any:
+    """Parse JSON that came from outside the process.
+
+    The one reader behind every loader of external bytes (``--spec-json``,
+    corpora, ledger lines, cached sweeps).  A document nested deeper than
+    the interpreter's recursion limit is malformed input like any other,
+    so it raises :class:`ValueError` as a syntax error does, never
+    :class:`RecursionError`.
+
+    >>> parse_json('{"a": [1]}')
+    {'a': [1]}
+    >>> parse_json("[" * 100000)
+    Traceback (most recent call last):
+        ...
+    ValueError: JSON nested too deeply
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def append_durable(fh, text: str) -> None:

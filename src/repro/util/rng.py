@@ -14,7 +14,9 @@ do not ride on a ``Generator`` stream NEP 19 does not promise to keep.
 
 from __future__ import annotations
 
-import hashlib
+# CPython's own BLAKE2b, which is what ``hashlib.blake2b`` re-exports;
+# importing it directly keeps OpenSSL's libcrypto out of the process.
+from _blake2 import blake2b
 
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -29,9 +31,7 @@ def _derive_seed(root_seed: int, name: str) -> int:
     Uses BLAKE2b rather than ``SeedSequence.spawn``, so stream independence
     never depended on numpy's spawning behaviour.
     """
-    digest = hashlib.blake2b(
-        f"{root_seed}:{name}".encode("utf8"), digest_size=8
-    ).digest()
+    digest = blake2b(f"{root_seed}:{name}".encode("utf8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

@@ -7,11 +7,13 @@ recovery and node-protocol rule is stated in one method
 for one run, judged by the six oracles of ``repro check`` over
 ``balanced:5:2:20`` under an early crash, a late crash and the
 three-crash storm.  A cell is ``(policy, schedule, oracle)``; it
-*moved* when the mutant's status differs from the unmutated run's.
+*moved* when the mutant's status differs from the unmutated run's.  The
+unmutated runs cover every policy a mutant names: the four recovering
+ones and ``replicated:3`` for §5.3's vote.
 
 The cells each mutant moves are pinned here, and docs/CHECK.md renders
 the matrix with one line per survivor saying why the trace cannot see
-it: 3 of the 14 mutants are killed.  A change that lets an oracle see
+it: 3 of the 16 mutants are killed.  A change that lets an oracle see
 more (or less) of a broken protocol edits a pin below, on purpose.
 """
 
@@ -25,6 +27,7 @@ from repro.check import build_context, check_spec
 from repro.faults.mutants import (
     MUTANTS,
     POLICIES,
+    RUN_POLICIES,
     SCHEDULES,
     kill_cells,
     matrix_rows,
@@ -41,8 +44,12 @@ def unmutated():
 
 
 def test_every_unmutated_run_passes_every_oracle(unmutated):
-    assert len(unmutated) == len(POLICIES) * len(SCHEDULES) * 6
-    assert {cell: s for cell, s in unmutated.items() if s != "pass"} == {}
+    assert set(RUN_POLICIES) == set(POLICIES) | {"replicated:3"}
+    assert len(unmutated) == len(RUN_POLICIES) * len(SCHEDULES) * 6
+    # but one: replication masks k - 1 = 2 crashes, and the storm has three
+    assert {cell: s for cell, s in unmutated.items() if s != "pass"} == {
+        ("replicated:3", "storm", "result-agreement"): "violation",
+    }
 
 
 def _cells(policies, schedules, oracles):
@@ -68,6 +75,8 @@ KILLS = {
     "count-nothing": set(),
     "hide-results": set(),
     "never-close": set(),
+    "minority-vote": set(),
+    "no-completion": set(),
 }
 
 
@@ -87,6 +96,7 @@ def test_the_kill_matrix_is_pinned(mutant, unmutated):
         ("count-nothing", lambda handle, ctx: handle.metrics.recoveries_triggered),
         ("hide-results", lambda handle, ctx: ctx.trace.count("result_received")),
         ("never-close", lambda handle, ctx: len(ctx.recovery.closed)),
+        ("no-completion", lambda handle, ctx: ctx.trace.count("recovery_complete")),
     ],
 )
 def test_an_instrument_survivor_is_a_swap_that_bit(mutant, reading):
@@ -98,6 +108,19 @@ def test_an_instrument_survivor_is_a_swap_that_bit(mutant, reading):
             handle, _ = check_spec(run_spec("rollback", "early"))
             readings.append(reading(handle, build_context(handle)))
     assert readings[0] > 0 and readings[1] == 0, readings
+
+
+def test_a_minority_vote_decides_on_one_answer():
+    # §5.3's vote, broken: every decision rests on one replica's answer
+    # where the majority of three needs two, and the run still verifies
+    decided = []
+    for armed in (False, True):
+        with MUTANTS["minority-vote"].armed() if armed else contextlib.nullcontext():
+            handle, report = check_spec(run_spec("replicated:3", "early"))
+            votes = build_context(handle).trace.of_kind("vote_decided")
+            decided.append({r.extra["votes"] for r in votes})
+            assert {v.status for v in report.verdicts} == {"pass"}
+    assert decided == [{2}, {1}]
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

@@ -14,8 +14,9 @@ no loop at all inside a recovering policy's ``on_failure_detected`` —
 so a rule copied into a second policy fails here too.  The same walk
 over the whole package pins the owner of each fact that once had two:
 one caller of ``run_simulation`` outside ``sim/``, one fault-time
-formula, one writer of a fulfilled spawn state, and no second seed
-derivation in ``api/``.
+formula, one writer of a fulfilled spawn state, one importer of each of
+CPython's hash modules (``hashlib``, which maps OpenSSL, only as the
+SHA-256 owner's fallback), and one reader of external JSON.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ PROTOCOL_CALLS = {("network", "send"), ("queue", "cancel"), (None, "expand_spawn
 RECORD_FIELDS = ("fulfilled_by",)
 #: Second copies of a spawn record's state, deleted: the state says it.
 GONE_NAMES = ("has_result", "checkpointed")
+#: Hash modules; each has one importer.  ``_hashlib`` is OpenSSL's.
+DIGEST_MODULES = ("hashlib", "_hashlib", "_sha2", "_sha256", "_blake2")
 COMPOSING_POLICIES = {
     "core/rollback.py", "core/splice.py", "policies/incremental.py", "policies/reversible.py",
 }
@@ -227,6 +230,10 @@ def rule_sites(source: str) -> dict:
                 site("run_simulation(", node, func)
             elif _fault_time(node):
                 site("max(1.0,", node, func)
+            elif callee in ("load", "loads") and isinstance(node.func, ast.Attribute) and (
+                ast.unparse(node.func.value).lstrip("_") == "json"
+            ):
+                site("json.load(", node, func)
         elif isinstance(node, ast.FunctionDef) and node.name == "on_failure_detected":
             for inner in ast.walk(node):
                 if isinstance(inner, _LOOPS):
@@ -235,8 +242,9 @@ def rule_sites(source: str) -> dict:
             modules = [node.module] if isinstance(node, ast.ImportFrom) else [
                 alias.name for alias in node.names
             ]
-            if "hashlib" in modules:
-                site("import hashlib", node, func)
+            for module in modules:
+                if module in DIGEST_MODULES:
+                    site(f"import {module}", node, func)
         name = (
             node.attr if isinstance(node, ast.Attribute)
             else node.id if isinstance(node, ast.Name)
@@ -297,8 +305,17 @@ def test_each_fact_has_one_owner():
     ]
     assert found["max(1.0,"] == ["api/specs.py:crashes"]
     assert found["state = FULFILLED"] == ["sim/task.py:fulfill"]
-    # a replicate is a scenario replicate: no second seed derivation
-    assert [at for at in found["import hashlib"] if at.startswith("api/")] == []
+    # every digest from CPython's own hash modules, one owner each; no
+    # module maps OpenSSL unless the interpreter lacks the built-in SHA-256
+    assert {module: found.get(f"import {module}") for module in DIGEST_MODULES} == {
+        "hashlib": ["util/jsonio.py:"],
+        "_hashlib": None,
+        "_sha2": ["util/jsonio.py:"],
+        "_sha256": ["util/jsonio.py:"],
+        "_blake2": ["util/rng.py:"],
+    }
+    # one reader of external JSON, which refuses a too-deep document
+    assert found["json.load("] == ["util/jsonio.py:parse_json"]
     assert {name: found.get(name) for name in GONE_NAMES} == dict.fromkeys(GONE_NAMES)
 
 
@@ -343,6 +360,12 @@ def test_the_scan_sees_a_duplicated_site():
         "    at = max(2.0, when) + max(1, n)\n"
         "import hashlib\n"
         "from hashlib import sha256\n"
+        "import _sha2, _blake2\n"
+        "from _sha2 import sha256\n"
+        "from _blake2 import blake2b\n"
+        "doc = json.load(fh)\n"
+        "doc = _json.loads(text)\n"
+        "doc = parse_json(text)\n"
         "def checkpointed(self):\n"
         "    return self.checkpoint_dest is not None\n"
     )
@@ -361,6 +384,9 @@ def test_the_scan_sees_a_duplicated_site():
         "run_simulation(": 2,
         "max(1.0,": 2,
         "import hashlib": 2,
+        "import _sha2": 2,
+        "import _blake2": 2,
+        "json.load(": 2,
         "checkpointed": 1,
     }
     assert sorted(rule_sites(twice)["network.send("]) == [(12, "send_twice"), (13, "send_twice")]

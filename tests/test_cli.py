@@ -645,7 +645,7 @@ class TestCheck:
         assert cells == ["abort-in-name-only", "Node._mark_aborted", "-", "2/12"] + ["-"] * 4 + [
             "killed"
         ]
-        assert text.rstrip().endswith("killed 3 of 14 mutants")
+        assert text.rstrip().endswith("killed 3 of 16 mutants")
         code, text = run_cli("check", "audit", "--mutant", "never-unwind")
         assert code == 0 and "survivor" in text
         assert text.rstrip().endswith("killed 0 of 1 mutants")

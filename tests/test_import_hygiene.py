@@ -1,12 +1,15 @@
 """Simulating imports no numpy, and neither does reporting until a
-bootstrap draws.
+bootstrap draws; no process loads OpenSSL.
 
 Each check runs in a fresh interpreter (this process imported numpy long
 ago): ``import repro.api`` is the fixed cost in front of every CLI call
 and every pool worker, and numpy was two thirds of it for scalar draws
 the standard library now makes bit for bit.  A report's summaries,
 quartiles and every interval of a sample without spread are standard
-library too, so numpy loads only when an interval resamples.
+library too, so numpy loads only when an interval resamples.  Every
+digest comes from CPython's built-in SHA-256 and BLAKE2b, so ``_hashlib``
+(and with it OpenSSL's libcrypto) never loads; ``hashlib`` is reached only
+on an interpreter built without the built-in SHA-256, with the same digest.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
         import os, sys
         import repro.api, repro.cli, repro.exp, repro.check, repro.faults
         assert "numpy" not in sys.modules, "import"
+        assert "_hashlib" not in sys.modules, "import: OpenSSL"
 
         from repro.api import Experiment
         from repro.check import search
@@ -52,11 +56,13 @@ def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
         found = search("balanced:3:2:10", strategy="coverage", rounds=3, write=False)
         assert len(found.attempts) == 3
         assert "numpy" not in sys.modules, "simulate"
+        assert "_hashlib" not in sys.modules, "simulate: OpenSSL"
 
         from repro.report.driver import run_compare, run_report
         report = run_report("smoke", cache_dir="cache", out_dir=None)
         assert report.markdown
         assert "numpy" not in sys.modules, "smoke report"
+        assert "_hashlib" not in sys.modules, "smoke report: OpenSSL"
 
         # what a sweep user does: cold ledgered sweep, crash, resume, report, compare
         from repro.exp import get_scenario, resume_run, run_scenario, with_replications
@@ -74,7 +80,10 @@ def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
         )
         assert report.markdown and compare.markdown
         assert "numpy" not in sys.modules, "session"
+        assert "_hashlib" not in sys.modules, "session: OpenSSL"
         assert "repro.faults.mutants" not in sys.modules, "mutants"
+        import repro.faults.mutants
+        assert "_hashlib" not in sys.modules, "mutants: OpenSSL"
         print("ok")
         """,
         cwd=str(tmp_path),
@@ -124,3 +133,24 @@ def test_report_verbs_without_numpy(tmp_path, argv, code):
     else:
         (line,) = done.stderr.strip().splitlines()
         assert line.startswith("error:") and "repro[report]" in line
+
+
+def test_without_the_builtin_sha256_hashlib_gives_the_same_digests(tmp_path):
+    # what a CPython built with --with-builtin-hashlib-hashes=blake2 looks like
+    script = """
+        import sys
+        {block}
+        from repro.exp.scenario import point_seed, stable_hash
+        from repro.util.jsonio import sha256_hex
+        print(sha256_hex("ab\\u00e9"), stable_hash({{"b": [1.5]}}), point_seed("smoke", {{"x": 1}}))
+        print("_hashlib" in sys.modules)
+    """
+    builtin = run_python(script.format(block=""), cwd=str(tmp_path))
+    fallback = run_python(
+        script.format(block='sys.modules["_sha2"] = sys.modules["_sha256"] = None'),
+        cwd=str(tmp_path),
+    )
+    assert builtin.returncode == 0 and fallback.returncode == 0, builtin.stderr + fallback.stderr
+    digests, loaded = builtin.stdout.splitlines()
+    assert fallback.stdout.splitlines() == [digests, "True"]
+    assert loaded == "False"
