@@ -25,7 +25,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.specs import (
     ArrivalSpec,
@@ -483,7 +483,3 @@ class Session:
             handle.check = evaluate(handle, self.oracles)
         self.handles.append(handle)
         return handle
-
-    def run_many(self, specs: Iterable[SpecLike]) -> List[RunHandle]:
-        """Execute several specs in order, returning their handles."""
-        return [self.run(spec) for spec in specs]

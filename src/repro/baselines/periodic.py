@@ -6,12 +6,12 @@
     inefficient."
 
 This simulator executes a synthetic call tree on P work-conserving
-processors with the shared :class:`~repro.config.CostModel`, and layers
-the classic coordinated-checkpoint protocol on top:
+processors, and layers the classic coordinated-checkpoint protocol on
+top:
 
 - every ``interval`` time units, all processors synchronize (a barrier
-  costing ``barrier_cost_per_node × P``, plus quiescing the network) and
-  snapshot all live task state (``snapshot_cost_per_task`` each);
+  costing ``BARRIER_COST_PER_NODE × P``, plus quiescing the network) and
+  snapshot all live task state (``SNAPSHOT_COST_PER_TASK`` each);
 - on a failure, the machine *restores the last snapshot*: every processor
   rolls back, work done since the snapshot is lost, and the dead
   processor's tasks are redistributed among survivors.
@@ -27,12 +27,16 @@ agree to within scheduling noise, which `tests/baselines` asserts.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import CostModel
 from repro.errors import SimError
 from repro.sim.behavior import TreeSpec
+
+#: Cost of one barrier round, per processor (sim-time units).
+BARRIER_COST_PER_NODE = 2.0
+#: Cost of snapshotting one live task (sim-time units).
+SNAPSHOT_COST_PER_TASK = 0.5
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,6 @@ class PeriodicRunResult:
     checkpoint_time: float  # total time spent in barriers + snapshots
     lost_work: float  # steps discarded by restores
     restores: int
-    total_steps: float
 
     def summary(self) -> str:
         return (
@@ -70,13 +73,7 @@ class _TaskState:
 class PeriodicCheckpointSimulator:
     """Coordinated-snapshot execution of a tree workload."""
 
-    def __init__(
-        self,
-        spec: TreeSpec,
-        n_processors: int,
-        interval: float,
-        cost: Optional[CostModel] = None,
-    ):
+    def __init__(self, spec: TreeSpec, n_processors: int, interval: float):
         if n_processors < 1:
             raise SimError("need at least one processor")
         if interval <= 0:
@@ -84,7 +81,6 @@ class PeriodicCheckpointSimulator:
         self.spec = spec
         self.n = n_processors
         self.interval = interval
-        self.cost = cost if cost is not None else CostModel()
 
     # -- core list-scheduler step ------------------------------------------------
 
@@ -107,13 +103,12 @@ class PeriodicCheckpointSimulator:
                 ready.append(nid)  # combine phase
         return sorted(ready)
 
-    def run(self, fault_time: Optional[float] = None, dead_processor: int = 0) -> PeriodicRunResult:
+    def run(self, fault_time: Optional[float] = None) -> PeriodicRunResult:
         """Execute; optionally kill one processor at ``fault_time``.
 
         The snapshot/restore cycle follows the coordinated-checkpoint
         protocol; the failed processor stays dead after the restore.
         """
-        cost = self.cost
         state = self._init_state()
         released: Set[int] = {0}
         parents: Dict[int, int] = {}
@@ -194,15 +189,15 @@ class PeriodicCheckpointSimulator:
                     released = set(snap_released)
                     root = state[0]
                 # restore overhead: redistribute + reload
-                now += cost.barrier_cost_per_node * self.n
+                now += BARRIER_COST_PER_NODE * self.n
                 next_checkpoint = now + self.interval
                 continue
 
             # checkpoint boundary?
             if now >= next_checkpoint:
                 checkpoints += 1
-                barrier = cost.barrier_cost_per_node * self.n
-                snap_cost = cost.snapshot_cost_per_task * live_task_count()
+                barrier = BARRIER_COST_PER_NODE * self.n
+                snap_cost = SNAPSHOT_COST_PER_TASK * live_task_count()
                 checkpoint_time += barrier + snap_cost
                 now += barrier + snap_cost
                 snapshot = snap()
@@ -235,7 +230,6 @@ class PeriodicCheckpointSimulator:
             checkpoint_time=checkpoint_time,
             lost_work=lost_work,
             restores=restores,
-            total_steps=total_steps,
         )
 
     @staticmethod

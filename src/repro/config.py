@@ -14,7 +14,6 @@ about checkpoint-coordination costs is interesting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 #: The canonical allowed values — SimConfig.validate, the spec layer
 #: (repro.api), and the CLI argparse choices all read these, so adding
@@ -51,10 +50,6 @@ class CostModel:
     ack_timeout: float = 400.0
     #: Cost charged to a node for performing one recovery reissue.
     reissue_overhead: float = 2.0
-    #: Cost of one barrier round in the periodic-checkpointing baseline.
-    barrier_cost_per_node: float = 2.0
-    #: Cost of snapshotting one live task in the periodic baseline.
-    snapshot_cost_per_task: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,13 +68,6 @@ class SimConfig:
     #: Load-balancing scheduler: ``gradient``, ``random``, ``round_robin``,
     #: ``local``, or ``static`` (stamp-hash placement).
     scheduler: str = "gradient"
-    #: Safety valve: abort the run after this many events.
-    max_events: int = 2_000_000
-    #: Safety valve: abort the run after this much sim time.
-    max_time: float = float("inf")
-    #: Check every duplicate result against the first copy received
-    #: (determinacy assertion, §2.1).  Costs nothing in sim time.
-    verify_determinacy: bool = True
     #: Number of replicas per task packet when the replication policy is
     #: active (§5.3); ignored by other policies.
     replication_factor: int = 3

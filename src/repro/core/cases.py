@@ -36,7 +36,6 @@ class CaseTimeline:
     """The event times Figure 5 orders (None = never happened)."""
 
     p_failed: Optional[float]
-    p_invoked: Optional[float]
     p_twin_invoked: Optional[float]
     p_twin_completed: Optional[float]
     c_invoked: Optional[float]
@@ -74,7 +73,6 @@ def extract_timeline(
     """
     p_accepts = _accepts(trace, p_stamp)
     p_uid = p_accepts[0][1] if p_accepts else None
-    p_invoked = p_accepts[0][0] if p_accepts else None
     p_twin_uid = p_accepts[1][1] if len(p_accepts) > 1 else None
     p_twin_invoked = p_accepts[1][0] if len(p_accepts) > 1 else None
 
@@ -99,7 +97,6 @@ def extract_timeline(
     failures = trace.of_kind("node_failed")
     return CaseTimeline(
         p_failed=failures[0].time if failures else None,
-        p_invoked=p_invoked,
         p_twin_invoked=p_twin_invoked,
         p_twin_completed=_completion(trace, p_stamp, p_twin_uid),
         c_invoked=c_invoked,

@@ -115,7 +115,6 @@ class CheckpointTable:
         self._total = total if total is not None else HeldTotal()
         self._total.tables.add(self)
         self._held = 0
-        self.recorded = 0
         self.dropped = 0
         self.suppressed = 0  # spawns that were descendants of an entry
         self.peak_held = 0
@@ -178,7 +177,6 @@ class CheckpointTable:
             if count:
                 break
             level = level.up
-        self.recorded += 1
         self._total.held += 1
         self._held += 1
         if self._held > self.peak_held:

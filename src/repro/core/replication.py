@@ -155,7 +155,6 @@ class ReplicatedExecution(FaultTolerance):
             )
         agreeing = sum(1 for v in record.votes if value_equal(v, msg.value))
         if agreeing >= self.majority:
-            record.vote_decided = True
             node.metrics.votes_decided += 1
             if node.trace.enabled:
                 node.trace.emit(

@@ -189,7 +189,6 @@ class SpliceRecovery(RollbackRecovery):
         for digit, (value, sender_uid) in list(twin.buffer.items()):
             del twin.buffer[digit]
             stamp = twin.stamp.child(digit)
-            node.metrics.results_relayed += 1
             if node.trace.enabled:
                 node.trace.emit(
                     node.queue.now, node.id, "result_relayed", stamp=stamp, to=executor

@@ -159,6 +159,18 @@ def _point_entry(
     return entry
 
 
+def _is_entry(entry: Any, spec: ScenarioSpec, point: Point) -> bool:
+    """Whether ``entry`` is what :func:`_point_entry` writes for ``point``
+    with some result: the same keys and values, and ints that are ints
+    (``true`` compares equal to ``1``, ``0.0`` to ``0``)."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("result"), dict)
+        and entry == _point_entry(spec, point, entry["result"])
+        and all(type(entry[k]) is int for k in ("index", "seed", "replicate") if k in entry)
+    )
+
+
 def _load_cached(path: str, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
     """The payload cached at ``path`` if it is a whole sweep of ``spec``;
     anything else (unreadable, foreign, truncated, malformed) is a miss."""
@@ -171,11 +183,7 @@ def _load_cached(path: str, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
     whole = (
         isinstance(points, list) and len(points) == spec.n_points()
         and payload.get("scenario") == spec.name and payload.get("key") == spec.key()
-        and all(
-            isinstance(entry, dict) and entry.get("index") == index
-            and isinstance(entry.get("result"), dict)
-            for index, entry in enumerate(points)
-        )
+        and all(_is_entry(entry, spec, point) for entry, point in zip(points, expand(spec)))
     )
     return payload if whole else None
 
@@ -407,8 +415,9 @@ def sweep_table(sweep: SweepResult, spec: Optional[ScenarioSpec] = None) -> str:
         if replicated:
             row.append(p.get("replicate", 0))
         row += [p["params"].get(a) for a in axis_names]
+        metrics = p["result"].get("metrics")
         for col in columns:
-            value = p["result"].get(col, p["result"].get("metrics", {}).get(col))
+            value = p["result"].get(col, metrics.get(col) if isinstance(metrics, dict) else None)
             if value is None and "." in col:
                 # Dotted columns read one sub-dict level (e.g. the
                 # ``load.*`` summary of an open-loop run).

@@ -127,23 +127,24 @@ class _OpenLoopHostBehavior(TaskBehavior):
 
 
 class LoadState:
-    """Mutable per-run observations: arrivals, sojourns, queue depths."""
+    """Mutable per-run observations: arrivals, sojourns, queue depths,
+    and the packets a full inbox dropped or pushed back on."""
 
-    def __init__(self, machine, n_arrivals: int, horizon: float):
+    def __init__(self, machine, horizon: float):
         self.machine = machine
-        self.n_arrivals = n_arrivals
         self.horizon = horizon
         self.arrival_times: Dict[int, float] = {}
         self.completion_times: Dict[int, float] = {}
         #: ``(time, total queued+executing+inbound tasks)`` samples, taken
         #: at every arrival instant — a deterministic time series.
         self.queue_samples: List[Tuple[float, int]] = []
+        self.dropped = 0
+        self.backpressure_events = 0
 
     def tree_arrived(self, index: int) -> None:
         machine = self.machine
         now = machine.queue.now
         self.arrival_times[index] = now
-        machine.metrics.load_arrivals += 1
         depth = sum(node.load() for node in machine.processors())
         self.queue_samples.append((now, depth))
         if machine.trace.enabled:
@@ -155,7 +156,6 @@ class LoadState:
         machine = self.machine
         now = machine.queue.now
         self.completion_times[index] = now
-        machine.metrics.load_completed += 1
         if machine.trace.enabled:
             arrived = self.arrival_times.get(index, now)
             machine.trace.emit(
@@ -194,7 +194,7 @@ class _Congestion:
         if self.overflow == "backpressure":
             # Deliver anyway, but the full inbox pushes back: the sender's
             # next slice is deferred by one hop of latency.
-            sender.metrics.load_backpressure_events += 1
+            self.state.backpressure_events += 1
             until = now + sender.cost.hop_latency
             if until > sender.busy_until:
                 sender.busy_until = until
@@ -205,7 +205,7 @@ class _Congestion:
                 )
             return False
         # "drop" (drop-with-notify) and "tail" (silent) both shed the packet.
-        sender.metrics.load_dropped += 1
+        self.state.dropped += 1
         if sender.trace.enabled:
             sender.trace.emit(
                 now, sender.id, "inbox_drop",
@@ -290,7 +290,7 @@ class LoadGenerator:
         ]
         self.machine = machine
         self.arrivals = arrivals
-        self.state = LoadState(machine, len(arrivals), float(resolved["horizon"]))
+        self.state = LoadState(machine, float(resolved["horizon"]))
         machine.workload = OpenLoopWorkload(
             trees, name=f"openloop[{self.spec.to_spec_str()}]"
         )
@@ -329,7 +329,6 @@ class LoadGenerator:
 
     def summary(self, makespan: float) -> LoadSummary:
         state = self.state
-        metrics = self.machine.metrics
         sojourns = state.sojourns()
         if sojourns:
             p50, p95, p99 = percentiles(sojourns, (50.0, 95.0, 99.0))
@@ -349,6 +348,6 @@ class LoadGenerator:
             goodput=(completed / makespan) if makespan > 0 else None,
             queue_depth_mean=(sum(depths) / len(depths)) if depths else None,
             queue_depth_max=max(depths) if depths else None,
-            dropped=metrics.load_dropped,
-            backpressure_events=metrics.load_backpressure_events,
+            dropped=state.dropped,
+            backpressure_events=state.backpressure_events,
         )

@@ -131,17 +131,13 @@ class EventQueue:
         entry.action()
         return entry.label or "<event>"
 
-    def run(
-        self,
-        until: Callable[[], bool],
-        max_events: int = 2_000_000,
-        max_time: float = float("inf"),
-    ) -> None:
+    def run(self, until: Callable[[], bool], max_events: int = 2_000_000) -> None:
         """Process events until ``until()`` is true or the queue drains.
 
-        Raises :class:`SimulationBudgetError` when budgets are exceeded —
-        a drained queue with ``until()`` false is left for the caller to
-        diagnose (it distinguishes stalls from budget blowups).
+        Raises :class:`SimulationBudgetError` after ``max_events`` events,
+        the safety valve — a drained queue with ``until()`` false is left
+        for the caller to diagnose (it distinguishes stalls from budget
+        blowups).
 
         The loop body is a deliberate inline copy of :meth:`step` (no
         per-event method call in the innermost loop); keep the two in
@@ -154,10 +150,6 @@ class EventQueue:
             if processed >= max_events:
                 raise SimulationBudgetError(
                     f"exceeded event budget of {max_events} events at t={self.now}"
-                )
-            if self.now > max_time:
-                raise SimulationBudgetError(
-                    f"exceeded time budget of {max_time} (now {self.now})"
                 )
             while heap and heap[0][3].cancelled:
                 pop(heap)

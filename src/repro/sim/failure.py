@@ -92,8 +92,6 @@ class FaultInjector:
         node.kill()
         machine.metrics.failures_injected += 1
         machine.metrics.nodes_failed.append(fault.node)
-        if machine.metrics.first_failure_time is None:
-            machine.metrics.first_failure_time = machine.queue.now
         machine.trace.emit(machine.queue.now, fault.node, "node_failed")
         self._arm_detector(fault.node)
 

@@ -16,7 +16,7 @@ record for the root, ``machine.instance(machine.root_host_uid).spawn_records[0]`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.config import SimConfig
@@ -36,7 +36,6 @@ from repro.sim.task import TaskInstance, TaskStatus
 from repro.sim.topology import Topology
 from repro.sim.trace import Trace
 from repro.sim.workload import Workload
-from repro.util.idgen import IdGenerator
 from repro.util.rng import RngHub
 
 
@@ -114,7 +113,9 @@ class Machine:
         self.rng = RngHub(config.seed)
         self.trace = Trace(enabled=collect_trace)
         self.metrics = Metrics()
-        self.idgen = IdGenerator()
+        #: The next task-instance uid: one stamp may be activated several
+        #: times across failures, so an activation needs an id of its own.
+        self._next_uid = 0
         self.topology = Topology(config.topology, config.n_processors)
         self.network = Network(self.topology, self.queue, self.rng, config.cost)
         # A scheduler instance may be injected (pinned placements in the
@@ -166,7 +167,9 @@ class Machine:
         return self._all_nodes
 
     def new_task_uid(self) -> int:
-        return self.idgen.next("task")
+        uid = self._next_uid
+        self._next_uid = uid + 1
+        return uid
 
     def register_instance(self, task: TaskInstance) -> None:
         self.instance_registry[task.uid] = task
@@ -214,11 +217,7 @@ class Machine:
         if load is not None:
             load.arm(self)
         self._start_root_host()
-        self.queue.run(
-            until=lambda: self._finished,
-            max_events=self.config.max_events,
-            max_time=self.config.max_time,
-        )
+        self.queue.run(until=lambda: self._finished)
 
         stall_reason = None
         if not self._finished:

@@ -36,14 +36,9 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class TaskPacketMsg(Message):
-    """Carries a task packet toward an executor.
-
-    ``hops_left`` supports hop-by-hop load-balancer forwarding: a node that
-    receives a packet may absorb it or pass it along (gradient model).
-    """
+    """Carries a task packet toward an executor."""
 
     packet: TaskPacket = None  # type: ignore[assignment]
-    hops_left: int = 0
 
     def describe(self) -> str:
         return f"task {self.packet.describe()} {self.src}->{self.dst}"

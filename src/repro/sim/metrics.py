@@ -8,9 +8,8 @@ recomputed ones).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -40,7 +39,6 @@ class Metrics:
     results_duplicate: int = 0
     results_ignored: int = 0
     results_orphan_rerouted: int = 0
-    results_relayed: int = 0
     results_salvaged: int = 0
 
     # Failure handling
@@ -66,38 +64,19 @@ class Metrics:
     nemesis_partition_blocked: int = 0
     nemesis_slowdown_time: float = 0.0
 
-    # Open-loop load (see repro.load); zero on closed-loop runs
-    load_arrivals: int = 0
-    load_completed: int = 0
-    load_dropped: int = 0
-    load_backpressure_events: int = 0
-
     # Replication / voting
     votes_recorded: int = 0
     votes_decided: int = 0
 
     # Messaging
-    messages_by_type: Counter = field(default_factory=Counter)
+    messages_total: int = 0
     message_hops: int = 0
 
     # Per-node busy time
     busy_time: Dict[int, float] = field(default_factory=dict)
 
-    # Timeline
-    first_failure_time: Optional[float] = None
-    first_detection_time: Optional[float] = None
-    recovery_started_time: Optional[float] = None
-
-    def record_message(self, type_name: str, hops: int) -> None:
-        self.messages_by_type[type_name] += 1
-        self.message_hops += hops
-
     def add_busy(self, node: int, duration: float) -> None:
         self.busy_time[node] = self.busy_time.get(node, 0.0) + duration
-
-    @property
-    def messages_total(self) -> int:
-        return sum(self.messages_by_type.values())
 
     @property
     def nemesis_events(self) -> int:
@@ -114,12 +93,6 @@ class Metrics:
         if makespan <= 0:
             return {n: 0.0 for n in self.busy_time}
         return {n: t / makespan for n, t in sorted(self.busy_time.items())}
-
-    def detection_latency(self) -> Optional[float]:
-        """Failure-to-detection delay for the first injected fault."""
-        if self.first_failure_time is None or self.first_detection_time is None:
-            return None
-        return self.first_detection_time - self.first_failure_time
 
     def summary_rows(self) -> list:
         """Rows for an ASCII summary table (label, value)."""

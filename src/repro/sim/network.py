@@ -98,9 +98,10 @@ class Network:
             msg.src
         ].alive, f"dead node {msg.src} attempted to send {msg.describe()}"
 
-        msg_type = type(msg)
         hops = self.topology.hops(msg.src, msg.dst)
-        self.metrics.record_message(msg_type.__name__, hops)
+        metrics = self.metrics
+        metrics.messages_total += 1
+        metrics.message_hops += hops
         if self.nemesis is not None and self.nemesis.intercept_send(self, msg, hops):
             return
         self.deliver_copy(msg, self._delay(hops))

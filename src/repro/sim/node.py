@@ -204,8 +204,6 @@ class Node:
             return
         self.known_dead.add(dead_node)
         self.metrics.failures_detected += 1
-        if self.metrics.first_detection_time is None:
-            self.metrics.first_detection_time = self.queue.now
         if self.trace.enabled:
             self.trace.emit(self.queue.now, self.id, "failure_detected", dead=dead_node)
         self.policy.on_failure_detected(self, dead_node)
@@ -524,7 +522,6 @@ class Node:
                 uid=task.uid,
             )
         record.executor = None
-        record.executor_instance = None
         record.reissued = True
         record.packet = record.packet.reissued_to(ReturnAddress(self.id, task.uid))
         self._disarm(record)  # the new launch's timer supersedes the old one
@@ -541,7 +538,6 @@ class Node:
             return
         record.state = SpawnState.PLACED
         record.executor = ack.executor
-        record.executor_instance = ack.instance
         self._disarm(record)
         if self.trace.enabled:
             self.trace.emit(
@@ -645,9 +641,7 @@ class Node:
         """
         if record.state is _FULFILLED:
             # Duplicate (cases 6/7): identical by determinacy; ignore it.
-            if self.machine.config.verify_determinacy and not value_equal(
-                record.result, msg.value
-            ):
+            if not value_equal(record.result, msg.value):
                 from repro.errors import DeterminacyViolationError
 
                 raise DeterminacyViolationError(

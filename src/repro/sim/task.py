@@ -78,7 +78,6 @@ class SpawnRecord:
     packet: TaskPacket  # the retained copy — the functional checkpoint
     state: SpawnState = SpawnState.FORMED
     executor: Optional[int] = None
-    executor_instance: Optional[int] = None
     result: Any = None
     #: uid of the task instance whose result filled this record (used for
     #: useful-vs-wasted work accounting at run end).
@@ -86,7 +85,6 @@ class SpawnRecord:
     #: Values received from replicas (replication policy, §5.3); the list
     #: is allocated on the first vote, so other policies' records carry none.
     votes: Optional[List[Any]] = None
-    vote_decided: bool = False
     #: Scheduled ack-timeout event handle (cancelled on ack).
     ack_timer: Any = None
     #: The destination entry of the node's checkpoint table this record's

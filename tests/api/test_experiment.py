@@ -99,13 +99,14 @@ class TestSessionAndHandles:
 
     def test_session_accepts_many_forms(self):
         session = Session()
-        handles = session.run_many(
-            [
+        handles = [
+            session.run(spec)
+            for spec in (
                 WORKLOAD,  # bare workload string
                 Experiment.workload(WORKLOAD).policy("splice"),  # builder
                 {"workload": WORKLOAD, "seed": 0},  # params dict
-            ]
-        )
+            )
+        ]
         assert len(handles) == 3 and session.handles == handles
         doc = handles[1].spec.to_json()
         assert session.run(doc).spec == handles[1].spec  # JSON document

@@ -12,7 +12,6 @@ class TestClassify:
     def _t(self, **kw):
         base = dict(
             p_failed=100.0,
-            p_invoked=10.0,
             p_twin_invoked=150.0,
             p_twin_completed=400.0,
             c_invoked=50.0,

@@ -227,7 +227,7 @@ class _ReferenceTable:
 
     def __init__(self):
         self.entries = {}  # dest -> checkpoints in recording order
-        self.recorded = self.dropped = self.suppressed = self.peak_held = 0
+        self.dropped = self.suppressed = self.peak_held = 0
 
     def held(self):
         return sum(len(entry) for entry in self.entries.values())
@@ -248,7 +248,6 @@ class _ReferenceTable:
                 self.dropped += 1
         checkpoint = FunctionalCheckpoint(stamp, dest, packet, task_uid)
         entry.append(checkpoint)
-        self.recorded += 1
         self.peak_held = max(self.peak_held, self.held())
         return checkpoint
 
@@ -338,7 +337,7 @@ def test_table_agrees_with_literal_reference(ops, lineage):
             got = table.drop_everywhere(stamp, uid)
             want = model.drop_everywhere(stamp, uid)
         assert got == want
-        for counter in ("recorded", "dropped", "suppressed", "peak_held"):
+        for counter in ("dropped", "suppressed", "peak_held"):
             assert getattr(table, counter) == getattr(model, counter), counter
         assert table.held() == model.held()
         for d in _DESTS:

@@ -79,9 +79,17 @@ class TestCache:
             lambda doc: doc["points"][1].update(result=[]),
             lambda doc: doc.update(key="0" * 64),
             lambda doc: doc.update(scenario="other"),
+            # each of these used to be a hit, and the first crashed its reader
+            lambda doc: doc["points"][0].pop("params"),
+            lambda doc: doc["points"][0].update(params=list(doc["points"][0]["params"])),
+            lambda doc: doc["points"][0].pop("seed"),
+            lambda doc: doc["points"][1].update(index=True),
+            lambda doc: doc["points"][0].update(index=0.0),
+            lambda doc: doc["points"][0].update(replicate=0),
         ],
         ids=["scalars", "truncated", "reordered", "string-index", "list-result",
-             "foreign-key", "foreign-scenario"],
+             "foreign-key", "foreign-scenario", "no-params", "list-params", "no-seed",
+             "bool-index", "float-index", "unreplicated-replicate"],
     )
     def test_malformed_or_truncated_cache_treated_as_miss(self, tmp_path, damage):
         first = run_scenario("smoke", cache_dir=str(tmp_path))

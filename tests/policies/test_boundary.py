@@ -17,6 +17,11 @@ one caller of ``run_simulation`` outside ``sim/``, one fault-time
 formula, one writer of a fulfilled spawn state, one importer of each of
 CPython's hash modules (``hashlib``, which maps OpenSSL, only as the
 SHA-256 owner's fallback), and one reader of external JSON.
+
+A third walk pins that nothing the simulator keeps goes unread: every
+dataclass field and ``self.X =`` attribute of a class under ``sim/``,
+``core/``, ``load/``, ``baselines/`` and ``config.py`` is loaded
+somewhere in ``src/``, ``tests/`` or ``bench/``.
 """
 
 from __future__ import annotations
@@ -390,3 +395,132 @@ def test_the_scan_sees_a_duplicated_site():
         "checkpointed": 1,
     }
     assert sorted(rule_sites(twice)["network.send("]) == [(12, "send_twice"), (13, "send_twice")]
+
+
+# -- nothing the simulator keeps goes unread -------------------------------------
+
+REPO = os.path.dirname(os.path.dirname(SRC))
+#: Where state is declared: the simulator, its checkpoint core, the load
+#: generator, the baseline and the machine configuration.
+STATE_FILES = sorted(
+    path
+    for package in ("sim", "core", "load", "baselines")
+    for path in glob.glob(os.path.join(SRC, package, "*.py"))
+) + [os.path.join(SRC, "config.py")]
+#: Where it may be read: the package, its tests and the benchmark.
+READER_FILES = sorted(
+    path
+    for top in ("src", "tests", "bench")
+    for path in glob.glob(os.path.join(REPO, top, "**", "*.py"), recursive=True)
+)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _own_nodes(cls: ast.ClassDef):
+    """Every node of ``cls``'s body, not descending into nested classes."""
+    stack = [node for node in cls.body if not isinstance(node, ast.ClassDef)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, ast.ClassDef))
+
+
+def kept_state(source: str) -> dict:
+    """``{name: ["Class.name", ...]}`` for every dataclass field and
+    every ``self.name =`` attribute a class in ``source`` keeps."""
+    kept: dict = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    kept.setdefault(stmt.target.id, []).append(f"{cls.name}.{stmt.target.id}")
+        for node in _own_nodes(cls):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign)
+                else []
+            )
+            for target in targets:
+                for t in ast.walk(target):
+                    if (
+                        isinstance(t, ast.Attribute)
+                        and isinstance(t.value, ast.Name) and t.value.id == "self"
+                    ):
+                        kept.setdefault(t.attr, []).append(f"{cls.name}.{t.attr}")
+    return kept
+
+
+def read_names(source: str) -> set:
+    """Every attribute ``source`` loads, as ``x.name`` or ``getattr(x, "name")``."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)
+        ):
+            read.add(node.args[1].value)
+    return read
+
+
+def _source(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def unread_state() -> list:
+    read = set().union(*(read_names(_source(path)) for path in READER_FILES))
+    kept: dict = {}
+    for path in STATE_FILES:
+        for name, owners in kept_state(_source(path)).items():
+            kept.setdefault(name, set()).update(owners)
+    return sorted(owner for name, owners in kept.items() if name not in read for owner in owners)
+
+
+def test_the_dead_state_scan_covers_the_simulator():
+    names = {os.path.relpath(path, SRC) for path in STATE_FILES}
+    assert {"sim/node.py", "sim/metrics.py", "core/checkpoint.py", "load/generator.py",
+            "baselines/periodic.py", "config.py"} <= names
+    assert os.path.join(REPO, "bench", "benchlib", "kernels.py") in READER_FILES
+
+
+def test_nothing_the_simulator_keeps_goes_unread():
+    assert unread_state() == []
+
+
+def test_the_dead_state_scan_sees_a_write_only_field():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    read: int\n"
+        "    never: int = 0\n"
+        "class Table:\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "        self.peak, self.held = 0, 0\n"
+        "    def bump(self):\n"
+        "        self.count += 1\n"
+        "        return getattr(self, 'held')\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        def __init__(self):\n"
+        "            self.inner_only = 1\n"
+    )
+    kept = kept_state(source)
+    assert kept == {
+        "read": ["Record.read"], "never": ["Record.never"], "count": ["Table.count"],
+        "peak": ["Table.peak"], "held": ["Table.held"], "inner_only": ["Inner.inner_only"],
+    }
+    assert read_names(source) == {"held"}
+    assert read_names("x = r.read + r.count\nr.never = 1\nr.peak += 1\n") == {"read", "count"}

@@ -99,16 +99,6 @@ class TestBudgets:
         with pytest.raises(SimulationBudgetError):
             q.run(until=lambda: False, max_events=100)
 
-    def test_time_budget(self):
-        q = EventQueue()
-
-        def reschedule():
-            q.after(10.0, reschedule)
-
-        q.schedule(0.0, reschedule)
-        with pytest.raises(SimulationBudgetError):
-            q.run(until=lambda: False, max_time=500.0)
-
     def test_until_stops(self):
         q = EventQueue()
         count = []

@@ -113,15 +113,6 @@ class TestTrace:
 
 
 class TestMetrics:
-    def test_message_recording(self):
-        m = Metrics()
-        m.record_message("ResultMsg", 2)
-        m.record_message("ResultMsg", 1)
-        m.record_message("PlacementAck", 1)
-        assert m.messages_total == 3
-        assert m.message_hops == 4
-        assert m.messages_by_type["ResultMsg"] == 2
-
     def test_busy_and_utilization(self):
         m = Metrics()
         m.add_busy(0, 50.0)
@@ -131,9 +122,6 @@ class TestMetrics:
         assert util[0] == pytest.approx(0.75)
         assert util[1] == pytest.approx(1.0)
         assert m.utilization(0.0) == {0: 0.0, 1: 0.0}
-
-    def test_detection_latency_none_without_failure(self):
-        assert Metrics().detection_latency() is None
 
     def test_summary_rows_label_value_pairs(self):
         rows = Metrics().summary_rows()
