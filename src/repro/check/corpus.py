@@ -27,7 +27,7 @@ from repro.api.specs import NemesisSpec, RunSpec
 from repro.check.oracles import ORACLE_NAMES, CheckConfig
 from repro.check.search import Evaluator, SearchResult
 from repro.errors import SpecError
-from repro.util.jsonio import canonical_dumps, parse_json, write_atomic
+from repro.util.jsonio import canonical_dumps, emit_json, parse_json
 
 #: Corpus document schema tag.
 CORPUS_SCHEMA = "repro-corpus/1"
@@ -58,8 +58,7 @@ def corpus_doc(result: SearchResult) -> Dict[str, Any]:
 
 def write_corpus(result: SearchResult, path: str) -> str:
     """Write the corpus document atomically; returns ``path``."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    write_atomic(path, canonical_dumps(corpus_doc(result)))
+    emit_json(corpus_doc(result), path=path)
     return path
 
 

@@ -53,7 +53,7 @@ from repro.faults.generate import (
     random_nemesis,
     shrink_candidates,
 )
-from repro.util.jsonio import canonical_dumps, compact_dumps, sha256_hex, write_atomic
+from repro.util.jsonio import compact_dumps, emit_json, sha256_hex
 
 #: Ledger document schema tag.  ``repro-check/1`` ledgers (PR 6) lack
 #: the strategy/corpus/lineage fields; see docs/CHECK.md for the
@@ -436,7 +436,6 @@ def search(
     )
     if write:
         path = ledger_path(base, seed, out_dir, config, strategy, mode)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        write_atomic(path, canonical_dumps(result.to_doc()))
+        emit_json(result.to_doc(), path=path)
         result = replace(result, path=path)
     return result

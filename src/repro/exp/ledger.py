@@ -63,7 +63,7 @@ import signal
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.util.jsonio import append_durable, compact_dumps, parse_json, sha256_hex
@@ -214,11 +214,14 @@ class LedgerWriter:
             # bytes on disk, no newline — then die without cleanup.
             append_durable(self._fh, line[: max(1, len(line) // 2)])
             os.kill(os.getpid(), signal.SIGKILL)
-        if record.get("event") == "point_started":
-            self._fh.write(line)  # in flight, not a commitment: flushed,
-            self._fh.flush()  # and the next commitment's fsync carries it
-        else:
-            append_durable(self._fh, line)
+        try:
+            if record.get("event") == "point_started":
+                self._fh.write(line)  # in flight, not a commitment: flushed,
+                self._fh.flush()  # and the next commitment's fsync carries it
+            else:
+                append_durable(self._fh, line)
+        except OSError as exc:
+            raise ReproError(f"cannot append to sweep ledger {self.path}: {exc}") from None
         self._appends += 1
 
     def point_started(self, index: int) -> None:
@@ -257,11 +260,15 @@ class LedgerWriter:
 class LedgerState:
     """The replayed state of one run's ledger.
 
-    ``finished`` maps point index to its recorded result payload (only
-    records whose sha256 verified); ``failed`` maps index to the last
-    recorded error for points that never subsequently finished.
+    ``finished`` is the set of point indices whose ``point_finished``
+    record verified against its sha256; ``failed`` maps index to the
+    last recorded error for points that never subsequently finished.
     ``unfinished`` is the resume work list — exactly the indices a
-    byte-identical completion still has to run.
+    byte-identical completion still has to run.  The payloads —
+    ``results`` (index to verified result) and the header's per-point
+    ``points`` metadata — are filled only by :func:`replay_ledger`; a
+    state from :func:`list_runs` holds neither, only what a listing
+    reads.
     """
 
     path: str
@@ -270,13 +277,13 @@ class LedgerState:
     key: str
     replications: int
     n_points: int
-    points: List[Dict[str, Any]] = field(default_factory=list)
-    finished: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    finished: frozenset = frozenset()
     failed: Dict[int, str] = field(default_factory=dict)
-    started: frozenset = frozenset()
     run_finished: bool = False
     sweep_sha256: Optional[str] = None
     torn_lines: int = 0
+    points: List[Dict[str, Any]] = field(default_factory=list)
+    results: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
     def unfinished(self) -> List[int]:
         """Indices a resume must still run, in point order."""
@@ -312,45 +319,43 @@ class LedgerState:
         }
 
 
-def _parse_lines(path: str) -> tuple:
-    """Raw ledger lines -> (records, torn count).
+def _records(path: str, fh) -> Iterator[Tuple[int, Optional[Dict[str, Any]]]]:
+    """Ledger lines, one at a time -> (line number, record), where the
+    record is ``None`` for a torn final line.
 
     Only the *final* line may be unparseable — that is the one write a
     crash can tear, and it is torn whenever its newline is missing,
     parseable or not (:meth:`LedgerWriter.reopen` truncates it).  Earlier
     garbage cannot result from in-order appends to one descriptor and is
-    refused loudly rather than silently dropped.
+    refused loudly rather than silently dropped.  A one-line lookahead
+    tells the final line apart, so no more than two lines are ever held.
     """
+    lineno, line = 0, None
+    for next_lineno, next_line in enumerate(fh, start=1):
+        if line is not None:
+            yield lineno, _record(path, lineno, line, final=False)
+        lineno, line = next_lineno, next_line
+    if line is not None:
+        yield lineno, _record(path, lineno, line, final=True)
+
+
+def _record(path: str, lineno: int, line: str, final: bool) -> Optional[Dict[str, Any]]:
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise ReproError(f"cannot read sweep ledger {path}: {exc}") from None
-    terminated = lines[-1] == ""
-    if terminated:
-        lines.pop()  # the newline-terminated case: no torn tail
-    records: List[Dict[str, Any]] = []
-    torn = 0
-    for lineno, line in enumerate(lines):
-        try:
-            if lineno == len(lines) - 1 and not terminated:
-                raise ValueError("the append did not complete")
-            record = parse_json(line)
-            if not isinstance(record, dict) or "event" not in record:
-                raise ValueError("not a ledger record object")
-        except ValueError:
-            if lineno == len(lines) - 1:
-                warnings.warn(
-                    f"sweep ledger {path}: skipping torn final line "
-                    f"(crash mid-append)",
-                    LedgerWarning,
-                    stacklevel=3,
-                )
-                torn += 1
-                continue
-            raise _corrupt(path, lineno + 1, "only the final line may be torn") from None
-        records.append(record)
-    return records, torn
+        if not line.endswith("\n"):
+            raise ValueError("the append did not complete")
+        record = parse_json(line)
+        if not isinstance(record, dict) or "event" not in record:
+            raise ValueError("not a ledger record object")
+    except ValueError:
+        if not final:
+            raise _corrupt(path, lineno, "only the final line may be torn") from None
+        warnings.warn(
+            f"sweep ledger {path}: skipping torn final line (crash mid-append)",
+            LedgerWarning,
+            stacklevel=5,
+        )
+        return None
+    return record
 
 
 def _corrupt(path: str, lineno: int, why: str) -> ReproError:
@@ -379,82 +384,107 @@ def replay_ledger(path: str) -> LedgerState:
     digest-verified record wins; a record whose payload does not match
     its recorded sha256 is degraded to "not finished" with a warning.
     """
-    records, torn = _parse_lines(path)
-    if not records or records[0].get("event") != "run_started":
-        raise ReproError(
-            f"sweep ledger {path} has no usable run_started header"
-        )
-    header = records[0]
-    if header.get("schema") != LEDGER_SCHEMA:
-        raise ReproError(
-            f"sweep ledger {path} has schema {header.get('schema')!r}; "
-            f"expected {LEDGER_SCHEMA!r}"
-        )
-    scenario, key, points = header.get("scenario"), header.get("key"), header.get("points", [])
-    if not (isinstance(scenario, str) and isinstance(key, str) and isinstance(points, list)):
-        raise _corrupt(path, 1, "scenario and key must be strings, points a list")
-    n_points = _count(path, 1, header, "n_points", 0)
-    replications = _count(path, 1, header, "replications", 1, default=1)
-    finished: Dict[int, Dict[str, Any]] = {}
-    failed: Dict[int, str] = {}
-    started = set()
-    run_done = False
-    sweep_sha: Optional[str] = None
-    # record i sits on line i + 1: only a torn final line is ever skipped
-    for lineno, record in enumerate(records[1:], start=2):
-        event = record["event"]
-        if event in ("point_started", "point_finished", "point_failed"):
-            index = _count(path, lineno, record, "index", 0)
-        if event == "point_started":
-            started.add(index)
-        elif event == "point_finished":
-            result = record.get("result")
-            if not isinstance(result, dict) or result_digest(result) != record.get(
-                "sha256"
-            ):
-                warnings.warn(
-                    f"sweep ledger {path}: point {index} finished-record "
-                    "fails its sha256 check; treating the point as "
-                    "unfinished",
-                    LedgerWarning,
-                    stacklevel=2,
-                )
-                continue
-            if index in finished:
-                continue  # duplicate append (e.g. crash between fsync and ack)
-            finished[index] = result
-            failed.pop(index, None)
-        elif event == "point_failed":
-            if index not in finished:
-                failed[index] = str(record.get("error", ""))
-        elif event == "run_finished":
-            run_done = True
-            sweep_sha = record.get("sha256")
-        elif event != "run_started":  # unknown event: forward compatibility
-            warnings.warn(
-                f"sweep ledger {path}: skipping unknown event {event!r}",
-                LedgerWarning,
-                stacklevel=2,
+    return _replay(path, keep_payloads=True)
+
+
+def _replay(path: str, keep_payloads: bool) -> LedgerState:
+    """The one fold behind :func:`replay_ledger` and :func:`list_runs`,
+    streamed a line at a time.  Every digest is checked either way;
+    only ``keep_payloads`` keeps the verified results and the header's
+    ``points``."""
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise ReproError(f"cannot read sweep ledger {path}: {exc}") from None
+    with fh:
+        records = _records(path, fh)
+        header = next(records, (1, None))[1]
+        if header is None or header.get("event") != "run_started":
+            raise ReproError(
+                f"sweep ledger {path} has no usable run_started header"
             )
+        if header.get("schema") != LEDGER_SCHEMA:
+            raise ReproError(
+                f"sweep ledger {path} has schema {header.get('schema')!r}; "
+                f"expected {LEDGER_SCHEMA!r}"
+            )
+        scenario, key, points = header.get("scenario"), header.get("key"), header.get("points", [])
+        if not (isinstance(scenario, str) and isinstance(key, str) and isinstance(points, list)):
+            raise _corrupt(path, 1, "scenario and key must be strings, points a list")
+        n_points = _count(path, 1, header, "n_points", 0)
+        replications = _count(path, 1, header, "replications", 1, default=1)
+        run_id = str(header.get("run", ""))
+        points = points if keep_payloads else []
+        del header  # a listing drops the header's points before the fold
+        finished = set()
+        results: Dict[int, Dict[str, Any]] = {}
+        failed: Dict[int, str] = {}
+        run_done = False
+        sweep_sha: Optional[str] = None
+        torn = 0
+        for lineno, record in records:
+            if record is None:
+                torn += 1
+                continue
+            event = record["event"]
+            if event in ("point_started", "point_finished", "point_failed"):
+                index = _count(path, lineno, record, "index", 0)
+            if event == "point_finished":
+                result = record.get("result")
+                if not isinstance(result, dict) or result_digest(result) != record.get(
+                    "sha256"
+                ):
+                    warnings.warn(
+                        f"sweep ledger {path}: point {index} finished-record "
+                        "fails its sha256 check; treating the point as "
+                        "unfinished",
+                        LedgerWarning,
+                        stacklevel=3,
+                    )
+                    continue
+                if index in finished:
+                    continue  # duplicate append (e.g. crash between fsync and ack)
+                finished.add(index)
+                if keep_payloads:
+                    results[index] = result
+                failed.pop(index, None)
+            elif event == "point_failed":
+                if index not in finished:
+                    failed[index] = str(record.get("error", ""))
+            elif event == "run_finished":
+                run_done = True
+                sweep_sha = record.get("sha256")
+            elif event not in ("run_started", "point_started"):
+                # unknown event: forward compatibility
+                warnings.warn(
+                    f"sweep ledger {path}: skipping unknown event {event!r}",
+                    LedgerWarning,
+                    stacklevel=3,
+                )
     return LedgerState(
         path=path,
-        run_id=str(header.get("run", "")),
+        run_id=run_id,
         scenario=scenario,
         key=key,
         replications=replications,
         n_points=n_points,
-        points=list(points),
-        finished=finished,
+        finished=frozenset(finished),
         failed=failed,
-        started=frozenset(started),
         run_finished=run_done,
         sweep_sha256=sweep_sha,
         torn_lines=torn,
+        points=points,
+        results=results,
     )
 
 
 def list_runs(ledger_dir: str = DEFAULT_LEDGER_DIR) -> List[LedgerState]:
     """Replay every ledger under ``ledger_dir``, sorted by run id.
+
+    Each digest is verified as :func:`replay_ledger` verifies it, but a
+    listed state keeps only what a listing reads — the finished
+    indices, the failures and the header's identity — and no result
+    payload or per-point metadata.
 
     Unusable files (headerless — e.g. a crash tore the very first
     record — or corrupt) are skipped with a :class:`LedgerWarning`
@@ -471,7 +501,7 @@ def list_runs(ledger_dir: str = DEFAULT_LEDGER_DIR) -> List[LedgerState]:
     for name in names:
         path = os.path.join(ledger_dir, name)
         try:
-            states.append(replay_ledger(path))
+            states.append(_replay(path, keep_payloads=False))
         except ReproError as exc:
             warnings.warn(
                 f"skipping unusable sweep ledger: {exc}",

@@ -46,7 +46,7 @@ from repro.exp.scenario import (
     get_scenario,
     with_replications,
 )
-from repro.util.jsonio import canonical_dumps, parse_json, sha256_hex, write_atomic
+from repro.util.jsonio import canonical_dumps, canonical_file, parse_json, write_canonical
 
 
 def result_path(cache_dir: str, scenario: str, key: str) -> str:
@@ -255,15 +255,6 @@ def _execute_points(
     return results
 
 
-def _write_cache(path: str, text: str) -> None:
-    """Write the sweep cache atomically; unwritable destinations get a
-    one-line :class:`~repro.errors.ReproError` instead of a traceback."""
-    try:
-        write_atomic(path, text)
-    except OSError as exc:
-        raise ReproError(f"cannot write sweep cache {path}: {exc}") from None
-
-
 def _assemble(
     spec: ScenarioSpec,
     points: List[Point],
@@ -274,10 +265,14 @@ def _assemble(
 ) -> SweepResult:
     """Order results by point index into the canonical sweep document.
 
-    The ``run_finished`` ledger record (carrying the sha256 of the
-    canonical JSON) is appended *before* the cache write: a crash in
-    between leaves a complete ledger, and resume rebuilds the
-    byte-identical cache file from it.
+    The document is streamed into a temp file beside the cache path,
+    the ``run_finished`` ledger record (carrying the sha256 of the bytes
+    just written) is appended, and only then is the file renamed into
+    place: a cache file is never visible before its ledger record, a
+    crash in between leaves a complete ledger (and a stray
+    ``.tmp-*.json`` nothing reads), and resume rebuilds the
+    byte-identical cache file from it.  Unwritable cache destinations
+    get a one-line :class:`~repro.errors.ReproError`.
     """
     sweep = SweepResult(
         scenario=spec.name,
@@ -290,12 +285,15 @@ def _assemble(
         ledger_path=writer.path if writer is not None else None,
         resumed_points=resumed_points,
     )
-    # rendered once (≈600 KB on a big sweep): the same text is hashed and written
-    text = sweep.to_json() if writer is not None or cache_path else ""
-    if writer is not None:
-        writer.run_finished(sha256_hex(text))
     if cache_path:
-        _write_cache(cache_path, text)
+        try:
+            with canonical_file(cache_path, sweep.payload()) as digest:
+                if writer is not None:
+                    writer.run_finished(digest)
+        except OSError as exc:
+            raise ReproError(f"cannot write sweep cache {cache_path}: {exc}") from None
+    elif writer is not None:
+        writer.run_finished(write_canonical(sweep.payload()))
     return sweep
 
 
@@ -392,7 +390,7 @@ def resume_run(
     points = expand(spec)
     todo = state.unfinished()
     cache_path = result_path(cache_dir, spec.name, spec.key()) if cache_dir else None
-    results = dict(state.finished)
+    results = dict(state.results)
     with LedgerWriter.reopen(path) as writer:
         results.update(_execute_points(spec, points, todo, workers, writer))
         return _assemble(

@@ -5,8 +5,11 @@ One writer serves every artifact the repo commits or caches —
 report and search-ledger documents, and the durable sweep-ledger
 appends (:mod:`repro.exp.ledger`).  Keeping the encoding in one place
 is what makes "byte-identical for identical results" a checkable
-property rather than a convention.  One reader, :func:`parse_json`,
-serves every document that comes from outside the process.
+property rather than a convention.  A canonical document bound for a
+file is never held whole: :func:`write_canonical` streams the encoder's
+output to disk in bounded batches and hashes the bytes as it writes
+them.  One reader, :func:`parse_json`, serves every document that comes
+from outside the process.
 
 >>> canonical_dumps({"b": 1, "a": [1.5, "x"]})
 '{\\n  "a": [\\n    1.5,\\n    "x"\\n  ],\\n  "b": 1\\n}\\n'
@@ -17,7 +20,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any
+from contextlib import contextmanager
+from itertools import chain, islice
+from typing import Any, Callable, ContextManager, Iterator
 
 # CPython's own SHA-256 (``_sha2`` since 3.12, ``_sha256`` before), so no
 # process maps OpenSSL's libcrypto for a digest.  ``hashlib`` is reached
@@ -39,6 +44,43 @@ def canonical_dumps(payload: Any) -> str:
     version control.
     """
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+#: The encoder behind :func:`canonical_dumps`, run incrementally.
+_CANONICAL = json.JSONEncoder(indent=2, sort_keys=True)
+
+#: Encoder chunks (a key, a scalar, a bracket) joined into one batch.
+_BATCH_CHUNKS = 4096
+
+
+def write_canonical(payload: Any, fh=None, out=None) -> str:
+    """Stream ``canonical_dumps(payload)`` out in bounded batches.
+
+    Each batch of encoder output is hashed and written as UTF-8 to the
+    binary file ``fh`` and as text to the stream ``out`` (either may be
+    omitted), so no copy of the whole document exists at any time.
+    Returns the sha256 hex digest of the bytes, which equals
+    ``sha256_hex(canonical_dumps(payload))``.
+
+    >>> import io
+    >>> fh = io.BytesIO()
+    >>> write_canonical({"a": 1}, fh) == sha256_hex('{\\n  "a": 1\\n}\\n')
+    True
+    >>> fh.getvalue()
+    b'{\\n  "a": 1\\n}\\n'
+    """
+    digest = _sha256()
+    chunks = chain(_CANONICAL.iterencode(payload), ("\n",))
+    while True:
+        text = "".join(islice(chunks, _BATCH_CHUNKS))
+        if not text:
+            return digest.hexdigest()
+        data = text.encode("utf-8")
+        digest.update(data)
+        if fh is not None:
+            fh.write(data)
+        if out is not None:
+            out.write(text)
 
 
 def compact_dumps(payload: Any) -> str:
@@ -108,19 +150,24 @@ def append_durable(fh, text: str) -> None:
     os.fsync(fh.fileno())
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (write-temp-then-rename).
+@contextmanager
+def _staged(path: str, write: Callable[[Any], Any]) -> Iterator[Any]:
+    """Run ``write`` on a binary temp file beside ``path``; yield what it
+    returned; on a clean exit from the ``with`` body, rename the file over
+    ``path``.
 
-    Readers never observe a half-written file; a crash mid-write leaves
-    the previous version intact.
+    The temp file (``.tmp-*.json``) is closed before the body runs and
+    removed if the write or the body raises, so readers of ``path``
+    never observe a half-written file and a failure leaves the previous
+    version intact.  Only a process killed outright leaves it behind.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".json"
-    )
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            written = write(fh)
+        yield written
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -128,22 +175,42 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (write-temp-then-rename)."""
+    with _staged(path, lambda fh: fh.write(text.encode("utf-8"))):
+        pass
+
+
+def canonical_file(path: str, payload: Any) -> ContextManager[str]:
+    """Context manager: stream ``payload`` canonically into a temp file
+    beside ``path`` and yield the bytes' sha256 hex digest; the file is
+    renamed over ``path`` when the ``with`` body exits cleanly.
+
+    Whatever the body records about the document (the sweep ledger's
+    ``run_finished`` digest) is therefore durable before the document is
+    visible at ``path``.
+    """
+    return _staged(path, lambda fh: write_canonical(payload, fh))
+
+
 def emit_json(payload: Any, out=None, path: str | None = None) -> str:
     """Render ``payload`` canonically; print to ``out``, write to ``path``.
 
     The one output helper behind every JSON-emitting CLI verb
     (``exp show --json``, ``exp run --json``, the ``check`` and
-    ``report`` verbs): identical payloads produce identical bytes on
+    ``report`` verbs) and every canonical document written to a path
+    (report JSON, search documents, corpora; the sweep cache, which must
+    record its digest before the rename, uses :func:`canonical_file`):
+    identical payloads produce identical bytes on
     every surface, with no trailing-newline drift between the printed
-    and the written form.  Either destination may be omitted; the
-    canonical text is returned regardless.
+    and the written form.  One streaming pass of :func:`write_canonical`
+    feeds both destinations, either of which may be omitted; the sha256
+    hex digest of the canonical bytes is returned regardless.
     """
-    text = canonical_dumps(payload)
-    if path is not None:
-        write_atomic(path, text)
-    if out is not None:
-        out.write(text)
-    return text
+    if path is None:
+        return write_canonical(payload, out=out)
+    with _staged(path, lambda fh: write_canonical(payload, fh, out)) as digest:
+        return digest
 
 
 if __name__ == "__main__":  # pragma: no cover

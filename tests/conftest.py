@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.lang.compileprog import compile_program
@@ -24,4 +26,18 @@ def tiny_program():
         (define (c n) (* n n))
         (g 4)
         """
+    )
+
+
+@pytest.fixture(scope="session")
+def big_sweep(tmp_path_factory):
+    """``smoke`` x 100, the 400-point sweep the ``sweep-session``
+    benchmark runs, ledgered and cached once per test session."""
+    from repro.exp import get_scenario, run_scenario, with_replications
+
+    root = str(tmp_path_factory.mktemp("big-sweep"))
+    return run_scenario(
+        with_replications(get_scenario("smoke"), 100),
+        cache_dir=root,
+        ledger_dir=os.path.join(root, "ledger"),
     )

@@ -77,7 +77,8 @@ class TestWriterReplayRoundTrip:
             writer.point_finished(2, fake_result(2))
             path = writer.path
         state = replay_ledger(path)
-        assert state.finished == {0: fake_result(0), 2: fake_result(2)}
+        assert state.finished == {0, 2}
+        assert state.results == {0: fake_result(0), 2: fake_result(2)}
         assert state.unfinished() == [1, 3]
         assert state.progress() == 0.5
         assert not state.run_finished
@@ -102,7 +103,7 @@ class TestWriterReplayRoundTrip:
             path = writer.path
         state = replay_ledger(path)
         # first digest-verified record wins
-        assert state.finished[1] == fake_result(1)
+        assert state.results[1] == fake_result(1)
         assert state.unfinished() == [0, 2, 3]
 
     def test_later_finish_clears_earlier_failure(self, tmp_path):
@@ -157,7 +158,7 @@ class TestTornAndCorrupt:
         with pytest.warns(LedgerWarning, match="torn final line"):
             state = replay_ledger(path)
         assert state.torn_lines == 1
-        assert state.finished == {0: fake_result(0)}
+        assert state.results == {0: fake_result(0)}
 
     def test_complete_record_without_its_newline_is_torn(self, tmp_path):
         # reopen() truncates an unterminated tail before it appends, so
@@ -204,7 +205,7 @@ class TestTornAndCorrupt:
         # the torn tail must not survive as mid-file garbage
         state = replay_ledger(path)
         assert state.torn_lines == 0
-        assert state.finished == {0: fake_result(0), 1: fake_result(1)}
+        assert state.results == {0: fake_result(0), 1: fake_result(1)}
 
 
 class TestListRuns:

@@ -17,6 +17,7 @@ crash positions 1..9 cover every interior point of the stream.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -94,6 +95,33 @@ class TestCrashAfterHook:
         # point i's finished record is append 2i+2, so crashing after n
         # clean appends leaves (n-1)//2 points durably finished
         assert resumed.resumed_points == 4 - (crash_after - 1) // 2
+        assert cache_bytes(cache) == reference_bytes
+
+    def test_torn_run_finished_publishes_no_cache(self, tmp_path, reference_bytes):
+        # crash position 9 tears run_finished, the last record: the cache
+        # document has been streamed into its temp file, but the rename
+        # waits for the ledger record, so no cache file is visible
+        cache = str(tmp_path / "cache")
+        proc = run_cli(
+            ["exp", "run", "smoke", "--cache-dir", cache],
+            REPRO_LEDGER_CRASH_AFTER="9",
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        sweep_dir = os.path.join(cache, "smoke")
+        [leftover] = os.listdir(sweep_dir)
+        assert leftover.startswith(".tmp-") and leftover.endswith(".json")
+        with open(os.path.join(sweep_dir, leftover), "rb") as fh:
+            assert fh.read() == reference_bytes  # whole, yet never served
+
+        # a cache lookup reads only <key>.json, so the leftover is a miss
+        probe = str(tmp_path / "probe")
+        shutil.copytree(cache, probe)
+        assert not run_scenario("smoke", cache_dir=probe).cache_hit
+
+        resumed = resume_run(
+            RUN_ID, ledger_dir=os.path.join(cache, "ledger"), cache_dir=cache
+        )
+        assert resumed.resumed_points == 0
         assert cache_bytes(cache) == reference_bytes
 
     def test_crash_in_header_leaves_unresumable_ledger(self, tmp_path):

@@ -116,8 +116,9 @@ class TestTruncationProperty:
             assert "run_started" in str(exc)
             return
         assert set(state.finished).issubset(set(full.finished))
-        for index, result in state.finished.items():
-            assert result == full.finished[index]
+        assert set(state.results) == set(state.finished)
+        for index, result in state.results.items():
+            assert result == full.results[index]
         assert state.key == full.key and state.n_points == full.n_points
 
     def test_newline_terminated_truncation_warns_nothing(self, tmp_path):
@@ -154,7 +155,7 @@ class TestDuplicateRecords:
                 writer.point_finished(index, fake_result(index))
         state = replay_ledger(ledger_path(ledger_dir, spec.run_id()))
         assert set(state.finished) == {0, 1, 2, 3}
-        assert state.finished == {i: fake_result(i) for i in range(4)}
+        assert state.results == {i: fake_result(i) for i in range(4)}
         assert state.unfinished() == []
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.exp import get_scenario, replay_ledger, run_scenario, sweep_table
 from repro.exp.runner import SweepResult, result_path
+from repro.util import jsonio
 from repro.util.jsonio import canonical_dumps
 
 
@@ -103,22 +104,53 @@ class TestCache:
         assert again.to_json() == first.to_json()
         assert len(sweep_table(again).splitlines()) == len(sweep_table(first).splitlines())
 
-    def test_sweep_document_rendered_once(self, tmp_path, monkeypatch):
-        # the ~600 KB document of a big sweep is hashed for run_finished
-        # and written to the cache from one rendering
-        renders = []
-        real = SweepResult.to_json
+    def test_one_encoding_pass_hashes_and_writes(self, tmp_path, monkeypatch):
+        # the sweep document is encoded once, streamed into the cache file
+        # and hashed for run_finished as it is written; never rendered whole
+        passes = []
+        real = jsonio._CANONICAL.iterencode
         monkeypatch.setattr(
-            SweepResult, "to_json", lambda self: renders.append(1) or real(self)
+            jsonio._CANONICAL, "iterencode", lambda o: passes.append(1) or real(o)
+        )
+        monkeypatch.setattr(
+            SweepResult, "to_json", lambda self: pytest.fail("rendered whole")
         )
         sweep = run_scenario(
             "smoke", cache_dir=str(tmp_path), ledger_dir=str(tmp_path / "ledger")
         )
-        assert len(renders) == 1
+        assert len(passes) == 1
         monkeypatch.undo()
         state = replay_ledger(sweep.ledger_path)
         with open(sweep.cache_path, "rb") as fh:
-            assert state.sweep_sha256 == hashlib.sha256(fh.read()).hexdigest()
+            on_disk = fh.read()
+        assert state.sweep_sha256 == hashlib.sha256(on_disk).hexdigest()
+        assert on_disk == sweep.to_json().encode("utf-8")
+        assert os.listdir(os.path.dirname(sweep.cache_path)) == [
+            os.path.basename(sweep.cache_path)  # no temp litter
+        ]
+
+    def test_failed_run_finished_append_publishes_no_cache(self, tmp_path, monkeypatch):
+        # ledger first: if the run_finished record cannot be appended, the
+        # streamed temp file is removed and no cache file ever appears
+        from repro.errors import ReproError
+        from repro.exp.ledger import LedgerWriter
+
+        def refuse(self, digest):
+            raise ReproError("cannot append to sweep ledger: injected")
+
+        monkeypatch.setattr(LedgerWriter, "run_finished", refuse)
+        with pytest.raises(ReproError, match="injected"):
+            run_scenario("smoke", cache_dir=str(tmp_path), ledger_dir=str(tmp_path / "ledger"))
+        assert os.listdir(tmp_path / "smoke") == []
+
+    def test_ledger_without_cache_hashes_without_writing(self, tmp_path):
+        sweep = run_scenario("smoke", ledger_dir=str(tmp_path))
+        assert sweep.cache_path is None
+        assert os.listdir(tmp_path) == [os.path.basename(sweep.ledger_path)]
+        state = replay_ledger(sweep.ledger_path)
+        assert state.sweep_sha256 == hashlib.sha256(
+            sweep.to_json().encode("utf-8")
+        ).hexdigest()
 
     def test_no_cache_dir_never_touches_disk(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -2,11 +2,88 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
+import tempfile
 
-from repro.util.jsonio import canonical_dumps, emit_json, write_atomic
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.util.jsonio import (
+    canonical_dumps,
+    canonical_file,
+    emit_json,
+    sha256_hex,
+    write_atomic,
+    write_canonical,
+)
+
+#: JSON values as the repo's documents hold them, and the corners the
+#: encoder treats specially: non-ASCII text, NaN and +-inf, ints past
+#: 64 bits, empty containers.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda n: -n if n % 2 else n)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class _Writes(io.BytesIO):
+    """A binary sink that records the size of every write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data) -> int:
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+class TestWriteCanonical:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=JSON_VALUES)
+    @example(payload={})
+    @example(payload=[[], {}, "", "\u00e9\u6f22\U0001f600", 2**100, float("nan")])
+    def test_disk_bytes_and_digest_are_canonical_dumps(self, payload):
+        text = canonical_dumps(payload)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with canonical_file(path, payload) as digest:
+                assert not os.path.exists(path)  # renamed only on exit
+            with open(path, "rb") as fh:
+                assert fh.read() == text.encode("utf-8")
+            assert os.listdir(tmp) == ["doc.json"]
+        assert digest == sha256_hex(text)
+        out = io.StringIO()
+        assert write_canonical(payload, out=out) == digest
+        assert out.getvalue() == text
+
+    def test_big_sweep_is_written_in_several_bounded_batches(self, big_sweep, tmp_path):
+        payload = big_sweep.payload()
+        text = canonical_dumps(payload)
+        sink = _Writes()
+        digest = write_canonical(payload, sink)
+        assert sink.getvalue() == text.encode("utf-8")
+        assert digest == sha256_hex(text)
+        assert len(sink.sizes) > 10
+        assert max(sink.sizes) < len(text) // 10
+        path = str(tmp_path / "sweep.json")
+        with canonical_file(path, payload) as on_disk:
+            pass
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == on_disk == digest
+        with open(big_sweep.cache_path, "rb") as fh:
+            assert fh.read() == text.encode("utf-8")
 
 
 class TestCanonicalDumps:
@@ -31,10 +108,11 @@ class TestEmitJson:
         returned = emit_json(payload, out=out, path=path)
         with open(path, encoding="utf-8") as fh:
             on_disk = fh.read()
-        assert returned == out.getvalue() == on_disk == canonical_dumps(payload)
+        assert out.getvalue() == on_disk == canonical_dumps(payload)
+        assert returned == sha256_hex(canonical_dumps(payload))
 
     def test_destinations_optional(self, tmp_path):
-        assert emit_json({"a": 1}) == canonical_dumps({"a": 1})
+        assert emit_json({"a": 1}) == sha256_hex(canonical_dumps({"a": 1}))
         assert os.listdir(tmp_path) == []
 
     def test_creates_parent_directories(self, tmp_path):
@@ -54,6 +132,18 @@ class TestAtomicWrites:
 
     def test_emit_json_to_a_path_round_trips(self, tmp_path):
         path = str(tmp_path / "c.json")
-        text = emit_json({"k": [1, 2]}, path=path)
+        digest = emit_json({"k": [1, 2]}, path=path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert data == canonical_dumps({"k": [1, 2]}).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_failed_body_leaves_previous_version(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        write_atomic(path, "old")
+        with pytest.raises(RuntimeError):
+            with canonical_file(path, {"k": 1}):
+                raise RuntimeError("the ledger append failed")
         with open(path, encoding="utf-8") as fh:
-            assert fh.read() == text
+            assert fh.read() == "old"
+        assert os.listdir(tmp_path) == ["c.json"]  # the temp file is gone
