@@ -140,7 +140,7 @@ def figure2() -> FigureReport:
     names = _stamp_to_name(scenario)
 
     pointers: Dict[str, str] = {}
-    for task in machine.instance_registry.values():
+    for task in machine.instance_registry:
         name = names.get(task.stamp)
         if name is None:
             continue

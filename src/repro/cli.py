@@ -606,7 +606,7 @@ def cmd_run(args, out) -> int:
     if args.dry_run:
         print(spec.canonical_json(), file=out, end="")
         return 0
-    handle = Session(collect_trace=True).run(spec)
+    handle = Session(collect_trace=args.trace).run(spec)
     result = handle.result
     print(result.summary(), file=out)
     metrics_rows = result.metrics.summary_rows()

@@ -31,10 +31,17 @@ and key on stamps themselves: the ancestors a walk steps through are the
 ``up`` links of the stamp in hand (the live parents' own stamps), so the
 table allocates no key.
 
-- ``by_stamp`` (per entry): exact stamp → the checkpoints recorded for
-  it, one per holder, as a tuple.  The "is B2 covered?" test walks B2
-  and its ancestors root-ward — O(depth) hash probes instead of O(entry)
-  ``is_ancestor_of`` calls.
+- ``by_stamp`` (per entry): exact stamp → the spawn record recorded for
+  it.  The record is the checkpoint (it retains the packet, §2), so the
+  table keeps no copy: recording one allocates nothing but the dict
+  slot, and the holder is the instance the packet returns to
+  (``record.packet.parent.instance``).  The "is B2 covered?" test walks
+  B2 and its ancestors root-ward — O(depth) hash probes instead of
+  O(entry) ``is_ancestor_of`` calls.
+- ``more`` (per entry): stamp → the records of further holders of it,
+  in recording order.  Only racing lineages (above) hold one stamp
+  twice in one entry, so the map is empty in nearly every run and the
+  one-holder path never reads it past an emptiness check.
 - ``below`` (per entry): ancestor stamp → how many checkpoints sit
   directly under it plus how many of its children have anything below
   them.  A stamp is present exactly when the entry records a proper
@@ -57,11 +64,14 @@ running machine-wide count of retained checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 from weakref import WeakSet
 
 from repro.core.packets import TaskPacket
 from repro.core.stamps import LevelStamp
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.task import SpawnRecord
 
 #: covers(ancestor_holder_uid, descendant_holder_uid) -> bool
 CoversFn = Callable[[int, int], bool]
@@ -69,10 +79,13 @@ CoversFn = Callable[[int, int], bool]
 
 @dataclass(frozen=True, slots=True)
 class FunctionalCheckpoint:
-    """A recovery point for one function application.
+    """A recovery point for one function application, as a read-only view.
 
-    ``task_uid`` names the local parent instance whose spawn record retains
-    the packet; ``packet`` is the retained copy itself.
+    The table holds the spawn records themselves; :meth:`CheckpointTable.entry`,
+    :meth:`~CheckpointTable.lookup` and iteration build one of these per
+    held spawn on demand.  ``task_uid`` names the local parent instance
+    whose spawn record retains the packet; ``packet`` is the retained copy
+    itself.
     """
 
     stamp: LevelStamp
@@ -98,13 +111,25 @@ class HeldTotal:
 
 
 class _DestEntry:
-    """One destination's checkpoints and its descendant counts."""
+    """One destination's held spawns and its descendant counts."""
 
-    __slots__ = ("by_stamp", "below")
+    __slots__ = ("by_stamp", "more", "below")
 
     def __init__(self) -> None:
-        self.by_stamp: Dict[LevelStamp, Tuple[FunctionalCheckpoint, ...]] = {}
+        self.by_stamp: Dict[LevelStamp, "SpawnRecord"] = {}
+        self.more: Dict[LevelStamp, List["SpawnRecord"]] = {}
         self.below: Dict[LevelStamp, int] = {}
+
+    def holders(self, stamp: LevelStamp, first: "SpawnRecord") -> List["SpawnRecord"]:
+        """Every spawn held under ``stamp`` (``first`` is ``by_stamp``'s)."""
+        # an empty map is not probed: a stamp hash is a Python-level call
+        later = self.more.get(stamp) if self.more else None
+        return [first] if later is None else [first, *later]
+
+
+def _holder(spawn: "SpawnRecord") -> int:
+    """The instance whose spawn this is: the one its packet returns to."""
+    return spawn.packet.parent.instance
 
 
 class CheckpointTable:
@@ -125,49 +150,60 @@ class CheckpointTable:
         self,
         dest: int,
         stamp: LevelStamp,
-        packet: TaskPacket,
+        spawn: "SpawnRecord",
         task_uid: int,
         covers: Optional[CoversFn] = None,
-    ) -> Optional[FunctionalCheckpoint]:
+    ) -> Optional["SpawnRecord"]:
         """Apply the §3.2 insertion rule for a child placed on ``dest``.
 
-        Returns the new checkpoint, or ``None`` when a covering ancestor
-        checkpoint is already recorded (the "C does nothing" case).
-        ``covers`` restricts coverage to the same activation lineage (see
-        module docstring); ``None`` means stamp-only coverage.
+        ``spawn`` is the spawn record retaining the child's packet under
+        ``stamp``, and ``task_uid`` its holder (the instance the packet
+        returns to).  Returns ``spawn``, now held, or ``None`` when a
+        covering ancestor checkpoint is already recorded (the "C does
+        nothing" case).  ``covers`` restricts coverage to the same
+        activation lineage (see module docstring); ``None`` means
+        stamp-only coverage.
         """
         entry = self._entries.get(dest)
         if entry is None:
             entry = self._entries[dest] = _DestEntry()
         # Coverage test: walk the stamp and its proper ancestors leaf-ward
         # to root-ward; any recorded holder in the same lineage suppresses.
-        by_stamp = entry.by_stamp
+        by_stamp, more = entry.by_stamp, entry.more
         if by_stamp:
             level = stamp
             while level is not None:
-                recorded = by_stamp.get(level)
-                if recorded:
-                    for prior in recorded:
-                        if covers is None or covers(prior.task_uid, task_uid):
-                            self.suppressed += 1
-                            return None
+                prior = by_stamp.get(level)
+                if prior is not None and (
+                    covers is None
+                    or covers(_holder(prior), task_uid)
+                    or (more and any(covers(_holder(p), task_uid) for p in more.get(level, ())))
+                ):
+                    self.suppressed += 1
+                    return None
                 level = level.up
         # A new topmost stamp can also *subsume* previously recorded
         # descendants of the same lineage (possible after recovery
         # re-placements): drop them so the invariant holds.
         below = entry.below
         if stamp in below:
-            subsumed = [
-                prior
-                for deeper, recorded in by_stamp.items()
-                if stamp.is_ancestor_of(deeper)
-                for prior in recorded
-                if covers is None or covers(task_uid, prior.task_uid)
-            ]
-            for prior in subsumed:
-                self.drop(dest, prior.stamp, prior.task_uid)
-        checkpoint = FunctionalCheckpoint(stamp, dest, packet, task_uid)
-        by_stamp[stamp] = by_stamp.get(stamp, ()) + (checkpoint,)
+            if covers is None:  # every holder of a descendant stamp goes
+                subsumed = [(deeper, None) for deeper in by_stamp if stamp.is_ancestor_of(deeper)]
+            else:
+                subsumed = [
+                    (deeper, _holder(prior))
+                    for deeper, first in by_stamp.items()
+                    if stamp.is_ancestor_of(deeper)
+                    for prior in entry.holders(deeper, first)
+                    if covers(task_uid, _holder(prior))
+                ]
+            for deeper, holder in subsumed:
+                self.drop(dest, deeper, holder)
+        # The spawn is the checkpoint: hold it, behind the holders of
+        # other lineages when they already hold the stamp.
+        first = by_stamp.setdefault(stamp, spawn)
+        if first is not spawn:
+            more.setdefault(stamp, []).append(spawn)
         # Count the newcomer under its parent; an ancestor that was empty
         # until now becomes a populated child of *its* parent.
         level = stamp.up
@@ -181,28 +217,38 @@ class CheckpointTable:
         self._held += 1
         if self._held > self.peak_held:
             self.peak_held = self._held
-        return checkpoint
+        return spawn
 
     def drop(self, dest: int, stamp: LevelStamp, task_uid: Optional[int] = None) -> bool:
         """Remove checkpoint(s) for ``stamp`` (optionally one holder's)."""
         entry = self._entries.get(dest)
         if entry is None:
             return False
-        recorded = entry.by_stamp.get(stamp)
-        if not recorded:
+        by_stamp = entry.by_stamp
+        first = by_stamp.get(stamp)
+        if first is None:
             return False
-        if task_uid is None:
-            doomed = recorded
+        more = entry.more
+        if not more or stamp not in more:  # one holder: the common case
+            if task_uid is not None and _holder(first) != task_uid:
+                return False
+            del by_stamp[stamp]
+            doomed = 1
         else:
-            doomed = tuple(c for c in recorded if c.task_uid == task_uid)
+            holders = [first, *more[stamp]]
+            kept = [] if task_uid is None else [s for s in holders if _holder(s) != task_uid]
+            doomed = len(holders) - len(kept)
             if not doomed:
                 return False
-        if len(doomed) == len(recorded):
-            del entry.by_stamp[stamp]
-        else:
-            entry.by_stamp[stamp] = tuple(c for c in recorded if c.task_uid != task_uid)
+            del more[stamp]
+            if not kept:
+                del by_stamp[stamp]
+            else:
+                by_stamp[stamp] = kept[0]
+                if len(kept) > 1:
+                    more[stamp] = kept[1:]
         below = entry.below
-        for _ in doomed:
+        for _ in range(doomed):
             # Mirror of record(): uncount root-ward while ancestors empty.
             level = stamp.up
             while level is not None:
@@ -212,9 +258,9 @@ class CheckpointTable:
                     break
                 del below[level]
                 level = level.up
-        self._held -= len(doomed)
-        self._total.held -= len(doomed)
-        self.dropped += len(doomed)
+        self._held -= doomed
+        self._total.held -= doomed
+        self.dropped += doomed
         return True
 
     def drop_everywhere(self, stamp: LevelStamp, task_uid: Optional[int] = None) -> int:
@@ -230,15 +276,19 @@ class CheckpointTable:
         if entry is None:
             return []
         return sorted(
-            (c for recorded in entry.by_stamp.values() for c in recorded),
+            (
+                FunctionalCheckpoint(stamp, dest, spawn.packet, _holder(spawn))
+                for stamp, first in entry.by_stamp.items()
+                for spawn in entry.holders(stamp, first)
+            ),
             key=lambda c: (c.stamp.sort_key(), c.task_uid),
         )
 
     def lookup(self, stamp: LevelStamp) -> Optional[FunctionalCheckpoint]:
-        for entry in self._entries.values():
-            recorded = entry.by_stamp.get(stamp)
-            if recorded:
-                return recorded[0]
+        for dest, entry in self._entries.items():
+            spawn = entry.by_stamp.get(stamp)
+            if spawn is not None:
+                return FunctionalCheckpoint(stamp, dest, spawn.packet, _holder(spawn))
         return None
 
     def held(self) -> int:
@@ -255,30 +305,33 @@ class CheckpointTable:
     def check_invariant(self) -> None:
         """Assert the per-lineage topmost invariant (stamp-only form: no
         two entries of one destination may be stamp-related *and* share a
-        holder), and that every index — ``by_stamp``, ``below``, the held
-        counter and the shared total — agrees with a from-scratch
+        holder), and that every index — ``by_stamp``, ``more``, ``below``,
+        the held counter and the shared total — agrees with a from-scratch
         recomputation."""
         held = 0
         for dest, entry in self._entries.items():
-            checkpoints = [c for recorded in entry.by_stamp.values() for c in recorded]
-            for a in checkpoints:
-                for b in checkpoints:
-                    if a is not b and a.task_uid == b.task_uid:
-                        if a.stamp == b.stamp or a.stamp.is_ancestor_of(b.stamp):
-                            raise AssertionError(
-                                f"topmost invariant violated in entry {dest}: "
-                                f"{a.stamp} covers {b.stamp} (holder {a.task_uid})"
-                            )
-            for stamp, recorded in entry.by_stamp.items():
-                if not recorded or any(c.stamp != stamp or c.dest != dest for c in recorded):
-                    raise AssertionError(f"by_stamp index out of sync in entry {dest}")
+            checkpoints = []  # (stamp, holder) of every held spawn
+            if not entry.more.keys() <= entry.by_stamp.keys() or not all(entry.more.values()):
+                raise AssertionError(f"later holders out of sync in entry {dest}")
+            for stamp, first in entry.by_stamp.items():
+                for spawn in entry.holders(stamp, first):
+                    if spawn.packet.stamp != stamp:
+                        raise AssertionError(f"by_stamp index out of sync in entry {dest}")
+                    checkpoints.append((stamp, _holder(spawn)))
+            for i, (a, a_holder) in enumerate(checkpoints):
+                for j, (b, b_holder) in enumerate(checkpoints):
+                    if i != j and a_holder == b_holder and (a == b or a.is_ancestor_of(b)):
+                        raise AssertionError(
+                            f"topmost invariant violated in entry {dest}: "
+                            f"{a} covers {b} (holder {a_holder})"
+                        )
             # below[a] = checkpoints whose parent is a, plus children of a
             # that have a recorded proper descendant.
             populated = {
-                c.stamp.ancestor_at(level) for c in checkpoints for level in range(c.stamp.depth)
+                stamp.ancestor_at(level) for stamp, _ in checkpoints for level in range(stamp.depth)
             }
             below: Dict[LevelStamp, int] = {}
-            for child in [c.stamp for c in checkpoints] + list(populated):
+            for child in [stamp for stamp, _ in checkpoints] + list(populated):
                 if not child.is_root:
                     below[child.parent()] = below.get(child.parent(), 0) + 1
             if entry.below != below:

@@ -98,14 +98,11 @@ class RollbackRecovery(FaultTolerance):
         if record.checkpoint_dest is not None:
             table.drop(record.checkpoint_dest, record.child_stamp, task.uid)
             record.checkpoint_dest = None
-        checkpoint = table.record(
-            ack.executor,
-            record.child_stamp,
-            record.packet,
-            task.uid,
-            covers=self.instance_covers,
+        # The table holds the record itself: it retains the packet.
+        recorded = table.record(
+            ack.executor, record.child_stamp, record, task.uid, covers=self.instance_covers
         )
-        if checkpoint is not None:
+        if recorded is not None:
             record.checkpoint_dest = ack.executor
             metrics = self.machine.metrics
             metrics.checkpoints_recorded += 1

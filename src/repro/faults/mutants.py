@@ -115,14 +115,14 @@ def _refuse_nothing(self, msg):
 _record = CheckpointTable.record
 
 
-def _covers_nothing(self, dest, stamp, packet, task_uid, covers=None):
+def _covers_nothing(self, dest, stamp, spawn, task_uid, covers=None):
     # §3.2's "C does nothing" never fires: every spawn is checkpointed
-    return _record(self, dest, stamp, packet, task_uid, covers=lambda a, b: False)
+    return _record(self, dest, stamp, spawn, task_uid, covers=lambda a, b: False)
 
 
-def _stamp_only_coverage(self, dest, stamp, packet, task_uid, covers=None):
+def _stamp_only_coverage(self, dest, stamp, spawn, task_uid, covers=None):
     # lineage ignored: any recorded stamp ancestor suppresses
-    return _record(self, dest, stamp, packet, task_uid, covers=None)
+    return _record(self, dest, stamp, spawn, task_uid, covers=None)
 
 
 def _count_nothing(self, anything):

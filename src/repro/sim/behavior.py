@@ -27,9 +27,12 @@ salvaged result is buffered under *d* (§4.1 cases 4–7).
 
 from __future__ import annotations
 
+import struct
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ArityError, EvalError, TypeMismatchError
 from repro.lang.astnodes import And, App, Expr, If, Lambda, Let, Lit, Local, Or, Quote, Var
@@ -334,90 +337,205 @@ class TreeTaskSpec:
 
 
 class TreeSpec:
-    """A whole synthetic call tree, keyed by node id; root id 0."""
+    """A whole synthetic call tree, stored as columns indexed by node id;
+    root id 0.
 
-    def __init__(self, nodes: Dict[int, TreeTaskSpec]):
+    ``work``, ``value``, ``post_work`` and ``chunk`` hold each node's
+    :class:`TreeTaskSpec` fields at its id, and node ``i``'s children are
+    ``child_ids[child_start[i]:child_start[i + 1]]`` (packed C ints, see
+    :func:`_ints`): a tree is a few flat sequences however many nodes it
+    has, and no per-node object lives as long as the workload.  The shape
+    builders write the columns in preorder (:meth:`preorder`);
+    ``TreeSpec(mapping)`` builds them from a hand-written
+    ``{id: TreeTaskSpec}``, whose ids may leave holes (a missing id reads
+    ``work`` None).  :attr:`nodes` is the read-only mapping view, building
+    a :class:`TreeTaskSpec` per lookup.  Callers must not mutate the
+    columns.
+    """
+
+    __slots__ = ("work", "value", "post_work", "chunk", "child_ids", "child_start", "_size")
+
+    def __init__(self, nodes: Mapping[int, TreeTaskSpec]):
         if 0 not in nodes:
             raise ValueError("TreeSpec requires a root node with id 0")
-        for spec in nodes.values():
+        for nid, spec in nodes.items():
+            if not isinstance(nid, int) or nid < 0:
+                raise ValueError(f"node id {nid!r} is not a non-negative integer")
             for child in spec.children:
                 if child not in nodes:
                     raise ValueError(f"node {spec.node_id} references unknown child {child}")
-        self.nodes = dict(nodes)
+        n = max(nodes) + 1
+        work: List[Optional[int]] = [None] * n
+        value = [0] * n
+        post_work = [0] * n
+        chunk: List[Optional[int]] = [None] * n
+        counts = [0] * n
+        child_ids: List[int] = []
+        for nid in range(n):
+            spec = nodes.get(nid)
+            if spec is not None:
+                work[nid], value[nid] = spec.work, spec.value
+                post_work[nid], chunk[nid] = spec.post_work, spec.chunk
+                counts[nid] = len(spec.children)
+                child_ids.extend(spec.children)
+        self._fill(work, value, post_work, chunk, _offsets(counts), _ints(child_ids), len(nodes))
+
+    @classmethod
+    def preorder(cls, counts: List[int], work: List[int]) -> "TreeSpec":
+        """The tree whose node ``i``, numbered in preorder from the root
+        (first child first), has ``counts[i]`` children and ``work[i]``
+        work; every value and post-work is 1 and nothing is time-sliced."""
+        n = len(counts)
+        child_start = _offsets(counts)
+        child_ids = [0] * child_start[-1]
+        waiting: List[List[int]] = []  # [next slot, end] of parents short of children
+        for nid, count in enumerate(counts):
+            if waiting:
+                top = waiting[-1]
+                child_ids[top[0]] = nid
+                top[0] += 1
+                if top[0] == top[1]:
+                    waiting.pop()
+            if count:
+                waiting.append([child_start[nid], child_start[nid + 1]])
+        if waiting or child_start[-1] != n - 1:
+            raise ValueError("child counts do not describe one tree in preorder")
+        spec = cls.__new__(cls)
+        spec._fill(work, [1] * n, [1] * n, [None] * n, child_start, _ints(child_ids), n)
+        return spec
+
+    def _fill(self, work, value, post_work, chunk, child_start, child_ids, size) -> None:
+        self.work = work
+        self.value = value
+        self.post_work = post_work
+        self.chunk = chunk
+        self.child_ids = child_ids
+        self.child_start = child_start
+        self._size = size
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._size
 
-    def _fold(self, visit, node_id: int) -> int:
-        """``visit(spec, child_results)`` over the subtree, children first.
+    @property
+    def nodes(self) -> Mapping[int, TreeTaskSpec]:
+        return _TreeNodes(self)
+
+    def children(self, node_id: int) -> Tuple[int, ...]:
+        start = self.child_start
+        return tuple(self.child_ids[start[node_id] : start[node_id + 1]])
+
+    def _levels(self, node_id: int) -> Iterator[List[int]]:
+        """The ids of ``node_id``'s subtree, one list per level, root first.
 
         A loop, not a recursion: a chain as deep as the interpreter's
-        stack limit is a legal tree.  Reversed pre-order puts every child
-        ahead of its parent.
+        stack limit is a legal tree.
         """
-        nodes = self.nodes
-        order: List[int] = []
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            order.append(current)
-            stack.extend(nodes[current].children)
-        results: Dict[int, int] = {}
-        for current in reversed(order):
-            spec = nodes[current]
-            results[current] = visit(spec, [results[c] for c in spec.children])
-        return results[node_id]
+        if node_id not in self.nodes:
+            raise KeyError(node_id)
+        child_ids, start = self.child_ids, self.child_start
+        level = [node_id]
+        while level:
+            yield level
+            level = [c for nid in level for c in child_ids[start[nid] : start[nid + 1]]]
+
+    # A node's value is its own plus its children's, so a subtree's is the
+    # sum over its nodes; its work adds post-work on every inner node.
 
     def expected_value(self, node_id: int = 0) -> int:
-        return self._fold(lambda spec, below: spec.value + sum(below), node_id)
+        value = self.value
+        return sum(value[nid] for level in self._levels(node_id) for nid in level)
 
     def total_work(self, node_id: int = 0) -> int:
-        return self._fold(
-            lambda spec, below: spec.work + (spec.post_work if below else 0) + sum(below),
-            node_id,
+        work, post_work, start = self.work, self.post_work, self.child_start
+        return sum(
+            work[nid] + (post_work[nid] if start[nid + 1] > start[nid] else 0)
+            for level in self._levels(node_id)
+            for nid in level
         )
 
     def depth(self, node_id: int = 0) -> int:
-        return self._fold(lambda spec, below: 1 + max(below) if below else 0, node_id)
+        return sum(1 for _ in self._levels(node_id)) - 1
+
+
+def _ints(values: List[int]) -> memoryview:
+    """``values`` packed as C ints, read through a memoryview: 4 bytes an
+    id, where a list would hold an 8-byte pointer to a 32-byte int
+    object.  (The ``array`` module would do the same, but it is an
+    extension module, and loading it costs every process about 0.1 MiB
+    of resident memory.)"""
+    return memoryview(struct.pack(f"{len(values)}i", *values)).cast("i")
+
+
+def _offsets(counts: List[int]) -> memoryview:
+    """``[0, c0, c0 + c1, ...]``: where each node's children start."""
+    return _ints([0, *accumulate(counts)])
+
+
+class _TreeNodes(Mapping):
+    """``TreeSpec.nodes``: id -> :class:`TreeTaskSpec`, built per lookup."""
+
+    __slots__ = ("_spec",)
+
+    def __init__(self, spec: TreeSpec):
+        self._spec = spec
+
+    def __getitem__(self, nid: int) -> TreeTaskSpec:
+        spec = self._spec
+        if not isinstance(nid, int) or not 0 <= nid < len(spec.work) or spec.work[nid] is None:
+            raise KeyError(nid)
+        return TreeTaskSpec(
+            nid, spec.work[nid], spec.children(nid), spec.value[nid], spec.post_work[nid],
+            spec.chunk[nid],
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return (nid for nid, work in enumerate(self._spec.work) if work is not None)
+
+    def __len__(self) -> int:
+        return len(self._spec)
 
 
 class TreeBehavior(TaskBehavior):
     """Execute one synthetic tree node: work, spawn children, combine."""
 
-    __slots__ = ("spec", "node", "_phase", "_remaining_work", "_collected")
+    __slots__ = ("spec", "node_id", "_phase", "_remaining_work", "_collected")
 
     def __init__(self, spec: TreeSpec, node_id: int):
         self.spec = spec
-        self.node = spec.nodes[node_id]
+        self.node_id = node_id
         self._phase = 0  # 0 = not started, 1 = waiting children, 2 = done
-        self._remaining_work = max(1, self.node.work)
-        self._collected: Dict[Digit, Any] = {}
+        self._remaining_work = max(1, spec.work[node_id])
+        #: Child results by digit; the first delivery allocates it (a
+        #: waiting parent holds none until a child answers).
+        self._collected: Optional[Dict[Digit, Any]] = None
 
     def advance(self, delivered: Dict[Digit, Any]) -> Advance:
         if delivered:
-            self._collected.update(delivered)
+            if self._collected is None:
+                self._collected = dict(delivered)
+            else:
+                self._collected.update(delivered)
+        spec, nid = self.spec, self.node_id
         if self._phase == 0:
-            chunk = self.node.chunk
+            chunk = spec.chunk[nid]
             if chunk is not None and self._remaining_work > chunk:
                 self._remaining_work -= chunk
                 return Advance(steps=chunk, yielded=True)
             steps = self._remaining_work
             self._remaining_work = 0
             self._phase = 1
+            start = spec.child_start
             demands = [
                 Demand(i, WorkSpec(kind="tree", tree_node=child))
-                for i, child in enumerate(self.node.children)
+                for i, child in enumerate(spec.child_ids[start[nid] : start[nid + 1]])
             ]
             if not demands:
                 self._phase = 2
-                return Advance(steps=steps, completed=True, value=self.node.value)
+                return Advance(steps=steps, completed=True, value=spec.value[nid])
             return Advance(steps=steps, demands=demands)
-        if self._phase == 1 and len(self._collected) == len(self.node.children):
+        fanout = spec.child_start[nid + 1] - spec.child_start[nid]
+        if self._phase == 1 and self._collected is not None and len(self._collected) == fanout:
             self._phase = 2
-            total = self.node.value + sum(
-                self._collected[i] for i in range(len(self.node.children))
-            )
-            return Advance(
-                steps=max(1, self.node.post_work), completed=True, value=total
-            )
+            total = spec.value[nid] + sum(self._collected[i] for i in range(fanout))
+            return Advance(steps=max(1, spec.post_work[nid]), completed=True, value=total)
         return Advance(steps=0)

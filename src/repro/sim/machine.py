@@ -113,9 +113,6 @@ class Machine:
         self.rng = RngHub(config.seed)
         self.trace = Trace(enabled=collect_trace)
         self.metrics = Metrics()
-        #: The next task-instance uid: one stamp may be activated several
-        #: times across failures, so an activation needs an id of its own.
-        self._next_uid = 0
         self.topology = Topology(config.topology, config.n_processors)
         self.network = Network(self.topology, self.queue, self.rng, config.cost)
         # A scheduler instance may be injected (pinned placements in the
@@ -142,7 +139,11 @@ class Machine:
         #: Armed open-loop load generator, or None (same guard discipline).
         #: Set by LoadGenerator.arm() from run().
         self.load = None
-        self.instance_registry: Dict[int, TaskInstance] = {}
+        #: Every task instance, indexed by uid.  One stamp may be activated
+        #: several times across failures, so an activation needs an id of
+        #: its own; uids are dense and registered in order, so a list
+        #: serves where a dict would hash each one.
+        self.instance_registry: List[TaskInstance] = []
         self.root_host_uid: Optional[int] = None
         self._finished = False
         self._ran = False
@@ -167,15 +168,17 @@ class Machine:
         return self._all_nodes
 
     def new_task_uid(self) -> int:
-        uid = self._next_uid
-        self._next_uid = uid + 1
-        return uid
+        """The uid the next registered instance must carry."""
+        return len(self.instance_registry)
 
     def register_instance(self, task: TaskInstance) -> None:
-        self.instance_registry[task.uid] = task
+        if task.uid != len(self.instance_registry):
+            raise SimError(f"task uid {task.uid} registered out of order")
+        self.instance_registry.append(task)
 
     def instance(self, uid: int) -> Optional[TaskInstance]:
-        return self.instance_registry.get(uid)
+        registry = self.instance_registry
+        return registry[uid] if 0 <= uid < len(registry) else None
 
     def is_root_host(self, task: TaskInstance) -> bool:
         return task.uid == self.root_host_uid
@@ -309,13 +312,13 @@ class Machine:
             if uid in useful or uid is None:
                 continue
             useful.add(uid)
-            task = self.instance_registry.get(uid)
+            task = self.instance(uid)
             if task is None:
                 continue
             stack.extend(task.consumed_uids())
         wasted = 0
-        for uid, task in self.instance_registry.items():
-            if uid not in useful:
+        for task in self.instance_registry:
+            if task.uid not in useful:
                 wasted += task.steps_executed
         self.metrics.steps_wasted = wasted
 

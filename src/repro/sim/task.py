@@ -69,8 +69,9 @@ class SpawnRecord:
     """Parent-side state for one spawned child.
 
     The record *is* the functional checkpoint — it retains the packet —
-    so it, not a second map, also says which destination entry of the
-    node's checkpoint table lists it (``checkpoint_dest``).
+    so the node's checkpoint table holds the record itself, and the
+    record, not a second map, says which destination entry lists it
+    (``checkpoint_dest``).
     """
 
     digit: Digit

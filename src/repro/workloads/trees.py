@@ -19,9 +19,9 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.behavior import TreeSpec, TreeTaskSpec
+from repro.sim.behavior import TreeSpec
 from repro.util.rng import RngHub
 
 #: The largest tree a spec string may ask for; the benchmark's largest
@@ -29,89 +29,34 @@ from repro.util.rng import RngHub
 MAX_TREE_TASKS = 1 << 18
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.nodes: Dict[int, TreeTaskSpec] = {}
-        self._next = 0
-
-    def add(self, work: int, children: tuple, value: int = 1, post_work: int = 1) -> int:
-        nid = self._next
-        self._next += 1
-        self.nodes[nid] = TreeTaskSpec(
-            node_id=nid, work=work, children=children, value=value, post_work=post_work
-        )
-        return nid
-
-    def spec(self) -> TreeSpec:
-        return TreeSpec(self.nodes)
-
-    # The shapes are loops, not recursions, so depth is bounded by memory
-    # and never by the interpreter's stack.
-
-    def balanced(self, d: int, fanout: int, work: int) -> int:
-        level = [self.add(work, ()) for _ in range(fanout**d)]
-        for _ in range(d):
-            level = [
-                self.add(work, tuple(level[i : i + fanout]))
-                for i in range(0, len(level), fanout)
-            ]
-        return level[0]
-
-    def skewed(self, d: int, fanout: int, work: int) -> int:
-        spine = self.add(work, ())
-        for _ in range(d):
-            leaves = tuple(self.add(work, ()) for _ in range(max(0, fanout - 1)))
-            spine = self.add(work, leaves + (spine,))
-        return spine
-
-    def random(self, hub: RngHub, budget: int, max_fanout: int, work_range: tuple) -> int:
-        # Depth-first over an explicit stack of (children wanted, children
-        # built): a node's fanout is drawn on the way down and its work on
-        # the way up, so both streams are read in preorder / postorder.
-        stack = []
-        while True:
-            wanted = min(hub.integers("fanout", 0, max_fanout + 1), budget)
-            budget -= wanted
-            built: list = []
-            while len(built) == wanted:
-                nid = self.add(
-                    hub.integers("work", work_range[0], work_range[1] + 1), tuple(built)
-                )
-                if not stack:
-                    return nid
-                wanted, built = stack.pop()
-                built.append(nid)
-            stack.append((wanted, built))
+# The shapes are loops over child counts in preorder (first child
+# first), the numbering :meth:`TreeSpec.preorder` links; none recurses, so
+# depth is bounded by memory and never by the interpreter's stack.
 
 
 def balanced_tree(depth: int, fanout: int = 2, work: int = 10) -> TreeSpec:
     """A complete ``fanout``-ary tree of the given depth, uniform grain."""
     SHAPES["balanced"].require(depth, fanout, work)
-    builder = _Builder()
-    root = builder.balanced(depth, fanout, work)
-    # Re-root: TreeSpec requires the root at id 0; remap ids.
-    return _reroot(builder.spec(), root)
+    if fanout == 1:  # a chain: the level-by-level copies below would be quadratic
+        return chain_tree(depth + 1, work)
+    counts = [0]
+    for _ in range(depth):  # a node, then its fanout subtrees one level shallower
+        counts = [fanout] + counts * fanout
+    return TreeSpec.preorder(counts, [work] * len(counts))
 
 
 def chain_tree(length: int, work: int = 10) -> TreeSpec:
     """A linear chain (each task spawns one child): worst case for
     rollback, since a late fault severs everything below one cut."""
     SHAPES["chain"].require(length, work)
-    builder = _Builder()
-    prev: Optional[int] = None
-    for _ in range(length):
-        prev = builder.add(work, (prev,) if prev is not None else ())
-    return _reroot(builder.spec(), prev)
+    return TreeSpec.preorder([1] * (length - 1) + [0], [work] * length)
 
 
 def wide_tree(width: int, work: int = 10) -> TreeSpec:
     """One root fanning out to ``width`` leaves: maximal parallelism,
     minimal depth — the easy case for every recovery scheme."""
     SHAPES["wide"].require(width, work)
-    builder = _Builder()
-    leaves = tuple(builder.add(work, ()) for _ in range(width))
-    root = builder.add(work, leaves)
-    return _reroot(builder.spec(), root)
+    return TreeSpec.preorder([width] + [0] * width, [work] * (width + 1))
 
 
 def skewed_tree(depth: int, fanout: int = 3, work: int = 10) -> TreeSpec:
@@ -119,9 +64,9 @@ def skewed_tree(depth: int, fanout: int = 3, work: int = 10) -> TreeSpec:
     and ``fanout - 1`` leaf children.  Models the unbalanced trees of
     search workloads (nqueens-like)."""
     SHAPES["skewed"].require(depth, fanout, work)
-    builder = _Builder()
-    root = builder.skewed(depth, fanout, work)
-    return _reroot(builder.spec(), root)
+    level = max(1, fanout)  # the leaves come first, the spine child last
+    counts = ([level] + [0] * (level - 1)) * depth + [0]
+    return TreeSpec.preorder(counts, [work] * len(counts))
 
 
 def random_tree(
@@ -137,31 +82,28 @@ def random_tree(
     ``work_range``.  Fully determined by ``seed``.
     """
     SHAPES["random"].require(seed, target_tasks)
-    builder = _Builder()
-    root = builder.random(RngHub(seed), target_tasks - 1, max_fanout, work_range)
-    return _reroot(builder.spec(), root)
-
-
-def _reroot(spec: TreeSpec, root_id: int) -> TreeSpec:
-    """Renumber node ids so the given root becomes id 0 (preorder)."""
-    order = []
-    stack = [root_id]
-    while stack:
-        nid = stack.pop()
-        order.append(nid)
-        stack.extend(reversed(spec.nodes[nid].children))
-    mapping = {nid: new for new, nid in enumerate(order)}
-    renumbered = {}
-    for nid in order:
-        node = spec.nodes[nid]
-        renumbered[mapping[nid]] = TreeTaskSpec(
-            node_id=mapping[nid],
-            work=node.work,
-            children=tuple(mapping[c] for c in node.children),
-            value=node.value,
-            post_work=node.post_work,
-        )
-    return TreeSpec(renumbered)
+    hub = RngHub(seed)
+    budget = target_tasks - 1
+    counts: List[int] = []
+    work: List[int] = []
+    # Depth-first over an explicit stack of (id, children wanted, children
+    # built): a node's fanout is drawn on the way down and its work on
+    # the way up, so both streams are read in preorder / postorder.
+    stack = []
+    while True:
+        wanted = min(hub.integers("fanout", 0, max_fanout + 1), budget)
+        budget -= wanted
+        nid = len(counts)
+        counts.append(wanted)
+        work.append(0)
+        built = 0
+        while built == wanted:
+            work[nid] = hub.integers("work", work_range[0], work_range[1] + 1)
+            if not stack:
+                return TreeSpec.preorder(counts, work)
+            nid, wanted, built = stack.pop()
+            built += 1
+        stack.append((nid, wanted, built))
 
 
 # -- the shape table -----------------------------------------------------------

@@ -9,23 +9,29 @@ from hypothesis import strategies as st
 from repro.core.checkpoint import CheckpointTable, FunctionalCheckpoint, HeldTotal
 from repro.core.packets import ReturnAddress, TaskPacket, WorkSpec
 from repro.core.stamps import LevelStamp
+from repro.sim.task import SpawnRecord
 
 
-def packet(stamp: LevelStamp) -> TaskPacket:
-    return TaskPacket(
+def spawn(stamp: LevelStamp, holder: int = 0) -> SpawnRecord:
+    """Instance ``holder``'s spawn record for the child ``stamp``: the
+    table holds these, and reads the holder off the retained packet."""
+    packet = TaskPacket(
         stamp=stamp,
         work=WorkSpec(kind="apply", fn_name="f", args=(1,)),
-        parent=ReturnAddress(0, 0),
+        parent=ReturnAddress(0, holder),
     )
+    return SpawnRecord(0 if stamp.is_root else stamp.last_digit, stamp, packet)
 
 
 class TestInsertionRule:
     def test_record_new(self):
         table = CheckpointTable()
         s = LevelStamp.of(0)
-        cp = table.record(1, s, packet(s), task_uid=7)
-        assert cp is not None
+        record = spawn(s, 7)
+        assert table.record(1, s, record, task_uid=7) is record
+        [cp] = table.entry(1)  # the view, built from the held record
         assert cp.stamp == s and cp.dest == 1 and cp.task_uid == 7
+        assert cp.packet is record.packet
         assert table.held() == 1
 
     def test_descendant_suppressed(self):
@@ -33,33 +39,33 @@ class TestInsertionRule:
         C does nothing.'"""
         table = CheckpointTable()
         a = LevelStamp.of(0)
-        table.record(1, a, packet(a), 0)
+        table.record(1, a, spawn(a, 0), 0)
         child = a.child(3)
-        assert table.record(1, child, packet(child), 0) is None
+        assert table.record(1, child, spawn(child, 0), 0) is None
         assert table.suppressed == 1
         assert table.held() == 1
 
     def test_same_stamp_suppressed(self):
         table = CheckpointTable()
         s = LevelStamp.of(0)
-        table.record(1, s, packet(s), 0)
-        assert table.record(1, s, packet(s), 0) is None
+        table.record(1, s, spawn(s, 0), 0)
+        assert table.record(1, s, spawn(s, 0), 0) is None
 
     def test_suppression_is_per_destination(self):
         """Topmost-ness is local to one (host, destination) entry."""
         table = CheckpointTable()
         a = LevelStamp.of(0)
         child = a.child(1)
-        table.record(1, a, packet(a), 0)
-        assert table.record(2, child, packet(child), 0) is not None
+        table.record(1, a, spawn(a, 0), 0)
+        assert table.record(2, child, spawn(child, 0), 0) is not None
         assert table.held() == 2
 
     def test_ancestor_subsumes_existing_descendants(self):
         table = CheckpointTable()
         a = LevelStamp.of(0)
         child = a.child(1)
-        table.record(1, child, packet(child), 0)
-        cp = table.record(1, a, packet(a), 0)
+        table.record(1, child, spawn(child, 0), 0)
+        cp = table.record(1, a, spawn(a, 0), 0)
         assert cp is not None
         assert [c.stamp for c in table.entry(1)] == [a]
 
@@ -67,16 +73,30 @@ class TestInsertionRule:
         table = CheckpointTable()
         for i in range(4):
             s = LevelStamp.of(i)
-            table.record(1, s, packet(s), 0)
+            table.record(1, s, spawn(s, 0), 0)
         assert table.held() == 4
         table.check_invariant()
+
+
+    def test_stamp_only_coverage_reads_nothing_of_what_it_holds(self):
+        """Recording, subsuming, suppressing and dropping under stamp-only
+        coverage touch the stamps alone, so the table holds any object
+        there (the benchmark's checkpoint kernel records bare packets)."""
+        table = CheckpointTable()
+        a = LevelStamp.of(0)
+        child = a.child(1)
+        held = object()
+        assert table.record(1, child, held, 0) is held
+        assert table.record(1, a, object(), 0) is not None  # subsumes the child
+        assert table.record(1, child, object(), 0) is None  # covered by a
+        assert table.drop_everywhere(a) == 1 and table.held() == 0
 
 
 class TestDrop:
     def test_drop(self):
         table = CheckpointTable()
         s = LevelStamp.of(0)
-        table.record(1, s, packet(s), 0)
+        table.record(1, s, spawn(s, 0), 0)
         assert table.drop(1, s) is True
         assert table.held() == 0
         assert table.drop(1, s) is False
@@ -84,7 +104,7 @@ class TestDrop:
     def test_drop_everywhere(self):
         table = CheckpointTable()
         s = LevelStamp.of(0)
-        table.record(1, s, packet(s), 0)
+        table.record(1, s, spawn(s, 0), 0)
         assert table.drop_everywhere(s) == 1
         assert table.held() == 0
 
@@ -94,7 +114,7 @@ class TestQueries:
         table = CheckpointTable()
         for i in (3, 1, 2):
             s = LevelStamp.of(i)
-            table.record(1, s, packet(s), 0)
+            table.record(1, s, spawn(s, 0), 0)
         assert [c.stamp.digits for c in table.entry(1)] == [(1,), (2,), (3,)]
 
     def test_entry_empty_for_unknown_dest(self):
@@ -103,20 +123,20 @@ class TestQueries:
     def test_lookup(self):
         table = CheckpointTable()
         s = LevelStamp.of(5)
-        table.record(2, s, packet(s), 0)
+        table.record(2, s, spawn(s, 0), 0)
         assert table.lookup(s).dest == 2
         assert table.lookup(LevelStamp.of(9)) is None
 
     def test_destinations(self):
         table = CheckpointTable()
-        table.record(3, LevelStamp.of(0), packet(LevelStamp.of(0)), 0)
-        table.record(1, LevelStamp.of(1), packet(LevelStamp.of(1)), 0)
+        table.record(3, LevelStamp.of(0), spawn(LevelStamp.of(0), 0), 0)
+        table.record(1, LevelStamp.of(1), spawn(LevelStamp.of(1), 0), 0)
         assert table.destinations() == [1, 3]
 
     def test_iter_and_peak(self):
         table = CheckpointTable()
-        table.record(1, LevelStamp.of(0), packet(LevelStamp.of(0)), 0)
-        table.record(2, LevelStamp.of(1), packet(LevelStamp.of(1)), 0)
+        table.record(1, LevelStamp.of(0), spawn(LevelStamp.of(0), 0), 0)
+        table.record(2, LevelStamp.of(1), spawn(LevelStamp.of(1), 0), 0)
         assert len(list(table)) == 2
         assert table.peak_held == 2
         table.drop(1, LevelStamp.of(0))
@@ -139,7 +159,7 @@ def test_topmost_invariant_under_random_ops(ops):
     table = CheckpointTable()
     for op, dest, stamp in ops:
         if op == "record":
-            table.record(dest, stamp, packet(stamp), 0)
+            table.record(dest, stamp, spawn(stamp, 0), 0)
         else:
             table.drop(dest, stamp)
         table.check_invariant()
@@ -150,7 +170,7 @@ def test_held_matches_iteration(ops):
     table = CheckpointTable()
     for op, dest, stamp in ops:
         if op == "record":
-            table.record(dest, stamp, packet(stamp), 0)
+            table.record(dest, stamp, spawn(stamp, 0), 0)
         else:
             table.drop(dest, stamp)
     assert table.held() == len(list(table))
@@ -178,8 +198,8 @@ class TestLineageAwareCoverage:
         table = CheckpointTable()
         s = LevelStamp.of(0, 1)
         covers = self._covers_map({})  # unrelated holders
-        assert table.record(3, s, packet(s), 10, covers=covers) is not None
-        assert table.record(3, s, packet(s), 20, covers=covers) is not None
+        assert table.record(3, s, spawn(s, 10), 10, covers=covers) is not None
+        assert table.record(3, s, spawn(s, 20), 20, covers=covers) is not None
         assert len(table.entry(3)) == 2
 
     def test_same_lineage_descendant_suppressed(self):
@@ -187,8 +207,8 @@ class TestLineageAwareCoverage:
         a = LevelStamp.of(0)
         z = a.child(1)
         covers = self._covers_map({30: 10})  # holder 30 descends from 10
-        assert table.record(3, a, packet(a), 10, covers=covers) is not None
-        assert table.record(3, z, packet(z), 30, covers=covers) is None
+        assert table.record(3, a, spawn(a, 10), 10, covers=covers) is not None
+        assert table.record(3, z, spawn(z, 30), 30, covers=covers) is None
         assert table.suppressed == 1
 
     def test_cross_lineage_descendant_not_suppressed(self):
@@ -196,8 +216,8 @@ class TestLineageAwareCoverage:
         a = LevelStamp.of(0)
         z = a.child(1)
         covers = self._covers_map({})  # 30 does NOT descend from 10
-        assert table.record(3, a, packet(a), 10, covers=covers) is not None
-        assert table.record(3, z, packet(z), 30, covers=covers) is not None
+        assert table.record(3, a, spawn(a, 10), 10, covers=covers) is not None
+        assert table.record(3, z, spawn(z, 30), 30, covers=covers) is not None
         assert len(table.entry(3)) == 2
 
     def test_subsumption_respects_lineage(self):
@@ -205,17 +225,33 @@ class TestLineageAwareCoverage:
         a = LevelStamp.of(0)
         z = a.child(1)
         covers = self._covers_map({30: 10})
-        table.record(3, z, packet(z), 30, covers=covers)
+        table.record(3, z, spawn(z, 30), 30, covers=covers)
         # ancestor from the same lineage subsumes the descendant entry
-        table.record(3, a, packet(a), 10, covers=covers)
+        table.record(3, a, spawn(a, 10), 10, covers=covers)
         assert [c.stamp for c in table.entry(3)] == [a]
+
+    def test_a_second_holder_is_held_behind_the_first(self):
+        """One stamp held twice in one entry (racing lineages): the first
+        holder stays ``by_stamp``'s, the later one waits in ``more``."""
+        table = CheckpointTable()
+        s = LevelStamp.of(0, 1)
+        covers = self._covers_map({})
+        first, second = spawn(s, 10), spawn(s, 20)
+        table.record(3, s, first, 10, covers=covers)
+        table.record(3, s, second, 20, covers=covers)
+        assert table.lookup(s).task_uid == 10
+        assert table.drop(3, s, task_uid=10) is True
+        assert table.lookup(s).task_uid == 20 and table.lookup(s).packet is second.packet
+        table.check_invariant()
+        assert table.drop(3, s) is True and table.held() == 0
+        table.check_invariant()
 
     def test_drop_by_holder(self):
         table = CheckpointTable()
         s = LevelStamp.of(0)
         covers = self._covers_map({})
-        table.record(1, s, packet(s), 10, covers=covers)
-        table.record(1, s, packet(s), 20, covers=covers)
+        table.record(1, s, spawn(s, 10), 10, covers=covers)
+        table.record(1, s, spawn(s, 20), 20, covers=covers)
         assert table.drop(1, s, task_uid=10) is True
         assert [c.task_uid for c in table.entry(1)] == [20]
 
@@ -232,7 +268,7 @@ class _ReferenceTable:
     def held(self):
         return sum(len(entry) for entry in self.entries.values())
 
-    def record(self, dest, stamp, packet, task_uid, covers=None):
+    def record(self, dest, stamp, spawn, task_uid, covers=None):
         entry = self.entries.setdefault(dest, [])
         for c in entry:
             if (c.stamp == stamp or c.stamp.is_ancestor_of(stamp)) and (
@@ -246,7 +282,7 @@ class _ReferenceTable:
             ):
                 entry.remove(c)
                 self.dropped += 1
-        checkpoint = FunctionalCheckpoint(stamp, dest, packet, task_uid)
+        checkpoint = FunctionalCheckpoint(stamp, dest, spawn.packet, task_uid)
         entry.append(checkpoint)
         self.peak_held = max(self.peak_held, self.held())
         return checkpoint
@@ -328,8 +364,12 @@ def test_table_agrees_with_literal_reference(ops, lineage):
     for op, dest, stamp, uid in ops:
         seen.add(stamp)
         if op == "record":
-            got = table.record(dest, stamp, packet(stamp), uid, covers=covers)
-            want = model.record(dest, stamp, packet(stamp), uid, covers=covers)
+            record = spawn(stamp, uid)
+            got = table.record(dest, stamp, record, uid, covers=covers)
+            want = model.record(dest, stamp, record, uid, covers=covers)
+            # the table holds the record itself; the model, a checkpoint
+            assert got is (None if want is None else record)
+            want = got
         elif op == "drop":
             got = table.drop(dest, stamp, uid)
             want = model.drop(dest, stamp, uid)
@@ -352,9 +392,9 @@ class TestSharedHeldTotal:
         total = HeldTotal()
         a, b = CheckpointTable(total), CheckpointTable(total)
         s, t = LevelStamp.of(0), LevelStamp.of(1)
-        a.record(1, s, packet(s), 0)
-        b.record(1, s, packet(s), 0)
-        b.record(2, t, packet(t), 0)
+        a.record(1, s, spawn(s, 0), 0)
+        b.record(1, s, spawn(s, 0), 0)
+        b.record(2, t, spawn(t, 0), 0)
         assert (a.held(), b.held(), total.held) == (1, 2, 3)
         b.drop_everywhere(t, 0)
         a.drop(1, s)
@@ -365,7 +405,7 @@ class TestSharedHeldTotal:
     def test_invariant_catches_a_drifted_total(self):
         total = HeldTotal()
         table = CheckpointTable(total)
-        table.record(1, LevelStamp.of(0), packet(LevelStamp.of(0)), 0)
+        table.record(1, LevelStamp.of(0), spawn(LevelStamp.of(0), 0), 0)
         total.held += 1
         with pytest.raises(AssertionError, match="shared held total"):
             table.check_invariant()

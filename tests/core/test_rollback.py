@@ -227,7 +227,8 @@ class TestReplayEntry:
         node = machine.node(0)
         work = WorkSpec(kind="tree", tree_node=1)
         holder = TaskInstance(
-            1, TaskPacket(LevelStamp.of(0), work, ReturnAddress(SUPER_ROOT_NODE, 0)), 0, None
+            machine.new_task_uid(),
+            TaskPacket(LevelStamp.of(0), work, ReturnAddress(SUPER_ROOT_NODE, 0)), 0, None,
         )
         holder.status = TaskStatus.SUSPENDED
         node.instances[holder.uid] = holder
@@ -236,15 +237,17 @@ class TestReplayEntry:
         # digit 0: awaited on DEAD; 1: answered, checkpoint stale; 2: awaited on OTHER
         for digit, executor in ((0, self.DEAD), (1, self.DEAD), (2, self.OTHER)):
             stamp = holder.stamp.child(digit)
-            packet = TaskPacket(stamp, work, ReturnAddress(0, holder.uid))
-            holder.add_record(SpawnRecord(
-                digit, stamp, packet, state=SpawnState.PLACED, executor=executor,
-                checkpoint_dest=executor,
-            ))
-            assert table.record(executor, stamp, packet, holder.uid) is not None
+            record = SpawnRecord(
+                digit, stamp, TaskPacket(stamp, work, ReturnAddress(0, holder.uid)),
+                state=SpawnState.PLACED, executor=executor, checkpoint_dest=executor,
+            )
+            holder.add_record(record)
+            assert table.record(executor, stamp, record, holder.uid) is record
         holder.spawn_records[1].fulfill(1, by=None)
         # and a checkpoint whose holder instance no longer exists
-        assert table.record(self.DEAD, LevelStamp.of(7, 0), packet, task_uid=99) is not None
+        orphan = LevelStamp.of(7, 0)
+        gone = SpawnRecord(0, orphan, TaskPacket(orphan, work, ReturnAddress(0, 99)))
+        assert table.record(self.DEAD, orphan, gone, task_uid=99) is gone
         return policy, machine, node, holder
 
     def test_reissue_false_discards_the_entry_unused(self):

@@ -50,7 +50,7 @@ class TestPlacementSpread:
         assert result.completed
         used = {
             t.node
-            for t in m.instance_registry.values()
+            for t in m.instance_registry
             if t.node >= 0 and t.packet.work.tree_node not in (None, 0)
         }
         assert len(used) >= 3
@@ -60,7 +60,7 @@ class TestPlacementSpread:
         result = m.run()
         assert result.completed
         # with local placement the first processor hosts all real tasks
-        used = {t.node for t in m.instance_registry.values() if t.node >= 0}
+        used = {t.node for t in m.instance_registry if t.node >= 0}
         assert used == {0}
 
     def test_gradient_prefers_idle(self):
@@ -79,7 +79,7 @@ class TestPlacementSpread:
             placements.append(
                 sorted(
                     (str(t.stamp), t.node)
-                    for t in m.instance_registry.values()
+                    for t in m.instance_registry
                     if t.node >= 0
                 )
             )

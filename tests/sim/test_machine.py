@@ -120,7 +120,7 @@ class TestDeterminism:
             )
             machine.run()
             return {
-                str(t.stamp) for t in machine.instance_registry.values()
+                str(t.stamp) for t in machine.instance_registry
             }
 
         assert stamps(1) == stamps(99)

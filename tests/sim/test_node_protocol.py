@@ -33,7 +33,7 @@ class TestAcks:
         monkeypatch.setattr(TaskInstance, "retire", lambda self: None)
         m = small_machine()
         assert m.run().completed
-        records = [r for t in m.instance_registry.values() for r in t.spawn_records.values()]
+        records = [r for t in m.instance_registry for r in t.spawn_records.values()]
         assert len(records) == 7  # the host's one and the six spawns of the tree
         return records
 
@@ -100,7 +100,7 @@ class TestResultPaths:
         m._start_root_host()
         m.queue.run(until=lambda: m.metrics.tasks_accepted >= 2, max_events=5000)
         root_task = next(
-            t for t in m.instance_registry.values()
+            t for t in m.instance_registry
             if t.stamp == LevelStamp.of(0)
         )
         record = root_task.spawn_records[0]
@@ -147,7 +147,7 @@ class TestFailureMechanics:
         packet_msg = TaskPacketMsg(
             src=0,
             dst=SUPER_ROOT_NODE,
-            packet=next(iter(m.instance_registry.values())).packet,
+            packet=m.instance_registry[0].packet,
         )
         with pytest.raises(ProtocolError):
             m.super_root.on_message(packet_msg)

@@ -104,3 +104,28 @@ def test_a_directly_built_machine_stays_inspectable_after_run():
     )
     for node in machine.all_nodes():
         node.ft_state.table.check_invariant()
+
+
+def test_a_machine_dismantled_mid_run_frees_what_its_tables_hold():
+    """Mid-run, every table holds spawn records themselves, and a record
+    still awaiting its acknowledgement holds its ack-timer entry, whose
+    action holds a node (node -> table -> record -> timer -> node):
+    ``dismantle`` must leave none of it to the collector."""
+    spec = build_spec("balanced:7:2:10", "rollback")
+    gc.collect()
+    gc.disable()
+    try:
+        machine = Machine(spec.config(), spec.workload.build()[0](), spec.policy.build())
+        machine._start_root_host()
+        machine.queue.run(until=lambda: machine.metrics.tasks_accepted >= 100, max_events=50_000)
+        assert machine.policy.held_total.held > 0
+        assert any(
+            record.ack_timer is not None
+            for task in machine.instance_registry
+            for record in task.spawn_records.values()
+        )
+        machine.dismantle()
+        del machine
+        assert gc.collect() < 50
+    finally:
+        gc.enable()

@@ -50,6 +50,45 @@ class TestRun:
         assert code == 0
         assert "recovery_reissue" in text
 
+    @pytest.mark.parametrize(
+        "injected",
+        [
+            ("--fault", "300:2", "--fault", "500:4"),
+            ("--nemesis", "crash:at=0.35,node=1+chaos:drop=0.05,dup=0.1,reorder=0.2,span=40"),
+        ],
+        ids=["faults", "nemesis"],
+    )
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            "none", "rollback", "splice", "incremental", "incremental:persist=hybrid",
+            "reversible", "replicated:3",
+        ],
+    )
+    def test_a_run_traces_only_when_trace_asks(self, policy, injected, monkeypatch):
+        """Without ``--trace`` nothing prints the trace, so it is not
+        collected; collecting it anyway changes not a byte of stdout nor
+        the exit code."""
+        from repro import cli
+
+        real, asked = cli.Session, []
+        argv = (
+            "run", "balanced:4:3:25", "--processors", "6", "--seed", "7",
+            "--policy", policy, *injected,
+        )
+
+        def run_collecting(collect, *extra):
+            def session(collect_trace=False, **kwargs):
+                asked.append(collect_trace)
+                return real(collect_trace=collect, **kwargs)
+
+            monkeypatch.setattr(cli, "Session", session)
+            return run_cli(*argv, *extra)
+
+        assert run_collecting(False) == run_collecting(True)
+        _, text = run_collecting(True, "--trace")
+        assert asked == [False, False, True] and "Recovery trace:" in text
+
     def test_replicated_policy(self):
         code, text = run_cli(
             "run",

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import platform
+import tracemalloc
+from typing import Dict
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.behavior import TreeBehavior, TreeSpec, TreeTaskSpec
+from repro.util.rng import RngHub
 from repro.workloads.trees import (
     MAX_TREE_TASKS,
     SHAPES,
@@ -196,3 +203,175 @@ class TestShapeTable:
         assert len(balanced_tree(3000, 1)) == 3001
         assert len(skewed_tree(3000, 2)) == 1 + 3000 * 2
         assert 1 <= len(random_tree(seed=1, target_tasks=5000)) <= 5000
+
+
+# -- the columns, judged by the naive builder ------------------------------------
+
+
+class _NaiveBuilder:
+    """How the shapes were built before a tree was columns: one
+    ``TreeTaskSpec`` per node, numbered in creation order, then renumbered
+    to preorder by :func:`_reroot`.  The reference the columns must equal."""
+
+    def __init__(self) -> None:
+        self.nodes: Dict[int, TreeTaskSpec] = {}
+
+    def add(self, work: int, children: tuple) -> int:
+        nid = len(self.nodes)
+        self.nodes[nid] = TreeTaskSpec(node_id=nid, work=work, children=children)
+        return nid
+
+    def balanced(self, d: int, fanout: int, work: int) -> int:
+        level = [self.add(work, ()) for _ in range(fanout**d)]
+        for _ in range(d):
+            level = [
+                self.add(work, tuple(level[i : i + fanout])) for i in range(0, len(level), fanout)
+            ]
+        return level[0]
+
+    def chain(self, length: int, work: int) -> int:
+        prev = None
+        for _ in range(length):
+            prev = self.add(work, (prev,) if prev is not None else ())
+        return prev
+
+    def wide(self, width: int, work: int) -> int:
+        return self.add(work, tuple(self.add(work, ()) for _ in range(width)))
+
+    def skewed(self, d: int, fanout: int, work: int) -> int:
+        spine = self.add(work, ())
+        for _ in range(d):
+            leaves = tuple(self.add(work, ()) for _ in range(max(0, fanout - 1)))
+            spine = self.add(work, leaves + (spine,))
+        return spine
+
+    def random(self, seed: int, target_tasks: int, max_fanout: int, work_range: tuple) -> int:
+        hub, budget, stack = RngHub(seed), target_tasks - 1, []
+        while True:
+            wanted = min(hub.integers("fanout", 0, max_fanout + 1), budget)
+            budget -= wanted
+            built: list = []
+            while len(built) == wanted:
+                nid = self.add(hub.integers("work", work_range[0], work_range[1] + 1), tuple(built))
+                if not stack:
+                    return nid
+                wanted, built = stack.pop()
+                built.append(nid)
+            stack.append((wanted, built))
+
+
+def _reroot(nodes: Dict[int, TreeTaskSpec], root_id: int) -> Dict[int, TreeTaskSpec]:
+    order, stack = [], [root_id]
+    while stack:
+        nid = stack.pop()
+        order.append(nid)
+        stack.extend(reversed(nodes[nid].children))
+    new = {nid: i for i, nid in enumerate(order)}
+    return {
+        new[nid]: TreeTaskSpec(
+            new[nid], nodes[nid].work, tuple(new[c] for c in nodes[nid].children)
+        )
+        for nid in order
+    }
+
+
+def _naive(kind: str, *args) -> Dict[int, TreeTaskSpec]:
+    builder = _NaiveBuilder()
+    return _reroot(builder.nodes, getattr(builder, kind)(*args))
+
+
+_work = st.integers(-3, 40)
+_shapes = st.one_of(
+    st.tuples(st.just("balanced"), st.integers(0, 5), st.integers(1, 4), _work),
+    st.tuples(st.just("chain"), st.integers(1, 30), _work),
+    st.tuples(st.just("wide"), st.integers(1, 30), _work),
+    st.tuples(st.just("skewed"), st.integers(0, 8), st.integers(-2, 5), _work),
+    st.tuples(
+        st.just("random"), st.integers(0, 2**32), st.integers(1, 120), st.integers(0, 6),
+        st.tuples(st.integers(0, 20), st.integers(20, 60)),
+    ),
+)
+_BUILD = {
+    "balanced": balanced_tree, "chain": chain_tree, "wide": wide_tree,
+    "skewed": skewed_tree, "random": random_tree,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shapes)
+def test_the_columns_are_the_naive_builders_tree(shape):
+    kind, *args = shape
+    spec = _BUILD[kind](*args)
+    nodes = _naive(kind, *args)
+    assert len(spec) == len(nodes) == len(spec.nodes)
+    assert list(spec.nodes) == sorted(nodes)
+    for nid, node in nodes.items():
+        assert spec.nodes[nid] == node
+    reference = TreeSpec(nodes)  # the hand-written constructor, same columns
+    for judged in (spec, reference):
+        assert (judged.expected_value(), judged.total_work(), judged.depth()) == _recursive(
+            _Nodes(nodes)
+        )
+
+
+class _Nodes:
+    """``_recursive`` reads ``.nodes``: the naive dict is enough."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+
+#: Shaped like ``cases_driver``'s case-8 tree, ids 0, 1, 2 and 4 (no 3); node
+#: 4 carries a value and post-work of its own, so the view must return them.
+_SPARSE = {
+    0: TreeTaskSpec(0, 5, (1, 4)),
+    1: TreeTaskSpec(1, 5, (2,)),
+    2: TreeTaskSpec(2, 300, (), chunk=20),
+    4: TreeTaskSpec(4, 900, (), value=7, post_work=3, chunk=20),
+}
+
+
+class TestHandWrittenTrees:
+    def test_ids_may_leave_holes(self):
+        spec = TreeSpec(_SPARSE)
+        assert len(spec) == len(spec.nodes) == 4
+        assert list(spec.nodes) == [0, 1, 2, 4] and dict(spec.nodes) == _SPARSE
+        assert 3 not in spec.nodes and spec.nodes.get(3) is None
+        assert 5 not in spec.nodes and -1 not in spec.nodes
+        with pytest.raises(KeyError):
+            spec.nodes[3]
+        assert (spec.expected_value(), spec.total_work(), spec.depth()) == _recursive(
+            _Nodes(_SPARSE)
+        )
+        assert spec.expected_value(4) == 7
+        with pytest.raises(KeyError):
+            spec.depth(3)
+
+    def test_a_node_past_a_hole_runs(self):
+        behavior = TreeBehavior(TreeSpec(_SPARSE), 4)
+        advances = [behavior.advance({}) for _ in range(45)]
+        assert sum(a.yielded for a in advances) == 44
+        assert advances[-1].completed and advances[-1].value == 7
+
+    def test_ids_are_non_negative_integers(self):
+        with pytest.raises(ValueError):
+            TreeSpec({0: TreeTaskSpec(0, 1, (-1,)), -1: TreeTaskSpec(-1, 1, ())})
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython", reason="object sizes are CPython's"
+)
+def test_the_benchmark_trees_are_small():
+    """``faultfree-scale``'s two trees, 18 430 nodes, are columns: 3.01 MiB
+    of ``TreeTaskSpec`` objects, child tuples and id dicts before, 0.71
+    MiB after (CPython 3.11)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trees = [balanced_tree(10, 2, 20), balanced_tree(13, 2, 20)]
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, trees)) == 2047 + 16383
+    assert retained <= 1.2 * 2**20
