@@ -23,8 +23,9 @@ runs, and registry sweeps can never drift apart.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.specs import (
@@ -39,6 +40,7 @@ from repro.api.specs import (
 from repro.config import SimConfig
 from repro.errors import SpecError
 from repro.sim.machine import RunResult, run_simulation
+from repro.sim.metrics import Metrics
 
 SpecLike = Union[RunSpec, "Experiment", str, Mapping[str, Any]]
 
@@ -46,40 +48,20 @@ SpecLike = Union[RunSpec, "Experiment", str, Mapping[str, Any]]
 # -- result shaping (ported verbatim from the historical point runner) ---------
 
 
+#: ``Metrics`` fields the run record leaves out; it records every other
+#: one, under its own name.
+_UNRECORDED = frozenset({"votes_recorded", "votes_decided", "message_hops", "busy_time"})
+_RECORDED = tuple(f.name for f in fields(Metrics) if f.name not in _UNRECORDED)
+_read_recorded = attrgetter(*_RECORDED)
+
+
 def metrics_dict(result: RunResult) -> Dict[str, Any]:
     """Flatten a run's metrics into the canonical JSON sub-dict."""
     m = result.metrics
-    return {
-        "tasks_spawned": m.tasks_spawned,
-        "tasks_accepted": m.tasks_accepted,
-        "tasks_completed": m.tasks_completed,
-        "tasks_aborted": m.tasks_aborted,
-        "tasks_reissued": m.tasks_reissued,
-        "twins_created": m.twins_created,
-        "steps_total": m.steps_total,
-        "steps_wasted": m.steps_wasted,
-        "steps_salvaged": m.steps_salvaged,
-        "checkpoints_recorded": m.checkpoints_recorded,
-        "checkpoints_dropped": m.checkpoints_dropped,
-        "checkpoint_peak_held": m.checkpoint_peak_held,
-        "results_delivered": m.results_delivered,
-        "results_duplicate": m.results_duplicate,
-        "results_ignored": m.results_ignored,
-        "results_orphan_rerouted": m.results_orphan_rerouted,
-        "results_salvaged": m.results_salvaged,
-        "failures_injected": m.failures_injected,
-        "failures_detected": m.failures_detected,
-        "nodes_failed": list(m.nodes_failed),
-        "delivery_failures": m.delivery_failures,
-        "recoveries_triggered": m.recoveries_triggered,
-        "oracle_mismatch": m.oracle_mismatch,
-        "nemesis_dropped": m.nemesis_dropped,
-        "nemesis_duplicated": m.nemesis_duplicated,
-        "nemesis_delayed": m.nemesis_delayed,
-        "nemesis_partition_blocked": m.nemesis_partition_blocked,
-        "nemesis_slowdown_time": round(m.nemesis_slowdown_time, 6),
-        "messages_total": m.messages_total,
-    }
+    out = dict(zip(_RECORDED, _read_recorded(m)))
+    out["nodes_failed"] = list(m.nodes_failed)
+    out["nemesis_slowdown_time"] = round(m.nemesis_slowdown_time, 6)
+    return out
 
 
 def _util_stats(result: RunResult) -> Tuple[Optional[float], Optional[float]]:
@@ -165,9 +147,7 @@ class RunHandle:
 # -- execution -----------------------------------------------------------------
 
 
-def execute(
-    spec: RunSpec, collect_trace: bool = False, verify: bool = True
-) -> RunHandle:
+def execute(spec: RunSpec, collect_trace: bool = False) -> RunHandle:
     """Run one RunSpec and return its handle.
 
     The record layout, rounding, and baseline placement replicate the
@@ -196,7 +176,7 @@ def execute(
     load = spec.arrivals.build() if spec.arrivals else None
     result = run_simulation(
         wfactory(), config, policy=spec.policy.build(),
-        faults=faults, collect_trace=collect_trace, verify=verify, nemesis=nemesis,
+        faults=faults, collect_trace=collect_trace, nemesis=nemesis,
         load=load,
     )
 
@@ -241,6 +221,11 @@ def execute(
 # -- the fluent builder --------------------------------------------------------
 
 
+def _parsed(kind: Any, spec: Any, **options: Any) -> Any:
+    """``spec`` if it is already a ``kind``, else ``kind.parse(spec)``."""
+    return spec if isinstance(spec, kind) else kind.parse(spec, **options)
+
+
 class _chainable:
     """Method descriptor usable straight off the class.
 
@@ -279,135 +264,108 @@ class Experiment:
     """
 
     def __init__(self) -> None:
-        self._workload: Optional[WorkloadSpec] = None
-        self._policy = PolicySpec("rollback")
-        self._machine = MachineSpec()
-        self._seed = 0
-        self._faults: Tuple[Tuple[float, int], ...] = ()
-        self._fault_mode = "frac"
-        self._nemesis = NemesisSpec()
-        self._arrivals = ArrivalSpec()
-        self._base_policy: Optional[PolicySpec] = None
-        self._speedup_base: Optional[int] = None
+        #: The RunSpec fields a setter set; RunSpec's defaults fill the rest.
+        self._given: Dict[str, Any] = {}
+
+    def _set(self, **given: Any) -> "Experiment":
+        self._given.update(given)
+        return self
+
+    def _reshape(self, **shape: Any) -> "Experiment":
+        """Replace fields of the given machine (or of the default one)."""
+        return self._set(machine=replace(self._given.get("machine", MachineSpec()), **shape))
 
     @_chainable
     def workload(self, spec: Union[str, WorkloadSpec]) -> "Experiment":
         """Set the workload (spec string or WorkloadSpec)."""
-        self._workload = spec if isinstance(spec, WorkloadSpec) else WorkloadSpec.parse(spec)
-        return self
+        return self._set(workload=_parsed(WorkloadSpec, spec))
 
     @_chainable
     def policy(self, spec: Union[str, PolicySpec]) -> "Experiment":
         """Set the recovery policy (spec string or PolicySpec)."""
-        self._policy = spec if isinstance(spec, PolicySpec) else PolicySpec.parse(spec)
-        return self
+        return self._set(policy=_parsed(PolicySpec, spec))
 
     @_chainable
     def faults(self, spec: Union[str, FaultSpec], mode: str = "frac") -> "Experiment":
         """Replace the fault schedule (``T:NODE+T:NODE`` string or FaultSpec)."""
-        parsed = spec if isinstance(spec, FaultSpec) else FaultSpec.parse(spec, mode=mode)
-        self._faults = parsed.entries
-        self._fault_mode = parsed.mode
-        return self
+        return self._set(faults=_parsed(FaultSpec, spec, mode=mode))
 
     @_chainable
     def fault(self, when: float, node: int, mode: str = "frac") -> "Experiment":
         """Append one fault (``when`` is a fraction of the baseline
         makespan unless ``mode="time"``)."""
-        if self._faults and mode != self._fault_mode:
+        faults = self._given.get("faults", FaultSpec())
+        if faults.entries and mode != faults.mode:
             raise SpecError(
                 "cannot mix fraction-mode and time-mode faults in one run",
-                field="faults.mode", value=mode, allowed=(self._fault_mode,),
+                field="faults.mode", value=mode, allowed=(faults.mode,),
             )
-        self._fault_mode = mode
-        self._faults += ((float(when), int(node)),)
-        return self
+        return self._set(faults=FaultSpec(faults.entries + ((float(when), int(node)),), mode))
 
     @_chainable
     def nemesis(self, spec: Union[str, NemesisSpec]) -> "Experiment":
         """Set the nemesis composition (spec string or NemesisSpec)."""
-        self._nemesis = spec if isinstance(spec, NemesisSpec) else NemesisSpec.parse(spec)
-        return self
+        return self._set(nemesis=_parsed(NemesisSpec, spec))
 
     @_chainable
     def arrivals(self, spec: Union[str, ArrivalSpec]) -> "Experiment":
         """Set the open-loop arrival process (spec string or ArrivalSpec)."""
-        self._arrivals = spec if isinstance(spec, ArrivalSpec) else ArrivalSpec.parse(spec)
-        return self
+        return self._set(arrivals=_parsed(ArrivalSpec, spec))
 
     @_chainable
     def machine(self, spec: Union[str, MachineSpec]) -> "Experiment":
         """Set the whole machine shape (spec string or MachineSpec)."""
-        self._machine = spec if isinstance(spec, MachineSpec) else MachineSpec.parse(spec)
-        return self
+        return self._set(machine=_parsed(MachineSpec, spec))
 
     @_chainable
     def processors(self, n: int) -> "Experiment":
         """Set the processor count."""
-        self._machine = replace(self._machine, processors=int(n))
-        return self
+        return self._reshape(processors=int(n))
 
     @_chainable
     def topology(self, name: str) -> "Experiment":
         """Set the interconnection topology."""
-        self._machine = replace(self._machine, topology=str(name))
-        return self
+        return self._reshape(topology=str(name))
 
     @_chainable
     def scheduler(self, name: str) -> "Experiment":
         """Set the load-balancing scheduler."""
-        self._machine = replace(self._machine, scheduler=str(name))
-        return self
+        return self._reshape(scheduler=str(name))
 
     @_chainable
     def replication(self, k: int) -> "Experiment":
         """Set the machine replication factor (``replicated`` policy k)."""
-        self._machine = replace(self._machine, replication=int(k))
-        return self
+        return self._reshape(replication=int(k))
 
     @_chainable
     def cost(self, **overrides: float) -> "Experiment":
         """Override cost-model fields, e.g. ``.cost(detector_delay=400.0)``."""
-        merged = dict(self._machine.cost)
+        merged = dict(self._given.get("machine", MachineSpec()).cost)
         merged.update(overrides)
         probe = MachineSpec.from_params({"cost": merged})  # validates field names
-        self._machine = replace(self._machine, cost=probe.cost)
-        return self
+        return self._reshape(cost=probe.cost)
 
     @_chainable
     def seed(self, seed: int) -> "Experiment":
         """Set the root seed for all stochastic streams."""
-        self._seed = int(seed)
-        return self
+        return self._set(seed=int(seed))
 
     @_chainable
     def base_policy(self, spec: Union[str, PolicySpec]) -> "Experiment":
         """Anchor fraction-mode fault placement on another policy's baseline."""
-        self._base_policy = spec if isinstance(spec, PolicySpec) else PolicySpec.parse(spec)
-        return self
+        return self._set(base_policy=_parsed(PolicySpec, spec))
 
     @_chainable
     def speedup_base(self, processors: int) -> "Experiment":
         """Also run fault-free at this processor count and report speedup."""
-        self._speedup_base = int(processors)
-        return self
+        return self._set(speedup_base_processors=int(processors))
 
     @_chainable
     def build(self) -> RunSpec:
         """Freeze the builder into a validated RunSpec."""
-        if self._workload is None:
+        if "workload" not in self._given:
             raise SpecError("an Experiment needs a workload", field="workload")
-        return RunSpec(
-            workload=self._workload,
-            policy=self._policy,
-            machine=self._machine,
-            seed=self._seed,
-            faults=FaultSpec(self._faults, self._fault_mode),
-            nemesis=self._nemesis,
-            base_policy=self._base_policy,
-            speedup_base_processors=self._speedup_base,
-            arrivals=self._arrivals,
-        ).validate()
+        return RunSpec(**self._given).validate()
 
     @_chainable
     def run(self, session: Optional["Session"] = None) -> RunHandle:
@@ -418,8 +376,7 @@ class Experiment:
 class Session:
     """Runs one or many RunSpecs and keeps their handles.
 
-    ``collect_trace``/``verify`` apply to every run the session
-    executes.  Fault-free baselines are memoized process-wide, so a
+    ``collect_trace`` applies to every run the session executes.  Fault-free baselines are memoized process-wide, so a
     session sweeping many fault fractions of one workload pays the
     baseline run once, exactly like the registry sweep engine.
     """
@@ -427,7 +384,6 @@ class Session:
     def __init__(
         self,
         collect_trace: bool = False,
-        verify: bool = True,
         oracles: Optional[Any] = None,
     ) -> None:
         """``oracles`` opts every run into trace-oracle evaluation.
@@ -444,7 +400,6 @@ class Session:
             oracles = CheckConfig()
         self.oracles = oracles
         self.collect_trace = collect_trace or oracles is not None
-        self.verify = verify
         self.handles: List[RunHandle] = []
 
     @staticmethod
@@ -474,9 +429,7 @@ class Session:
 
     def run(self, spec: SpecLike) -> RunHandle:
         """Execute one spec and return its handle."""
-        handle = execute(
-            self.resolve(spec), collect_trace=self.collect_trace, verify=self.verify
-        )
+        handle = execute(self.resolve(spec), collect_trace=self.collect_trace)
         if self.oracles is not None:
             from repro.check import evaluate  # deferred: check imports this module
 

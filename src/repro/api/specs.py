@@ -562,17 +562,6 @@ class MachineSpec:
 
 # -- the composed run ----------------------------------------------------------
 
-#: Parameter keys the ``machine`` point runner understands; anything else
-#: in a scenario grid is a typo and is rejected with a SpecError.
-_RUN_PARAM_KEYS = frozenset(
-    {
-        "workload", "policy", "seed", "processors", "topology", "scheduler",
-        "replication", "cost", "faults", "fault_frac", "victim", "nemesis",
-        "arrivals", "base_policy", "speedup_base_processors",
-    }
-)
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One complete, canonical experiment description.
@@ -750,3 +739,14 @@ class RunSpec:
         if self.arrivals:
             self.arrivals.validate()
         return self
+
+
+#: Parameter keys the ``machine`` point runner understands: the RunSpec
+#: fields, with the machine spelled out as its fields, plus the one-fault
+#: shorthand.  Anything else in a scenario grid is a typo and is rejected
+#: with a SpecError.
+_RUN_PARAM_KEYS = frozenset(
+    {f.name for f in dataclass_fields(RunSpec) if f.name != "machine"}
+    | {f.name for f in dataclass_fields(MachineSpec)}
+    | {"fault_frac", "victim"}
+)

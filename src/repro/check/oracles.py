@@ -603,11 +603,9 @@ def evaluate(handle: Any, config: Optional[CheckConfig] = None) -> CheckReport:
     return evaluate_context(build_context(handle, config), config)
 
 
-def check_spec(
-    spec: Any, config: Optional[CheckConfig] = None, verify: bool = True
-) -> Tuple[Any, CheckReport]:
+def check_spec(spec: Any, config: Optional[CheckConfig] = None) -> Tuple[Any, CheckReport]:
     """Execute any spec form with tracing on and evaluate the oracles."""
     from repro.api.session import Session, execute
 
-    handle = execute(Session.resolve(spec), collect_trace=True, verify=verify)
+    handle = execute(Session.resolve(spec), collect_trace=True)
     return handle, evaluate(handle, config)

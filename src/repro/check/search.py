@@ -110,7 +110,7 @@ class Evaluator:
         if not hit:
             self.simulations += 1
             spec = replace(self.base, nemesis=nemesis).validate()
-            handle = execute(spec, collect_trace=True, verify=True)
+            handle = execute(spec, collect_trace=True)
             ctx = build_context(handle, self.config)
             report = evaluate_context(ctx, self.config)
             signature = signature_from_context(ctx, report)

@@ -151,7 +151,7 @@ def _parse_fault(text: str):
 #: Each name is also the :class:`~repro.api.Experiment` setter it feeds.
 #: No row sets a default, so an absent flag reads None: the real defaults
 #: (rollback / 4 / complete / gradient / 0 / 3) are owned by
-#: Experiment/MachineSpec in repro.api, and *any* explicitly-given flag
+#: RunSpec/MachineSpec in repro.api, and *any* explicitly-given flag
 #: — even at its default value — conflicts with --spec-json.
 SPEC_FLAGS = {
     "policy": dict(type=_parse_policy, metavar="POLICY", help=POLICY_HELP),
@@ -542,7 +542,7 @@ def _runspec_from_flags(args, alternative: str) -> RunSpec:
     """Build a RunSpec from whichever :data:`SPEC_FLAGS` the verb declared.
 
     Only explicitly-given flags reach the builder; the defaults are
-    owned by Experiment/MachineSpec in repro.api, not restated here.
+    owned by RunSpec/MachineSpec in repro.api, not restated here.
     Bare `replicated` defers k to the machine's replication factor,
     so --replication governs it without a special case.
     """
@@ -638,28 +638,16 @@ def cmd_exp_show(args, out) -> int:
 
     spec = get_scenario(args.scenario)
     if args.json:
-        from repro.exp import expanded_runspecs
+        from repro.exp.scenario import point_docs
         from repro.util.jsonio import emit_json
 
-        # one grid expansion + parse serves both the key and the points
-        docs = expanded_runspecs(spec) if spec.runner == "machine" else None
-        points = []
-        for point in expand(spec):
-            entry = {
-                "index": point.index,
-                "seed": point.seed,
-                "params": dict(point.params),
-            }
-            if docs is not None:
-                entry["runspec"] = docs[point.index]
-            points.append(entry)
         payload = {
             "scenario": spec.name,
             "title": spec.title,
             "runner": spec.runner,
             "key": spec.key(),
             "n_points": spec.n_points(),
-            "points": points,
+            "points": point_docs(spec),
         }
         emit_json(payload, out=out)
         return 0
@@ -743,7 +731,7 @@ def cmd_exp_run(args, out) -> int:
 
 
 def cmd_exp_runs(args, out) -> int:
-    from repro.exp import list_runs
+    from repro.exp import LEDGER_SCHEMA, list_runs
 
     ledger_dir = _exp_ledger_dir(args)
     states = list_runs(ledger_dir)
@@ -751,7 +739,7 @@ def cmd_exp_runs(args, out) -> int:
         from repro.util.jsonio import emit_json
 
         payload = {
-            "schema": "repro-ledger/1",
+            "schema": LEDGER_SCHEMA,
             "ledger_dir": ledger_dir,
             "runs": [state.summary_doc() for state in states],
         }

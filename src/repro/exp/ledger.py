@@ -142,7 +142,7 @@ class LedgerWriter:
         new run owns the file.  Unwritable destinations surface as a
         one-line :class:`~repro.errors.ReproError`, not a traceback.
         """
-        from repro.exp.scenario import expand, expanded_runspecs
+        from repro.exp.scenario import point_docs
 
         path = ledger_path(ledger_dir, spec.run_id())
         try:
@@ -151,19 +151,7 @@ class LedgerWriter:
         except OSError as exc:
             raise ReproError(f"cannot write sweep ledger {path}: {exc}") from None
         writer = cls(path, fh)
-        docs = expanded_runspecs(spec) if spec.runner == "machine" else None
-        points = []
-        for point in expand(spec):
-            meta: Dict[str, Any] = {
-                "index": point.index,
-                "seed": point.seed,
-                "params": dict(point.params),
-            }
-            if spec.replications != 1:
-                meta["replicate"] = point.replicate
-            if docs is not None:
-                meta["runspec"] = docs[point.index]
-            points.append(meta)
+        points = point_docs(spec)
         writer.append(
             {
                 "event": "run_started",

@@ -44,6 +44,7 @@ from repro.exp.scenario import (
     ScenarioSpec,
     expand,
     get_scenario,
+    point_doc,
     with_replications,
 )
 from repro.util.jsonio import canonical_dumps, canonical_file, parse_json, write_canonical
@@ -143,20 +144,8 @@ class SweepResult:
 def _point_entry(
     spec: ScenarioSpec, point: Point, result: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """One cached per-point entry.
-
-    The ``replicate`` key appears only for replicated sweeps, keeping
-    unreplicated payloads byte-identical to the historical format.
-    """
-    entry = {
-        "index": point.index,
-        "params": dict(point.params),
-        "seed": point.seed,
-        "result": result,
-    }
-    if spec.replications != 1:
-        entry["replicate"] = point.replicate
-    return entry
+    """One cached per-point entry: the point's document and its result."""
+    return {**point_doc(spec, point), "result": result}
 
 
 def _is_entry(entry: Any, spec: ScenarioSpec, point: Point) -> bool:

@@ -295,6 +295,27 @@ def expanded_runspecs(spec: ScenarioSpec) -> List[Dict[str, Any]]:
     return cached
 
 
+def point_doc(spec: ScenarioSpec, point: Point) -> Dict[str, Any]:
+    """The document that describes one point: ``index``, ``params`` and
+    ``seed``, plus ``replicate`` when the spec is replicated (so an
+    unreplicated document keeps its historical shape)."""
+    doc = {"index": point.index, "params": dict(point.params), "seed": point.seed}
+    if spec.replications != 1:
+        doc["replicate"] = point.replicate
+    return doc
+
+
+def point_docs(spec: ScenarioSpec) -> List[Dict[str, Any]]:
+    """Every point's :func:`point_doc`, with its canonical ``runspec``
+    document added for ``machine`` scenarios — what the ledger header
+    and ``exp show --json`` list."""
+    docs = [point_doc(spec, point) for point in expand(spec)]
+    if spec.runner == "machine":
+        for doc, runspec in zip(docs, expanded_runspecs(spec)):
+            doc["runspec"] = runspec
+    return docs
+
+
 def point_runspec(spec: ScenarioSpec, point: Point):
     """The canonical :class:`~repro.api.RunSpec` for one ``machine`` point.
 

@@ -140,8 +140,12 @@ def random_nemesis(
 #: Fractions move on the generator's 0.05 grid; absolute latency-scale
 #: values (``jitter:max``, ``chaos:span``) move on a grid of 5, and
 #: small multipliers (``grayfail:factor``, ``cascade:prob``) on their
-#: generator grids.  Bounds keep every mutant inside the range the
-#: random generator itself draws from.
+#: generator grids.  Each ``[lo, hi]`` contains the range
+#: :func:`random_clause` draws that value from and reaches beyond it
+#: (``chaos:drop`` is drawn up to 0.25 but mutated up to 0.5; ``crash:at``
+#: is drawn in [0.1, 0.8] but mutated in [0.05, 0.9]), so mutation chains
+#: explore schedules the generator never draws.  The search documents
+#: depend on these bounds.
 _MUTABLE_RANGES = {
     ("crash", "at"): (0.05, 0.05, 0.9),
     ("cascade", "at"): (0.05, 0.05, 0.9),
@@ -193,7 +197,8 @@ def mutate_nemesis(
 
     * **perturb** — move one numeric parameter one or two steps on its
       grid (crash/partition/chaos timing on the 0.05 fraction grid,
-      latency-scale values on theirs), clamped to the generator's range;
+      latency-scale values on theirs), kept inside its ``_MUTABLE_RANGES``
+      bounds;
     * **retarget** — point a crash/cascade/grayfail clause at a
       different node, or redraw a partition group;
     * **add** — append a fresh :func:`random_clause` (never a second

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import ArityError, EvalError, RecursionBudgetError, TypeMismatchError
 from repro.lang.astnodes import And, App, Expr, If, Lambda, Let, Lit, Local, Or, Quote, Var
@@ -51,23 +51,10 @@ class EvalStats:
             )
 
 
-# A spawn hook receives (fn_name, args, task_depth) each time evaluation
-# crosses a would-be task boundary.  The call-tree analyser uses it.
-SpawnHook = Callable[[str, Tuple[Any, ...], int], None]
-
-
 class _Interp:
-    def __init__(
-        self,
-        program: Program,
-        stats: EvalStats,
-        on_spawn: Optional[SpawnHook] = None,
-        on_spawn_exit: Optional[Callable[[Any], None]] = None,
-    ):
+    def __init__(self, program: Program, stats: EvalStats):
         self.program = program
         self.stats = stats
-        self.on_spawn = on_spawn
-        self.on_spawn_exit = on_spawn_exit
         self.task_depth = 0
 
     # -- value resolution ---------------------------------------------------
@@ -137,8 +124,6 @@ class _Interp:
                 self.stats.spawns += 1
                 self.task_depth += 1
                 self.stats.max_task_depth = max(self.stats.max_task_depth, self.task_depth)
-                if self.on_spawn is not None:
-                    self.on_spawn(fn.name, args, self.task_depth)
             else:
                 self.stats.locals += 1
             try:
@@ -147,8 +132,6 @@ class _Interp:
             finally:
                 if spawning:
                     self.task_depth -= 1
-            if spawning and self.on_spawn_exit is not None:
-                self.on_spawn_exit(result)
             return result
         if is_callable_value(fn):  # pragma: no cover - defensive
             raise EvalError(f"cannot apply {fn!r}")
@@ -159,15 +142,13 @@ def evaluate(
     program: Program,
     expr: Optional[Expr] = None,
     stats: Optional[EvalStats] = None,
-    on_spawn: Optional[SpawnHook] = None,
-    on_spawn_exit: Optional[Callable[[Any], None]] = None,
 ) -> Any:
     """Evaluate ``expr`` (default: the program's main) sequentially."""
     if expr is None:
         expr = program.main
     if expr is None:
         raise EvalError("program has no main expression")
-    interp = _Interp(program, stats or EvalStats(), on_spawn, on_spawn_exit)
+    interp = _Interp(program, stats or EvalStats())
     # Deep recursion in user programs turns into deep Python recursion;
     # raise the limit generously for the evaluation only.
     old_limit = sys.getrecursionlimit()

@@ -329,7 +329,6 @@ def run_simulation(
     policy: Optional[FaultTolerance] = None,
     faults: FaultSchedule = FaultSchedule.none(),
     collect_trace: bool = True,
-    verify: bool = True,
     nemesis=None,
     load=None,
 ) -> RunResult:
@@ -341,6 +340,6 @@ def run_simulation(
         collect_trace=collect_trace,
     )
     try:
-        return machine.run(faults=faults, verify=verify, nemesis=nemesis, load=load)
+        return machine.run(faults=faults, nemesis=nemesis, load=load)
     finally:
         machine.dismantle()

@@ -712,15 +712,12 @@ class Node:
     # -- aborts -------------------------------------------------------------------------------
 
     def abort_completed_sender(self, msg: ResultMsg, reason: str) -> None:
-        """Rollback semantics for an orphan: discard its finished work."""
-        for task in self.instances.values():
-            if (
-                task.stamp == msg.sender_stamp
-                and task.packet.replica == msg.replica
-                and task.status is _COMPLETED
-            ):
-                self._mark_aborted(task, reason)
-                return
+        """Rollback semantics for an orphan: discard the finished work of
+        the instance that sent ``msg`` — not another completed instance
+        of its stamp, whose result a live parent may have consumed."""
+        task = self.instances.get(msg.sender_instance)
+        if task is not None and task.status is _COMPLETED:
+            self._mark_aborted(task, reason)
 
     def abort_task(self, task: TaskInstance, reason: str) -> None:
         """Abort a live local task (cascading waste is accounted at run end)."""

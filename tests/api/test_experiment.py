@@ -2,12 +2,99 @@
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import fields
 
-from repro.api import Experiment, FaultSpec, RunSpec, Session, SpecError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import (
+    Experiment,
+    FaultSpec,
+    MachineSpec,
+    RunSpec,
+    Session,
+    SpecError,
+    WorkloadSpec,
+)
+from repro.config import SCHEDULERS, TOPOLOGIES
 from repro.exp.points import run_machine_point
 
 WORKLOAD = "balanced:2:2:5"
+
+_POLICIES = st.sampled_from(["none", "rollback", "splice", "reversible", "replicated:3"])
+_MACHINE = {f"machine.{f.name}" for f in fields(MachineSpec)}
+
+#: Each setter: a strategy for its arguments, and the fields of ``_flat``
+#: it may change.  Processor counts are 4 or 8 and faults name
+#: node 0 or 1, so every chain of setters builds a valid RunSpec.
+SETTERS = {
+    "workload": (st.tuples(st.sampled_from([WORKLOAD, "fib-10", "chain:3:5"])), {"workload"}),
+    "policy": (st.tuples(_POLICIES), {"policy"}),
+    "base_policy": (st.tuples(_POLICIES), {"base_policy"}),
+    "seed": (st.tuples(st.integers(0, 2**31)), {"seed"}),
+    "faults": (st.tuples(st.sampled_from(["", "0.3:1", "0.5:0+0.7:1"])), {"faults"}),
+    "fault": (st.tuples(st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 1)), {"faults"}),
+    "nemesis": (
+        st.tuples(st.sampled_from(["", "partition:start=0.3,dur=0.25,group=0-1"])),
+        {"nemesis"},
+    ),
+    "arrivals": (
+        st.tuples(st.sampled_from(["", "poisson:rate=0.01,horizon=1500"])), {"arrivals"}
+    ),
+    "machine": (
+        st.tuples(st.sampled_from(["processors=4", "processors=8,topology=ring,replication=2"])),
+        _MACHINE,
+    ),
+    "processors": (st.tuples(st.sampled_from([4, 8])), {"machine.processors"}),
+    "topology": (st.tuples(st.sampled_from(TOPOLOGIES)), {"machine.topology"}),
+    "scheduler": (st.tuples(st.sampled_from(SCHEDULERS)), {"machine.scheduler"}),
+    "replication": (st.tuples(st.integers(1, 5)), {"machine.replication"}),
+    "speedup_base": (st.tuples(st.integers(1, 8)), {"speedup_base_processors"}),
+}
+
+_CALLS = st.sampled_from(sorted(SETTERS)).flatmap(
+    lambda name: SETTERS[name][0].map(lambda args: (name, args))
+)
+
+
+def _flat(spec: RunSpec) -> dict:
+    """A RunSpec's fields, with the machine spelled out as its own."""
+    flat = {f.name: getattr(spec, f.name) for f in fields(RunSpec) if f.name != "machine"}
+    flat.update((f"machine.{f.name}", getattr(spec.machine, f.name)) for f in fields(MachineSpec))
+    return flat
+
+
+def _chain(calls) -> Experiment:
+    builder = Experiment.workload(WORKLOAD)
+    for name, args in calls:
+        getattr(builder, name)(*args)
+    return builder
+
+
+class TestBuilderHoldsOnlyWhatItWasGiven:
+    @settings(max_examples=150, deadline=None)
+    @given(prefix=st.lists(_CALLS, max_size=6), call=_CALLS)
+    def test_each_setter_changes_only_its_own_field(self, prefix, call):
+        before = _chain(prefix).build()
+        after = _chain(prefix + [call]).build()
+        changed = {k for k, v in _flat(after).items() if _flat(before)[k] != v}
+        assert changed <= SETTERS[call[0]][1]
+
+    @given(overrides=st.dictionaries(
+        st.sampled_from(["detector_delay", "hop_latency"]), st.floats(1.0, 500.0), min_size=1
+    ))
+    def test_cost_changes_only_the_cost_overrides(self, overrides):
+        before = _chain([("processors", (8,)), ("topology", ("ring",))]).build()
+        after = _chain([("processors", (8,)), ("topology", ("ring",))]).cost(**overrides).build()
+        changed = {k for k, v in _flat(after).items() if _flat(before)[k] != v}
+        assert changed == {"machine.cost"} and dict(after.machine.cost) == overrides
+
+    @pytest.mark.parametrize("workload", [WORKLOAD, "fib-10", "prog:tak:7:4:2"])
+    def test_runspec_owns_every_default(self, workload):
+        assert Experiment.workload(workload).build() == RunSpec(
+            WorkloadSpec.parse(workload)
+        ).validate()
 
 
 class TestExperimentBuilder:

@@ -42,7 +42,7 @@ VIOLATION = BASE.policy("rollback").nemesis(
 
 def _signature(spec, config=None):
     config = config or CheckConfig()
-    handle = execute(spec, collect_trace=True, verify=True)
+    handle = execute(spec, collect_trace=True)
     ctx = build_context(handle, config)
     return signature_from_context(ctx, evaluate_context(ctx, config))
 
@@ -111,14 +111,14 @@ class TestSignatureDistinguishesRegimes:
 
 class TestRecoveryStats:
     def test_weak_regime_opens_and_closes_windows(self):
-        handle = execute(WEAK, collect_trace=True, verify=True)
+        handle = execute(WEAK, collect_trace=True)
         recovery = build_context(handle, CheckConfig()).recovery
         assert recovery.reissues > 0
         assert recovery.still_open == ()  # the run recovered and completed
         assert 0.0 < recovery.worst_ratio
 
     def test_stranded_regime_leaves_windows_open(self):
-        handle = execute(VIOLATION, collect_trace=True, verify=True)
+        handle = execute(VIOLATION, collect_trace=True)
         recovery = build_context(handle, CheckConfig()).recovery
         assert recovery.still_open
         # open windows are still measured — to the end of the run

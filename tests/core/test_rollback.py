@@ -153,6 +153,28 @@ class TestMultiFault:
         )
         assert result.completed and result.verified is True
 
+    def test_an_undeliverable_result_aborts_its_own_sender(self):
+        """§3.2: "a task is also aborted if the result of the task cannot be
+        forwarded to the parent task" — that task, never another completed
+        instance of its stamp whose result a live parent already consumed."""
+        machine = Machine(
+            SimConfig(n_processors=4),
+            TreeWorkload(balanced_tree(3, 2, 20), "bal"),
+            RollbackRecovery(),
+            collect_trace=True,
+        )
+        result = machine.run(
+            faults=FaultSchedule.of(Fault(100.0, 1), Fault(180.0, 2), Fault(260.0, 3))
+        )
+        assert result.completed and result.verified is True
+        consumed = {uid for task in machine.instance_registry for uid in task.consumed_uids()}
+        orphans = [
+            r for r in machine.trace.of_kind("task_aborted")
+            if r.extra["reason"] == "orphan-return"
+        ]
+        assert not consumed & {r.uid for r in orphans}
+        assert [r.uid for r in orphans if r.time == 339.0] == [27]
+
 
 class TestSchedulers:
     @pytest.mark.parametrize("scheduler", ["gradient", "random", "round_robin", "static"])

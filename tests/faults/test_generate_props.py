@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.specs import NemesisSpec
 from repro.faults.generate import (
+    _MUTABLE_RANGES,
     GENERATABLE_MODELS,
     mutate_nemesis,
+    random_clause,
     random_nemesis,
 )
 
@@ -94,3 +96,39 @@ def test_mutation_moves_in_small_steps(seed, n, pool):
     spec = random_nemesis(rng, n, models=pool, max_clauses=2)
     mutant = mutate_nemesis(rng, spec, n, models=pool, max_clauses=3)
     assert abs(len(mutant.clauses) - len(spec.clauses)) <= 1
+
+
+def _outside_bounds(clauses):
+    """The ``(model, key, value)`` of every bounded value outside its
+    ``_MUTABLE_RANGES`` bounds."""
+    out = []
+    for clause in clauses:
+        for key, value in clause.params:
+            bounds = _MUTABLE_RANGES.get((clause.model, key))
+            if bounds is not None and not bounds[1] - 1e-9 <= value <= bounds[2] + 1e-9:
+                out.append((clause.model, key, value))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=procs, model=st.sampled_from(GENERATABLE_MODELS))
+def test_random_clause_draws_inside_the_mutation_bounds(seed, n, model):
+    assert _outside_bounds([random_clause(random.Random(seed), model, n)]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=procs, pool=pools, length=chain_lengths)
+def test_mutation_chains_stay_inside_the_bounds(seed, n, pool, length):
+    for spec in _mutant_chain(seed, n, pool, length):
+        assert _outside_bounds(spec.clauses) == []
+
+
+def test_the_mutation_bounds_reach_beyond_the_draws():
+    """Containment runs one way: mutation reaches values the generator
+    never draws (changing a bound would move the search documents)."""
+    rng = random.Random(0)
+    drops = {dict(random_clause(rng, "chaos", 4).params)["drop"] for _ in range(300)}
+    ats = {dict(random_clause(rng, "crash", 4).params)["at"] for _ in range(300)}
+    assert max(drops) == 0.25 < _MUTABLE_RANGES[("chaos", "drop")][2] == 0.5
+    assert (min(ats), max(ats)) == (0.1, 0.8)
+    assert _MUTABLE_RANGES[("crash", "at")][1:] == (0.05, 0.9)

@@ -442,6 +442,20 @@ class TestExp:
         code, _ = run_cli("exp", "show", "no-such-scenario")
         assert code == 2
 
+    def test_exp_show_runtime_failure_exits_1(self, monkeypatch, capsys):
+        # under `exp`, a failure that is neither an unknown name nor a
+        # malformed spec is a runtime one: exit 1, one line, no traceback
+        import repro.exp
+        from repro.errors import ReproError
+
+        def unreadable(name):
+            raise ReproError("cannot read the scenario registry")
+
+        monkeypatch.setattr(repro.exp, "get_scenario", unreadable)
+        code, text = run_cli("exp", "show", "smoke")
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == "error: cannot read the scenario registry\n"
+
     def test_exp_show_malformed_registered_scenario_diagnoses(self, capsys):
         # a user-registered scenario with a typo'd param must get the
         # one-line SpecError treatment, not a traceback (key() parses
