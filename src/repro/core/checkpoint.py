@@ -26,10 +26,10 @@ which is exact in the absence of racing lineages.
 
 **Indexing.**  ``record`` runs on every placement acknowledgement and a
 drop on every child result, so neither may scan an entry, probe every
-destination, or build per-level containers.  Both indexes are per entry
-and key on stamps themselves: the ancestors a walk steps through are the
-``up`` links of the stamp in hand (the live parents' own stamps), so the
-table allocates no key.
+destination, or build per-level containers.  The indexes key on stamps
+themselves: the ancestors a walk steps through are the ``up`` links of
+the stamp in hand (the live parents' own stamps), so the table allocates
+no key.
 
 - ``by_stamp`` (per entry): exact stamp → the spawn record recorded for
   it.  The record is the checkpoint (it retains the packet, §2), so the
@@ -42,14 +42,18 @@ table allocates no key.
   in recording order.  Only racing lineages (above) hold one stamp
   twice in one entry, so the map is empty in nearly every run and the
   one-holder path never reads it past an emptiness check.
-- ``below`` (per entry): ancestor stamp → how many checkpoints sit
-  directly under it plus how many of its children have anything below
-  them.  A stamp is present exactly when the entry records a proper
-  descendant of it, so the reverse (subsumption) test — "does B2 cover
-  recorded descendants?" — is one probe, and only a hit enumerates
-  ``by_stamp``.  Insertion and removal walk root-ward and stop at the
-  first ancestor that stays populated, so siblings and cousins of a
-  recorded stamp cost one counter update, not one per level.
+- ``below`` (one per table, over every entry): ancestor stamp → how
+  many checkpoints sit directly under it plus how many of its children
+  have anything below them.  A stamp is present exactly when some entry
+  records a proper descendant of it, so the reverse (subsumption) test —
+  "does B2 cover recorded descendants?" — is one probe that no entry can
+  miss, and only a hit enumerates the destination entry's ``by_stamp``
+  (a hit whose descendants all sit in other entries costs that scan and
+  subsumes nothing).  Insertion and removal walk root-ward and stop at
+  the first ancestor that stays populated, so siblings and cousins of a
+  recorded stamp cost one counter update, not one per level — and a
+  spawn placed beside its kin on another processor shares their
+  ancestors' counts instead of restating them per entry.
 
 There is no table-wide index from a checkpoint to its entry: whoever
 recorded it was handed the destination and keeps it (the policies store
@@ -111,14 +115,13 @@ class HeldTotal:
 
 
 class _DestEntry:
-    """One destination's held spawns and its descendant counts."""
+    """One destination's held spawns."""
 
-    __slots__ = ("by_stamp", "more", "below")
+    __slots__ = ("by_stamp", "more")
 
     def __init__(self) -> None:
         self.by_stamp: Dict[LevelStamp, "SpawnRecord"] = {}
         self.more: Dict[LevelStamp, List["SpawnRecord"]] = {}
-        self.below: Dict[LevelStamp, int] = {}
 
     def holders(self, stamp: LevelStamp, first: "SpawnRecord") -> List["SpawnRecord"]:
         """Every spawn held under ``stamp`` (``first`` is ``by_stamp``'s)."""
@@ -137,6 +140,8 @@ class CheckpointTable:
 
     def __init__(self, total: Optional[HeldTotal] = None) -> None:
         self._entries: Dict[int, _DestEntry] = {}
+        #: The descendant counts of every entry's stamps (module docstring).
+        self._below: Dict[LevelStamp, int] = {}
         self._total = total if total is not None else HeldTotal()
         self._total.tables.add(self)
         self._held = 0
@@ -185,7 +190,7 @@ class CheckpointTable:
         # A new topmost stamp can also *subsume* previously recorded
         # descendants of the same lineage (possible after recovery
         # re-placements): drop them so the invariant holds.
-        below = entry.below
+        below = self._below
         if stamp in below:
             if covers is None:  # every holder of a descendant stamp goes
                 subsumed = [(deeper, None) for deeper in by_stamp if stamp.is_ancestor_of(deeper)]
@@ -247,7 +252,7 @@ class CheckpointTable:
                 by_stamp[stamp] = kept[0]
                 if len(kept) > 1:
                     more[stamp] = kept[1:]
-        below = entry.below
+        below = self._below
         for _ in range(doomed):
             # Mirror of record(): uncount root-ward while ancestors empty.
             level = stamp.up
@@ -309,6 +314,7 @@ class CheckpointTable:
         the held counter and the shared total — agrees with a from-scratch
         recomputation."""
         held = 0
+        stamps = []  # the stamp of every held spawn, over all entries
         for dest, entry in self._entries.items():
             checkpoints = []  # (stamp, holder) of every held spawn
             if not entry.more.keys() <= entry.by_stamp.keys() or not all(entry.more.values()):
@@ -325,18 +331,17 @@ class CheckpointTable:
                             f"topmost invariant violated in entry {dest}: "
                             f"{a} covers {b} (holder {a_holder})"
                         )
-            # below[a] = checkpoints whose parent is a, plus children of a
-            # that have a recorded proper descendant.
-            populated = {
-                stamp.ancestor_at(level) for stamp, _ in checkpoints for level in range(stamp.depth)
-            }
-            below: Dict[LevelStamp, int] = {}
-            for child in [stamp for stamp, _ in checkpoints] + list(populated):
-                if not child.is_root:
-                    below[child.parent()] = below.get(child.parent(), 0) + 1
-            if entry.below != below:
-                raise AssertionError(f"descendant counts out of sync in entry {dest}")
+            stamps.extend(stamp for stamp, _ in checkpoints)
             held += len(checkpoints)
+        # below[a] = checkpoints (of any entry) whose parent is a, plus
+        # children of a that have a recorded proper descendant.
+        populated = {stamp.ancestor_at(level) for stamp in stamps for level in range(stamp.depth)}
+        below: Dict[LevelStamp, int] = {}
+        for child in stamps + list(populated):
+            if not child.is_root:
+                below[child.parent()] = below.get(child.parent(), 0) + 1
+        if self._below != below:
+            raise AssertionError("descendant counts out of sync with the entries")
         if self._held != held:
             raise AssertionError("held counter out of sync with entries")
         if self._total.held != sum(t.held() for t in self._total.tables):

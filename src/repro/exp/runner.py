@@ -27,7 +27,6 @@ produces) is unchanged.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -208,6 +207,10 @@ def _execute_points(
         writer.point_failed(index, failures[index])
 
     if workers > 1 and len(todo) > 1:
+        # imported here: a process pool loads multiprocessing, pickle,
+        # socket and logging, which a serial sweep never needs
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
             futures = {}
             for index in todo:

@@ -50,7 +50,7 @@ class ReversibleRecovery(RollbackRecovery):
     def _unwind_results(self, node: "Node", dead_node: int) -> bool:
         unwound = False
         for task in list(node.live_tasks()):
-            for record in task.spawn_records.values():
+            for record in task.spawn_records:
                 if not (
                     record.state is SpawnState.FULFILLED
                     and record.executor == dead_node

@@ -122,6 +122,14 @@ class Machine:
             scheduler if scheduler is not None else make_scheduler(config.scheduler)
         )
 
+        #: Every task instance, indexed by uid — the one uid map; a node's
+        #: instances are the entries whose ``node`` is its id.  One stamp
+        #: may be activated several times across failures, so an
+        #: activation needs an id of its own; uids are dense and
+        #: registered in order, so a list serves where a dict would hash
+        #: each one.
+        self.instance_registry: List[TaskInstance] = []  # before the nodes: each binds it
+
         self.nodes: Dict[int, Node] = {
             i: Node(i, self) for i in range(config.n_processors)
         }
@@ -139,11 +147,6 @@ class Machine:
         #: Armed open-loop load generator, or None (same guard discipline).
         #: Set by LoadGenerator.arm() from run().
         self.load = None
-        #: Every task instance, indexed by uid.  One stamp may be activated
-        #: several times across failures, so an activation needs an id of
-        #: its own; uids are dense and registered in order, so a list
-        #: serves where a dict would hash each one.
-        self.instance_registry: List[TaskInstance] = []
         self.root_host_uid: Optional[int] = None
         self._finished = False
         self._ran = False
@@ -224,7 +227,8 @@ class Machine:
 
         stall_reason = None
         if not self._finished:
-            pending = sum(len(n.live_tasks()) for n in self.all_nodes())
+            live = (TaskStatus.READY, TaskStatus.RUNNING, TaskStatus.SUSPENDED)
+            pending = sum(1 for t in self.instance_registry if t.status in live)
             stall_reason = (
                 f"event queue drained with {pending} live task(s) at t={self.queue.now}"
             )
@@ -269,7 +273,6 @@ class Machine:
             else self.load.make_host_behavior()
         )
         host = TaskInstance(host_uid, packet, SUPER_ROOT_NODE, behavior)
-        self.super_root.instances[host_uid] = host
         self.register_instance(host)
         self.root_host_uid = host_uid
         self.super_root._make_ready(host)

@@ -36,7 +36,9 @@ by ``trace.enabled`` so the no-trace fast path skips the call entirely,
 and hands the trace the stamp/value/address objects themselves (the
 record renders them only if someone reads ``detail``); run-queue
 membership is mirrored by ``TaskInstance.queued`` instead of deque
-scans; and the slice-end and ack-timeout events are ``partial`` objects
+scans; a uid is looked up in the machine's registry, the one uid map
+(a node keeps none of its own and accepts an entry only if its
+``node`` is this id); and the slice-end and ack-timeout events are ``partial`` objects
 over bound methods carrying their arguments, not a nested function (plus
 one cell per captured name) defined per event.
 """
@@ -87,10 +89,12 @@ class Node:
         self.policy = machine.policy
         self.cost = machine.config.cost
         self.is_super_root = node_id == SUPER_ROOT_NODE
-        #: All local instances by uid.  One that is no longer live stays
-        #: as its tombstone (see :meth:`TaskInstance.retire`): lineage
-        #: tests, case 8 and the waste accounting still ask after it.
-        self.instances: Dict[int, TaskInstance] = {}
+        #: The machine's uid registry, the one uid map: this node's
+        #: instances are the entries whose ``node`` is this id.  One that
+        #: is no longer live stays as its tombstone (see
+        #: :meth:`TaskInstance.retire`): lineage tests, case 8 and the
+        #: waste accounting still ask after it.
+        self.registry = machine.instance_registry
         self.run_queue: deque[int] = deque()
         self.current: Optional[int] = None  # uid of the executing instance
         self.busy_until: float = 0.0
@@ -129,11 +133,22 @@ class Node:
         )
 
     def live_tasks(self) -> List[TaskInstance]:
+        """This node's live instances in uid order: a filter over the
+        registry, run only at a crash or a failure detection."""
+        node_id = self.id
         return [
             t
-            for t in self.instances.values()
-            if t.status is _READY or t.status is _RUNNING or t.status is _SUSPENDED
+            for t in self.registry
+            if t.node == node_id
+            and (t.status is _READY or t.status is _RUNNING or t.status is _SUSPENDED)
         ]
+
+    def _local(self, uid: int) -> Optional[TaskInstance]:
+        """Instance ``uid`` if it runs (or ran) on this node, else None.
+        The per-message handlers inline this probe."""
+        registry = self.registry
+        task = registry[uid] if 0 <= uid < len(registry) else None
+        return task if task is not None and task.node == self.id else None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -223,7 +238,6 @@ class Node:
             self.inbound_pending -= 1
         uid = self.machine.new_task_uid()
         task = TaskInstance(uid, packet, self.id)
-        self.instances[uid] = task
         self.machine.register_instance(task)
         self.metrics.tasks_accepted += 1
         if self.trace.enabled:
@@ -278,14 +292,12 @@ class Node:
         if not self.alive or self.current is not None:
             return
         run_queue = self.run_queue
-        instances = self.instances
+        registry = self.registry
         while run_queue:
-            uid = run_queue.popleft()
-            task = instances.get(uid)
-            if task is not None:
-                task.queued = False
-                if task.status is _READY:
-                    break
+            task = registry[run_queue.popleft()]
+            task.queued = False
+            if task.status is _READY:
+                break
         else:
             return
         self.current = task.uid
@@ -342,14 +354,17 @@ class Node:
 
     def _new_record(self, task: TaskInstance, demand: Demand) -> SpawnRecord:
         child_stamp = task.stamp.child(demand.digit)
-        if demand.digit in task.spawn_records:
+        if task.record_for_digit(demand.digit) is not None:
             raise ProtocolError(
                 f"duplicate demand for digit {demand.digit} in task {task.describe()}"
             )
+        records = task.spawn_records
         packet = TaskPacket(
             stamp=child_stamp,
             work=demand.work,
-            parent=ReturnAddress(self.id, task.uid),
+            # every child returns to (this node, this task): one frozen
+            # address serves them all
+            parent=records[0].packet.parent if records else ReturnAddress(self.id, task.uid),
             grandparent_node=task.packet.parent.node,
             replica=0,
         )
@@ -493,7 +508,7 @@ class Node:
 
     def replace_packet(self, packet: TaskPacket) -> None:
         """Re-place a packet whose carrier died before placement."""
-        holder = self.instances.get(packet.parent.instance)
+        holder = self._local(packet.parent.instance)
         if holder is None or holder.status is _COMPLETED or holder.status is _ABORTED:
             return
         record = holder.record_for_child(packet.stamp)
@@ -530,8 +545,15 @@ class Node:
     # -- acknowledgements -------------------------------------------------------------------
 
     def _handle_ack(self, ack: PlacementAck) -> None:
-        holder = self.instances.get(ack.parent_instance)
-        if holder is None or holder.status is _COMPLETED or holder.status is _ABORTED:
+        uid = ack.parent_instance
+        registry = self.registry
+        holder = registry[uid] if 0 <= uid < len(registry) else None
+        if (
+            holder is None
+            or holder.node != self.id
+            or holder.status is _COMPLETED
+            or holder.status is _ABORTED
+        ):
             return
         record = holder.record_for_child(ack.stamp)
         if record is None or record.state is _FULFILLED:
@@ -605,8 +627,10 @@ class Node:
     def _handle_result(self, msg: ResultMsg) -> None:
         if self.policy.on_result_received(self, msg):
             return
-        task = self.instances.get(msg.addressee.instance)
-        if task is not None and task.status is not _ABORTED:
+        uid = msg.addressee.instance
+        registry = self.registry
+        task = registry[uid] if 0 <= uid < len(registry) else None
+        if task is not None and task.node == self.id and task.status is not _ABORTED:
             if task.status is _COMPLETED:
                 # Case 8: "The processor which contained P' may no longer
                 # recognize the arrived answer.  The result is discarded."
@@ -715,7 +739,7 @@ class Node:
         """Rollback semantics for an orphan: discard the finished work of
         the instance that sent ``msg`` — not another completed instance
         of its stamp, whose result a live parent may have consumed."""
-        task = self.instances.get(msg.sender_instance)
+        task = self._local(msg.sender_instance)
         if task is not None and task.status is _COMPLETED:
             self._mark_aborted(task, reason)
 
@@ -729,7 +753,7 @@ class Node:
                 self.run_queue.remove(task.uid)
             except ValueError:  # pragma: no cover - flag/queue desync guard
                 pass
-        for record in task.spawn_records.values():
+        for record in task.spawn_records:
             self._disarm(record)
             if self.spawn_index is not None:
                 self.spawn_index.pop(record.child_stamp, None)
@@ -752,6 +776,5 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Node {self.id} {'alive' if self.alive else 'DEAD'} "
-            f"load={self.load()} instances={len(self.instances)}>"
+            f"<Node {self.id} {'alive' if self.alive else 'DEAD'} load={self.load()}>"
         )

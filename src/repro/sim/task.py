@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.packets import TaskPacket
 from repro.core.stamps import Digit, LevelStamp
@@ -57,10 +57,10 @@ class SpawnState(enum.Enum):
 #: A record holds its child's answer exactly when its state is this one.
 _FULFILLED = SpawnState.FULFILLED
 
-#: What an instance's buffers and record map read as before their first
-#: write and after :meth:`TaskInstance.retire`: one shared, read-only,
-#: empty mapping (a write has to go through the method that creates the
-#: dict).
+#: What an instance's buffers read as before their first write and after
+#: :meth:`TaskInstance.retire`: one shared, read-only, empty mapping (a
+#: write has to go through the method that creates the dict).  Its record
+#: list reads as the empty tuple the same way.
 NOTHING: Mapping = MappingProxyType({})
 
 
@@ -110,6 +110,14 @@ class SpawnRecord:
         self.state = SpawnState.PLACED
 
 
+class _Scattered(list):
+    """A parent's record list once some record sits away from the index
+    its digit names — a program's path-tuple digits, an int demanded out
+    of order.  A plain list holds digit ``i`` at index ``i`` throughout."""
+
+    __slots__ = ()
+
+
 class TaskInstance:
     """One activation of a task packet on a node.
 
@@ -143,8 +151,10 @@ class TaskInstance:
         #: handed its behaviour), and again once retired.
         self.behavior = behavior
         self.status = TaskStatus.READY
-        #: Spawn records keyed by the child's stamp digit.
-        self.spawn_records: Mapping[Digit, SpawnRecord] = NOTHING
+        #: Spawn records in demand order (the empty tuple until the first):
+        #: a plain list while each sits at the index its digit names, a
+        #: :class:`_Scattered` one after; see :meth:`record_for_digit`.
+        self.spawn_records: Sequence[SpawnRecord] = ()
         #: Salvaged results delivered before the corresponding demand was
         #: issued (splice recovery): consulted at demand time.
         self.inherited_results: Mapping[Digit, Any] = NOTHING
@@ -160,13 +170,16 @@ class TaskInstance:
         #: spawn records before they were dropped.
         self.consumed: Optional[Tuple[int, ...]] = None
 
-    # The three writers: each map comes to exist at its first entry.
+    # The three writers: each container comes to exist at its first entry.
 
     def add_record(self, record: SpawnRecord) -> None:
-        if self.spawn_records:
-            self.spawn_records[record.digit] = record
-        else:
-            self.spawn_records = {record.digit: record}
+        records = self.spawn_records
+        if not records:
+            records = self.spawn_records = []
+        digit = record.digit
+        if (type(digit) is not int or digit != len(records)) and type(records) is list:
+            records = self.spawn_records = _Scattered(records)
+        records.append(record)
 
     def deliver(self, digit: Digit, value: Any) -> None:
         """Buffer a value for the next slice to consume."""
@@ -191,7 +204,7 @@ class TaskInstance:
             return ()
         return tuple(
             r.fulfilled_by
-            for r in self.spawn_records.values()
+            for r in self.spawn_records
             if r.state is _FULFILLED and r.fulfilled_by is not None
         )
 
@@ -203,7 +216,8 @@ class TaskInstance:
         """
         self.consumed = self.consumed_uids()  # its own answer once set
         self.behavior = None
-        self.spawn_records = self.inherited_results = self.pending_deliveries = NOTHING
+        self.spawn_records = ()
+        self.inherited_results = self.pending_deliveries = NOTHING
 
     @property
     def stamp(self) -> LevelStamp:
@@ -212,10 +226,34 @@ class TaskInstance:
     def record_for_child(self, child_stamp: LevelStamp) -> Optional[SpawnRecord]:
         if not self.stamp.is_parent_of(child_stamp):
             return None
-        return self.spawn_records.get(child_stamp.last_digit)
+        return self.record_for_digit(child_stamp.last_digit)
+
+    def record_for_digit(self, digit: Digit) -> Optional[SpawnRecord]:
+        """The record demanded under ``digit``, or None.
+
+        A tree parent, the root host and the open-loop host demand digit
+        ``i`` as their ``i``-th child, so an int digit is tried at its own
+        index first, and in a plain list a miss there is an absence (the
+        duplicate-demand test of every new demand costs O(1)).  Any other
+        digit (a program's path tuple), or any digit once a record sits
+        away from its index (:class:`_Scattered`), is found by a scan of
+        the records.
+        """
+        records = self.spawn_records
+        if type(digit) is int:
+            if 0 <= digit < len(records):
+                record = records[digit]
+                if record.digit == digit:
+                    return record
+            if type(records) is not _Scattered:
+                return None
+        for record in records:
+            if record.digit == digit:
+                return record
+        return None
 
     def unfulfilled_records(self) -> List[SpawnRecord]:
-        return [r for r in self.spawn_records.values() if r.state is not _FULFILLED]
+        return [r for r in self.spawn_records if r.state is not _FULFILLED]
 
     def waiting_on(self, node_id: int) -> List[SpawnRecord]:
         """Unfulfilled records whose child was last known on ``node_id``."""

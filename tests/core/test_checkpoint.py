@@ -387,6 +387,72 @@ def test_table_agrees_with_literal_reference(ops, lineage):
         table.check_invariant()
 
 
+#: One subtree's stamps, up to four levels under ``0``, spread over four
+#: destinations: the table-wide descendant index sees kin in other
+#: entries on nearly every step.
+_INDEX_DESTS = (0, 1, 2, 3)
+_family = st.lists(st.integers(0, 1), max_size=4).map(lambda ds: LevelStamp.of(0, *ds))
+
+
+@st.composite
+def _index_ops(draw):
+    """Random record/drop/drop_everywhere steps, plus blocks that record
+    descendants first — in the ancestor's entry and in others — and their
+    ancestor after them."""
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["record", "drop", "drop_everywhere", "late_ancestor"]))
+        stamp = draw(_family)
+        if kind == "late_ancestor":
+            for path in draw(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=2),
+                                      min_size=1, max_size=4)):
+                deeper = stamp
+                for digit in path:
+                    deeper = deeper.child(digit)
+                ops.append(("record", draw(st.sampled_from(_INDEX_DESTS)), deeper,
+                            draw(st.sampled_from(_HOLDERS))))
+            kind = "record"
+        if kind == "record":
+            uid = draw(st.sampled_from(_HOLDERS))
+        else:
+            uid = draw(_maybe_holder)
+        dest = None if kind == "drop_everywhere" else draw(st.sampled_from(_INDEX_DESTS))
+        ops.append((kind, dest, stamp, uid))
+    return ops
+
+
+def _held_set(checkpoints):
+    return sorted((c.dest, c.stamp.sort_key(), c.task_uid) for c in checkpoints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_ops(), st.one_of(st.none(), _lineages))
+def test_one_descendant_index_per_table_subsumes_what_each_entry_would(ops, lineage):
+    """The descendant index ``below`` is one per table, over every entry;
+    a naive table that scans each entry on its own decides the same
+    suppressions and subsumptions.  Holders race (the same stamp held
+    twice in one entry, the second in ``more``) whenever the lineage
+    leaves them unrelated, and under stamp-only coverage they never do."""
+    covers = None if lineage is None else TestLineageAwareCoverage._covers_map(lineage)
+    table, model = CheckpointTable(), _ReferenceTable()
+    for op, dest, stamp, uid in ops:
+        if op == "record":
+            record = spawn(stamp, uid)
+            want = model.record(dest, stamp, record, uid, covers=covers)
+            assert table.record(dest, stamp, record, uid, covers=covers) is (
+                None if want is None else record
+            )
+        elif op == "drop":
+            assert table.drop(dest, stamp, uid) == model.drop(dest, stamp, uid)
+        else:
+            assert table.drop_everywhere(stamp, uid) == model.drop_everywhere(stamp, uid)
+        assert _held_set(table) == _held_set(
+            c for d in sorted(model.entries) for c in model.entry(d)
+        )
+        assert table.held() == model.held()
+        table.check_invariant()
+
+
 class TestSharedHeldTotal:
     def test_tables_update_one_total(self):
         total = HeldTotal()

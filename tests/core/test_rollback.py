@@ -253,8 +253,7 @@ class TestReplayEntry:
             TaskPacket(LevelStamp.of(0), work, ReturnAddress(SUPER_ROOT_NODE, 0)), 0, None,
         )
         holder.status = TaskStatus.SUSPENDED
-        node.instances[holder.uid] = holder
-        machine.register_instance(holder)
+        machine.register_instance(holder)  # node 0's, by its ``node`` field
         table = policy.table_of(node)
         # digit 0: awaited on DEAD; 1: answered, checkpoint stale; 2: awaited on OTHER
         for digit, executor in ((0, self.DEAD), (1, self.DEAD), (2, self.OTHER)):

@@ -31,7 +31,7 @@ def machine(policy, n=4, seed=0):
 
 def root_record(m):
     """The super-root host's spawn record for the user root, if demanded."""
-    return m.instance(m.root_host_uid).spawn_records.get(0)
+    return m.instance(m.root_host_uid).record_for_digit(0)
 
 
 class TestSuperRootBasics:

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Experiment
 from repro.config import CostModel, SimConfig
 from repro.core import NoFaultTolerance, RollbackRecovery, SpliceRecovery
-from repro.core.packets import SUPER_ROOT_NODE, ReturnAddress
+from repro.core.packets import SUPER_ROOT_NODE, ReturnAddress, TaskPacket, WorkSpec
 from repro.core.stamps import LevelStamp
 from repro.errors import DeterminacyViolationError, ProtocolError
 from repro.sim import FaultSchedule, TreeWorkload
+from repro.sim.failure import Fault
 from repro.sim.machine import Machine
 from repro.sim.messages import ResultMsg, TaskPacketMsg
-from repro.sim.task import SpawnState, TaskInstance, TaskStatus
+from repro.sim.node import Node
+from repro.sim.task import SpawnRecord, SpawnState, TaskInstance, TaskStatus
 from repro.workloads.trees import balanced_tree
-from repro.sim.behavior import TreeSpec, TreeTaskSpec
+from repro.sim.behavior import Demand, TreeSpec, TreeTaskSpec
 
 
 def small_machine(policy=None, n=3, seed=0, **cost_kw):
@@ -33,7 +36,7 @@ class TestAcks:
         monkeypatch.setattr(TaskInstance, "retire", lambda self: None)
         m = small_machine()
         assert m.run().completed
-        records = [r for t in m.instance_registry for r in t.spawn_records.values()]
+        records = [r for t in m.instance_registry for r in t.spawn_records]
         assert len(records) == 7  # the host's one and the six spawns of the tree
         return records
 
@@ -179,3 +182,121 @@ class TestAckTimeoutRecovery:
         result = m.run(faults=FaultSchedule.single(54.0, 2))
         assert result.completed, result.stall_reason
         assert result.verified is True
+
+
+class TestRecordLookup:
+    """A parent's records are a list in demand order; a digit finds its
+    record at its own index when it is an int demanded in order, by a scan
+    otherwise, and a missing digit finds nothing."""
+
+    @staticmethod
+    def _holder(digits):
+        work = WorkSpec(kind="apply", fn_name="f", args=(1,))
+        task = TaskInstance(0, TaskPacket(LevelStamp.of(0), work, ReturnAddress(-1, 0)), 0)
+        for digit in digits:
+            stamp = task.stamp.child(digit)
+            task.add_record(SpawnRecord(digit, stamp, TaskPacket(stamp, work, ReturnAddress(0, 0))))
+        return task
+
+    @pytest.mark.parametrize("digits", [(0, 1, 2), (2, 0, 1), (1, 3), ((0, 1), (2,), ())])
+    def test_every_record_is_found_by_its_child_stamp(self, digits):
+        task = self._holder(digits)
+        assert [r.digit for r in task.spawn_records] == list(digits)  # demand order
+        for record in task.spawn_records:
+            assert task.record_for_child(record.child_stamp) is record
+            assert task.record_for_digit(record.digit) is record
+        for missing in (5, -1, (9,), 3 if 3 not in digits else 4):
+            assert task.record_for_digit(missing) is None
+            assert task.record_for_child(task.stamp.child(missing)) is None
+        # a grandchild's or a stranger's stamp is nobody's child here
+        assert task.record_for_child(task.spawn_records[0].child_stamp.child(0)) is None
+        assert task.record_for_child(LevelStamp.of(1, digits[0])) is None
+
+    def test_a_task_with_no_records_finds_nothing(self):
+        task = self._holder(())
+        assert task.spawn_records == ()
+        assert task.record_for_digit(0) is None and task.record_for_digit((0,)) is None
+
+    def test_a_program_run_finds_every_record_by_its_path_digit(self, monkeypatch):
+        monkeypatch.setattr(TaskInstance, "retire", lambda self: None)
+        spec = Experiment.workload("prog:tak:7:4:2").policy("rollback").processors(4).build()
+        machine = Machine(spec.config(), spec.workload.build()[0](), spec.policy.build())
+        assert machine.run().verified
+        records = [(t, r) for t in machine.instance_registry for r in t.spawn_records]
+        assert any(type(r.digit) is tuple for _, r in records)
+        for task, record in records:
+            assert task.record_for_child(record.child_stamp) is record
+
+    @pytest.mark.parametrize("digits", [(0,), (1, 0), ((0, 1),)])
+    def test_a_duplicate_demand_is_a_protocol_error(self, digits):
+        m = small_machine()
+        task = self._holder(())
+        work = WorkSpec(kind="apply", fn_name="f", args=(1,))
+        for digit in digits:
+            m.node(0)._new_record(task, Demand(digit, work))
+        with pytest.raises(ProtocolError, match="duplicate demand"):
+            m.node(0)._new_record(task, Demand(digits[0], work))
+
+    def test_children_share_their_parents_return_address(self):
+        m = small_machine()
+        task = self._holder(())
+        work = WorkSpec(kind="apply", fn_name="f", args=(1,))
+        first, second = (m.node(0)._new_record(task, Demand(d, work)) for d in (0, 1))
+        assert first.packet.parent == ReturnAddress(0, task.uid)
+        assert second.packet.parent is first.packet.parent
+
+
+class TestTheRegistryIsTheUidMap:
+    def test_live_tasks_are_the_instances_each_node_accepted(self, monkeypatch):
+        """At every failure detection of a rollback storm, each node's
+        live tasks are those of the instances it accepted (kept here the
+        way a node once kept them, by uid) that are still live; the
+        super-root's one instance is the root host."""
+        accepted = {}  # node id -> {uid: instance}, the old per-node map
+        accept = Node.accept_packet
+
+        def recording_accept(node, packet):
+            task = accept(node, packet)
+            accepted.setdefault(node.id, {})[task.uid] = task
+            return task
+
+        checked = []
+        detect = RollbackRecovery.on_failure_detected
+
+        def checking_detect(policy, node, dead_node):
+            host = policy.machine.instance(policy.machine.root_host_uid)
+            accepted[SUPER_ROOT_NODE] = {host.uid: host}
+            for each in policy.machine.all_nodes():
+                live = [
+                    t for t in accepted.get(each.id, {}).values()
+                    if t.status in (TaskStatus.READY, TaskStatus.RUNNING, TaskStatus.SUSPENDED)
+                ]
+                assert each.live_tasks() == live
+            checked.append(dead_node)
+            detect(policy, node, dead_node)
+
+        monkeypatch.setattr(Node, "accept_packet", recording_accept)
+        monkeypatch.setattr(RollbackRecovery, "on_failure_detected", checking_detect)
+        m = Machine(
+            SimConfig(n_processors=8, seed=3),
+            TreeWorkload(balanced_tree(6, 2, 20), "bal"),
+            RollbackRecovery(),
+        )
+        result = m.run(faults=FaultSchedule.of(Fault(100.0, 1), Fault(180.0, 2), Fault(260.0, 3)))
+        assert result.completed and result.verified
+        assert len(checked) == m.metrics.failures_detected >= 3
+
+    def test_a_message_for_another_nodes_instance_is_not_this_nodes(self):
+        m = small_machine()
+        m.run()
+        task = next(t for t in m.instance_registry if t.node == 1)
+        other = m.node(0)
+        stray = ResultMsg(
+            src=2, dst=0, sender_stamp=task.stamp.child(0), value=1,
+            addressee=ReturnAddress(0, task.uid), sender_instance=task.uid,
+        )
+        before = m.metrics.results_ignored
+        other._handle_result(stray)
+        assert m.metrics.results_ignored == before + 1
+        other.abort_completed_sender(stray, reason="orphan")
+        assert task.status is TaskStatus.COMPLETED  # node 0 cannot abort node 1's task

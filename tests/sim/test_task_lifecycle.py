@@ -85,7 +85,7 @@ def test_after_a_run_only_tombstones_and_the_root_host_remain(policy):
     assert len(retired) > 127 and any(t.status is TaskStatus.ABORTED for t in retired)
     for task in retired:
         assert task.behavior is None and task.consumed is not None
-        assert task.spawn_records is NOTHING
+        assert task.spawn_records == ()  # the empty-tuple sentinel
         assert task.pending_deliveries is NOTHING and task.inherited_results is NOTHING
         assert task.packet is not None
     # an inner task consumed its two children; a leaf consumed nobody
@@ -113,7 +113,7 @@ def test_a_task_accepted_but_not_started_is_an_instance_and_its_packet():
     assert queued
     for task in queued:
         assert task.status is TaskStatus.READY and task.behavior is None
-        assert task.spawn_records is NOTHING and task.consumed is None
+        assert task.spawn_records == () and task.consumed is None
         assert task.pending_deliveries is NOTHING and task.inherited_results is NOTHING
     started = [t for t in machine.instance_registry if t.status is TaskStatus.SUSPENDED]
     assert started and all(t.behavior is not None and t.spawn_records for t in started)
@@ -133,16 +133,22 @@ def test_retire_is_idempotent_and_keeps_what_was_consumed():
 #: processors under rollback (CPython 3.11): 1 779 at peak and 1 657 at the
 #: end of the run before tasks were thinned, 1 350 / 936 after; 1 088 / 731
 #: while the checkpoint table copied every held spawn and a parent held
-#: an empty result map from its first slice, 979 / 683 after.  Either
-#: bound fails at the commit before that.
-PEAK_BYTES_PER_TASK = 1060
-END_BYTES_PER_TASK = 720
+#: an empty result map from its first slice, 979 / 683 after; 819 / 591
+#: once a node read its instances from the uid registry, the descendant
+#: index was one per table, a parent's records a list and its children
+#: shared one return address.  Either bound fails at the commit before
+#: that.
+PEAK_BYTES_PER_TASK = 900
+END_BYTES_PER_TASK = 640
 
 #: Traced peak of fault-free ``balanced:13:2:20`` on 16 processors under
 #: rollback above its prebuilt tree, the benchmark's largest run (CPython
 #: 3.11): 17.09 MiB while the table copied every held spawn into a
-#: checkpoint and a 1-tuple and the uid registry was a dict, 15.76 after.
-RUN_PEAK_MIB = 16.2
+#: checkpoint and a 1-tuple and the uid registry was a dict, 15.76 after;
+#: 12.71 once each node's instance map, each destination's descendant
+#: index, each parent's record dict and each child's return address were
+#: gone.  The bound fails at the commit before that.
+RUN_PEAK_MIB = 13.8
 
 
 @pytest.mark.skipif(

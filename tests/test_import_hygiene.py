@@ -1,5 +1,6 @@
 """Simulating imports no numpy, and neither does reporting until a
-bootstrap draws; no process loads OpenSSL.
+bootstrap draws; no process loads OpenSSL, and no serial sweep a process
+pool.
 
 Each check runs in a fresh interpreter (this process imported numpy long
 ago): ``import repro.api`` is the fixed cost in front of every CLI call
@@ -10,6 +11,8 @@ library too, so numpy loads only when an interval resamples.  Every
 digest comes from CPython's built-in SHA-256 and BLAKE2b, so ``_hashlib``
 (and with it OpenSSL's libcrypto) never loads; ``hashlib`` is reached only
 on an interpreter built without the built-in SHA-256, with the same digest.
+A process pool (``multiprocessing``, ``pickle``, ``socket``, ``logging``)
+loads only when a sweep fans out over ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: What a sweep over a process pool loads and a serial one must not.
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
 
 def run_python(script: str, cwd: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -35,11 +41,17 @@ def run_python(script: str, cwd: str) -> subprocess.CompletedProcess:
 
 def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
     done = run_python(
-        """
+        f"""
         import os, sys
         import repro.api, repro.cli, repro.exp, repro.check, repro.faults
         assert "numpy" not in sys.modules, "import"
         assert "_hashlib" not in sys.modules, "import: OpenSSL"
+
+        def no_pool(where):
+            loaded = [m for m in {POOL_MODULES!r} if m in sys.modules]
+            assert not loaded, f"{{where}}: {{loaded}}"
+
+        no_pool("import")
 
         from repro.api import Experiment
         from repro.check import search
@@ -57,15 +69,17 @@ def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
         assert len(found.attempts) == 3
         assert "numpy" not in sys.modules, "simulate"
         assert "_hashlib" not in sys.modules, "simulate: OpenSSL"
+        no_pool("simulate and search")
 
         from repro.report.driver import run_compare, run_report
         report = run_report("smoke", cache_dir="cache", out_dir=None)
         assert report.markdown
         assert "numpy" not in sys.modules, "smoke report"
         assert "_hashlib" not in sys.modules, "smoke report: OpenSSL"
+        no_pool("smoke report")
 
         # what a sweep user does: cold ledgered sweep, crash, resume, report, compare
-        from repro.exp import get_scenario, resume_run, run_scenario, with_replications
+        from repro.exp import get_scenario, list_runs, resume_run, run_scenario, with_replications
         spec = with_replications(get_scenario("smoke"), 3)
         cold = run_scenario(spec, workers=1, cache_dir="session", ledger_dir="ledger")
         with open(cold.ledger_path, "rb") as fh:
@@ -74,6 +88,8 @@ def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
             fh.writelines(lines[: len(lines) // 2])
         os.remove(cold.cache_path)
         resume_run(cold.run_id, ledger_dir="ledger", workers=1, cache_dir="session")
+        assert [state.run_id for state in list_runs("ledger")] == [cold.run_id]
+        no_pool("sweep, resume and list_runs")
         report = run_report("smoke", replications=3, cache_dir="session", out_dir="out")
         compare = run_compare(
             "smoke", axis="policy", replications=3, cache_dir="session", out_dir="out"
@@ -81,9 +97,31 @@ def test_simulating_and_deterministic_reports_never_import_numpy(tmp_path):
         assert report.markdown and compare.markdown
         assert "numpy" not in sys.modules, "session"
         assert "_hashlib" not in sys.modules, "session: OpenSSL"
+        no_pool("session")
         assert "repro.faults.mutants" not in sys.modules, "mutants"
         import repro.faults.mutants
         assert "_hashlib" not in sys.modules, "mutants: OpenSSL"
+        print("ok")
+        """,
+        cwd=str(tmp_path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_a_pooled_sweep_loads_the_pool_and_writes_the_serial_bytes(tmp_path):
+    done = run_python(
+        f"""
+        import sys
+        from repro.exp import get_scenario, run_scenario, with_replications
+
+        spec = with_replications(get_scenario("smoke"), 2)
+        serial = run_scenario(spec, workers=1, cache_dir="serial")
+        assert not [m for m in {POOL_MODULES!r} if m in sys.modules], "serial"
+        pooled = run_scenario(spec, workers=2, cache_dir="pooled")
+        assert all(m in sys.modules for m in {POOL_MODULES!r}), "pooled"
+        with open(serial.cache_path, "rb") as a, open(pooled.cache_path, "rb") as b:
+            assert a.read() == b.read(), "bytes"
         print("ok")
         """,
         cwd=str(tmp_path),
