@@ -24,8 +24,8 @@ Each spec class supports three operations:
 The ``name:key=value,...`` families (nemesis clauses, arrival processes,
 the machine fields, the parameterised policies) are parameter tables
 over :mod:`repro.load.grammar`; the positional grammars (workloads,
-``T:NODE`` fault entries) split their own strings and take their scalars
-and number rendering from it.  Only :class:`RunSpec` and the
+``T:NODE`` fault entries) split their lists with its ``pieces`` and take
+their scalars and number rendering from it.  Only :class:`RunSpec` and the
 :class:`MachineSpec` it embeds have a JSON form — the ``repro-runspec/1``
 document carries every other component as its spec string.
 
@@ -60,8 +60,10 @@ from repro.load.grammar import (
     fmt_num,
     parse_clause,
     parse_params,
+    pieces,
     render_clause,
     render_params,
+    resolve,
 )
 from repro.load.spec import ArrivalSpec
 from repro.policies.incremental import PERSIST_MODES
@@ -90,73 +92,68 @@ class WorkloadSpec:
     @classmethod
     def parse(cls, text: str) -> "WorkloadSpec":
         from repro.workloads.suite import WORKLOADS
+        from repro.workloads.trees import SHAPES
 
         text = str(text)
         if text in WORKLOADS:
             return cls("named", name=text)
         kind, _, rest = text.partition(":")
+        parts = list(pieces(rest, ":", len(kind) + 1)) if rest else []
+        name = shape = None
         if kind == "prog":
-            parts = rest.split(":") if rest else []
-            if not parts or not parts[0]:
+            # a program's name is its first piece; a program takes all of
+            # its integer arguments or none (its defaults)
+            name = parts.pop(0)[0] if parts else ""
+            if not name:
                 raise SpecError(
                     "prog workload needs a program name (prog:NAME:ARG:...)",
                     spec=text, field="workload.prog", value=text, position=0,
                 )
             from repro.lang.programs import PROGRAMS
 
-            if parts[0] not in PROGRAMS:
+            if name not in PROGRAMS:
                 raise SpecError(
-                    f"unknown program {parts[0]!r}",
-                    spec=text, field="workload.prog", value=parts[0],
+                    f"unknown program {name!r}",
+                    spec=text, field="workload.prog", value=name,
                     allowed=tuple(sorted(PROGRAMS)), position=len("prog:"),
                 )
-            at = len("prog:") + len(parts[0]) + 1
-            args = cls._parse_args(text, parts[1:], offset=at)
-            takes = PROGRAMS[parts[0]].spec_arity
-            if args and len(args) != takes:
-                raise SpecError(
-                    f"program {parts[0]!r} takes {takes} integer args "
-                    f"(or none, for its defaults), got {len(args)}",
-                    spec=text, field="workload.prog", value=rest[len(parts[0]) + 1:],
-                    position=at,
-                )
-            return cls("prog", name=parts[0], args=args)
-        from repro.workloads.trees import SHAPES
-
-        shape = SHAPES.get(kind)
-        if shape is not None:
-            parts = rest.split(":") if rest else []
-            args = cls._parse_args(text, parts, offset=len(kind) + 1)
+            takes = PROGRAMS[name].spec_arity
+            arities = (0, takes)
+            arity = f"program {name!r} takes {takes} integer args (or none, for its defaults)"
+            start = len("prog:") + len(name) + 1
+        elif kind in SHAPES:
+            shape = SHAPES[kind]
             lo, hi = shape.required, len(shape.args)
-            if not (lo <= len(args) <= hi):
-                want = f"{lo}" if lo == hi else f"{lo}..{hi}"
-                raise SpecError(
-                    f"workload kind {kind!r} takes {want} integer args, got {len(args)}",
-                    spec=text, field=f"workload.{kind}", value=rest, position=len(kind) + 1,
-                )
-            refusal = shape.refusal(args)
-            if refusal is not None:
-                at, why = refusal
-                raise SpecError(
-                    f"workload kind {kind!r}: {why}",
-                    spec=text, field=f"workload.{kind}", value=parts[at],
-                    position=len(kind) + 1 + sum(len(part) + 1 for part in parts[:at]),
-                )
-            return cls(kind, args=args)
-        raise SpecError(
-            f"unknown workload spec {text!r}",
-            spec=text, field="workload", value=text,
-            allowed=tuple(sorted(WORKLOADS)) + tuple(SHAPES) + ("prog",),
-            position=0,
-        )
-
-    @staticmethod
-    def _parse_args(text: str, parts: List[str], offset: int) -> Tuple[int, ...]:
-        args = []
-        for part in parts:
-            args.append(coerce(INT, part, field="workload.args", spec=text, position=offset))
-            offset += len(part) + 1
-        return tuple(args)
+            arities = range(lo, hi + 1)
+            want = f"{lo}" if lo == hi else f"{lo}..{hi}"
+            arity = f"workload kind {kind!r} takes {want} integer args"
+            start = len(kind) + 1
+        else:
+            raise SpecError(
+                f"unknown workload spec {text!r}",
+                spec=text, field="workload", value=text,
+                allowed=tuple(sorted(WORKLOADS)) + tuple(SHAPES) + ("prog",),
+                position=0,
+            )
+        # a tuple of a list, not of a generator: the generator's is
+        # over-allocated and shrunk, which raised a sweep's peak RSS
+        args = tuple([
+            coerce(INT, part, field="workload.args", spec=text, position=at) for part, at in parts
+        ])
+        if len(args) not in arities:
+            raise SpecError(
+                f"{arity}, got {len(args)}",
+                spec=text, field=f"workload.{kind}", value=text[start:], position=start,
+            )
+        refusal = shape.refusal(args) if shape else None
+        if refusal is not None:
+            index, why = refusal
+            raise SpecError(
+                f"workload kind {kind!r}: {why}",
+                spec=text, field=f"workload.{kind}", value=parts[index][0],
+                position=parts[index][1],
+            )
+        return cls(kind, name=name, args=args)
 
     def to_spec_str(self) -> str:
         if self.kind == "named":
@@ -335,22 +332,19 @@ class FaultSpec:
         if not text:
             return cls((), mode)
         entries: List[Tuple[float, int]] = []
-        offset = 0
-        for item in text.split("+"):
+        for item, at in pieces(text, "+"):
             when_str, sep, node_str = item.partition(":")
             if not sep or not when_str or not node_str:
                 raise SpecError(
                     f"fault must be {'TIME' if mode == 'time' else 'FRAC'}:NODE "
                     f"(e.g. {'600:2' if mode == 'time' else '0.5:1'}), got {item!r}",
-                    spec=text, field="faults", value=item, position=offset,
+                    spec=text, field="faults", value=item, position=at,
                 )
-            when = coerce(FLOAT, when_str, field="faults.when", spec=text, position=offset)
+            when = coerce(FLOAT, when_str, field="faults.when", spec=text, position=at)
             node = coerce(
-                INT, node_str, field="faults.node", spec=text,
-                position=offset + len(when_str) + 1,
+                INT, node_str, field="faults.node", spec=text, position=at + len(when_str) + 1
             )
             entries.append((when, node))
-            offset += len(item) + 1
         return cls(tuple(entries), mode)
 
     def to_spec_str(self) -> str:
@@ -427,19 +421,12 @@ class NemesisSpec:
         if not text:
             return cls()
         tables = param_tables()
-        clauses: List[NemesisClause] = []
-        offset = 0
-        for clause_text in text.split("+"):
-            clauses.append(
-                NemesisClause(
-                    *parse_clause(
-                        clause_text, tables, family="nemesis", noun="fault model",
-                        spec=text, offset=offset,
-                    )
-                )
-            )
-            offset += len(clause_text) + 1
-        return cls(tuple(clauses))
+        return cls(tuple([
+            NemesisClause(*parse_clause(
+                clause, tables, family="nemesis", noun="fault model", spec=text, offset=at
+            ))
+            for clause, at in pieces(text, "+")
+        ]))
 
     def to_spec_str(self) -> str:
         return "+".join(clause.to_spec_str() for clause in self.clauses)
@@ -461,13 +448,10 @@ class NemesisSpec:
         models = []
         for clause in self.clauses:
             info = get_model(clause.model)
-            given = dict(clause.params)
-            kwargs = {}
-            for key, param in info.params.items():
-                # the table's default where the clause names no value
-                value = given.get(key, param.default)
-                kwargs[key] = value * base_makespan if param.fraction else value
-            models.append(info.build(**kwargs))
+            models.append(info.build(**{
+                key: value * base_makespan if info.params[key].fraction else value
+                for key, value in resolve(info.params, clause.params).items()
+            }))
         return NemesisSchedule.of(*models)
 
 

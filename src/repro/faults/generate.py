@@ -56,6 +56,12 @@ GENERATABLE_MODELS: Tuple[str, ...] = (
 _CRASH_FAMILY = frozenset({"crash", "cascade"})
 
 
+def _canonical(clauses: Iterable[NemesisClause]) -> NemesisSpec:
+    """The composition of ``clauses`` as the grammar reads it back: the one
+    canonicalisation path for everything handed to the search layer."""
+    return NemesisSpec.parse(NemesisSpec(tuple(clauses)).to_spec_str())
+
+
 def _frac(rng: random.Random, lo: float, hi: float) -> float:
     """A makespan fraction on the 0.05 grid in [lo, hi]."""
     steps = int(round((hi - lo) / 0.05))
@@ -70,38 +76,39 @@ def random_clause(
     if n < 2:
         raise ValueError("schedule generation needs at least 2 processors")
     if model == "crash":
-        body = f"at={_frac(rng, 0.1, 0.8)},node={rng.randrange(1, n)}"
+        params = [("at", _frac(rng, 0.1, 0.8)), ("node", rng.randrange(1, n))]
     elif model == "cascade":
         prob = round(0.1 * rng.randint(2, 6), 1)
-        body = f"at={_frac(rng, 0.1, 0.7)},node={rng.randrange(1, n)},prob={prob}"
+        params = [("at", _frac(rng, 0.1, 0.7)), ("node", rng.randrange(1, n)), ("prob", prob)]
     elif model == "partition":
         size = rng.randint(1, n - 1)
-        group = "-".join(str(g) for g in sorted(rng.sample(range(n), size)))
-        body = f"start={_frac(rng, 0.1, 0.6)},dur={_frac(rng, 0.15, 0.5)},group={group}"
+        group = tuple(sorted(rng.sample(range(n), size)))
+        params = [
+            ("start", _frac(rng, 0.1, 0.6)), ("dur", _frac(rng, 0.15, 0.5)), ("group", group)
+        ]
     elif model == "chaos":
-        parts = [f"drop={round(0.05 * rng.randint(1, 5), 2)}"]
+        params = [("drop", round(0.05 * rng.randint(1, 5), 2))]
         if rng.random() < 0.35:
-            parts.append(f"dup={round(0.05 * rng.randint(1, 4), 2)}")
+            params.append(("dup", round(0.05 * rng.randint(1, 4), 2)))
         if rng.random() < 0.35:
-            parts.append(f"reorder={round(0.05 * rng.randint(1, 4), 2)}")
+            params.append(("reorder", round(0.05 * rng.randint(1, 4), 2)))
         if rng.random() < 0.5:
-            parts.append("notify=1")
-        parts.append(f"start={_frac(rng, 0.0, 0.4)}")
-        parts.append(f"dur={_frac(rng, 0.3, 0.8)}")
-        body = ",".join(parts)
+            params.append(("notify", 1))
+        params.append(("start", _frac(rng, 0.0, 0.4)))
+        params.append(("dur", _frac(rng, 0.3, 0.8)))
     elif model == "grayfail":
-        body = (
-            f"node={rng.randrange(0, n)},start={_frac(rng, 0.1, 0.6)},"
-            f"dur={_frac(rng, 0.2, 0.6)},factor={rng.choice((2, 3, 4, 6))}"
-        )
+        params = [
+            ("node", rng.randrange(0, n)), ("start", _frac(rng, 0.1, 0.6)),
+            ("dur", _frac(rng, 0.2, 0.6)), ("factor", rng.choice((2, 3, 4, 6))),
+        ]
     elif model == "jitter":
-        body = f"max={rng.choice((10, 15, 20, 25, 30, 40))}"
+        params = [("max", rng.choice((10, 15, 20, 25, 30, 40)))]
     else:
         raise ValueError(
             f"cannot generate fault model {model!r}; "
             f"generatable: {GENERATABLE_MODELS}"
         )
-    return NemesisSpec.parse(f"{model}:{body}").clauses[0]
+    return _canonical([NemesisClause(model, tuple(params))]).clauses[0]
 
 
 def random_nemesis(
@@ -129,9 +136,7 @@ def random_nemesis(
         model = rng.choice(choices)
         crashed = crashed or model in _CRASH_FAMILY
         clauses.append(random_clause(rng, model, n_processors))
-    # Re-parse the rendered composition: one canonicalization path for
-    # everything the generator can ever hand to the search layer.
-    return NemesisSpec.parse(NemesisSpec(tuple(clauses)).to_spec_str())
+    return _canonical(clauses)
 
 
 # -- mutation -----------------------------------------------------------------
@@ -177,10 +182,6 @@ def _grid_neighbors(value: float, grid: float, lo: float, hi: float) -> List[flo
         if lo - 1e-9 <= cand <= hi + 1e-9 and abs(cand - float(value)) > 1e-9:
             out.append(cand)
     return out
-
-
-def _canonical(clauses: Iterable[NemesisClause]) -> NemesisSpec:
-    return NemesisSpec.parse(NemesisSpec(tuple(clauses)).to_spec_str())
 
 
 def mutate_nemesis(
@@ -298,18 +299,11 @@ def mutate_nemesis(
         i = swappable[rng.randrange(len(swappable))]
         clause = clauses[i]
         kept = dict(clause.params)
+        params = (("at", kept["at"]), ("node", kept["node"]))
         if clause.model == "crash":
-            prob = round(0.1 * rng.randint(2, 6), 1)
-            body = f"at={_fmt(kept['at'])},node={kept['node']},prob={_fmt(prob)}"
-            clauses[i] = NemesisSpec.parse(f"cascade:{body}").clauses[0]
-        else:
-            body = f"at={_fmt(kept['at'])},node={kept['node']}"
-            clauses[i] = NemesisSpec.parse(f"crash:{body}").clauses[0]
+            params += (("prob", round(0.1 * rng.randint(2, 6), 1)),)
+        clauses[i] = NemesisClause(_FAMILY_SWAP[clause.model], params)
     return _canonical(clauses)
-
-
-def _fmt(value) -> str:
-    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 # -- shrinking ----------------------------------------------------------------
@@ -339,7 +333,7 @@ def _replace_clause(
 ) -> NemesisSpec:
     clauses = list(spec.clauses)
     clauses[index] = clause
-    return NemesisSpec.parse(NemesisSpec(tuple(clauses)).to_spec_str())
+    return _canonical(clauses)
 
 
 def shrink_candidates(spec: NemesisSpec) -> List[NemesisSpec]:
@@ -355,7 +349,7 @@ def shrink_candidates(spec: NemesisSpec) -> List[NemesisSpec]:
     if len(clauses) > 1:
         for i in range(len(clauses)):
             kept = clauses[:i] + clauses[i + 1 :]
-            out.append(NemesisSpec.parse(NemesisSpec(kept).to_spec_str()))
+            out.append(_canonical(kept))
     for i, clause in enumerate(clauses):
         for key, _ in clause.params:
             if _removable(clause.model, key):

@@ -88,9 +88,6 @@ class FaultModel:
     #: Set by subclasses that implement :meth:`detector_extra`.
     jitters_detector = False
 
-    def describe(self) -> str:
-        return self.name
-
     def validate(self, n_processors: int) -> None:
         """Raise ``ValueError`` for parameters the machine rejects."""
 
@@ -157,9 +154,6 @@ class NemesisSchedule:
 
     def __bool__(self) -> bool:
         return bool(self.models)
-
-    def describe(self) -> str:
-        return " + ".join(m.describe() for m in self.models) or "(empty)"
 
     # -- arming -----------------------------------------------------------------
 
@@ -245,4 +239,4 @@ class NemesisSchedule:
         return sum(m.detector_extra(dead, observer) for m in self._jitters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NemesisSchedule({self.describe()})"
+        return f"NemesisSchedule({', '.join(m.name for m in self.models)})"

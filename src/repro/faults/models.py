@@ -68,10 +68,6 @@ class ScheduledCrash(FaultModel):
     def single(time: float, node: int) -> "ScheduledCrash":
         return ScheduledCrash(FaultSchedule.single(time, node))
 
-    def describe(self) -> str:
-        kills = ", ".join(f"{f.node}@{f.time:g}" for f in self.schedule)
-        return f"crash({kills})"
-
     def validate(self, n_processors: int) -> None:
         for fault in self.schedule:
             if not 0 <= fault.node < n_processors:
@@ -108,12 +104,6 @@ class CascadingCrash(FaultModel):
         self.spread_prob = spread_prob
         self.spread_delay = spread_delay
         self.max_victims = max_victims
-
-    def describe(self) -> str:
-        return (
-            f"cascade(seed {self.node}@{self.time:g}, p={self.spread_prob:g}, "
-            f"dt={self.spread_delay:g})"
-        )
 
     def validate(self, n_processors: int) -> None:
         if not 0 <= self.node < n_processors:
@@ -165,10 +155,6 @@ class Partition(FaultModel):
         self.end = start + duration
         self.group = frozenset(group)
         self._side: Tuple[int, ...] = ()  # built at validate/arm time
-
-    def describe(self) -> str:
-        members = ",".join(str(n) for n in sorted(self.group))
-        return f"partition({{{members}}} | rest, t=[{self.start:g},{self.end:g}))"
 
     def validate(self, n_processors: int) -> None:
         if self.start < 0 or self.end <= self.start:
@@ -267,15 +253,6 @@ class MessageChaos(FaultModel):
         self._hub = None
         self._stream = ""
 
-    def describe(self) -> str:
-        def show(p: LinkProb) -> str:
-            return f"{p:g}" if isinstance(p, (int, float)) else "per-link"
-
-        return (
-            f"chaos(drop={show(self.drop)}, dup={show(self.duplicate)}, "
-            f"reorder={show(self.reorder)}, span={self.span:g})"
-        )
-
     def validate(self, n_processors: int) -> None:
         for label, p in (("drop", self.drop), ("duplicate", self.duplicate),
                          ("reorder", self.reorder)):
@@ -333,12 +310,6 @@ class GrayFailure(FaultModel):
         self.end = start + duration
         self.factor = factor
 
-    def describe(self) -> str:
-        return (
-            f"grayfail(node {self.node} x{self.factor:g}, "
-            f"t=[{self.start:g},{self.end:g}))"
-        )
-
     def validate(self, n_processors: int) -> None:
         if not 0 <= self.node < n_processors:
             raise ValueError(f"grayfail targets unknown processor {self.node}")
@@ -369,9 +340,6 @@ class DetectorJitter(FaultModel):
         self.max_extra = max_extra
         self._hub = None
         self._stream = ""
-
-    def describe(self) -> str:
-        return f"jitter(detector +[0,{self.max_extra:g}))"
 
     def validate(self, n_processors: int) -> None:
         if self.max_extra < 0:

@@ -2,9 +2,13 @@
 
 A spec family (fault models, arrival processes, the machine fields, the
 parameterised policies) declares a table ``{key: Param}`` per name; this
-module derives parsing, rendering and diagnostics from those tables, so
-no family writes its own.  The same typed coercion serves spec strings
-and JSON values: a document cannot load what a string could not say.
+module derives parsing, rendering, defaults (:func:`resolve`) and
+diagnostics from those tables, so no family writes its own.  Every list
+in a spec — the ``+`` compositions, a clause's ``,`` items, a workload's
+``:`` arguments — is split by :func:`pieces`, the one splitter that
+keeps each piece's offset in the spec.  The same typed coercion serves
+spec strings and JSON values: a document cannot load what a string could
+not say.
 (The kernel belongs to the ``repro.api`` layer; the file sits in
 ``load/`` because the benchmark's frozen layer map lists ``api/`` file
 by file, and ``load`` is the table-owning package ``api.specs`` imports.)
@@ -35,7 +39,7 @@ repro.errors.SpecError: bad value 4.7 for arrivals.cap (expected int)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import SpecError
 
@@ -176,14 +180,39 @@ def check_params(
     return tuple(ordered)
 
 
+def resolve(table: Mapping[str, Param], params: Iterable[Tuple[str, Any]]) -> Dict[str, Any]:
+    """The declared defaults of ``table`` overlaid by the given ``params``,
+    in declaration order.
+
+    >>> resolve({"rate": Param("float", None, ""), "cap": Param("int", 0, "")}, (("rate", 2.0),))
+    {'rate': 2.0, 'cap': 0}
+    """
+    given = dict(params)
+    return {key: given.get(key, param.default) for key, param in table.items()}
+
+
+def pieces(text: str, sep: str, offset: int = 0) -> Iterator[Tuple[str, int]]:
+    """Each piece of the ``sep``-separated list ``text`` (a ``+``, ``,`` or
+    ``:`` list), with its offset in a spec in which ``text`` starts at
+    ``offset``.
+
+    >>> list(pieces("at=0.4,node=1", ",", offset=6))
+    [('at=0.4', 6), ('node=1', 13)]
+    >>> list(pieces("300:2++", "+"))
+    [('300:2', 0), ('', 6), ('', 7)]
+    """
+    for piece in text.split(sep):
+        yield piece, offset
+        offset += len(piece) + 1
+
+
 def parse_params(
     body: str, table: Mapping[str, Param], *, family: str, name: str = "",
     spec: str, offset: int = 0,
 ) -> Params:
     """Parse a ``key=value,...`` body that starts at ``offset`` in ``spec``."""
     items = []
-    at = offset
-    for item in body.split(",") if body.strip() else ():
+    for item, at in pieces(body, ",", offset) if body.strip() else ():
         key, eq, raw = item.partition("=")
         if not eq or not raw.strip():
             raise SpecError(
@@ -191,7 +220,6 @@ def parse_params(
                 spec=spec, field=family, value=item, position=at,
             )
         items.append((key.strip(), raw.strip(), at, at + len(key) + 1))
-        at += len(item) + 1
     return check_params(items, table, family=family, name=name, spec=spec, position=offset)
 
 

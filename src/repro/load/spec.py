@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from repro.load.grammar import Param, parse_clause, render_clause
+from repro.load.grammar import Param, parse_clause, render_clause, resolve
 from repro.errors import SpecError
 
 #: Registered arrival-process names, in documentation order.
@@ -140,12 +140,7 @@ class ArrivalSpec:
     def resolved(self) -> Dict[str, Any]:
         """Effective parameters: declared defaults overlaid by the given
         values, in declaration order.  Empty dict for the empty spec."""
-        if not self.process:
-            return {}
-        given = dict(self.params)
-        return {
-            k: given.get(k, info.default) for k, info in PROCESSES[self.process].items()
-        }
+        return resolve(PROCESSES[self.process], self.params) if self.process else {}
 
     def expected_arrivals(self) -> float:
         """Mean number of arrivals the spec implies (0 for the empty spec)."""
@@ -202,6 +197,3 @@ class ArrivalSpec:
         from repro.load.generator import LoadGenerator
 
         return LoadGenerator(self)
-
-    def describe(self) -> str:
-        return self.to_spec_str() or "<no arrivals>"

@@ -21,7 +21,7 @@ from repro.api import ArrivalSpec, MachineSpec, NemesisSpec, PolicySpec, SpecErr
 from repro.api.specs import MACHINE_PARAMS, POLICY_PARAMS
 from repro.faults.registry import param_tables
 from repro.load import PROCESSES
-from repro.load.grammar import Param, coerce, fmt_num, render_clause, render_params
+from repro.load.grammar import Param, coerce, fmt_num, pieces, render_clause, render_params
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,38 @@ def test_items_must_be_key_value(family):
         with pytest.raises(SpecError, match="key=value") as err:
             family.parse(text)
         assert text[err.value.position:] == item
+
+
+@pytest.mark.parametrize(
+    "parse,text,family,item,position",
+    [
+        (NemesisSpec.parse, "crash:at=0.4,node", "nemesis", "node", 13),
+        (NemesisSpec.parse, "crash:at=0.4,,node=1", "nemesis", "", 13),
+        (NemesisSpec.parse, "crash:at=0.4,node=1+jitter:max", "nemesis", "max", 27),
+        (MachineSpec.parse, "processors=4,topology", "machine", "topology", 13),
+        (ArrivalSpec.parse, "poisson:rate=1,horizon", "arrivals", "horizon", 15),
+        (PolicySpec.parse, "incremental:persist", "policy", "persist", 12),
+    ],
+)
+def test_an_item_without_a_value_is_pinned_in_full(parse, text, family, item, position):
+    with pytest.raises(SpecError) as err:
+        parse(text)
+    assert str(err.value) == (
+        f"expected key=value in {family} spec, got {item!r} at position {position} in {text!r}"
+    )
+    assert (err.value.field, err.value.value, err.value.allowed, err.value.position) == (
+        family, item, None, position
+    )
+    assert err.value.spec == text
+
+
+@given(st.text(alphabet="ab+,:=", max_size=12), st.sampled_from("+,:"), st.integers(0, 9))
+def test_pieces_rejoin_the_list_and_index_the_spec(text, sep, offset):
+    spec = "x" * offset + text
+    got = list(pieces(text, sep, offset))
+    assert sep.join(piece for piece, _ in got) == text
+    for piece, at in got:
+        assert spec[at:at + len(piece)] == piece and (at == offset or spec[at - 1] == sep)
 
 
 # -- the typed scalar parser: one coercion for spec tokens and JSON values ------

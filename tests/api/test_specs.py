@@ -590,6 +590,71 @@ class TestHostileStrings:
         _refused_or(lambda t: FaultSpec.parse(t).schedule(100.0), text)
 
     @pytest.mark.parametrize(
+        "parse,text,message,field,value,allowed,position,spec",
+        [
+            # a program: no name, an unknown one, a wrong arity, a bad argument
+            (WorkloadSpec.parse, "prog", "prog workload needs a program name "
+             "(prog:NAME:ARG:...)", "workload.prog", "prog", None, 0, "prog"),
+            (WorkloadSpec.parse, "prog::3", "prog workload needs a program name "
+             "(prog:NAME:ARG:...)", "workload.prog", "prog::3", None, 0, "prog::3"),
+            (WorkloadSpec.parse, "prog:nosuch:3", "unknown program 'nosuch' (allowed: binomial, "
+             "fib, matvec, nfib, nqueens, qsort, sum-range, tak, tree-sum)", "workload.prog",
+             "nosuch", ("binomial", "fib", "matvec", "nfib", "nqueens", "qsort", "sum-range",
+                        "tak", "tree-sum"), 5, "prog:nosuch:3"),
+            (WorkloadSpec.parse, "prog:tak:1", "program 'tak' takes 3 integer args "
+             "(or none, for its defaults), got 1", "workload.prog", "1", None, 9, "prog:tak:1"),
+            (WorkloadSpec.parse, "prog:tak:7:x:2", "bad value 'x' for workload.args "
+             "(expected int)", "workload.args", "x", None, 11, "prog:tak:7:x:2"),
+            # a shape: a wrong arity (one past the end of a bare kind), a refusal
+            (WorkloadSpec.parse, "random:1:2:3", "workload kind 'random' takes 2 integer args, "
+             "got 3", "workload.random", "1:2:3", None, 7, "random:1:2:3"),
+            (WorkloadSpec.parse, "chain", "workload kind 'chain' takes 1..2 integer args, got 0",
+             "workload.chain", "", None, 6, "chain"),
+            (WorkloadSpec.parse, "random:1:0", "workload kind 'random': target_tasks must be "
+             ">= 1", "workload.random", "0", None, 9, "random:1:0"),
+            (WorkloadSpec.parse, "balanced:50:50:1", "workload kind 'balanced': asks for more "
+             "than 262144 tasks", "workload.balanced", "50", None, 9, "balanced:50:50:1"),
+            # a fault entry: no ':', an empty item, a bad `when` or `node`
+            (lambda t: FaultSpec.parse(t, mode="time"), "300", "fault must be TIME:NODE "
+             "(e.g. 600:2), got '300'", "faults", "300", None, 0, "300"),
+            (FaultSpec.parse, "0.5:1+0.7", "fault must be FRAC:NODE (e.g. 0.5:1), got '0.7'",
+             "faults", "0.7", None, 6, "0.5:1+0.7"),
+            (FaultSpec.parse, "0.5:1++0.6:2", "fault must be FRAC:NODE (e.g. 0.5:1), got ''",
+             "faults", "", None, 6, "0.5:1++0.6:2"),
+            (FaultSpec.parse, "0.5:1+y:2", "bad value 'y' for faults.when (expected float)",
+             "faults.when", "y", None, 6, "0.5:1+y:2"),
+            # the mode prefix is not part of the spec a position indexes
+            (FaultSpec.parse, "time:300:x", "bad value 'x' for faults.node (expected int)",
+             "faults.node", "x", None, 4, "300:x"),
+            # a second nemesis clause: a bad value, an unknown or empty model,
+            # missing parameters (positioned one past its name's ':')
+            (NemesisSpec.parse, "crash:at=0.4,node=1+chaos:drop=x", "bad value 'x' for "
+             "nemesis.drop (expected float)", "nemesis.drop", "x", None, 31,
+             "crash:at=0.4,node=1+chaos:drop=x"),
+            (NemesisSpec.parse, "crash:at=0.4,node=1+nosuch:x=1", "unknown fault model "
+             "'nosuch' (allowed: crash, cascade, partition, chaos, grayfail, jitter)", "nemesis",
+             "nosuch", ("crash", "cascade", "partition", "chaos", "grayfail", "jitter"), 20,
+             "crash:at=0.4,node=1+nosuch:x=1"),
+            (NemesisSpec.parse, "crash:at=0.4,node=1+", "unknown fault model '' (allowed: "
+             "crash, cascade, partition, chaos, grayfail, jitter)", "nemesis", "",
+             ("crash", "cascade", "partition", "chaos", "grayfail", "jitter"), 20,
+             "crash:at=0.4,node=1+"),
+            (NemesisSpec.parse, "crash:at=0.4,node=1+crash", "nemesis.crash missing "
+             "parameters: ['at', 'node']", "nemesis.crash", ["at", "node"], None, 26,
+             "crash:at=0.4,node=1+crash"),
+        ],
+    )
+    def test_a_refusal_is_pinned_in_full(
+        self, parse, text, message, field, value, allowed, position, spec
+    ):
+        with pytest.raises(SpecError) as exc_info:
+            parse(text)
+        err = exc_info.value
+        assert (err.field, err.value, err.allowed, err.position, err.spec) == (
+            field, value, allowed, position, spec
+        )
+        assert str(err) == f"{message} at position {position} in {spec!r}"
+    @pytest.mark.parametrize(
         "text,position",
         [
             ("balanced:0:0:0", len("balanced:0:")),

@@ -132,3 +132,17 @@ def test_the_mutation_bounds_reach_beyond_the_draws():
     assert max(drops) == 0.25 < _MUTABLE_RANGES[("chaos", "drop")][2] == 0.5
     assert (min(ats), max(ats)) == (0.1, 0.8)
     assert _MUTABLE_RANGES[("crash", "at")][1:] == (0.05, 0.9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, at=st.floats(min_value=0.01, max_value=0.99), node=st.integers(1, 3))
+def test_a_family_swap_keeps_the_timing_and_victim_exactly(seed, at, node):
+    """The swap builds its clause from the values it keeps, so an
+    off-grid time (a corpus seed's, say) crosses the family unrounded."""
+    for model in ("crash", "cascade"):
+        spec = NemesisSpec.parse(f"{model}:at={at!r},node={node}")
+        mutant = mutate_nemesis(random.Random(seed), spec, 4, models=("crash", "cascade"))
+        (clause,) = mutant.clauses
+        if clause.model != model:  # the draw chose the swap
+            params = dict(clause.params)
+            assert (params["at"], params["node"]) == (at, node)

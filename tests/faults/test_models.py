@@ -249,12 +249,6 @@ class TestNemesisSchedule:
         with pytest.raises(ValueError, match="unknown processor"):
             NemesisSchedule.of(ScheduledCrash.single(10.0, 5)).arm(machine)
 
-    def test_describe_composes(self):
-        text = NemesisSchedule.of(
-            ScheduledCrash.single(10.0, 1), DetectorJitter(5.0)
-        ).describe()
-        assert "crash" in text and "jitter" in text and " + " in text
-
 
 def one_model(text, base_makespan=1.0):
     (model,) = NemesisSpec.parse(text).build(base_makespan)

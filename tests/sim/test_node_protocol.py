@@ -13,7 +13,7 @@ from repro.errors import DeterminacyViolationError, ProtocolError
 from repro.sim import FaultSchedule, TreeWorkload
 from repro.sim.failure import Fault
 from repro.sim.machine import Machine
-from repro.sim.messages import ResultMsg, TaskPacketMsg
+from repro.sim.messages import PlacementAck, ResultMsg, TaskPacketMsg
 from repro.sim.node import Node
 from repro.sim.task import SpawnRecord, SpawnState, TaskInstance, TaskStatus
 from repro.workloads.trees import balanced_tree
@@ -52,6 +52,50 @@ class TestAcks:
         m = small_machine()
         result = m.run()
         assert result.metrics.tasks_reissued == 0
+
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a node still acts on an ack from a peer it has written off",
+    )
+    def test_an_ack_from_a_written_off_executor_is_not_acted_on(self):
+        """Unreachable means faulty in both directions: a parent that has
+        declared the executor dead files no checkpoint under it, keeps the
+        record in transit and leaves the ack timer armed, so the spawn is
+        re-placed on a live node."""
+        m = small_machine()
+        m._ran = True
+        m._start_root_host()
+
+        def in_transit():
+            return next(
+                (
+                    (task, record)
+                    for task in m.instance_registry
+                    if task.node >= 0
+                    for record in task.spawn_records
+                    if record.state is SpawnState.IN_TRANSIT
+                    and record.ack_timer is not None
+                    and not record.ack_timer.cancelled
+                ),
+                None,
+            )
+
+        while in_transit() is None:
+            assert m.queue.step() is not None
+        task, record = in_transit()
+        parent = m.node(task.node)
+        dead = next(n for n in range(m.config.n_processors) if n != parent.id)
+        parent.known_dead.add(dead)
+        parent.on_message(
+            PlacementAck(
+                src=dead, dst=parent.id, stamp=record.child_stamp, executor=dead,
+                instance=m.new_task_uid(), parent_instance=task.uid,
+            )
+        )
+        assert m.policy.table_of(parent).entry(dead) == []
+        assert record.state is SpawnState.IN_TRANSIT
+        assert not record.ack_timer.cancelled
 
 
 class TestResultPaths:
