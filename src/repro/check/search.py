@@ -296,27 +296,25 @@ def _shrink_violation(
 def search(
     base: Any,
     seed: int = 0,
-    attempts: int = 12,
+    rounds: int = 12,
     models: Sequence[str] = GENERATABLE_MODELS,
     max_clauses: int = 2,
     config: Optional[CheckConfig] = None,
     out_dir: str = DEFAULT_LEDGER_DIR,
     write: bool = True,
     strategy: str = "random",
-    rounds: Optional[int] = None,
     mode: str = "violation",
 ) -> SearchResult:
     """Search the schedule space of ``base`` for oracle violations.
 
-    With ``strategy="random"`` (the default), draws up to ``attempts``
+    With ``strategy="random"`` (the default), draws up to ``rounds``
     schedules from ``random.Random(seed)`` and stops at the first
-    violation, shrinking it.  With ``strategy="coverage"``, runs the
-    full budget (``rounds``, defaulting to ``attempts``): novel-
-    signature schedules join the corpus, later rounds mutate that
-    frontier, every violation is shrunk, and ``mode="maximize"``
-    additionally steers mutation toward the worst ``bounded-recovery``
-    margin seen.  The base spec's own nemesis is ignored — the searcher
-    owns that axis.  With ``write`` (default) the ledger lands at
+    violation, shrinking it.  With ``strategy="coverage"``, runs all
+    ``rounds``: novel-signature schedules join the corpus, later rounds
+    mutate that frontier, every violation is shrunk, and
+    ``mode="maximize"`` additionally steers mutation toward the worst
+    ``bounded-recovery`` margin seen.  The base spec's own nemesis is
+    ignored — the searcher owns that axis.  With ``write`` (default) the ledger lands at
     :func:`ledger_path` under ``out_dir``.
     """
     from repro.api.session import Session
@@ -333,9 +331,8 @@ def search(
         )
     # A search that tries nothing finds nothing: an empty budget must not
     # read as "clean" to a caller gating on the outcome.
-    budget_name = "attempts" if rounds is None else "rounds"
-    budget = int(attempts if rounds is None else rounds)
-    for name, value in ((budget_name, budget), ("max_clauses", int(max_clauses))):
+    rounds = int(rounds)
+    for name, value in (("rounds", rounds), ("max_clauses", int(max_clauses))):
         if value < 1:
             raise SpecError(
                 f"{name} must be at least 1, got {value}",
@@ -354,7 +351,7 @@ def search(
     seen_minimal: set = set()
     worst: Optional[Dict[str, Any]] = None
 
-    for index in range(budget):
+    for index in range(rounds):
         origin, parent = "random", None
         if strategy == "coverage" and corpus and rng.random() >= RESTART_PROB:
             origin = "mutate"
@@ -428,7 +425,7 @@ def search(
         violation=violations[0] if violations else None,
         strategy=strategy,
         mode=mode,
-        rounds=budget,
+        rounds=rounds,
         corpus=tuple(corpus),
         violations=tuple(violations),
         worst=worst,

@@ -16,7 +16,7 @@
     python -m repro faults describe partition
     python -m repro check list
     python -m repro check run balanced:4:2:30 --nemesis chaos:drop=0.15,notify=1
-    python -m repro check search balanced:4:2:30 --seed 1 --attempts 10
+    python -m repro check search balanced:4:2:30 --seed 1 --rounds 10
     python -m repro check search balanced:3:2:10 --strategy coverage --rounds 24 \\
         --corpus-out results/check/corpus.json
     python -m repro check corpus run tests/baselines/corpus
@@ -209,14 +209,17 @@ def _flags(parser, table, *names: str, **help_for: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.check.search import STRATEGIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Lin & Keller (ICPP 1986) distributed-recovery reproduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list workloads and policies")
-    sub.add_parser("figures", help="regenerate every paper figure")
+    sub.add_parser("list", help="list workloads and policies").set_defaults(handler=cmd_list)
+    figures = sub.add_parser("figures", help="regenerate every paper figure")
+    figures.set_defaults(handler=cmd_figures)
 
     run = sub.add_parser("run", help="run a workload on the simulated machine")
     run.add_argument(
@@ -242,10 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the resolved canonical RunSpec JSON and exit without running",
     )
     run.add_argument("--trace", action="store_true", help="print recovery trace")
+    run.set_defaults(handler=cmd_run)
 
     exp = sub.add_parser("exp", help="scenario registry: declarative sweeps")
     exp_sub = exp.add_subparsers(dest="exp_command", required=True)
-    exp_sub.add_parser("list", help="list registered scenarios")
+    exp_sub.add_parser("list", help="list registered scenarios").set_defaults(handler=cmd_exp_list)
     exp_show = exp_sub.add_parser("show", help="print one scenario's spec")
     exp_show.add_argument("scenario", help="scenario name (see `repro exp list`)")
     exp_show.add_argument(
@@ -254,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the fully-expanded point list (with canonical RunSpecs "
         "for machine scenarios) as canonical JSON",
     )
+    exp_show.set_defaults(handler=cmd_exp_show)
     exp_run = exp_sub.add_parser("run", help="run a scenario sweep")
     exp_run.add_argument("scenario", help="scenario name (see `repro exp list`)")
     _flags(exp_run, SWEEP_FLAGS, "workers", "cache_dir")
@@ -273,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record no progress ledger (the run cannot be resumed)",
     )
+    exp_run.set_defaults(handler=cmd_exp_run)
 
     exp_runs = exp_sub.add_parser(
         "runs", help="list ledgered sweep runs and their progress"
@@ -283,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: ./results)",
         json="emit the run list as canonical JSON",
     )
+    exp_runs.set_defaults(handler=cmd_exp_runs)
 
     exp_resume = exp_sub.add_parser(
         "resume", help="complete an interrupted sweep from its ledger"
@@ -295,20 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="do not write the result cache"
     )
     _flags(exp_resume, SWEEP_FLAGS, "ledger_dir", "json")
+    exp_resume.set_defaults(handler=cmd_exp_resume)
 
     faults = sub.add_parser("faults", help="fault-model (nemesis) registry")
     faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-    faults_sub.add_parser("list", help="list registered fault models")
+    faults_list = faults_sub.add_parser("list", help="list registered fault models")
+    faults_list.set_defaults(handler=cmd_faults_list)
     faults_desc = faults_sub.add_parser(
         "describe", help="print one fault model's parameters and an example spec"
     )
     faults_desc.add_argument("model", help="model name (see `repro faults list`)")
+    faults_desc.set_defaults(handler=cmd_faults_describe)
 
     check = sub.add_parser(
         "check", help="trace oracles and adversarial schedule search"
     )
     check_sub = check.add_subparsers(dest="check_command", required=True)
-    check_sub.add_parser("list", help="list the oracle catalog")
+    check_list = check_sub.add_parser("list", help="list the oracle catalog")
+    check_list.set_defaults(handler=cmd_check_list)
 
     def _check_common(p) -> None:
         p.add_argument(
@@ -350,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "see `repro check list`)",
     )
     _check_common(check_run)
+    check_run.set_defaults(handler=cmd_check_run)
 
     check_search = check_sub.add_parser(
         "search", help="search random nemesis schedules for oracle violations"
@@ -366,10 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(check_search, SPEC_FLAGS, "policy", "processors")
     check_search.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
     check_search.add_argument(
-        "--attempts", type=int, default=12, metavar="N",
-        help="schedules to try before giving up (default: 12)",
-    )
-    check_search.add_argument(
         "--models", default=None, metavar="M1,M2",
         help="comma-separated fault models the generator may draw "
         "(default: all generatable models)",
@@ -379,14 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="max composed clauses per schedule (default: 2)",
     )
     check_search.add_argument(
-        "--strategy", choices=("random", "coverage"), default="random",
+        "--strategy", choices=STRATEGIES, default="random",
         help="schedule generation: blind random draws (default) or "
         "coverage-guided frontier mutation (see docs/CHECK.md)",
     )
     check_search.add_argument(
-        "--rounds", type=int, default=None, metavar="N",
-        help="evaluation budget for --strategy coverage "
-        "(default: --attempts)",
+        "--rounds", type=int, default=12, metavar="N",
+        help="schedules to evaluate (default: 12)",
     )
     check_search.add_argument(
         "--maximize", action="store_true",
@@ -410,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) unless the search ends this way — the CI gate",
     )
     _check_common(check_search)
+    check_search.set_defaults(handler=cmd_check_search)
 
     check_corpus = check_sub.add_parser(
         "corpus", help="replay a pinned reproducer corpus as a regression gate"
@@ -426,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_run.add_argument(
         "--json", action="store_true", help="emit canonical JSON"
     )
+    corpus_run.set_defaults(handler=cmd_check_corpus)
 
     check_audit = check_sub.add_parser(
         "audit", help="run the mutant protocols under the oracles: the kill matrix"
@@ -434,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mutant", default=None, metavar="NAME",
         help="audit only this mutant (default: every one; docs/CHECK.md lists them)",
     )
+    check_audit.set_defaults(handler=cmd_check_audit)
 
     report = sub.add_parser(
         "report", help="statistical reports over (replicated) scenario sweeps"
@@ -441,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_sub = report.add_subparsers(dest="report_command", required=True)
     report_sub.add_parser(
         "list", help="list scenarios and where their reports land"
-    )
+    ).set_defaults(handler=cmd_report_list)
 
     def _report_common(p) -> None:
         p.add_argument(
@@ -487,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_run.add_argument("scenario", help="scenario name (see `repro exp list`)")
     _report_common(report_run)
+    report_run.set_defaults(handler=cmd_report_run)
     report_cmp = report_sub.add_parser(
         "compare",
         help="pair two scenarios (or two values of one axis) with delta CIs",
@@ -507,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline value of --axis (default: its first value)",
     )
     _report_common(report_cmp)
+    report_cmp.set_defaults(handler=cmd_report_compare)
 
     return parser
 
@@ -944,14 +956,13 @@ def cmd_check_search(args, out) -> int:
     result = search(
         base,
         seed=args.seed,
-        attempts=args.attempts,
+        rounds=args.rounds,
         models=models,
         max_clauses=args.max_clauses,
         config=_check_config(args),
         out_dir=args.out_dir or DEFAULT_LEDGER_DIR,
         write=not args.no_write,
         strategy=args.strategy,
-        rounds=args.rounds,
         mode="maximize" if args.maximize else "violation",
     )
     corpus_path = None
@@ -1098,35 +1109,10 @@ def cmd_report_compare(args, out) -> int:
     return 0
 
 
-#: (command, sub-command) -> handler(args, out); the sub-command is None
-#: for the verbs that have none.
-HANDLERS = {
-    ("list", None): cmd_list,
-    ("figures", None): cmd_figures,
-    ("run", None): cmd_run,
-    ("exp", "list"): cmd_exp_list,
-    ("exp", "show"): cmd_exp_show,
-    ("exp", "run"): cmd_exp_run,
-    ("exp", "runs"): cmd_exp_runs,
-    ("exp", "resume"): cmd_exp_resume,
-    ("faults", "list"): cmd_faults_list,
-    ("faults", "describe"): cmd_faults_describe,
-    ("check", "list"): cmd_check_list,
-    ("check", "run"): cmd_check_run,
-    ("check", "search"): cmd_check_search,
-    ("check", "corpus"): cmd_check_corpus,
-    ("check", "audit"): cmd_check_audit,
-    ("report", "list"): cmd_report_list,
-    ("report", "run"): cmd_report_run,
-    ("report", "compare"): cmd_report_compare,
-}
-
-
 def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
-    handler = HANDLERS[args.command, getattr(args, f"{args.command}_command", None)]
     try:
-        return handler(args, out)
+        return args.handler(args, out)
     except (KeyError, ReproError) as exc:
         # The one diagnostic site: one line on stderr, never a traceback.
         # A registry lookup reports an unknown name as KeyError(message),

@@ -45,12 +45,8 @@ Crash-safety rules replay relies on:
   on the CLI) — resuming someone else's points would silently mix
   incompatible results.
 
-Test hooks (both read from the environment at append time, both
-documented in ``docs/LEDGER.md``): ``REPRO_LEDGER_CRASH_AFTER=<n>``
-makes the writer append ``n`` records normally and then SIGKILL its own
-process halfway through writing record ``n+1`` — a real torn line, not
-a simulation; ``REPRO_LEDGER_SLOW_APPEND=<seconds>`` sleeps before each
-append so an external killer has a wide window to land mid-sweep.
+The writer holds no crash injector; the crashes it must survive come
+from a harness outside the package (``docs/LEDGER.md``, *Crash testing*).
 
 >>> ledger_path("/tmp/ledgers", "smoke-79ab12cd34ef")
 '/tmp/ledgers/smoke-79ab12cd34ef.jsonl'
@@ -59,8 +55,6 @@ append so an external killer has a wide window to land mid-sweep.
 from __future__ import annotations
 
 import os
-import signal
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -73,12 +67,6 @@ LEDGER_SCHEMA = "repro-ledger/1"
 
 #: Default ledger directory (the CLI derives ``<cache-dir>/ledger``).
 DEFAULT_LEDGER_DIR = os.path.join("results", "ledger")
-
-#: Test hook: SIGKILL self mid-append after this many clean appends.
-CRASH_ENV = "REPRO_LEDGER_CRASH_AFTER"
-
-#: Test hook: sleep this many seconds before every append.
-SLOW_ENV = "REPRO_LEDGER_SLOW_APPEND"
 
 
 class LedgerWarning(UserWarning):
@@ -97,26 +85,6 @@ def result_digest(result: Dict[str, Any]) -> str:
     return sha256_hex(compact_dumps(result))
 
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
 class LedgerWriter:
     """Append-only, fsync-per-commitment writer for one run's ledger.
 
@@ -131,7 +99,6 @@ class LedgerWriter:
     def __init__(self, path: str, fh) -> None:
         self.path = path
         self._fh = fh
-        self._appends = 0
 
     @classmethod
     def start(cls, ledger_dir: str, spec) -> "LedgerWriter":
@@ -192,16 +159,7 @@ class LedgerWriter:
         done, writes the cache) after its append returned, which is the
         ordering replay trusts.
         """
-        slow = _env_float(SLOW_ENV)
-        if slow:  # pragma: no cover - test hook, exercised by subprocess tests
-            time.sleep(slow)
         line = compact_dumps(record) + "\n"
-        crash_after = _env_int(CRASH_ENV)
-        if crash_after is not None and self._appends == crash_after:
-            # The crash hook: leave a genuinely torn record — half the
-            # bytes on disk, no newline — then die without cleanup.
-            append_durable(self._fh, line[: max(1, len(line) // 2)])
-            os.kill(os.getpid(), signal.SIGKILL)
         try:
             if record.get("event") == "point_started":
                 self._fh.write(line)  # in flight, not a commitment: flushed,
@@ -210,7 +168,6 @@ class LedgerWriter:
                 append_durable(self._fh, line)
         except OSError as exc:
             raise ReproError(f"cannot append to sweep ledger {self.path}: {exc}") from None
-        self._appends += 1
 
     def point_started(self, index: int) -> None:
         self.append({"event": "point_started", "index": index})

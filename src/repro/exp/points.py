@@ -83,18 +83,19 @@ def _periodic_base_makespan(depth: int, fanout: int, work: int, processors: int)
 def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Periodic-vs-functional checkpointing comparison (one scheme).
 
-    ``scheme`` is ``periodic:INTERVAL`` or ``functional:POLICY``.  The
-    fault time is ``fault_frac x`` the unsynchronized periodic executor's
-    makespan, derived per point so points stay independent.
+    ``scheme`` is ``periodic:INTERVAL`` or ``functional:POLICY``; every
+    other parameter is read as given (``periodic-baseline`` sets them).
+    The fault time is ``fault_frac x`` the unsynchronized periodic
+    executor's makespan, derived per point so points stay independent.
     """
     from repro.baselines import PeriodicCheckpointSimulator
     from repro.workloads.trees import balanced_tree
 
-    depth = int(params.get("depth", 5))
-    fanout = int(params.get("fanout", 2))
-    work = int(params.get("work", 30))
-    processors = int(params.get("processors", 4))
-    fault_time = float(params.get("fault_frac", 0.6)) * _periodic_base_makespan(
+    depth = int(params["depth"])
+    fanout = int(params["fanout"])
+    work = int(params["work"])
+    processors = int(params["processors"])
+    fault_time = float(params["fault_frac"]) * _periodic_base_makespan(
         depth, fanout, work, processors
     )
 
@@ -115,7 +116,7 @@ def run_periodic_point(params: Mapping[str, Any]) -> Dict[str, Any]:
             MachineSpec(processors=processors),
             seed=int(params["seed"]),
         )
-        crash = FaultSpec(((fault_time, int(params.get("victim", 1))),), "time")
+        crash = FaultSpec(((fault_time, int(params["victim"])),), "time")
         ff = execute(fault_free).result
         faulted = execute(replace(fault_free, faults=crash)).result
         sync_time, lost_work = 0.0, float(faulted.metrics.steps_wasted)

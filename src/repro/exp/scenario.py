@@ -37,32 +37,18 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 from repro.util.jsonio import compact_dumps, sha256_hex
 
 
-def canonical_json(payload: Any) -> str:
-    """Serialize ``payload`` to a canonical compact JSON string.
-
-    Sorted keys and fixed separators make the encoding byte-stable, so
-    it can back spec hashing, per-point seeds, and the on-disk result
-    cache.  Delegates to the one compact encoder in
-    :mod:`repro.util.jsonio` — every sha256-derived identity in the
-    repo hashes the same bytes.
-
-    >>> canonical_json({"b": 1, "a": [1.5, "x"]})
-    '{"a":[1.5,"x"],"b":1}'
-    """
-    return compact_dumps(payload)
-
-
-def stable_hash(payload: Any, length: int = 16) -> str:
-    """Hex digest of the canonical JSON of ``payload`` (sha256 prefix).
+def stable_hash(payload: Any) -> str:
+    """Hex digest of the compact canonical JSON of ``payload`` (the
+    first 16 sha256 hex digits).
 
     Unlike ``hash()``, this is stable across processes and runs.
     """
-    return sha256_hex(canonical_json(payload))[:length]
+    return sha256_hex(compact_dumps(payload))[:16]
 
 
 def _seed63(payload: Any) -> int:
     # the first 8 digest bytes, big-endian, less the top bit
-    return int(sha256_hex(canonical_json(payload))[:16], 16) >> 1
+    return int(stable_hash(payload), 16) >> 1
 
 
 @dataclass(frozen=True)
@@ -74,8 +60,9 @@ class ScenarioSpec:
     declaration order (last axis varies fastest).  ``runner`` names a
     point runner registered in :data:`repro.exp.points.RUNNERS`.
     ``columns`` lists result keys the CLI shows per point (display only —
-    it does not enter the cache key).  Bump ``version`` to invalidate
-    cached results when a runner's semantics change.
+    it does not enter the cache key).  To invalidate cached results,
+    bump the runner's :data:`~repro.exp.points.RUNNER_VERSIONS` entry
+    or change ``base``.
     """
 
     name: str
@@ -89,7 +76,6 @@ class ScenarioSpec:
     #: stalls under a fault); the CLI then doesn't turn failed points
     #: into a nonzero exit code.
     expect_failures: bool = False
-    version: int = 1
     #: Expand every grid cell into this many deterministically-seeded
     #: replicates (replicate 0 keeps the cell's historical seed, so
     #: ``replications=1`` is byte-identical to a spec without the
@@ -101,9 +87,9 @@ class ScenarioSpec:
         """The JSON payload that defines this spec's result-cache key.
 
         Includes the runner's own version
-        (:data:`repro.exp.points.RUNNER_VERSIONS`) alongside the spec's,
-        so a semantic change to a point runner invalidates every cached
-        sweep that used it without touching each spec.
+        (:data:`repro.exp.points.RUNNER_VERSIONS`), so a semantic change
+        to a point runner invalidates every cached sweep that used it
+        without touching each spec.
 
         For ``machine`` scenarios the identity additionally carries the
         fully-expanded canonical RunSpec documents (one per point), so
@@ -122,7 +108,7 @@ class ScenarioSpec:
             "runner_version": RUNNER_VERSIONS.get(self.runner, 1),
             "base": dict(self.base),
             "axes": {k: list(v) for k, v in self.axes.items()},
-            "version": self.version,
+            "version": 1,  # no spec sets its own version; the literal keeps every key
         }
         if self.replications != 1:
             payload["replications"] = self.replications

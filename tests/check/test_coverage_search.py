@@ -195,7 +195,7 @@ class TestMemoizedEvaluation:
 class TestStrategyValidation:
     def test_unknown_strategy_is_a_spec_error(self):
         try:
-            search(BASE, seed=1, attempts=1, strategy="anneal", write=False)
+            search(BASE, seed=1, rounds=1, strategy="anneal", write=False)
         except SpecError as exc:
             assert "anneal" in str(exc)
         else:
@@ -203,7 +203,7 @@ class TestStrategyValidation:
 
     def test_unknown_mode_is_a_spec_error(self):
         try:
-            search(BASE, seed=1, attempts=1, mode="minimize", write=False)
+            search(BASE, seed=1, rounds=1, mode="minimize", write=False)
         except SpecError as exc:
             assert "minimize" in str(exc)
         else:

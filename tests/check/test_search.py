@@ -31,7 +31,7 @@ BASE = (
 
 
 def test_chaos_search_finds_and_shrinks_a_violation(tmp_path):
-    result = search(BASE, seed=1, attempts=6, models=("chaos",), out_dir=str(tmp_path))
+    result = search(BASE, seed=1, rounds=6, models=("chaos",), out_dir=str(tmp_path))
     assert result.found
     assert result.violation["violations"]  # at least one oracle named
     # the shrunk reproducer is itself still violating and no bigger
@@ -40,9 +40,9 @@ def test_chaos_search_finds_and_shrinks_a_violation(tmp_path):
 
 
 def test_same_seed_same_ledger_bytes(tmp_path):
-    a = search(BASE, seed=1, attempts=6, models=("chaos",),
+    a = search(BASE, seed=1, rounds=6, models=("chaos",),
                out_dir=str(tmp_path / "a"))
-    b = search(BASE, seed=1, attempts=6, models=("chaos",),
+    b = search(BASE, seed=1, rounds=6, models=("chaos",),
                out_dir=str(tmp_path / "b"))
     with open(a.path, encoding="utf-8") as fh:
         bytes_a = fh.read()
@@ -53,14 +53,14 @@ def test_same_seed_same_ledger_bytes(tmp_path):
 
 
 def test_different_seeds_draw_different_schedules(tmp_path):
-    a = search(BASE, seed=1, attempts=3, models=("chaos",), write=False)
-    b = search(BASE, seed=2, attempts=3, models=("chaos",), write=False)
+    a = search(BASE, seed=1, rounds=3, models=("chaos",), write=False)
+    b = search(BASE, seed=2, rounds=3, models=("chaos",), write=False)
     assert [x["nemesis"] for x in a.attempts] != [x["nemesis"] for x in b.attempts]
 
 
 def test_benign_models_come_back_clean(tmp_path):
     result = search(
-        BASE, seed=3, attempts=3, models=("jitter",), out_dir=str(tmp_path)
+        BASE, seed=3, rounds=3, models=("jitter",), out_dir=str(tmp_path)
     )
     assert not result.found and result.violation is None
     assert len(result.attempts) == 3
@@ -71,7 +71,7 @@ def test_benign_models_come_back_clean(tmp_path):
 
 def test_ledger_is_canonical_json_at_the_deterministic_path(tmp_path):
     result = search(
-        BASE, seed=3, attempts=2, models=("jitter",), out_dir=str(tmp_path)
+        BASE, seed=3, rounds=2, models=("jitter",), out_dir=str(tmp_path)
     )
     assert result.path == ledger_path(result.base, 3, str(tmp_path))
     with open(result.path, encoding="utf-8") as fh:
@@ -85,7 +85,7 @@ def test_ledger_is_canonical_json_at_the_deterministic_path(tmp_path):
 
 def test_no_write_leaves_no_ledger(tmp_path):
     result = search(
-        BASE, seed=3, attempts=2, models=("jitter",),
+        BASE, seed=3, rounds=2, models=("jitter",),
         out_dir=str(tmp_path), write=False,
     )
     assert result.path is None and not os.listdir(tmp_path)
@@ -96,17 +96,17 @@ def test_base_nemesis_is_cleared_before_searching():
         Experiment.workload("balanced:3:2:10").processors(4)
         .nemesis("jitter:max=25").build()
     )
-    result = search(spec, seed=3, attempts=1, models=("jitter",), write=False)
+    result = search(spec, seed=3, rounds=1, models=("jitter",), write=False)
     assert not result.base.nemesis.clauses
 
 
 @pytest.mark.parametrize(
     "kwargs, field",
     [
-        ({"attempts": 0}, "check.attempts"),
-        ({"attempts": -2}, "check.attempts"),
+        ({"rounds": 0}, "check.rounds"),
+        ({"rounds": -2}, "check.rounds"),
         ({"strategy": "coverage", "rounds": 0}, "check.rounds"),
-        ({"attempts": 0, "rounds": 3, "max_clauses": 0}, "check.max_clauses"),
+        ({"rounds": 3, "max_clauses": 0}, "check.max_clauses"),
     ],
 )
 def test_an_empty_budget_is_rejected_before_anything_is_written(
@@ -118,9 +118,3 @@ def test_an_empty_budget_is_rejected_before_anything_is_written(
     assert excinfo.value.field == field
     assert not os.listdir(tmp_path)
 
-
-def test_rounds_overrides_attempts_as_the_budget():
-    result = search(
-        BASE, seed=3, attempts=0, rounds=2, models=("jitter",), write=False
-    )
-    assert len(result.attempts) == 2

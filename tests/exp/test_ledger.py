@@ -28,7 +28,7 @@ from repro.exp import (
     run_scenario,
 )
 from repro.exp.ledger import result_digest
-from repro.exp.points import RUNNERS
+from repro.exp.points import RUNNER_VERSIONS, RUNNERS
 from repro.exp.scenario import _REGISTRY, with_replications
 from repro.util.jsonio import compact_dumps
 
@@ -340,10 +340,10 @@ class TestResume:
 
     def test_identity_drift_refused(self, tmp_path, monkeypatch):
         run_id = interrupted_ledger(tmp_path)
-        bumped = dataclasses.replace(
-            get_scenario("smoke"), version=get_scenario("smoke").version + 1
-        )
-        monkeypatch.setitem(_REGISTRY, "smoke", bumped)
+        # a runner-version bump changes the identity; a fresh copy of the
+        # spec keys itself again
+        monkeypatch.setitem(RUNNER_VERSIONS, "machine", RUNNER_VERSIONS["machine"] + 1)
+        monkeypatch.setitem(_REGISTRY, "smoke", dataclasses.replace(get_scenario("smoke")))
         with pytest.raises(SpecError, match="re-run instead of resuming"):
             resume_run(run_id, ledger_dir=str(tmp_path / "ledger"))
 

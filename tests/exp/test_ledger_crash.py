@@ -1,10 +1,10 @@
 """Crash-injection harness for the sweep ledger: real SIGKILLs.
 
-Each test runs ``repro exp run smoke`` in a subprocess and kills it —
-either deterministically mid-ledger-append via the
-``REPRO_LEDGER_CRASH_AFTER`` hook (the writer SIGKILLs itself halfway
-through writing a record, leaving a genuinely torn line), or externally
-while ``REPRO_LEDGER_SLOW_APPEND`` paces the sweep wide enough for an
+Each test runs ``repro exp run smoke`` in a subprocess under
+``crash_harness.py`` and kills it — either deterministically
+mid-ledger-append with ``--crash-after N`` (the wrapped writer SIGKILLs
+its process halfway through writing a record, leaving a genuinely torn
+line), or externally while ``--slow`` paces the sweep wide enough for an
 outside ``SIGKILL`` to land.  The contract under test is the tentpole
 guarantee: resume completes the run and the final sweep JSON is
 **byte-identical** to an uninterrupted run.
@@ -30,22 +30,24 @@ from repro.exp import get_scenario, ledger_path, list_runs, resume_run, run_scen
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+HARNESS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "crash_harness.py")
+
 RUN_ID = get_scenario("smoke").run_id()
 
 
-def cli_env(**extra: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    env.pop("REPRO_LEDGER_CRASH_AFTER", None)
-    env.pop("REPRO_LEDGER_SLOW_APPEND", None)
-    env.update(extra)
-    return env
+def cli_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
 
-def run_cli(args, **extra_env):
+def run_cli(args, *harness_args):
+    """``repro ARGS`` in a subprocess; with ``harness_args``, under the
+    crash harness."""
+    command = [sys.executable, "-m", "repro"]
+    if harness_args:
+        command = [sys.executable, HARNESS, *harness_args, "--"]
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
-        env=cli_env(**extra_env),
+        [*command, *args],
+        env=cli_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -60,6 +62,15 @@ def reference_bytes(tmp_path_factory) -> bytes:
     )
     with open(sweep.cache_path, "rb") as fh:
         return fh.read()
+
+
+def ledger_bytes(path: str) -> bytes:
+    """The ledger's bytes so far (none before the header is written)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return b""
 
 
 def cache_bytes(cache_dir: str) -> bytes:
@@ -77,16 +88,16 @@ class TestCrashAfterHook:
         cache = str(tmp_path / "cache")
         proc = run_cli(
             ["exp", "run", "smoke", "--cache-dir", cache],
-            REPRO_LEDGER_CRASH_AFTER=str(crash_after),
+            "--crash-after", str(crash_after),
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr
 
         path = ledger_path(os.path.join(cache, "ledger"), RUN_ID)
         with open(path, "rb") as fh:
             raw = fh.read()
-        # the crash hook dies halfway through a write: a real torn tail
+        # the harness dies halfway through a write: a real torn tail
         assert raw and not raw.endswith(b"\n")
-        # the hook counts every record, the unsynced point_started too
+        # it counts every record, the unsynced point_started too
         assert raw.count(b"\n") == crash_after
 
         resumed = resume_run(
@@ -104,7 +115,7 @@ class TestCrashAfterHook:
         cache = str(tmp_path / "cache")
         proc = run_cli(
             ["exp", "run", "smoke", "--cache-dir", cache],
-            REPRO_LEDGER_CRASH_AFTER="9",
+            "--crash-after", "9",
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         sweep_dir = os.path.join(cache, "smoke")
@@ -128,7 +139,7 @@ class TestCrashAfterHook:
         cache = str(tmp_path / "cache")
         proc = run_cli(
             ["exp", "run", "smoke", "--cache-dir", cache],
-            REPRO_LEDGER_CRASH_AFTER="0",
+            "--crash-after", "0",
         )
         assert proc.returncode == -signal.SIGKILL
         # the only record was torn, so there is no usable header: the
@@ -144,7 +155,7 @@ class TestCrashAfterHook:
         cache = str(tmp_path / "cache")
         proc = run_cli(
             ["exp", "run", "smoke", "--cache-dir", cache],
-            REPRO_LEDGER_CRASH_AFTER="99",
+            "--crash-after", "99",
         )
         assert proc.returncode == 0, proc.stderr
         assert cache_bytes(cache) == reference_bytes
@@ -153,7 +164,7 @@ class TestCrashAfterHook:
         cache = str(tmp_path / "cache")
         proc = run_cli(
             ["exp", "run", "smoke", "--cache-dir", cache],
-            REPRO_LEDGER_CRASH_AFTER="5",
+            "--crash-after", "5",
         )
         assert proc.returncode == -signal.SIGKILL
 
@@ -175,44 +186,38 @@ class TestExternalSigkill:
     def test_kill_from_outside_mid_sweep(self, tmp_path, reference_bytes):
         """An asynchronous SIGKILL (no cooperation from the victim).
 
-        ``REPRO_LEDGER_SLOW_APPEND`` paces each append so the window is
-        wide; the killer polls the ledger and fires once the run is
-        mid-sweep.  If the scheduler still lets the run finish first,
-        the uninterrupted path is asserted instead — either way the
-        final bytes must match the reference.
+        ``--slow`` paces each append so the window is wide; the killer
+        polls the ledger and fires once the run is mid-sweep.  The kill
+        must land: the sweep may not finish first.
         """
         cache = str(tmp_path / "cache")
         path = ledger_path(os.path.join(cache, "ledger"), RUN_ID)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "exp", "run", "smoke",
-             "--cache-dir", cache],
-            env=cli_env(REPRO_LEDGER_SLOW_APPEND="0.2"),
+            [sys.executable, HARNESS, "--slow", "0.2", "--",
+             "exp", "run", "smoke", "--cache-dir", cache],
+            env=cli_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
         try:
             deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and proc.poll() is None:
-                if os.path.exists(path):
-                    with open(path, "rb") as fh:
-                        if fh.read().count(b"\n") >= 3:
-                            break
+            while ledger_bytes(path).count(b"\n") < 3:
+                assert proc.poll() is None, "the sweep ended before the kill"
+                assert time.monotonic() < deadline, "no third ledger record in 60 s"
                 time.sleep(0.05)
-            killed = proc.poll() is None
-            if killed:
-                proc.kill()
-            returncode = proc.wait(timeout=60)
+            proc.kill()
+            assert proc.wait(timeout=60) == -signal.SIGKILL
         finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup on timeout
+            if proc.poll() is None:  # pragma: no cover - cleanup on a failed assert
                 proc.kill()
                 proc.wait()
 
-        if killed:
-            assert returncode == -signal.SIGKILL
-            resumed = resume_run(
-                RUN_ID, ledger_dir=os.path.join(cache, "ledger"), cache_dir=cache
-            )
-            assert resumed.resumed_points >= 1
-        else:  # pragma: no cover - scheduler let the sweep finish
-            assert returncode == 0
+        # the kill landed mid-sweep: no run_finished, no cache document
+        assert b'"run_finished"' not in ledger_bytes(path)
+        with pytest.raises(FileNotFoundError):
+            cache_bytes(cache)
+        resumed = resume_run(
+            RUN_ID, ledger_dir=os.path.join(cache, "ledger"), cache_dir=cache
+        )
+        assert resumed.resumed_points >= 1
         assert cache_bytes(cache) == reference_bytes

@@ -22,6 +22,10 @@ A third walk pins that nothing the simulator keeps goes unread: every
 dataclass field and ``self.X =`` attribute of a class under ``sim/``,
 ``core/``, ``load/``, ``baselines/`` and ``config.py`` is loaded
 somewhere in ``src/``, ``tests/`` or ``bench/``.
+
+A fourth walk pins that a run is a pure function of its spec: nothing
+under ``src/repro`` reads the process environment (``os.environ``,
+``os.getenv``).
 """
 
 from __future__ import annotations
@@ -524,3 +528,50 @@ def test_the_dead_state_scan_sees_a_write_only_field():
     }
     assert read_names(source) == {"held"}
     assert read_names("x = r.read + r.count\nr.never = 1\nr.peak += 1\n") == {"read", "count"}
+
+
+# -- a run reads no environment ----------------------------------------------------
+
+#: The ``os`` names that read the process environment.
+ENV_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str) -> list:
+    """``(line, name)`` for every ``os.environ``/``os.getenv`` use and
+    every ``from os import`` of one."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        ):
+            reads.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads.extend(
+                (node.lineno, f"os.{alias.name}")
+                for alias in node.names if alias.name in ENV_READERS
+            )
+    return sorted(reads)
+
+
+def test_the_package_reads_no_environment():
+    found = {
+        os.path.relpath(path, SRC): reads
+        for path in ALL_FILES
+        for reads in [environment_reads(_source(path))]
+        if reads
+    }
+    assert found == {}
+
+
+def test_the_environment_scan_sees_a_read():
+    source = (
+        "import os\n"
+        "from os import getenv, path\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('Y', '1')\n"
+        "c = os.path.join('p', 'q')\n"
+    )
+    assert environment_reads(source) == [
+        (2, "os.getenv"), (3, "os.environ"), (4, "os.getenv"),
+    ]

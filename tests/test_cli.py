@@ -676,15 +676,28 @@ class TestDiagnostics:
         assert err.count("\n") == 1 and "replication factor must be >= 1" in err
 
     def test_every_verb_has_a_handler(self):
-        from repro.cli import HANDLERS, build_parser
+        # every leaf parser resolves to a handler; a parser with verbs
+        # under it sets none of its own
+        from repro import cli
 
-        verbs = set()
-        for action in build_parser()._subparsers._group_actions:
-            for command, sub in action.choices.items():
-                groups = sub._subparsers._group_actions if sub._subparsers else []
-                names = [name for group in groups for name in group.choices]
-                verbs.update((command, name) for name in names or [None])
-        assert verbs == set(HANDLERS)
+        def leaves(parser, path):
+            if parser._subparsers is None:
+                yield path, parser
+                return
+            assert "handler" not in parser._defaults, path
+            for group in parser._subparsers._group_actions:
+                for name, sub in group.choices.items():
+                    yield from leaves(sub, path + (name,))
+
+        handlers = {
+            path: sub._defaults.get("handler") for path, sub in leaves(cli.build_parser(), ())
+        }
+        assert ("check", "corpus", "run") in handlers
+        assert None not in handlers.values(), handlers
+        # ... and every cmd_* function is some verb's handler
+        assert set(handlers.values()) == {
+            getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")
+        }
 
 
 class TestCheck:
@@ -729,7 +742,7 @@ class TestCheck:
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (("--attempts", "0", "--expect", "clean"), "attempts"),
+            (("--rounds", "0", "--expect", "clean"), "rounds"),
             (("--strategy", "coverage", "--rounds", "-3"), "rounds"),
             (("--max-clauses", "0"), "max_clauses"),
         ],

@@ -555,10 +555,14 @@ class TestLedgerReferences:
         assert "byte-identical" in ledger_doc
 
     def test_ledger_md_documents_the_test_hooks(self):
+        # the crash hooks live in a harness beside the tests, not in the writer
         ledger_doc = read_docs()["docs/LEDGER.md"]
-        from repro.exp.ledger import CRASH_ENV, SLOW_ENV
-
-        assert CRASH_ENV in ledger_doc and SLOW_ENV in ledger_doc
+        harness = "tests/exp/crash_harness.py"
+        assert harness in ledger_doc
+        with open(os.path.join(REPO_ROOT, harness), encoding="utf-8") as fh:
+            source = fh.read()
+        for flag in ("--crash-after", "--slow"):
+            assert flag in ledger_doc and f'"{flag}"' in source, flag
 
     def test_scenarios_md_points_at_the_ledger(self):
         scenarios_doc = read_docs()["docs/SCENARIOS.md"]
