@@ -152,7 +152,8 @@ def _parse_fault(text: str):
 #: No row sets a default, so an absent flag reads None: the real defaults
 #: (rollback / 4 / complete / gradient / 0 / 3) are owned by
 #: RunSpec/MachineSpec in repro.api, and *any* explicitly-given flag
-#: — even at its default value — conflicts with --spec-json.
+#: — even at its default value — conflicts with a whole-spec source
+#: (--spec-json, --scenario; see _whole_spec).
 SPEC_FLAGS = {
     "policy": dict(type=_parse_policy, metavar="POLICY", help=POLICY_HELP),
     "processors": dict(type=int, help="default: 4"),
@@ -206,6 +207,8 @@ def _flags(parser, table, *names: str, **help_for: str) -> None:
         kwargs = dict(table[name])
         kwargs["help"] = help_for.get(name, kwargs["help"])
         parser.add_argument("--" + name.replace("_", "-"), **kwargs)
+    if table is SPEC_FLAGS:
+        parser.set_defaults(spec_flags=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,28 +578,31 @@ def _runspec_from_flags(args, alternative: str) -> RunSpec:
     return builder.build()
 
 
+def _whole_spec(args, source: str, field: str, remedy: str) -> None:
+    """Refuse what a whole-spec source (``run --spec-json``, ``check
+    --scenario``) would silently ignore: the workload argument, and any
+    spec flag the verb declared that was given explicitly — even at its
+    default value — since overlaying (or worse, ignoring) it would run a
+    different spec than the one named."""
+    if args.workload is not None:
+        raise SpecError(
+            f"{source} replaces the workload argument; give one or the other",
+            field=field, value=args.workload,
+        )
+    given = [f"--{name}" for name in args.spec_flags if getattr(args, name) is not None]
+    if given:
+        raise SpecError(
+            f"{source} carries the whole experiment; drop {', '.join(given)} "
+            f"or {remedy} instead",
+            field=field, value=given,
+        )
+
+
 def _runspec_from_args(args) -> RunSpec:
     """Resolve the ``repro run`` flags (or --spec-json) into a RunSpec."""
     if args.spec_json is None:
         return _runspec_from_flags(args, "--spec-json FILE")
-    if args.workload is not None:
-        raise SpecError(
-            "--spec-json replaces the workload argument; give one or the other",
-            field="workload", value=args.workload,
-        )
-    # The document is the whole experiment: silently overlaying (or
-    # worse, ignoring) flag-level overrides would run a different
-    # spec than the one named, so any explicitly-given run-shaping
-    # flag — even at its default value — is an error.
-    overridden = [
-        f"--{name}" for name in SPEC_FLAGS if getattr(args, name) is not None
-    ]
-    if overridden:
-        raise SpecError(
-            f"--spec-json carries the whole experiment; drop {', '.join(overridden)} "
-            "or edit the JSON document instead",
-            field="spec-json", value=overridden,
-        )
+    _whole_spec(args, "--spec-json", "spec-json", "edit the JSON document")
     from repro.util.jsonio import parse_json
 
     try:
@@ -678,17 +684,12 @@ def cmd_exp_show(args, out) -> int:
     return 0
 
 
-def _exp_ledger_dir(args) -> Optional[str]:
-    """Resolve the ledger directory for the ``exp`` verbs.
-
-    An explicit ``--ledger-dir`` always wins; otherwise the ledger rides
-    along with the cache at ``<cache-dir>/ledger``.  ``--no-ledger`` and
-    ``--no-cache`` (an explicitly ephemeral run) disable the default.
-    """
-    if getattr(args, "ledger_dir", None) is not None:
+def _exp_ledger_dir(args) -> str:
+    """The ledger directory of the ``exp`` verbs: an explicit
+    ``--ledger-dir``, else the one riding along with the cache at
+    ``<cache-dir>/ledger``."""
+    if args.ledger_dir is not None:
         return args.ledger_dir
-    if getattr(args, "no_ledger", False) or getattr(args, "no_cache", False):
-        return None
     return os.path.join(args.cache_dir, "ledger")
 
 
@@ -732,12 +733,15 @@ def cmd_exp_run(args, out) -> int:
     from repro.exp import get_scenario, run_scenario
 
     spec = get_scenario(args.scenario)
+    # unless a ledger directory is named, --no-ledger and --no-cache (an
+    # explicitly ephemeral run) record no ledger
+    unledgered = args.ledger_dir is None and (args.no_ledger or args.no_cache)
     sweep = run_scenario(
         spec,
         workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
         force=args.force,
-        ledger_dir=_exp_ledger_dir(args),
+        ledger_dir=None if unledgered else _exp_ledger_dir(args),
     )
     return _print_sweep(sweep, spec, args, out)
 
@@ -876,13 +880,8 @@ def _check_specs(args) -> List[RunSpec]:
     every machine point of ``--scenario NAME`` as validated RunSpecs."""
     if args.scenario is None:
         return [_runspec_from_flags(args, "--scenario NAME")]
-    if args.workload is not None:
-        raise SpecError(
-            "--scenario replaces the workload argument; give one or "
-            "the other",
-            field="check.scenario", value=args.workload,
-        )
-    from repro.exp import expanded_runspecs, get_scenario
+    _whole_spec(args, "--scenario", "check.scenario", "give a workload argument")
+    from repro.exp import expand, get_scenario, point_runspec
 
     spec = get_scenario(args.scenario)
     if spec.runner != "machine":
@@ -891,7 +890,7 @@ def _check_specs(args) -> List[RunSpec]:
             "machine scenarios are checkable",
             field="check.scenario", value=args.scenario,
         )
-    return [RunSpec.from_json(doc).validate() for doc in expanded_runspecs(spec)]
+    return [point_runspec(spec, point).validate() for point in expand(spec)]
 
 
 def cmd_check_run(args, out) -> int:

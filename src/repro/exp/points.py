@@ -2,10 +2,10 @@
 
 Runners are pure functions ``params -> result dict`` registered by name
 in :data:`RUNNERS`; scenario specs reference them by that name so specs
-stay serializable and worker processes can re-resolve them.  Every value
-in a result dict is a JSON primitive (numbers, strings, bools, lists,
-dicts), which is what makes the on-disk cache and the serial/parallel
-byte-parity guarantee possible.
+stay serializable, and a pool worker is handed the runner and one
+point's parameters.  Every value in a result dict is a JSON primitive
+(numbers, strings, bools, lists, dicts), which is what makes the on-disk
+cache and the serial/parallel byte-parity guarantee possible.
 
 The ``machine`` runner is :mod:`repro.api` itself: the point parameters
 parse into a canonical :class:`~repro.api.RunSpec`

@@ -1,11 +1,14 @@
 """Parallel sweep runner with an on-disk JSON result cache.
 
-``run_scenario`` expands a registered scenario into its point grid, runs
-every point (serially or fanned out over a ``ProcessPoolExecutor``), and
-assembles per-point result dicts **in point order**.  Because points are
-independent pure functions of their parameters and results are keyed by
-index, a sweep produces byte-identical JSON no matter how many workers
-ran it — the serial-parity guarantee the tests pin down.
+``run_scenario`` expands a scenario into its point grid, runs every
+point (serially or fanned out over a ``ProcessPoolExecutor``), and
+assembles per-point result dicts **in point order**.  A pool worker is
+handed the spec's runner and the point's parameters — the same call a
+serial run makes — so any ``ScenarioSpec``, registered or not, runs the
+same way in both.  Because points are independent pure functions of
+their parameters and results are keyed by index, a sweep produces
+byte-identical JSON no matter how many workers ran it — the
+serial-parity guarantee the tests pin down.
 
 Caching: the result payload is stored at
 ``<cache_dir>/<scenario>/<spec_key>.json`` where ``spec_key`` is a
@@ -27,8 +30,10 @@ produces) is unchanged.
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Union
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError, SpecError
 from repro.exp.ledger import (
@@ -52,26 +57,6 @@ from repro.util.jsonio import canonical_dumps, canonical_file, parse_json, write
 def result_path(cache_dir: str, scenario: str, key: str) -> str:
     """Cache-file location for one (scenario, spec-key) pair."""
     return os.path.join(cache_dir, scenario, f"{key}.json")
-
-
-def run_point(spec: ScenarioSpec, point: Point) -> Dict[str, Any]:
-    """Execute one point through its spec's named runner."""
-    return RUNNERS[spec.runner](point.params)
-
-
-def _run_point_by_index(
-    scenario_name: str, index: int, replications: int = 1
-) -> Dict[str, Any]:
-    """Worker entry: re-resolve the point from the registry and run it.
-
-    Only the scenario name, point index, and replication count cross
-    the process boundary, so the worker recomputes the same parameters
-    and seed the parent would have used — nothing depends on pickled
-    closures.  ``replications`` re-derives a replicated view of the
-    registered spec (the parent may be sweeping ``with_replications``).
-    """
-    spec = with_replications(get_scenario(scenario_name), replications)
-    return run_point(spec, expand(spec)[index])
 
 
 @dataclass
@@ -176,6 +161,38 @@ def _load_cached(path: str, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
     return payload if whole else None
 
 
+def _outcomes(
+    run: Callable[..., Dict[str, Any]],
+    todo: List[Point],
+    workers: int,
+    start: Callable[[int], None],
+) -> Iterator[Tuple[int, Callable[[], Dict[str, Any]]]]:
+    """Yield ``(index, outcome)`` per point; calling ``outcome()`` returns
+    the point's result or raises its failure.
+
+    ``start(index)`` is called as each point is launched: serially, just
+    before it runs; over a pool, for every point at submit time, with
+    outcomes then arriving in completion order.  A worker is handed the
+    runner and the point's parameters, the same call a serial run makes.
+    """
+    if workers > 1 and len(todo) > 1:
+        # imported here: a process pool loads multiprocessing, pickle,
+        # socket and logging, which a serial sweep never needs
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+            futures = {}
+            for point in todo:
+                start(point.index)
+                futures[pool.submit(run, point.params)] = point.index
+            for future in as_completed(futures):
+                yield futures[future], future.result
+    else:
+        for point in todo:
+            start(point.index)
+            yield point.index, partial(run, point.params)
+
+
 def _execute_points(
     spec: ScenarioSpec,
     points: List[Point],
@@ -191,51 +208,23 @@ def _execute_points(
     maximizing what a later ``repro exp resume`` can skip — before one
     :class:`~repro.errors.ReproError` summarizes the failures.
     """
-    todo = list(indices)
     results: Dict[int, Dict[str, Any]] = {}
     failures: Dict[int, str] = {}
-
-    def finish(index: int, result: Dict[str, Any]) -> None:
-        results[index] = result
-        if writer is not None:
-            writer.point_finished(index, result)
-
-    def fail(index: int, exc: Exception) -> None:
-        if writer is None:
-            raise exc
-        failures[index] = f"{type(exc).__name__}: {exc}"
-        writer.point_failed(index, failures[index])
-
-    if workers > 1 and len(todo) > 1:
-        # imported here: a process pool loads multiprocessing, pickle,
-        # socket and logging, which a serial sweep never needs
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            futures = {}
-            for index in todo:
-                if writer is not None:
-                    writer.point_started(index)
-                futures[
-                    pool.submit(
-                        _run_point_by_index, spec.name, index, spec.replications
-                    )
-                ] = index
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    finish(index, future.result())
-                except Exception as exc:  # noqa: BLE001 - journaled, re-raised below
-                    fail(index, exc)
-    else:
-        by_index = {point.index: point for point in points}
-        for index in todo:
-            if writer is not None:
-                writer.point_started(index)
+    start = writer.point_started if writer is not None else lambda index: None
+    outcomes = _outcomes(
+        RUNNERS[spec.runner], [points[index] for index in indices], workers, start
+    )
+    with closing(outcomes):
+        for index, outcome in outcomes:
             try:
-                finish(index, run_point(spec, by_index[index]))
+                results[index] = outcome()
+                if writer is not None:
+                    writer.point_finished(index, results[index])
             except Exception as exc:  # noqa: BLE001 - journaled, re-raised below
-                fail(index, exc)
+                if writer is None:
+                    raise
+                failures[index] = f"{type(exc).__name__}: {exc}"
+                writer.point_failed(index, failures[index])
 
     if failures:
         first = min(failures)

@@ -190,15 +190,10 @@ class Point:
     seed, later replicates carry derived seeds (:func:`replicate_seed`).
     """
 
-    scenario: str
     index: int
     params: Mapping[str, Any]
     seed: int
     replicate: int = 0
-
-    def axis_values(self, spec: ScenarioSpec) -> Dict[str, Any]:
-        """Just this point's values along the spec's sweep axes."""
-        return {axis: self.params[axis] for axis in spec.axes}
 
 
 def point_seed(scenario_name: str, params: Mapping[str, Any]) -> int:
@@ -255,13 +250,7 @@ def expand(spec: ScenarioSpec) -> List[Point]:
             if replicate > 0:
                 params["seed"] = replicate_seed(spec.name, cell, replicate)
             points.append(
-                Point(
-                    scenario=spec.name,
-                    index=index,
-                    params=params,
-                    seed=params["seed"],
-                    replicate=replicate,
-                )
+                Point(index=index, params=params, seed=params["seed"], replicate=replicate)
             )
             index += 1
     return points

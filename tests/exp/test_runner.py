@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.exp import get_scenario, replay_ledger, run_scenario, sweep_table
 from repro.exp.runner import SweepResult, result_path
+from repro.exp.scenario import ScenarioSpec
 from repro.util import jsonio
 from repro.util.jsonio import canonical_dumps
 
@@ -30,6 +32,37 @@ class TestSerialParallelParity:
     def test_results_ordered_by_point_index(self):
         sweep = run_scenario("smoke", workers=2)
         assert [p["index"] for p in sweep.points] == list(range(len(sweep.points)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # a registered name with a different grid: the pool must run
+            # this spec's points, not the registered smoke's
+            replace(
+                get_scenario("smoke"),
+                base={**get_scenario("smoke").base, "workload": "balanced:2:2:10"},
+            ),
+            ScenarioSpec(
+                name="unregistered",
+                title="unregistered",
+                description="a spec the registry does not hold",
+                runner="machine",
+                base={"workload": "chain:6:10", "processors": 3, "victim": 2},
+                axes={"policy": ("rollback", "splice"), "fault_frac": (0.5,)},
+            ),
+        ],
+        ids=["replaced-smoke", "unregistered"],
+    )
+    def test_unregistered_spec_byte_identical_across_worker_counts(self, spec, tmp_path):
+        serial = run_scenario(spec, workers=1, cache_dir=str(tmp_path / "s"))
+        parallel = run_scenario(spec, workers=2, cache_dir=str(tmp_path / "p"))
+        assert serial.to_json() == parallel.to_json()
+        with open(serial.cache_path, "rb") as a, open(parallel.cache_path, "rb") as b:
+            assert a.read() == b.read()
+        if spec.name == "smoke":
+            registered = run_scenario("smoke")
+            assert serial.key != registered.key
+            assert serial.results() != registered.results()
 
 
 class TestCache:

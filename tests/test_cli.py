@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 
 import pytest
 
@@ -609,6 +610,27 @@ class TestExpLedger:
         )
         assert code == 0 and resumed == direct
 
+    def test_exp_resume_no_cache_keeps_the_ledger(self, tmp_path):
+        # on resume, --no-cache only skips the cache write; the ledger
+        # still lives at <cache-dir>/ledger and is completed there
+        from repro.exp import LedgerWriter, get_scenario, replay_ledger, run_scenario
+
+        spec = get_scenario("smoke")
+        full = run_scenario("smoke")
+        cache = tmp_path / "results"
+        with LedgerWriter.start(str(cache / "ledger"), spec) as writer:
+            for index in (0, 1):
+                writer.point_started(index)
+                writer.point_finished(index, full.points[index]["result"])
+        code, text = run_cli(
+            "exp", "resume", spec.run_id(), "--cache-dir", str(cache), "--no-cache"
+        )
+        assert code == 0
+        assert "resumed 2 point(s)" in text
+        assert os.listdir(cache) == ["ledger"]  # no cache file
+        (ledger,) = (cache / "ledger").iterdir()
+        assert replay_ledger(str(ledger)).status == "complete"
+
     def test_exp_run_unwritable_cache_exits_1_one_line(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the cache tree must go")
@@ -738,6 +760,42 @@ class TestCheck:
         code, _ = run_cli("check", verb)
         assert code == 2
         assert "a workload (or --scenario NAME) is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, dropped",
+        [
+            (
+                ("run", "--policy", "none", "--nemesis", "crash:at=0.4,node=1"),
+                "--policy, --nemesis",
+            ),
+            (
+                ("search", "--policy", "none", "--processors", "2", "--json", "--no-write"),
+                "--policy, --processors",
+            ),
+            # a flag given at its default value is still refused
+            (("run", "--seed", "0"), "--seed"),
+        ],
+        ids=["run", "search", "default-value"],
+    )
+    def test_scenario_refuses_explicit_spec_flags(self, argv, dropped, capsys):
+        # the scenario carries the whole spec: a spec flag beside it used
+        # to be ignored without a word
+        verb, *flags = argv
+        code, text = run_cli("check", verb, "--scenario", "smoke", *flags)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: --scenario carries the whole experiment; drop {dropped} "
+            "or give a workload argument instead\n"
+        )
+
+    def test_search_seed_is_not_a_spec_flag(self):
+        # check search's --seed seeds the schedule generator; it does not
+        # reshape the scenario's spec, so --scenario accepts it
+        code, text = run_cli(
+            "check", "search", "--scenario", "smoke", "--seed", "3", "--rounds", "1",
+            "--no-write",
+        )
+        assert code == 0 and "1 schedule(s) tried" in text
 
     @pytest.mark.parametrize(
         "flags, field",
