@@ -77,8 +77,11 @@ def _util_stats(result: RunResult) -> Tuple[Optional[float], Optional[float]]:
 
 
 @lru_cache(maxsize=None)
-def _baseline(workload: str, policy: str, config: SimConfig) -> Tuple[float, int, int]:
-    """Fault-free baseline ``(makespan, tasks_accepted, messages_total)``.
+def _baseline(
+    workload: str, policy: str, config: SimConfig
+) -> Tuple[Tuple[float, int, int], bool]:
+    """Fault-free baseline ``(makespan, tasks_accepted, messages_total)``
+    and whether its run was seed-blind (:attr:`RunResult.seed_blind`).
 
     Many runs of one sweep share the same baseline (e.g. every fault
     fraction of one policy); memoizing per process restores the old
@@ -92,7 +95,8 @@ def _baseline(workload: str, policy: str, config: SimConfig) -> Tuple[float, int
     )
     if not result.completed:
         raise RuntimeError(f"baseline run stalled: {result.stall_reason}")
-    return result.makespan, result.metrics.tasks_accepted, result.metrics.messages_total
+    base = (result.makespan, result.metrics.tasks_accepted, result.metrics.messages_total)
+    return base, result.seed_blind
 
 
 # -- handles -------------------------------------------------------------------
@@ -113,6 +117,9 @@ class RunHandle:
     #: Oracle verdicts (:class:`repro.check.CheckReport`), filled in by
     #: sessions constructed with an ``oracles`` config.
     check: Optional[Any] = None
+    #: Neither the run nor its baseline read the seed, so the record
+    #: under any other seed differs only in ``seed``.
+    seed_blind: bool = False
 
     @property
     def metrics(self):
@@ -159,6 +166,7 @@ def execute(spec: RunSpec, collect_trace: bool = False) -> RunHandle:
     policy_str = spec.policy.to_spec_str()
 
     base: Optional[Tuple[float, int, int]] = None
+    base_blind = True
     frac_faults = spec.faults.mode == "frac" and bool(spec.faults.entries)
     need_base = (
         frac_faults or bool(spec.nemesis) or spec.speedup_base_processors is not None
@@ -168,7 +176,7 @@ def execute(spec: RunSpec, collect_trace: bool = False) -> RunHandle:
         base_cfg = config
         if spec.speedup_base_processors is not None:
             base_cfg = config.with_(n_processors=spec.speedup_base_processors)
-        base = _baseline(spec.workload.to_spec_str(), base_policy, base_cfg)
+        base, base_blind = _baseline(spec.workload.to_spec_str(), base_policy, base_cfg)
 
     base_makespan = base[0] if base else None
     faults = spec.faults.schedule(base_makespan)
@@ -215,7 +223,10 @@ def execute(spec: RunSpec, collect_trace: bool = False) -> RunHandle:
             out["slowdown"] = round(result.makespan / base_makespan, 6)
         if spec.speedup_base_processors is not None:
             out["speedup"] = round(base_makespan / result.makespan, 6)
-    return RunHandle(spec=spec, result=result, record=out, baseline=base)
+    return RunHandle(
+        spec=spec, result=result, record=out, baseline=base,
+        seed_blind=result.seed_blind and base_blind,
+    )
 
 
 # -- the fluent builder --------------------------------------------------------

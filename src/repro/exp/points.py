@@ -13,6 +13,17 @@ parse into a canonical :class:`~repro.api.RunSpec`
 the result record, so registry sweeps, ``repro run``, and programmatic
 ``Experiment`` runs share one execution path and one result shape.
 
+A *seed-blind* machine point is run once per grid cell.  A run is blind
+when it created no stream on its machine's :class:`~repro.util.rng.RngHub`
+and armed no load generator (``RunResult.seed_blind``), and a point is
+blind when its run and its fault-free baseline both were
+(``RunHandle.seed_blind``).  Its record is then a pure function of its
+spec without the seed, so the runner keeps it in a process-wide memo
+keyed by the compact canonical JSON of the point's ``RunSpec`` with
+``seed`` zeroed; another replicate of the cell gets an independent copy
+with its own ``seed``.  The memo is a pure function of its key, so
+serial and pooled sweeps stay byte-identical.
+
 Parameter conventions for the ``machine`` runner (all JSON values):
 
 ``workload``
@@ -46,19 +57,35 @@ offending token, the allowed values, and its position in the string.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping
 
 from repro.api.session import execute
 from repro.api.specs import FaultSpec, MachineSpec, PolicySpec, RunSpec, WorkloadSpec
+from repro.util.jsonio import compact_dumps
 
 # -- runners ------------------------------------------------------------------
+
+#: The first record of each seed-blind cell, keyed by its RunSpec's compact
+#: JSON with ``seed`` zeroed (see the module docstring).
+_seed_blind_records: Dict[str, Dict[str, Any]] = {}
 
 
 def run_machine_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     """One machine run (optionally faulted), as a flat JSON dict."""
-    return execute(RunSpec.from_params(params)).record
+    spec = RunSpec.from_params(params)
+    cell = compact_dumps(replace(spec, seed=0).to_json())
+    first = _seed_blind_records.get(cell)
+    if first is not None:
+        record = deepcopy(first)
+        record["seed"] = spec.seed
+        return record
+    handle = execute(spec)
+    if handle.seed_blind:
+        _seed_blind_records[cell] = deepcopy(handle.record)
+    return handle.record
 
 
 def run_figure_point(params: Mapping[str, Any]) -> Dict[str, Any]:

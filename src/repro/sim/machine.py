@@ -76,6 +76,12 @@ class RunResult:
     #: Steady-state observations of an open-loop run
     #: (:class:`repro.load.LoadSummary`), or None for closed-loop runs.
     load: Optional[Any] = None
+    #: The run never read its seed: it created no stream on the machine's
+    #: hub and armed no load generator (the arrival sampler is the one
+    #: seed reader outside the hub).  Such a run is a pure function of
+    #: everything but the seed, so its replicates are functional twins.
+    #: Not recorded.
+    seed_blind: bool = False
 
     @property
     def correct(self) -> bool:
@@ -257,6 +263,7 @@ class Machine:
             verified=verified,
             stall_reason=stall_reason,
             load=self.load.summary(self.queue.now) if self.load is not None else None,
+            seed_blind=self.rng.untouched and self.load is None,
         )
 
     def _start_root_host(self) -> None:

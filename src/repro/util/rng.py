@@ -161,6 +161,19 @@ class RngHub:
         """Return the stream named ``name``, creating it on first use."""
         return self._streams[name]
 
+    @property
+    def untouched(self) -> bool:
+        """True while no stream exists: nothing has drawn on the root seed.
+
+        >>> hub = RngHub(42)
+        >>> hub.untouched
+        True
+        >>> _ = hub.uniform("latency")
+        >>> hub.untouched
+        False
+        """
+        return not self._streams
+
     def spawn(self, name: str) -> "RngHub":
         """Return a child hub whose root seed is derived from ``name``.
 

@@ -26,6 +26,10 @@ somewhere in ``src/``, ``tests/`` or ``bench/``.
 A fourth walk pins that a run is a pure function of its spec: nothing
 under ``src/repro`` reads the process environment (``os.environ``,
 ``os.getenv``).
+
+A fifth walk pins where a run reads its seed: only the machine's
+``RngHub`` construction and the arrival sampler, the two reads
+``RunResult.seed_blind`` watches.
 """
 
 from __future__ import annotations
@@ -574,4 +578,71 @@ def test_the_environment_scan_sees_a_read():
     )
     assert environment_reads(source) == [
         (2, "os.getenv"), (3, "os.environ"), (4, "os.getenv"),
+    ]
+
+
+# -- a run reads its seed in two places ------------------------------------------------
+
+#: The packages whose code runs inside a ``Machine``.
+RUN_PACKAGES = ("sim", "core", "policies", "faults", "load", "workloads", "lang")
+RUN_FILES = sorted(
+    path for package in RUN_PACKAGES
+    for path in glob.glob(os.path.join(SRC, package, "**", "*.py"), recursive=True)
+)
+#: Receivers whose ``spawn`` derives a hub from the root seed without a stream.
+HUB_NAMES = ("rng", "hub", "_hub")
+
+
+def seed_reads(source: str) -> list:
+    """``(line, expression)`` for every read of a seed: an ``x.seed`` load,
+    a ``getattr(x, "seed")`` and a hub's ``spawn``, which derives a child
+    hub from the root seed without creating a stream."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "seed"
+            and isinstance(node.ctx, ast.Load)
+        ) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "seed"
+        ) or (
+            isinstance(node, ast.Attribute) and node.attr == "spawn"
+            and (
+                (isinstance(node.value, ast.Name) and node.value.id in HUB_NAMES)
+                or (isinstance(node.value, ast.Attribute) and node.value.attr in HUB_NAMES)
+            )
+        ):
+            reads.append((node.lineno, ast.unparse(node)))
+    return sorted(reads)
+
+
+def test_a_run_reads_its_seed_only_in_the_hub_and_the_arrival_sampler():
+    """``RunResult.seed_blind`` watches exactly these two: a run that
+    creates no hub stream and arms no load generator never read its
+    seed, so the sweep runner may answer its replicates from one run."""
+    found = {
+        os.path.relpath(path, SRC): [expr for _, expr in reads]
+        for path in RUN_FILES
+        for reads in [seed_reads(_source(path))]
+        if reads
+    }
+    assert found == {
+        os.path.join("sim", "machine.py"): ["config.seed"],
+        os.path.join("load", "generator.py"): ["machine.config.seed"],
+    }
+
+
+def test_the_seed_scan_sees_a_read():
+    source = (
+        "a = machine.config.seed\n"
+        "b = getattr(cfg, 'seed', 0)\n"
+        "c = machine.rng.spawn('rep')\n"
+        "d = self._hub.spawn('x')\n"
+        "cfg.seed = 3\n"
+        "e = tree.tree_seed + node.spawn(packet)\n"
+    )
+    assert seed_reads(source) == [
+        (1, "machine.config.seed"), (2, "getattr(cfg, 'seed', 0)"),
+        (3, "machine.rng.spawn"), (4, "self._hub.spawn"),
     ]
