@@ -19,10 +19,13 @@ and armed no load generator (``RunResult.seed_blind``), and a point is
 blind when its run and its fault-free baseline both were
 (``RunHandle.seed_blind``).  Its record is then a pure function of its
 spec without the seed, so the runner keeps it in a process-wide memo
-keyed by the compact canonical JSON of the point's ``RunSpec`` with
-``seed`` zeroed; another replicate of the cell gets an independent copy
-with its own ``seed``.  The memo is a pure function of its key, so
-serial and pooled sweeps stay byte-identical.
+keyed by the compact canonical JSON of the point's parameters without
+``seed`` (the parameters determine the spec, so the key needs no parse).
+Another replicate of the cell gets an independent copy with its own
+``seed``, which a hit checks exactly as ``RunSpec.from_params`` does; a
+point without a ``seed`` is never a hit, so it fails as a miss does.
+The memo is a pure function of its key, so serial and pooled sweeps stay
+byte-identical.
 
 Parameter conventions for the ``machine`` runner (all JSON values):
 
@@ -57,34 +60,33 @@ offending token, the allowed values, and its position in the string.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping
 
 from repro.api.session import execute
 from repro.api.specs import FaultSpec, MachineSpec, PolicySpec, RunSpec, WorkloadSpec
-from repro.util.jsonio import compact_dumps
+from repro.load.grammar import INT, coerce
+from repro.util.jsonio import compact_dumps, copy_json
 
 # -- runners ------------------------------------------------------------------
 
-#: The first record of each seed-blind cell, keyed by its RunSpec's compact
-#: JSON with ``seed`` zeroed (see the module docstring).
+#: The first record of each seed-blind cell, keyed by the compact JSON of
+#: its point parameters without ``seed`` (see the module docstring).
 _seed_blind_records: Dict[str, Dict[str, Any]] = {}
 
 
 def run_machine_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     """One machine run (optionally faulted), as a flat JSON dict."""
-    spec = RunSpec.from_params(params)
-    cell = compact_dumps(replace(spec, seed=0).to_json())
-    first = _seed_blind_records.get(cell)
+    cell = compact_dumps({key: value for key, value in params.items() if key != "seed"})
+    first = _seed_blind_records.get(cell) if "seed" in params else None
     if first is not None:
-        record = deepcopy(first)
-        record["seed"] = spec.seed
+        record = copy_json(first)
+        record["seed"] = coerce(INT, params["seed"], field="seed")
         return record
-    handle = execute(spec)
+    handle = execute(RunSpec.from_params(params))
     if handle.seed_blind:
-        _seed_blind_records[cell] = deepcopy(handle.record)
+        _seed_blind_records[cell] = copy_json(handle.record)
     return handle.record
 
 

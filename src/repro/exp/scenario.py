@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.util.jsonio import compact_dumps, sha256_hex
+from repro.util.jsonio import compact_dumps, copy_json, sha256_hex
 
 
 def stable_hash(payload: Any) -> str:
@@ -46,9 +46,9 @@ def stable_hash(payload: Any) -> str:
     return sha256_hex(compact_dumps(payload))[:16]
 
 
-def _seed63(payload: Any) -> int:
-    # the first 8 digest bytes, big-endian, less the top bit
-    return int(stable_hash(payload), 16) >> 1
+def _seed63(text: str) -> int:
+    # the first 8 bytes of the text's digest, big-endian, less the top bit
+    return int(sha256_hex(text)[:16], 16) >> 1
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def point_seed(scenario_name: str, params: Mapping[str, Any]) -> int:
     sha256, so it is reproducible across processes, machines, and worker
     counts — never from ``hash()`` or run order.
     """
-    return _seed63([scenario_name, dict(params)])
+    return _seed63(compact_dumps([scenario_name, dict(params)]))
 
 
 def replicate_seed(
@@ -217,7 +217,18 @@ def replicate_seed(
     across machines, worker counts, and runs, and distinct per cell,
     per scenario, and per replicate index.
     """
-    return _seed63([scenario_name, dict(params), "replicate", replicate])
+    return _replicate_seeds(scenario_name, params)(replicate)
+
+
+def _replicate_seeds(scenario_name: str, params: Mapping[str, Any]) -> Callable[[int], int]:
+    """:func:`replicate_seed` of one cell as a function of the replicate.
+
+    The seed hashes ``compact_dumps([name, params, "replicate", r])``;
+    everything before ``r`` is the cell's, so it is encoded once and each
+    replicate appends ``r]`` — the same bytes, one encoding per cell.
+    """
+    prefix = compact_dumps([scenario_name, dict(params), "replicate"])[:-1] + ","
+    return lambda replicate: _seed63(f"{prefix}{replicate}]")
 
 
 def expand(spec: ScenarioSpec) -> List[Point]:
@@ -245,14 +256,16 @@ def expand(spec: ScenarioSpec) -> List[Point]:
         cell.update(zip(names, combo))
         if "seed" not in cell:
             cell["seed"] = point_seed(spec.name, cell)
-        for replicate in range(replications):
-            params = dict(cell)
-            if replicate > 0:
-                params["seed"] = replicate_seed(spec.name, cell, replicate)
-            points.append(
-                Point(index=index, params=params, seed=params["seed"], replicate=replicate)
-            )
-            index += 1
+        points.append(Point(index=index, params=cell, seed=cell["seed"]))
+        if replications > 1:
+            seed_of = _replicate_seeds(spec.name, cell)
+            for replicate in range(1, replications):
+                seed = seed_of(replicate)
+                points.append(
+                    Point(index=index + replicate, params={**cell, "seed": seed},
+                          seed=seed, replicate=replicate)
+                )
+        index += replications
     return points
 
 
@@ -261,11 +274,23 @@ def expanded_runspecs(spec: ScenarioSpec) -> List[Dict[str, Any]]:
 
     Memoized per instance (the spec is frozen): ``identity()``/``key()``
     and ``exp show --json`` share one grid expansion and one
-    parse+serialize pass instead of each paying their own.
+    parse+serialize pass instead of each paying their own.  Replicates
+    of a cell differ only in ``seed``, so each cell's RunSpec is parsed
+    once, at replicate 0, and every later replicate gets a copy of that
+    document with its own seed (coerced as ``RunSpec.from_params`` does).
     """
+    from repro.load.grammar import INT, coerce
+
     cached = getattr(spec, "_runspecs_cache", None)
     if cached is None:
-        cached = [point_runspec(spec, point).to_json() for point in expand(spec)]
+        cached = []
+        for point in expand(spec):
+            if point.replicate == 0:
+                doc = first = point_runspec(spec, point).to_json()
+            else:
+                doc = copy_json(first)
+                doc["seed"] = coerce(INT, point.seed, field="seed")
+            cached.append(doc)
         object.__setattr__(spec, "_runspecs_cache", cached)
     return cached
 

@@ -21,8 +21,8 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from itertools import chain, islice
-from typing import Any, Callable, ContextManager, Iterator
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional
 
 # CPython's own SHA-256 (``_sha2`` since 3.12, ``_sha256`` before), so no
 # process maps OpenSSL's libcrypto for a digest.  ``hashlib`` is reached
@@ -41,16 +41,149 @@ def canonical_dumps(payload: Any) -> str:
 
     Sorted keys, two-space indent, and a trailing newline: identical
     payloads produce identical bytes, and the files diff cleanly under
-    version control.
+    version control.  The bytes are exactly
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
     """
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _encode(payload, 0) + "\n"
 
 
-#: The encoder behind :func:`canonical_dumps`, run incrementally.
-_CANONICAL = json.JSONEncoder(indent=2, sort_keys=True)
+# -- the canonical encoder -------------------------------------------------------
+#
+# ``json.JSONEncoder`` runs its pure-Python ``_iterencode`` whenever
+# ``indent`` is set (the C encoder serves only compact output), yielding
+# one chunk per key, scalar and bracket.  The encoder below renders the
+# same bytes a subtree at a time: exact ``dict``/``list``/``tuple``/``str``/
+# ``int``/``float``/``bool``/``None`` values through comprehension joins,
+# and anything else (a subclass, a non-``str`` key, an unknown type) through
+# the stdlib encoder for that subtree, re-indented to its depth.  The
+# re-indent is exact because an ensure-ascii string never holds a raw
+# newline, and the stdlib raises its own ``TypeError`` for a value it
+# cannot serialise.
 
-#: Encoder chunks (a key, a scalar, a bracket) joined into one batch.
-_BATCH_CHUNKS = 4096
+_INF = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: How each exact scalar type renders; a subclass is not in the table.
+_SCALARS: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+#: The stdlib encoder, for the subtrees :func:`_encode` does not special-case.
+_STDLIB = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _stdlib(value: Any, level: int) -> str:
+    return _STDLIB.encode(value).replace("\n", "\n" + "  " * level)
+
+
+def _sorted_keys(value: dict) -> Optional[List[str]]:
+    """``value``'s keys in canonical order, or None if one is not a ``str``."""
+    try:
+        keys = sorted(value)
+    except TypeError:
+        return None
+    for key in keys:
+        if type(key) is not str:
+            return None
+    return keys
+
+
+def _encode(value: Any, level: int) -> str:
+    """``value`` rendered canonically at nesting depth ``level``, no newline."""
+    render = _SCALARS.get(type(value))
+    if render is not None:
+        return render(value)
+    kind = type(value)
+    if kind is dict:
+        keys = _sorted_keys(value)
+        if keys is None:
+            return _stdlib(value, level)
+        if not keys:
+            return "{}"
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        get, quote, encode, deeper = _SCALARS.get, encode_basestring_ascii, _encode, level + 1
+        body = ("," + inner).join([
+            quote(key) + ": "
+            + (scalar(member) if (scalar := get(type(member))) else encode(member, deeper))
+            for key, member in zip(keys, map(value.__getitem__, keys))
+        ])
+        return f"{{{inner}{body}{outer}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        get, encode, deeper = _SCALARS.get, _encode, level + 1
+        body = ("," + inner).join([
+            scalar(member) if (scalar := get(type(member))) else encode(member, deeper)
+            for member in value
+        ])
+        return f"[{inner}{body}{outer}]"
+    return _stdlib(value, level)
+
+
+#: Nesting depths whose containers are streamed element by element; each
+#: element below them is rendered whole, so a sweep document streams point
+#: by point and a report cell by cell.
+_STREAMED_LEVELS = 2
+
+#: Characters of encoder output joined into one write.
+_BATCH_CHARS = 1 << 15
+
+
+def _stream(value: Any, level: int) -> Iterator[str]:
+    """``_encode(value, level)`` in pieces, split between the elements of
+    every container less than :data:`_STREAMED_LEVELS` deep."""
+    kind = type(value)
+    streamed = level < _STREAMED_LEVELS
+    keys = _sorted_keys(value) if streamed and kind is dict else None
+    if keys or (streamed and (kind is list or kind is tuple) and value):
+        inner = "\n" + "  " * (level + 1)
+        if keys:
+            heads = [encode_basestring_ascii(key) + ": " for key in keys]
+            members = map(value.__getitem__, keys)
+            opening, closing = "{", "}"
+        else:
+            heads, members = [""] * len(value), value
+            opening, closing = "[", "]"
+        separator = opening + inner
+        for head, member in zip(heads, members):
+            yield separator + head
+            yield from _stream(member, level + 1)
+            separator = "," + inner
+        yield "\n" + "  " * level + closing
+    else:
+        yield _encode(value, level)
+
+
+def _batches(payload: Any) -> Iterator[str]:
+    """``canonical_dumps(payload)`` as text batches of about
+    :data:`_BATCH_CHARS` characters; the whole text never exists."""
+    batch: List[str] = []
+    size = 0
+    for piece in _stream(payload, 0):
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH_CHARS:
+            yield "".join(batch)
+            batch, size = [], 0
+    batch.append("\n")
+    yield "".join(batch)
 
 
 def write_canonical(payload: Any, fh=None, out=None) -> str:
@@ -70,17 +203,14 @@ def write_canonical(payload: Any, fh=None, out=None) -> str:
     b'{\\n  "a": 1\\n}\\n'
     """
     digest = _sha256()
-    chunks = chain(_CANONICAL.iterencode(payload), ("\n",))
-    while True:
-        text = "".join(islice(chunks, _BATCH_CHUNKS))
-        if not text:
-            return digest.hexdigest()
+    for text in _batches(payload):
         data = text.encode("utf-8")
         digest.update(data)
         if fh is not None:
             fh.write(data)
         if out is not None:
             out.write(text)
+    return digest.hexdigest()
 
 
 def compact_dumps(payload: Any) -> str:
@@ -95,6 +225,25 @@ def compact_dumps(payload: Any) -> str:
     '{"a":[1.5,"x"],"b":1}'
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def copy_json(value: Any) -> Any:
+    """A copy of a JSON tree that shares none of its dicts and lists.
+
+    Strings, numbers, booleans and ``None`` are immutable, so the copy
+    shares them; that is what makes it cheaper than ``copy.deepcopy``.
+
+    >>> doc = {"a": [{"b": 1}]}
+    >>> copy = copy_json(doc)
+    >>> copy == doc, copy["a"] is doc["a"], copy["a"][0] is doc["a"][0]
+    (True, False, False)
+    """
+    kind = type(value)
+    if kind is dict:
+        return {key: copy_json(member) for key, member in value.items()}
+    if kind is list:
+        return [copy_json(member) for member in value]
+    return value
 
 
 def sha256_hex(text: str) -> str:

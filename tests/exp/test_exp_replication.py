@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.specs import RunSpec
 from repro.exp import (
     expand,
+    expanded_runspecs,
     get_scenario,
     replicate_seed,
     run_scenario,
@@ -80,6 +82,16 @@ class TestReplicatedExpansion:
         assert len(docs) == spec.n_points()
         seeds = [doc["seed"] for doc in docs]
         assert seeds == [p.seed for p in expand(spec)]
+
+    def test_a_replicate_runspec_is_its_own_parse_and_shares_no_dict(self):
+        # each cell is parsed once; its replicates are copies with their seed
+        spec = with_replications(get_scenario("chaos-storm"), 3)
+        docs = expanded_runspecs(spec)
+        assert docs == [RunSpec.from_params(p.params).to_json() for p in expand(spec)]
+        for first, later in zip(docs[::3], docs[1::3]):
+            assert later["machine"] is not first["machine"]
+            assert later["machine"]["cost"] is not first["machine"]["cost"]
+            assert later["faults"] is not first["faults"]
 
 
 class TestReplicatedSweeps:

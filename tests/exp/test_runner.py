@@ -141,9 +141,12 @@ class TestCache:
         # the sweep document is encoded once, streamed into the cache file
         # and hashed for run_finished as it is written; never rendered whole
         passes = []
-        real = jsonio._CANONICAL.iterencode
+        real = jsonio._batches
+        monkeypatch.setattr(jsonio, "_batches", lambda o: passes.append(1) or real(o))
+        encode = jsonio._encode
         monkeypatch.setattr(
-            jsonio._CANONICAL, "iterencode", lambda o: passes.append(1) or real(o)
+            jsonio, "_encode",
+            lambda o, level: pytest.fail("rendered whole") if level == 0 else encode(o, level),
         )
         monkeypatch.setattr(
             SweepResult, "to_json", lambda self: pytest.fail("rendered whole")

@@ -24,6 +24,7 @@ from repro.api import session
 from repro.api.session import execute
 from repro.api.specs import RunSpec
 from repro.config import SCHEDULERS
+from repro.errors import SpecError
 from repro.exp import all_scenarios, get_scenario, run_scenario, with_replications
 from repro.exp import points
 from repro.exp.scenario import expand
@@ -170,3 +171,18 @@ def test_a_replicated_sweep_is_byte_identical_across_worker_counts(cold, tmp_pat
     parallel = run_scenario(spec, workers=2, cache_dir=str(tmp_path / "p"))
     with open(serial.cache_path, "rb") as a, open(parallel.cache_path, "rb") as b:
         assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("bad", [{"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"seed": None}, {}])
+def test_a_malformed_seed_fails_alike_on_a_hit_and_a_miss(cold, bad):
+    """The memo keys on the parameters without ``seed``, so a hit must
+    still refuse a seed ``RunSpec.from_params`` refuses, with its error."""
+    params = {k: v for k, v in expand(get_scenario("smoke"))[0].params.items() if k != "seed"}
+    with pytest.raises(SpecError) as miss:
+        points.run_machine_point({**params, **bad})
+    points.run_machine_point({**params, "seed": 1})
+    assert len(points._seed_blind_records) == 1
+    with pytest.raises(SpecError) as hit:
+        points.run_machine_point({**params, **bad})
+    assert str(hit.value) == str(miss.value)
+    assert vars(hit.value) == vars(miss.value)

@@ -14,7 +14,7 @@ import hashlib
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.exp.scenario import point_seed, replicate_seed, stable_hash
+from repro.exp.scenario import ScenarioSpec, expand, point_seed, replicate_seed, stable_hash
 from repro.util.jsonio import compact_dumps, sha256_hex
 from repro.util.rng import _derive_seed
 
@@ -46,3 +46,21 @@ def test_scenario_identities_are_the_hashlib_formulas(name, params, replicate):
     ).hexdigest()[:16]
     assert point_seed(name, params) == seed([name, params])
     assert replicate_seed(name, params, replicate) == seed([name, params, "replicate", replicate])
+
+
+@given(st.text(max_size=12), PARAMS, st.integers(min_value=2, max_value=6))
+def test_every_replicate_of_a_cell_is_seeded_by_the_hashlib_formula(name, params, replications):
+    spec = ScenarioSpec(
+        name=name, title="", description="", runner="machine",
+        base=params, axes={"axis": (1, 2)}, replications=replications,
+    )
+    points = expand(spec)
+    assert len(points) == 2 * replications
+    for point in points:
+        first = points[point.index - point.replicate]
+        assert first.replicate == 0
+        if point.replicate:
+            payload = [name, dict(first.params), "replicate", point.replicate]
+            expected = int(stable_hash(payload), 16) >> 1
+            assert point.seed == expected
+            assert point.params == {**first.params, "seed": expected}

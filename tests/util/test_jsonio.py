@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -21,9 +23,33 @@ from repro.util.jsonio import (
     write_canonical,
 )
 
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    pass
+
+
+class _Number(float):
+    pass
+
+
+def _nested(depth: int):
+    """``depth`` levels of lists and dicts, alternating."""
+    value = "leaf"
+    for level in range(depth):
+        value = [value, level] if level % 2 else {"k": value, "n": level}
+    return value
+
+
 #: JSON values as the repo's documents hold them, and the corners the
 #: encoder treats specially: non-ASCII text, NaN and +-inf, ints past
-#: 64 bits, empty containers.
+#: 64 bits, empty containers, tuples, non-``str`` dict keys (one key type
+#: per dict, since the stdlib cannot sort mixed ones), subclasses of
+#: ``int``/``str``/``float``, and nesting past 300 levels.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -31,8 +57,17 @@ JSON_VALUES = st.recursive(
     | st.integers(min_value=2**64, max_value=2**200).map(lambda n: -n if n % 2 else n)
     | st.floats()
     | st.sampled_from([float("nan"), float("inf"), float("-inf")])
-    | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    | st.text()
+    | st.sampled_from(list(_Level))
+    | st.text().map(_Text)
+    | st.floats().map(_Number)
+    | st.integers(min_value=301, max_value=320).map(_nested),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.text().map(_Text), children)
+    | st.dictionaries(st.integers() | st.floats() | st.booleans(), children)
+    | st.dictionaries(st.none(), children),
     max_leaves=30,
 )
 
@@ -54,8 +89,10 @@ class TestWriteCanonical:
     @given(payload=JSON_VALUES)
     @example(payload={})
     @example(payload=[[], {}, "", "\u00e9\u6f22\U0001f600", 2**100, float("nan")])
+    @example(payload={"a": _nested(320), "b": [(1, {2: _Level.HIGH, 2.5: _Text("x")})]})
     def test_disk_bytes_and_digest_are_canonical_dumps(self, payload):
         text = canonical_dumps(payload)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "doc.json")
             with canonical_file(path, payload) as digest:
@@ -87,6 +124,18 @@ class TestWriteCanonical:
 
 
 class TestCanonicalDumps:
+    @pytest.mark.parametrize(
+        "payload", [object(), {"a": [1, {2}]}, {"a": {"b": 1, 2: 3}}, [(1, b"x")]]
+    )
+    def test_an_unserialisable_value_raises_the_stdlib_type_error(self, payload):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as ours:
+            canonical_dumps(payload)
+        assert str(ours.value) == str(stdlib.value)
+        with pytest.raises(TypeError, match=re.escape(str(stdlib.value))):
+            write_canonical(payload, io.BytesIO())
+
     def test_sorted_indented_trailing_newline(self):
         text = canonical_dumps({"b": 1, "a": [1.5, "x"]})
         assert text.endswith("\n")
