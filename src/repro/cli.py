@@ -566,8 +566,8 @@ def _runspec_from_flags(args, alternative: str) -> RunSpec:
             f"a workload (or {alternative}) is required", field="workload"
         )
     builder = Experiment().workload(args.workload)
-    for name in SPEC_FLAGS:
-        given = getattr(args, name, None)
+    for name in args.spec_flags:
+        given = getattr(args, name)
         if given is None:
             continue
         if name == "fault":

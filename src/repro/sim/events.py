@@ -1,24 +1,24 @@
 """Deterministic discrete-event queue.
 
-Events are ``(time, priority, seq)``-ordered entries in a binary heap.
-``seq`` is a monotone tie-breaker, so events with equal time and priority
-fire in schedule order — this removes heap nondeterminism and makes every
-run exactly reproducible.
+Events are ``(time, priority, seq, action, label)`` tuples in a binary
+heap.  ``seq`` is a monotone tie-breaker, so events with equal time and
+priority fire in schedule order — this removes heap nondeterminism and
+makes every run exactly reproducible.  ``seq`` is unique, so sift
+comparisons run as C-level tuple compares that never reach the action.
 
 Actions are zero-argument callables.  A short ``label`` accompanies each
 event for traces and stall diagnostics.
 
-This queue is the innermost loop of every simulation.  The heap holds
-``(time, priority, seq, entry)`` tuples so sift comparisons run as
-C-level tuple compares (``seq`` is unique, so comparison never reaches
-the entry object), and entries themselves are small ``__slots__``
-handles that exist only for cancellation and diagnostics.
+An event is its heap entry: :meth:`EventQueue.schedule` returns the
+event's ``seq``, and :meth:`EventQueue.cancel` withdraws it by that
+number.  A withdrawn entry stays in the heap until it reaches the top,
+where it is popped without moving ``now`` or counting as an event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationBudgetError
 
@@ -30,32 +30,7 @@ PRIORITY_CONTROL = 1
 PRIORITY_RUN = 2
 
 
-class _Entry:
-    """Handle for one scheduled event (cancellation + diagnostics)."""
-
-    __slots__ = ("time", "priority", "seq", "action", "label", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        action: Callable[[], None],
-        label: str = "",
-    ):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.action = action
-        self.label = label
-        self.cancelled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<_Entry t={self.time} p={self.priority} #{self.seq} {self.label}{state}>"
-
-
-_HeapItem = Tuple[float, int, int, _Entry]
+_HeapItem = Tuple[float, int, int, Callable[[], None], str]
 
 
 class EventQueue:
@@ -63,6 +38,7 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[_HeapItem] = []
+        self._withdrawn: Set[int] = set()
         self._seq = 0
         self.now: float = 0.0
         self.events_processed = 0
@@ -73,18 +49,17 @@ class EventQueue:
         action: Callable[[], None],
         label: str = "",
         priority: int = PRIORITY_CONTROL,
-    ) -> _Entry:
-        """Schedule ``action`` at absolute ``time``; returns a handle that
-        can be passed to :meth:`cancel`."""
+    ) -> int:
+        """Schedule ``action`` at absolute ``time``; returns the event's
+        sequence number, which :meth:`cancel` takes."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now} ({label})"
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = _Entry(time, priority, seq, action, label)
-        heapq.heappush(self._heap, (time, priority, seq, entry))
-        return entry
+        heapq.heappush(self._heap, (time, priority, seq, action, label))
+        return seq
 
     def after(
         self,
@@ -92,82 +67,61 @@ class EventQueue:
         action: Callable[[], None],
         label: str = "",
         priority: int = PRIORITY_CONTROL,
-    ) -> _Entry:
+    ) -> int:
         """Schedule ``action`` ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay} for event {label!r}")
         return self.schedule(self.now + delay, action, label, priority)
 
-    @staticmethod
-    def cancel(entry: _Entry) -> None:
-        """Cancel a scheduled event (it is skipped when popped)."""
-        entry.cancelled = True
+    def cancel(self, seq: int) -> None:
+        """Withdraw the pending event ``seq`` (it is skipped when popped)."""
+        self._withdrawn.add(seq)
 
     def is_empty(self) -> bool:
-        self._drop_cancelled_head()
-        return not self._heap
-
-    def _drop_cancelled_head(self) -> None:
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
+        return self.pending() == 0
 
     def step(self) -> Optional[str]:
-        """Pop and run the next event; returns its label, or None if empty.
+        """Run the next event; returns its label, or None if none is left."""
+        target = self.events_processed + 1
+        label = self.run(until=lambda: self.events_processed >= target)
+        return None if label is None else label or "<event>"
 
-        NOTE: :meth:`run` inlines this pop/cancel/dispatch body for the
-        hot loop — a semantic change here must be mirrored there (the
-        micro-event-queue benchmark and unit tests drain through both).
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and heap[0][3].cancelled:
-            pop(heap)
-        if not heap:
-            return None
-        entry = pop(heap)[3]
-        self.now = entry.time
-        self.events_processed += 1
-        entry.action()
-        return entry.label or "<event>"
-
-    def run(self, until: Callable[[], bool], max_events: int = 2_000_000) -> None:
+    def run(self, until: Callable[[], bool], max_events: int = 2_000_000) -> Optional[str]:
         """Process events until ``until()`` is true or the queue drains.
 
-        Raises :class:`SimulationBudgetError` after ``max_events`` events,
-        the safety valve — a drained queue with ``until()`` false is left
-        for the caller to diagnose (it distinguishes stalls from budget
+        Returns the label of the last event run (None if none ran) once
+        ``until()`` holds, or None if the queue drained first.  Raises
+        :class:`SimulationBudgetError` after ``max_events`` events, the
+        safety valve — a drained queue with ``until()`` false is left for
+        the caller to diagnose (it distinguishes stalls from budget
         blowups).
-
-        The loop body is a deliberate inline copy of :meth:`step` (no
-        per-event method call in the innermost loop); keep the two in
-        lockstep.
         """
         heap = self._heap
+        withdrawn = self._withdrawn
         pop = heapq.heappop
         processed = 0
+        label = None
         while not until():
             if processed >= max_events:
                 raise SimulationBudgetError(
                     f"exceeded event budget of {max_events} events at t={self.now}"
                 )
-            while heap and heap[0][3].cancelled:
-                pop(heap)
+            while heap and heap[0][2] in withdrawn:
+                withdrawn.remove(pop(heap)[2])
             if not heap:
-                return
-            entry = pop(heap)[3]
-            self.now = entry.time
+                return None
+            self.now, _, _, action, label = pop(heap)
             processed += 1
             self.events_processed += 1
-            entry.action()
+            action()
+        return label
 
     def clear(self) -> None:
-        """Drop every queued event and unhook its action: a handle someone
-        still holds (a spawn record's ack timer) then pins nothing."""
-        for item in self._heap:
-            item[3].action = None
+        """Drop every queued event, and with it every action it holds."""
         self._heap.clear()
+        self._withdrawn.clear()
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for item in self._heap if not item[3].cancelled)
+        """Number of live (non-withdrawn) events still queued."""
+        withdrawn = self._withdrawn
+        return sum(1 for item in self._heap if item[2] not in withdrawn)

@@ -292,9 +292,9 @@ class Machine:
         For an owner that keeps only the result (:func:`run_simulation`);
         :meth:`run` never calls it, so a directly built machine stays
         inspectable.  The cycles are the ``machine`` back-references of
-        everything the machine holds, and the still-pending events (a
-        spawn record holds its ack-timer entry, whose action holds the
-        record and, like every queued action, a node or the network).
+        everything the machine holds, and the still-pending events (each
+        queued action holds a node or the network; a spawn record holds
+        only its ack timer's sequence number).
         """
         self.queue.clear()
         load_state = self.load.state if self.load is not None else None

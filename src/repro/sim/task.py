@@ -86,8 +86,8 @@ class SpawnRecord:
     #: Values received from replicas (replication policy, §5.3); the list
     #: is allocated on the first vote, so other policies' records carry none.
     votes: Optional[List[Any]] = None
-    #: Scheduled ack-timeout event handle (cancelled on ack).
-    ack_timer: Any = None
+    #: Sequence number of the armed ack-timeout event, withdrawn on ack.
+    ack_timer: Optional[int] = None
     #: The destination entry of the node's checkpoint table this record's
     #: packet is recorded in, or None while it has no checkpoint there.
     checkpoint_dest: Optional[int] = None

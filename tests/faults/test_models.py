@@ -70,7 +70,7 @@ class TestCascade:
         model.arm(machine, "nemesis:0:cascade")
         # p=1 would kill everyone; the cap must hold it to n-1 victims.
         kill_events = [
-            item for item in machine.queue._heap if item[3].label.startswith("fault:kill")
+            label for *_, label in machine.queue._heap if label.startswith("fault:kill")
         ]
         assert len(kill_events) == 3
 
@@ -79,7 +79,7 @@ class TestCascade:
         model = CascadingCrash(10.0, 0, spread_prob=1.0, spread_delay=5.0, max_victims=2)
         model.arm(machine, "nemesis:0:cascade")
         kill_events = [
-            item for item in machine.queue._heap if item[3].label.startswith("fault:kill")
+            label for *_, label in machine.queue._heap if label.startswith("fault:kill")
         ]
         assert len(kill_events) == 2
 
@@ -89,8 +89,7 @@ class TestCascade:
             model = CascadingCrash(10.0, 1, spread_prob=0.5)
             model.arm(machine, "nemesis:0:cascade")
             return sorted(
-                item[3].label for item in machine.queue._heap
-                if item[3].label.startswith("fault:kill")
+                label for *_, label in machine.queue._heap if label.startswith("fault:kill")
             )
 
         assert victims(7) == victims(7)

@@ -124,3 +124,91 @@ def test_global_time_monotonicity(entries):
     q.run(until=lambda: False)
     assert seen == sorted(seen)
     assert len(seen) == len(entries)
+
+
+#: One queue operation: schedule at an absolute time (no earlier than
+#: now), schedule after a delay, or withdraw the n-th still-pending event.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "after"]), st.integers(0, 4), st.integers(0, 2)),
+        st.tuples(st.just("cancel"), st.integers(0, 40), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+def _drive(ops, n_before, drain):
+    """Apply the first ``n_before`` ops, then drain the queue with
+    ``drain``; each event that runs applies the next op, so scheduling
+    and withdrawing also happen mid-run, in event order."""
+    q = EventQueue()
+    events = []  # (seq, time, label) per scheduled event
+    withdrawn = set()
+    log = []  # event indices, in the order they ran
+    late = []  # events that ran at a `now` other than their own time
+    rest = iter(ops[n_before:])
+
+    def fire(i):
+        log.append(i)
+        if q.now != events[i][1]:
+            late.append(i)
+        op = next(rest, None)
+        if op is not None:
+            apply(op)
+
+    def apply(op):
+        kind, value, priority = op
+        if kind == "cancel":
+            pending = [i for i in range(len(events)) if i not in withdrawn and i not in log]
+            if pending:
+                i = pending[value % len(pending)]
+                q.cancel(events[i][0])
+                withdrawn.add(i)
+            return
+        i = len(events)
+        label = f"e{i}" if i % 2 else ""
+        if kind == "after":
+            time = q.now + value
+            seq = q.after(float(value), lambda: fire(i), label=label, priority=priority)
+        else:
+            time = max(float(value), q.now)
+            seq = q.schedule(time, lambda: fire(i), label=label, priority=priority)
+        events.append((seq, time, label))
+
+    for op in ops[:n_before]:
+        apply(op)
+    returned = drain(q)
+    return q, events, withdrawn, log, late, returned
+
+
+def _drain_by_run(q):
+    return q.run(until=lambda: False)
+
+
+def _drain_by_step(q):
+    labels = []
+    while (label := q.step()) is not None:
+        labels.append(label)
+    return labels
+
+
+@given(_OPS, st.integers(0, 40))
+def test_run_and_step_drain_alike_and_withdrawn_events_never_run(ops, n_before):
+    """``step()`` is ``run()`` stopped after one event: both drains run the
+    same events in the same order, and a withdrawn event neither runs nor
+    moves ``now``."""
+    by_run = _drive(ops, n_before, _drain_by_run)
+    by_step = _drive(ops, n_before, _drain_by_step)
+    q, events, withdrawn, log, late, returned = by_run
+    step_q, _, _, step_log, _, step_labels = by_step
+    assert returned is None  # a full drain ends on an empty queue
+    assert step_log == log
+    assert (step_q.now, step_q.events_processed) == (q.now, q.events_processed)
+    assert step_labels == [events[i][2] or "<event>" for i in log]
+
+    assert withdrawn.isdisjoint(log)
+    assert sorted(log) == sorted(set(range(len(events))) - withdrawn)
+    assert late == [] and by_step[4] == []
+    assert q.events_processed == len(log)
+    assert q.now == (events[log[-1]][1] if log else 0.0)
+    assert q.is_empty() and q.pending() == 0

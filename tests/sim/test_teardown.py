@@ -106,10 +106,10 @@ def test_a_directly_built_machine_stays_inspectable_after_run():
 
 
 def test_a_machine_dismantled_mid_run_frees_what_its_tables_hold():
-    """Mid-run, every table holds spawn records themselves, and a record
-    still awaiting its acknowledgement holds its ack-timer entry, whose
-    action holds a node (node -> table -> record -> timer -> node):
-    ``dismantle`` must leave none of it to the collector."""
+    """Mid-run, every table holds spawn records themselves, and the
+    pending ack timeout of a record still awaiting its acknowledgement
+    holds the record and its node (machine -> queue -> timeout -> node ->
+    machine): ``dismantle`` must leave none of it to the collector."""
     spec = build_spec("balanced:7:2:10", "rollback")
     gc.collect()
     gc.disable()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 
 import pytest
@@ -160,8 +161,6 @@ class TestRun:
 
 class TestRunSpecFlags:
     def test_dry_run_prints_canonical_runspec(self):
-        import json
-
         from repro.api import RUNSPEC_SCHEMA, RunSpec
 
         code, text = run_cli(
@@ -796,6 +795,16 @@ class TestCheck:
             "--no-write",
         )
         assert code == 0 and "1 schedule(s) tried" in text
+
+    def test_search_seed_leaves_the_base_seed_alone(self):
+        # beside a workload argument too, --seed seeds only the generator
+        code, text = run_cli(
+            "check", "search", "balanced:3:2:10", "--seed", "5", "--rounds", "1",
+            "--no-write", "--json",
+        )
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["seed"] == 5 and doc["base"]["seed"] == 0
 
     @pytest.mark.parametrize(
         "flags, field",
