@@ -116,7 +116,7 @@ class CheckConfig:
                 f"check.oracles must be a list of oracle names, got {oracles!r}",
                 field="check.oracles", value=oracles, allowed=ORACLE_NAMES,
             )
-        frac, time = payload.get("horizon_frac", 3.0), payload.get("horizon_time")
+        frac, time = payload.get("horizon_frac", cls.horizon_frac), payload.get("horizon_time")
         return cls(  # out of range -> its own check.horizon error
             horizon_frac=coerce(FLOAT, frac, field="check.horizon"),
             horizon_time=None if time is None else coerce(FLOAT, time, field="check.horizon"),

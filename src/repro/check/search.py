@@ -46,9 +46,11 @@ from repro.check.oracles import (
     build_context,
     evaluate_context,
 )
+from repro.config import RESULTS_DIR
 from repro.errors import SpecError
 from repro.faults.generate import (
     GENERATABLE_MODELS,
+    check_models,
     mutate_nemesis,
     random_nemesis,
     shrink_candidates,
@@ -61,7 +63,7 @@ from repro.util.jsonio import compact_dumps, emit_json, sha256_hex
 CHECK_SCHEMA = "repro-check/2"
 
 #: Default ledger directory.
-DEFAULT_LEDGER_DIR = os.path.join("results", "check")
+DEFAULT_LEDGER_DIR = os.path.join(RESULTS_DIR, "check")
 
 #: Search strategies and modes (CLI ``--strategy`` / ``--maximize``).
 STRATEGIES = ("random", "coverage")
@@ -319,16 +321,12 @@ def search(
     """
     from repro.api.session import Session
 
-    if strategy not in STRATEGIES:
-        raise SpecError(
-            f"unknown search strategy {strategy!r}",
-            field="check.strategy", value=strategy, allowed=STRATEGIES,
-        )
-    if mode not in MODES:
-        raise SpecError(
-            f"unknown search mode {mode!r}",
-            field="check.mode", value=mode, allowed=MODES,
-        )
+    for name, value, allowed in (("strategy", strategy, STRATEGIES), ("mode", mode, MODES)):
+        if value not in allowed:
+            raise SpecError(
+                f"unknown search {name} {value!r}",
+                field=f"check.{name}", value=value, allowed=allowed,
+            )
     # A search that tries nothing finds nothing: an empty budget must not
     # read as "clean" to a caller gating on the outcome.
     rounds = int(rounds)
@@ -338,6 +336,7 @@ def search(
                 f"{name} must be at least 1, got {value}",
                 field=f"check.{name}", value=value,
             )
+    check_models(models)
     base = replace(Session.resolve(base), nemesis=NemesisSpec())
     config = config or CheckConfig()
     rng = random.Random(int(seed))

@@ -18,7 +18,7 @@
     python -m repro check run balanced:4:2:30 --nemesis chaos:drop=0.15,notify=1
     python -m repro check search balanced:4:2:30 --seed 1 --rounds 10
     python -m repro check search balanced:3:2:10 --strategy coverage --rounds 24 \\
-        --corpus-out results/check/corpus.json
+        --corpus-out corpus.json
     python -m repro check corpus run tests/baselines/corpus
     python -m repro report run rollback-vs-splice --replications 5
     python -m repro report compare rollback-vs-splice --axis policy
@@ -47,10 +47,10 @@ run — or, with ``--scenario``, a whole grid — against the invariants,
 ``check search`` hunts nemesis schedules for violations — blind random
 draws or, with ``--strategy coverage``, feedback-driven frontier
 mutation over coverage signatures — and shrinks them to minimal
-reproducers with a deterministic ledger under ``results/check/``, and
-``check corpus run`` replays a saved reproducer corpus as a regression
-gate (see ``docs/CHECK.md``).  The ``report``
-subcommands drive the statistical reporting subsystem
+reproducers with a deterministic ledger, and ``check corpus run``
+replays a saved reproducer corpus as a regression gate (see
+``docs/CHECK.md``).  The ``report`` subcommands drive the statistical
+reporting subsystem
 (:mod:`repro.report`): ``report run`` aggregates a (replicated) sweep
 into per-point median/IQR/bootstrap-CI summaries, ``report compare``
 pairs two scenarios — or two values of one axis — with delta confidence
@@ -70,11 +70,14 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from inspect import signature
 from typing import List, Optional
 
 from repro.api import Experiment, FaultSpec, NemesisSpec, PolicySpec, RunSpec, Session
-from repro.api.specs import POLICY_PARAMS, SCHEDULERS, TOPOLOGIES
+from repro.api.specs import MACHINE_PARAMS, POLICY_PARAMS, SCHEDULERS, TOPOLOGIES
+from repro.config import RESULTS_DIR
 from repro.errors import ReproError, SpecError
+from repro.util.stats import DEFAULT_LEVEL, DEFAULT_N_BOOT
 from repro.util.tables import format_table
 from repro.workloads.suite import WORKLOADS
 
@@ -146,21 +149,26 @@ def _parse_fault(text: str):
     return Fault(*spec.entries[0])
 
 
+def _default(name: str) -> str:
+    """The help of machine flag ``name``: its default, read from MACHINE_PARAMS."""
+    return "default: " + MACHINE_PARAMS[name].describe_default()
+
+
 #: The run-shaping flags, declared once (argparse keywords per flag, in
 #: ``--help`` order) for every verb that builds a RunSpec from flags.
 #: Each name is also the :class:`~repro.api.Experiment` setter it feeds.
 #: No row sets a default, so an absent flag reads None: the real defaults
-#: (rollback / 4 / complete / gradient / 0 / 3) are owned by
-#: RunSpec/MachineSpec in repro.api, and *any* explicitly-given flag
-#: — even at its default value — conflicts with a whole-spec source
-#: (--spec-json, --scenario; see _whole_spec).
+#: are owned by RunSpec/MachineSpec in repro.api (the machine rows' help
+#: reads MACHINE_PARAMS), and *any* explicitly-given flag — even at its
+#: default value — conflicts with a whole-spec source (--spec-json,
+#: --scenario; see _whole_spec).
 SPEC_FLAGS = {
     "policy": dict(type=_parse_policy, metavar="POLICY", help=POLICY_HELP),
-    "processors": dict(type=int, help="default: 4"),
-    "topology": dict(choices=TOPOLOGIES, help="default: complete"),
-    "scheduler": dict(choices=SCHEDULERS, help="default: gradient"),
+    "processors": dict(type=int, help=_default("processors")),
+    "topology": dict(choices=TOPOLOGIES, help=_default("topology")),
+    "scheduler": dict(choices=SCHEDULERS, help=_default("scheduler")),
     "seed": dict(type=int, help="default: 0"),
-    "replication": dict(type=int, help="k for --policy replicated (default: 3)"),
+    "replication": dict(type=int, help=f"k for --policy replicated ({_default('replication')})"),
     "fault": dict(
         type=_parse_fault,
         action="append",
@@ -186,10 +194,10 @@ SPEC_FLAGS = {
 }
 
 
-#: The flags the ledgered-sweep verbs (``exp run|runs|resume``) share.
+#: The flags the sweep verbs (``exp run|runs|resume``, ``report``) share.
 SWEEP_FLAGS = {
     "workers": dict(type=int, default=1, help="process-pool width (1 = serial)"),
-    "cache_dir": dict(default="results", help="result-cache root (default: ./results)"),
+    "cache_dir": dict(default=RESULTS_DIR, help="result-cache root (default: ./%(default)s)"),
     "ledger_dir": dict(
         metavar="DIR", help="ledger directory (default: <cache-dir>/ledger)"
     ),
@@ -212,7 +220,7 @@ def _flags(parser, table, *names: str, **help_for: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.check.search import STRATEGIES
+    from repro.check import STRATEGIES, CheckConfig, search
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(
         exp_runs, SWEEP_FLAGS, "cache_dir", "ledger_dir", "json",
         cache_dir="result-cache root the default ledger dir derives from "
-        "(default: ./results)",
+        "(default: ./%(default)s)",
         json="emit the run list as canonical JSON",
     )
     exp_runs.set_defaults(handler=cmd_exp_runs)
@@ -326,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _check_common(p) -> None:
         p.add_argument(
-            "--horizon", type=float, default=None, metavar="FRAC",
+            "--horizon", type=float, default=CheckConfig.horizon_frac, metavar="FRAC",
             help="bounded-recovery horizon as a multiple of the baseline "
-            "makespan (default: 3.0)",
+            "makespan (default: %(default)s)",
         )
         p.add_argument(
             "--horizon-time", type=float, default=None, metavar="TIME",
@@ -379,24 +387,28 @@ def build_parser() -> argparse.ArgumentParser:
         "point (faults and nemesis cleared — the searcher owns that axis)",
     )
     _flags(check_search, SPEC_FLAGS, "policy", "processors")
-    check_search.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
+    # search()'s signature owns these flags' defaults
+    knobs = {name: p.default for name, p in signature(search).parameters.items()}
+    check_search.add_argument(
+        "--seed", type=int, default=knobs["seed"], help="generator seed (default: %(default)s)"
+    )
     check_search.add_argument(
         "--models", default=None, metavar="M1,M2",
         help="comma-separated fault models the generator may draw "
         "(default: all generatable models)",
     )
     check_search.add_argument(
-        "--max-clauses", type=int, default=2, metavar="N",
-        help="max composed clauses per schedule (default: 2)",
+        "--max-clauses", type=int, default=knobs["max_clauses"], metavar="N",
+        help="max composed clauses per schedule (default: %(default)s)",
     )
     check_search.add_argument(
-        "--strategy", choices=STRATEGIES, default="random",
+        "--strategy", choices=STRATEGIES, default=knobs["strategy"],
         help="schedule generation: blind random draws (default) or "
         "coverage-guided frontier mutation (see docs/CHECK.md)",
     )
     check_search.add_argument(
-        "--rounds", type=int, default=12, metavar="N",
-        help="schedules to evaluate (default: 12)",
+        "--rounds", type=int, default=knobs["rounds"], metavar="N",
+        help="schedules to evaluate (default: %(default)s)",
     )
     check_search.add_argument(
         "--maximize", action="store_true",
@@ -409,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         "document (replayable via `repro check corpus run`)",
     )
     check_search.add_argument(
-        "--out-dir", default=None, metavar="DIR",
-        help="ledger directory (default: results/check)",
+        "--out-dir", default=knobs["out_dir"], metavar="DIR",
+        help="ledger directory (default: %(default)s)",
     )
     check_search.add_argument(
         "--no-write", action="store_true", help="search only; write no ledger"
@@ -462,12 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="replicates per grid point (default: the registered spec's, "
             "usually 1); replicate seeds are derived deterministically",
         )
-        p.add_argument(
-            "--workers", type=int, default=1, help="process-pool width (1 = serial)"
-        )
-        p.add_argument(
-            "--cache-dir", default="results",
-            help="sweep result-cache root (default: ./results)",
+        _flags(
+            p, SWEEP_FLAGS, "workers", "cache_dir",
+            cache_dir="sweep result-cache root (default: ./%(default)s)",
         )
         p.add_argument(
             "--out-dir", default=None, metavar="DIR",
@@ -479,20 +488,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="recompute the sweep even if cached",
         )
         p.add_argument(
-            "--level", type=float, default=0.95,
-            help="confidence level for the bootstrap intervals (default: 0.95)",
+            "--level", type=float, default=DEFAULT_LEVEL,
+            help="confidence level for the bootstrap intervals (default: %(default)s)",
         )
         p.add_argument(
-            "--boot", type=int, default=1000, metavar="B",
-            help="bootstrap resamples (default: 1000)",
+            "--boot", type=int, default=DEFAULT_N_BOOT, metavar="B",
+            help="bootstrap resamples (default: %(default)s)",
         )
         p.add_argument(
             "--no-write", action="store_true",
             help="print only; write no report files",
         )
-        p.add_argument(
-            "--json", action="store_true",
-            help="print the canonical report JSON instead of the Markdown",
+        _flags(
+            p, SWEEP_FLAGS, "json",
+            json="print the canonical report JSON instead of the Markdown",
         )
 
     report_run = report_sub.add_parser(
@@ -865,14 +874,11 @@ def cmd_check_list(args, out) -> int:
 def _check_config(args):
     from repro.check import CheckConfig
 
-    kwargs = {}
-    if args.horizon is not None:
-        kwargs["horizon_frac"] = args.horizon
-    if getattr(args, "horizon_time", None) is not None:
-        kwargs["horizon_time"] = args.horizon_time
-    if getattr(args, "oracle", None):
-        kwargs["oracles"] = tuple(args.oracle)
-    return CheckConfig(**kwargs)
+    return CheckConfig(
+        horizon_frac=args.horizon,
+        horizon_time=args.horizon_time,
+        oracles=tuple(getattr(args, "oracle", ())),  # check search takes no --oracle
+    )
 
 
 def _check_specs(args) -> List[RunSpec]:
@@ -934,35 +940,27 @@ def cmd_check_run(args, out) -> int:
 
 
 def cmd_check_search(args, out) -> int:
-    from repro.check import DEFAULT_LEDGER_DIR, search
-    from repro.faults import GENERATABLE_MODELS
+    from repro.check import search
     from repro.util.jsonio import emit_json
 
     base = _check_specs(args)[0]
     if args.scenario is not None:
         # the scenario's own schedule goes: the searcher owns that axis
         base = replace(base, faults=FaultSpec(), nemesis=NemesisSpec())
-    models = tuple(GENERATABLE_MODELS)
+    models = {}  # absent (or empty): search()'s own pool
     if args.models:
-        models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-        unknown = [m for m in models if m not in GENERATABLE_MODELS]
-        if unknown:
-            raise SpecError(
-                f"cannot generate fault model(s) {unknown}",
-                field="check.models", value=args.models,
-                allowed=GENERATABLE_MODELS,
-            )
+        models["models"] = tuple(m.strip() for m in args.models.split(",") if m.strip())
     result = search(
         base,
         seed=args.seed,
         rounds=args.rounds,
-        models=models,
         max_clauses=args.max_clauses,
         config=_check_config(args),
-        out_dir=args.out_dir or DEFAULT_LEDGER_DIR,
+        out_dir=args.out_dir,
         write=not args.no_write,
         strategy=args.strategy,
         mode="maximize" if args.maximize else "violation",
+        **models,
     )
     corpus_path = None
     if args.corpus_out:

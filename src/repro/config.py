@@ -21,6 +21,9 @@ from dataclasses import dataclass, field, replace
 TOPOLOGIES = ("complete", "ring", "mesh", "hypercube", "star")
 SCHEDULERS = ("gradient", "random", "round_robin", "local", "static")
 
+#: The root the sweep cache (``--cache-dir``), ledgers and reports default under.
+RESULTS_DIR = "results"
+
 
 @dataclass(frozen=True)
 class CostModel:

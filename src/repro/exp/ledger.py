@@ -59,6 +59,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.config import RESULTS_DIR
 from repro.errors import ReproError
 from repro.util.jsonio import append_durable, compact_dumps, parse_json, sha256_hex
 
@@ -66,7 +67,7 @@ from repro.util.jsonio import append_durable, compact_dumps, parse_json, sha256_
 LEDGER_SCHEMA = "repro-ledger/1"
 
 #: Default ledger directory (the CLI derives ``<cache-dir>/ledger``).
-DEFAULT_LEDGER_DIR = os.path.join("results", "ledger")
+DEFAULT_LEDGER_DIR = os.path.join(RESULTS_DIR, "ledger")
 
 
 class LedgerWarning(UserWarning):

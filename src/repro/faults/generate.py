@@ -39,6 +39,7 @@ import random
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.api.specs import NemesisClause, NemesisSpec
+from repro.errors import SpecError
 
 #: Models the random generator knows how to draw.  ``crash`` and
 #: ``cascade`` are a family: at most one of them appears per schedule
@@ -54,6 +55,18 @@ GENERATABLE_MODELS: Tuple[str, ...] = (
 )
 
 _CRASH_FAMILY = frozenset({"crash", "cascade"})
+
+
+def check_models(models: Sequence[str]) -> List[str]:
+    """``models`` as a draw pool; the one model-name rule, also applied by search()."""
+    pool = list(models)
+    unknown = [m for m in pool if m not in GENERATABLE_MODELS]
+    if unknown or not pool:
+        raise SpecError(
+            f"cannot generate fault model(s) {unknown or '(none given)'}",
+            field="check.models", value=tuple(pool), allowed=GENERATABLE_MODELS,
+        )
+    return pool
 
 
 def _canonical(clauses: Iterable[NemesisClause]) -> NemesisSpec:
@@ -75,6 +88,7 @@ def random_clause(
     n = int(n_processors)
     if n < 2:
         raise ValueError("schedule generation needs at least 2 processors")
+    check_models((model,))
     if model == "crash":
         params = [("at", _frac(rng, 0.1, 0.8)), ("node", rng.randrange(1, n))]
     elif model == "cascade":
@@ -101,13 +115,8 @@ def random_clause(
             ("node", rng.randrange(0, n)), ("start", _frac(rng, 0.1, 0.6)),
             ("dur", _frac(rng, 0.2, 0.6)), ("factor", rng.choice((2, 3, 4, 6))),
         ]
-    elif model == "jitter":
+    else:  # jitter
         params = [("max", rng.choice((10, 15, 20, 25, 30, 40)))]
-    else:
-        raise ValueError(
-            f"cannot generate fault model {model!r}; "
-            f"generatable: {GENERATABLE_MODELS}"
-        )
     return _canonical([NemesisClause(model, tuple(params))]).clauses[0]
 
 
@@ -122,9 +131,7 @@ def random_nemesis(
     The draw is entirely a function of ``rng``'s state, so a seeded
     generator reproduces the same schedule sequence forever.
     """
-    pool = [m for m in models if m in GENERATABLE_MODELS]
-    if not pool:
-        raise ValueError(f"no generatable models in {tuple(models)!r}")
+    pool = check_models(models)
     clauses: List[NemesisClause] = []
     crashed = False
     for _ in range(rng.randint(1, max(1, max_clauses))):
@@ -218,9 +225,7 @@ def mutate_nemesis(
     n = int(n_processors)
     if n < 2:
         raise ValueError("schedule mutation needs at least 2 processors")
-    pool = [m for m in models if m in GENERATABLE_MODELS]
-    if not pool:
-        raise ValueError(f"no generatable models in {tuple(models)!r}")
+    pool = check_models(models)
     clauses = list(spec.clauses)
     has_crash_family = any(c.model in _CRASH_FAMILY for c in clauses)
 

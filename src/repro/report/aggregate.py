@@ -23,7 +23,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exp.runner import SweepResult
 from repro.exp.scenario import ScenarioSpec, get_scenario, stable_hash
-from repro.util.stats import bootstrap_median_ci, quartiles, summarize
+from repro.util.stats import (
+    DEFAULT_LEVEL, DEFAULT_N_BOOT, bootstrap_median_ci, quartiles, summarize,
+)
 
 #: Result fields never aggregated: non-numeric payloads and bookkeeping
 #: whose variation across replicates is definitional, not statistical.
@@ -193,8 +195,8 @@ class SweepAggregate:
 def aggregate_sweep(
     sweep: SweepResult,
     spec: Optional[ScenarioSpec] = None,
-    level: float = 0.95,
-    n_boot: int = 1000,
+    level: float = DEFAULT_LEVEL,
+    n_boot: int = DEFAULT_N_BOOT,
 ) -> SweepAggregate:
     """Group a sweep's points into cells and summarize every metric.
 

@@ -12,10 +12,10 @@ Two comparison shapes cover the repo's evaluation questions:
 
 Each paired cell yields a :class:`MetricDelta` per shared metric:
 the two medians, their difference, the ratio, and a bootstrap
-confidence interval for the difference of medians
-(:func:`repro.util.stats.bootstrap_delta_ci`), resampling the two
-replicate sets independently.  Bootstrap seeds are stable hashes of the
-pairing, so comparisons are byte-deterministic.
+confidence interval for the difference of medians at the base aggregate's
+level and resample count (:func:`repro.util.stats.bootstrap_delta_ci`),
+resampling the two replicate sets independently.  Bootstrap seeds are
+stable hashes of the pairing, so comparisons are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ def _pair_cells(
     other_cells: List[CellSummary],
     join_axes: Tuple[str, ...],
     seed_tag: str,
-    n_boot: int,
 ) -> Tuple[List[CellDelta], List, List]:
     base_index = _index_cells(base_agg, base_cells, join_axes, "base")
     other_index = _index_cells(other_agg, other_cells, join_axes, "other")
@@ -159,7 +158,7 @@ def _pair_cells(
             )
             ci_low, ci_high = bootstrap_delta_ci(
                 base_samples, other_samples, level=base_agg.level,
-                n_boot=n_boot, seed=seed,
+                n_boot=base_agg.n_boot, seed=seed,
             )
             base_median = cell.metrics[metric].median
             other_median = partner.metrics[metric].median
@@ -195,7 +194,6 @@ def compare_aggregates(
     base: SweepAggregate,
     other: SweepAggregate,
     join_axes: Optional[Tuple[str, ...]] = None,
-    n_boot: int = 1000,
 ) -> Comparison:
     """Join two scenarios' cells on their shared axes and compute deltas.
 
@@ -216,7 +214,7 @@ def compare_aggregates(
             )
     seed_tag = f"{base.scenario}|{other.scenario}"
     cells, unmatched_base, unmatched_other = _pair_cells(
-        base, base.cells, other, other.cells, join_axes, seed_tag, n_boot
+        base, base.cells, other, other.cells, join_axes, seed_tag
     )
     return Comparison(
         base_label=base.scenario,
@@ -236,7 +234,6 @@ def split_compare(
     aggregate: SweepAggregate,
     axis: str,
     baseline: Optional[Any] = None,
-    n_boot: int = 1000,
 ) -> List[Comparison]:
     """Compare values of one axis within a single scenario.
 
@@ -279,7 +276,7 @@ def split_compare(
         seed_tag = f"{aggregate.scenario}|{axis}={baseline!r}->{value!r}"
         cells, unmatched_base, unmatched_other = _pair_cells(
             aggregate, by_value[baseline], aggregate, by_value[value],
-            join_axes, seed_tag, n_boot,
+            join_axes, seed_tag,
         )
         comparisons.append(
             Comparison(

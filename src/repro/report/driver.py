@@ -36,10 +36,13 @@ from repro.report.emit import (
     markdown_report,
     report_payload,
 )
+from repro.config import RESULTS_DIR
+from repro.errors import SpecError
 from repro.util.jsonio import emit_json, write_atomic
+from repro.util.stats import DEFAULT_LEVEL, DEFAULT_N_BOOT, check_interval_params
 
 #: Where reports land by default, next to the sweep cache.
-DEFAULT_OUT_DIR = os.path.join("results", "reports")
+DEFAULT_OUT_DIR = os.path.join(RESULTS_DIR, "reports")
 
 
 @dataclass
@@ -61,26 +64,6 @@ def _resolved_spec(scenario: str, replications: Optional[int]) -> ScenarioSpec:
     if replications is not None:
         spec = with_replications(spec, replications)
     return spec
-
-
-def _check_interval_params(level: float, n_boot: int) -> None:
-    """Reject bad interval parameters *before* paying for the sweep.
-
-    The stats layer raises plain ValueErrors deep inside numpy; here the
-    CLI contract applies — one structured SpecError, exit 2.
-    """
-    from repro.errors import SpecError
-
-    if not 0.0 < level < 1.0:
-        raise SpecError(
-            f"confidence level must be in (0, 1), got {level}",
-            field="report.level", value=level,
-        )
-    if int(n_boot) < 1:
-        raise SpecError(
-            f"bootstrap resamples must be >= 1, got {n_boot}",
-            field="report.boot", value=n_boot,
-        )
 
 
 def _sweep_and_aggregate(
@@ -126,11 +109,11 @@ def run_report(
     scenario: str,
     replications: Optional[int] = None,
     workers: int = 1,
-    cache_dir: Optional[str] = "results",
+    cache_dir: Optional[str] = RESULTS_DIR,
     out_dir: Optional[str] = DEFAULT_OUT_DIR,
     force: bool = False,
-    level: float = 0.95,
-    n_boot: int = 1000,
+    level: float = DEFAULT_LEVEL,
+    n_boot: int = DEFAULT_N_BOOT,
 ) -> ReportResult:
     """Aggregate one scenario's (replicated) sweep into a report pair.
 
@@ -139,7 +122,7 @@ def run_report(
     standard result cache, so a report over an already-swept scenario
     costs no simulation time.
     """
-    _check_interval_params(level, n_boot)
+    check_interval_params(level, n_boot)
     spec = _resolved_spec(scenario, replications)
     sweep, aggregate = _sweep_and_aggregate(
         spec, workers, cache_dir, force, level, n_boot
@@ -162,11 +145,11 @@ def run_compare(
     baseline: Optional[Any] = None,
     replications: Optional[int] = None,
     workers: int = 1,
-    cache_dir: Optional[str] = "results",
+    cache_dir: Optional[str] = RESULTS_DIR,
     out_dir: Optional[str] = DEFAULT_OUT_DIR,
     force: bool = False,
-    level: float = 0.95,
-    n_boot: int = 1000,
+    level: float = DEFAULT_LEVEL,
+    n_boot: int = DEFAULT_N_BOOT,
 ) -> ReportResult:
     """Compare two scenarios, or two values of one axis, with delta CIs.
 
@@ -175,15 +158,13 @@ def run_compare(
     picks the reference value; default is the axis's first value).
     Exactly one of the two forms must be chosen.
     """
-    from repro.errors import SpecError
-
     if (other is None) == (axis is None):
         raise SpecError(
             "report compare takes either a second scenario or --axis "
             "(exactly one)",
             field="report.compare", value={"other": other, "axis": axis},
         )
-    _check_interval_params(level, n_boot)
+    check_interval_params(level, n_boot)
     spec = _resolved_spec(scenario, replications)
     sweep, aggregate = _sweep_and_aggregate(
         spec, workers, cache_dir, force, level, n_boot
@@ -193,7 +174,7 @@ def run_compare(
         other_sweep, other_aggregate = _sweep_and_aggregate(
             other_spec, workers, cache_dir, force, level, n_boot
         )
-        comparisons = [compare_aggregates(aggregate, other_aggregate, n_boot=n_boot)]
+        comparisons = [compare_aggregates(aggregate, other_aggregate)]
         name = f"{spec.name}-vs-{other_spec.name}"
         description = (
             f"`{spec.name}`: {spec.description}\n\n"
@@ -202,7 +183,7 @@ def run_compare(
         sweeps = [sweep, other_sweep]
         aggregates = [aggregate, other_aggregate]
     else:
-        comparisons = split_compare(aggregate, axis, baseline=baseline, n_boot=n_boot)
+        comparisons = split_compare(aggregate, axis, baseline=baseline)
         name = f"{spec.name}-by-{axis}"
         description = spec.description
         sweeps = [sweep]

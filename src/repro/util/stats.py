@@ -17,7 +17,7 @@ from itertools import filterfalse, repeat
 from operator import add
 from typing import Iterable, List, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 
 
 def _numpy():
@@ -29,6 +29,25 @@ def _numpy():
             "pip install 'repro[report]'"
         ) from None
     return numpy
+
+
+#: The bootstrap level and resample count of every report interval by default.
+DEFAULT_LEVEL = 0.95
+DEFAULT_N_BOOT = 1000
+
+
+def check_interval_params(level: float, n_boot: int) -> None:
+    """The one rule for interval parameters (report drivers apply it pre-sweep)."""
+    if not 0.0 < level < 1.0:
+        raise SpecError(
+            f"confidence level must be in (0, 1), got {level}",
+            field="report.level", value=level,
+        )
+    if int(n_boot) < 1:
+        raise SpecError(
+            f"bootstrap resamples must be >= 1, got {n_boot}",
+            field="report.boot", value=n_boot,
+        )
 
 
 @dataclass(frozen=True)
@@ -202,8 +221,8 @@ def _resampled_medians(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def bootstrap_median_ci(
     values: Sequence[float],
-    level: float = 0.95,
-    n_boot: int = 1000,
+    level: float = DEFAULT_LEVEL,
+    n_boot: int = DEFAULT_N_BOOT,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Percentile-bootstrap confidence interval for the sample median.
@@ -215,10 +234,7 @@ def bootstrap_median_ci(
     its exact degenerate interval without drawing; only a draw imports
     numpy.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if int(n_boot) < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    check_interval_params(level, n_boot)
     values = list(map(float, values))
     if not values:
         raise ValueError("cannot bootstrap an empty sample")
@@ -240,8 +256,8 @@ def bootstrap_median_ci(
 def bootstrap_delta_ci(
     base: Sequence[float],
     other: Sequence[float],
-    level: float = 0.95,
-    n_boot: int = 1000,
+    level: float = DEFAULT_LEVEL,
+    n_boot: int = DEFAULT_N_BOOT,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Bootstrap CI for ``median(other) - median(base)``.
@@ -252,10 +268,7 @@ def bootstrap_delta_ci(
     Degenerate (both single-element or both zero-spread) inputs return
     an exact interval without drawing or importing numpy.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if int(n_boot) < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    check_interval_params(level, n_boot)
     base = list(map(float, base))
     other = list(map(float, other))
     if not base or not other:

@@ -22,6 +22,7 @@ from repro.check import (
     ledger_path,
     search,
 )
+from repro.faults import GENERATABLE_MODELS
 from repro.util.jsonio import canonical_dumps
 
 BASE = (
@@ -117,4 +118,15 @@ def test_an_empty_budget_is_rejected_before_anything_is_written(
         search(BASE, seed=3, models=("jitter",), out_dir=str(tmp_path), **kwargs)
     assert excinfo.value.field == field
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("models", [("crash", "bogus"), ("bogus",), ()])
+def test_a_model_the_generator_cannot_draw_is_refused(models):
+    # was: ("crash", "bogus") silently searched crash-only schedules and
+    # ("bogus",) raised a bare ValueError from the generator
+    with pytest.raises(SpecError) as excinfo:
+        search(BASE, models=models, rounds=1, write=False)
+    assert excinfo.value.field == "check.models"
+    assert excinfo.value.allowed == GENERATABLE_MODELS
+    assert ("bogus" in str(excinfo.value)) == ("bogus" in models)
 

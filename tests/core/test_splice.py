@@ -69,6 +69,24 @@ class TestSingleFault:
         assert result.metrics.results_salvaged > 0
         assert result.metrics.twins_created > 0
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="nothing writes Metrics.steps_salvaged; a fix moves record bytes "
+        "and the golden digests",
+    )
+    def test_salvaged_results_count_their_steps(self):
+        # six results are spliced into twins, yet the steps behind them
+        # read 0: the field the metric table prints is never written
+        from repro.api import Experiment, Session
+
+        spec = (
+            Experiment.workload("balanced:4:2:60").policy("splice").processors(4)
+            .seed(0).fault(0.5, 1).build()
+        )
+        metrics = Session().run(spec).result.metrics
+        assert metrics.results_salvaged == 6
+        assert metrics.steps_salvaged > 0
+
     def test_salvage_beats_rollback_in_orphan_dominant_regime(self):
         """Splice's whole point: when orphan subtrees can finish their
         work, their results are inherited instead of recomputed.  A

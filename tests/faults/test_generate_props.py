@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.specs import NemesisSpec
+from repro.errors import SpecError
 from repro.faults.generate import (
     _MUTABLE_RANGES,
     GENERATABLE_MODELS,
@@ -146,3 +148,20 @@ def test_a_family_swap_keeps_the_timing_and_victim_exactly(seed, at, node):
         if clause.model != model:  # the draw chose the swap
             params = dict(clause.params)
             assert (params["at"], params["node"]) == (at, node)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: random_nemesis(rng, 4, models=("bogus",)),
+        lambda rng: mutate_nemesis(rng, NemesisSpec.parse("jitter:max=10"), 4, models=("bogus",)),
+        lambda rng: random_clause(rng, "bogus", 4),
+    ],
+    ids=["random_nemesis", "mutate_nemesis", "random_clause"],
+)
+def test_both_generators_refuse_an_unknown_model_by_one_rule(draw):
+    with pytest.raises(SpecError) as excinfo:
+        draw(random.Random(0))
+    assert excinfo.value.field == "check.models"
+    assert excinfo.value.allowed == GENERATABLE_MODELS
+    assert str(excinfo.value).startswith("cannot generate fault model(s) ['bogus']")

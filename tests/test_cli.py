@@ -8,13 +8,22 @@ import os
 
 import pytest
 
-from repro.cli import _parse_fault, main
+from repro.cli import _parse_fault, build_parser, main
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def _parsers(parser=None, path=()):
+    """Every parser of ``repro``, top level first, keyed by its verb path."""
+    parser = build_parser() if parser is None else parser
+    yield path, parser
+    for group in parser._subparsers._group_actions if parser._subparsers else ():
+        for name, sub in group.choices.items():
+            yield from _parsers(sub, path + (name,))
 
 
 class TestList:
@@ -696,6 +705,32 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "replication factor must be >= 1" in err
 
+    def test_every_verb_renders_its_help(self):
+        # argparse evaluates a help string's %-formats only when it renders
+        # it, so a help text that reads an owner's value must be rendered
+        helps = {path: p.format_help() for path, p in _parsers()}
+        assert len(helps) == 24  # the top level and its 23 verbs
+        assert all(text.startswith("usage: repro") for text in helps.values())
+
+    def test_help_reads_each_default_from_its_owner(self):
+        from inspect import signature
+
+        from repro.check import CheckConfig, search
+        from repro.config import RESULTS_DIR
+        from repro.util.stats import DEFAULT_LEVEL, DEFAULT_N_BOOT
+
+        knobs = {n: p.default for n, p in signature(search).parameters.items()}
+        helps = {path: " ".join(p.format_help().split()) for path, p in _parsers()}
+        search_knobs = [knobs[name] for name in ("seed", "max_clauses", "rounds", "out_dir")]
+        owned = {
+            ("check", "search"): search_knobs + [CheckConfig.horizon_frac],
+            ("report", "run"): [DEFAULT_LEVEL, DEFAULT_N_BOOT, f"./{RESULTS_DIR}"],
+            ("exp", "run"): [f"./{RESULTS_DIR}"],
+        }
+        for path, values in owned.items():
+            for value in values:
+                assert f"(default: {value})" in helps[path], (path, value)
+
     def test_every_verb_has_a_handler(self):
         # every leaf parser resolves to a handler; a parser with verbs
         # under it sets none of its own
@@ -795,6 +830,19 @@ class TestCheck:
             "--no-write",
         )
         assert code == 0 and "1 schedule(s) tried" in text
+
+    def test_an_unknown_model_is_one_line_before_anything_runs(self, capsys):
+        # the generator's rule, raised by search() itself: the CLI keeps no
+        # copy of it, and the line is unchanged
+        code, text = run_cli(
+            "check", "search", self.WORKLOAD, "--models", "crash,bogus", "--rounds", "1",
+            "--no-write",
+        )
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: cannot generate fault model(s) ['bogus'] "
+            "(allowed: crash, cascade, partition, chaos, grayfail, jitter)\n"
+        )
 
     def test_search_seed_leaves_the_base_seed_alone(self):
         # beside a workload argument too, --seed seeds only the generator
