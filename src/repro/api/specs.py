@@ -203,7 +203,10 @@ POLICY_PARAMS: Dict[str, Dict[str, Param]] = {
         ),
     },
     "replicated": {
-        "k": Param("int", 3, "replication factor (bare `replicated` follows the machine's)"),
+        "k": Param(
+            "int", SimConfig.replication_factor,
+            "replication factor (bare `replicated` follows the machine's)",
+        ),
     },
 }
 
@@ -458,16 +461,26 @@ class NemesisSpec:
 # -- machine -------------------------------------------------------------------
 
 
-_MACHINE_KEYS = ("processors", "topology", "scheduler", "replication")
+#: The four shape fields, each with the :class:`~repro.config.SimConfig`
+#: field it sets and takes its default from.
+_MACHINE_KEYS = {
+    "processors": "n_processors", "topology": "topology",
+    "scheduler": "scheduler", "replication": "replication_factor",
+}
 
 #: The machine fields: the four shape fields, then one ``cost.NAME``
 #: override per :class:`~repro.config.CostModel` field (by name, so
 #: declaration order is the sorted order ``MachineSpec.cost`` keeps).
 MACHINE_PARAMS: Dict[str, Param] = {
-    "processors": Param("int", 4, "number of (failable) processors"),
-    "topology": Param("choice", "complete", "interconnection topology", choices=TOPOLOGIES),
-    "scheduler": Param("choice", "gradient", "load-balancing scheduler", choices=SCHEDULERS),
-    "replication": Param("int", 3, "replicas per task packet (replicated policy)"),
+    **{
+        key: Param(kind, getattr(SimConfig, _MACHINE_KEYS[key]), doc, choices=choices)
+        for key, kind, doc, choices in (
+            ("processors", "int", "number of (failable) processors", ()),
+            ("topology", "choice", "interconnection topology", TOPOLOGIES),
+            ("scheduler", "choice", "load-balancing scheduler", SCHEDULERS),
+            ("replication", "int", "replicas per task packet (replicated policy)", ()),
+        )
+    },
     **{
         f"cost.{f.name}": Param("float", f.default, "CostModel override (sim-time units)")
         for f in sorted(dataclass_fields(CostModel), key=lambda f: f.name)
@@ -505,7 +518,7 @@ class MachineSpec:
     def from_params(cls, params: Mapping[str, Any]) -> "MachineSpec":
         """The scenario-grid form: the machine keys of a wider parameter
         namespace (the run-level grid params share it)."""
-        return cls.from_json({k: params[k] for k in _MACHINE_KEYS + ("cost",) if k in params})
+        return cls.from_json({k: params[k] for k in (*_MACHINE_KEYS, "cost") if k in params})
 
     def to_spec_str(self) -> str:
         shape = [(key, getattr(self, key)) for key in _MACHINE_KEYS]
@@ -535,12 +548,9 @@ class MachineSpec:
     def to_config(self, seed: int) -> SimConfig:
         """Build the live ``SimConfig`` (the seed lives on the RunSpec)."""
         return SimConfig(
-            n_processors=self.processors,
-            topology=self.topology,
-            scheduler=self.scheduler,
             seed=int(seed),
             cost=CostModel(**dict(self.cost)),
-            replication_factor=self.replication,
+            **{name: getattr(self, key) for key, name in _MACHINE_KEYS.items()},
         )
 
 
@@ -559,7 +569,7 @@ class RunSpec:
     """
 
     workload: WorkloadSpec
-    policy: PolicySpec = field(default_factory=lambda: PolicySpec("rollback"))
+    policy: PolicySpec = PolicySpec("rollback")
     machine: MachineSpec = field(default_factory=MachineSpec)
     seed: int = 0
     faults: FaultSpec = field(default_factory=FaultSpec)
@@ -586,10 +596,9 @@ class RunSpec:
                 f"unknown run parameter(s) {unknown}",
                 field="params", value=unknown, allowed=tuple(sorted(_RUN_PARAM_KEYS)),
             )
-        if "workload" not in params:
-            raise SpecError("run parameters need a 'workload'", field="workload")
-        if "seed" not in params:
-            raise SpecError("run parameters need a 'seed'", field="seed")
+        for key in ("workload", "seed"):
+            if key not in params:
+                raise SpecError(f"run parameters need a {key!r}", field=key)
         faults = FaultSpec.parse(str(params.get("faults", "")), mode="frac")
         if params.get("fault_frac") is not None:
             if faults.entries and faults.mode != "frac":
@@ -606,14 +615,18 @@ class RunSpec:
 
     @classmethod
     def _compose(cls, doc: Mapping[str, Any], machine: MachineSpec, faults: FaultSpec) -> "RunSpec":
-        """The fields the grid-parameter and document forms spell alike."""
+        """The fields the grid-parameter and document forms spell alike;
+        an absent ``policy`` or ``seed`` takes RunSpec's own default."""
+        given = {"workload": WorkloadSpec.parse(str(doc["workload"]))}
+        if "policy" in doc:
+            given["policy"] = PolicySpec.parse(str(doc["policy"]))
+        if "seed" in doc:
+            given["seed"] = coerce(INT, doc["seed"], field="seed")
         base_policy = doc.get("base_policy")
         sbp = doc.get("speedup_base_processors")
         return cls(
-            workload=WorkloadSpec.parse(str(doc["workload"])),
-            policy=PolicySpec.parse(str(doc.get("policy", "rollback"))),
+            **given,
             machine=machine,
-            seed=coerce(INT, doc.get("seed", 0), field="seed"),
             faults=faults,
             nemesis=NemesisSpec.parse(str(doc.get("nemesis", "") or "")),
             base_policy=PolicySpec.parse(str(base_policy)) if base_policy else None,

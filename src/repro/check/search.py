@@ -65,7 +65,8 @@ CHECK_SCHEMA = "repro-check/2"
 #: Default ledger directory.
 DEFAULT_LEDGER_DIR = os.path.join(RESULTS_DIR, "check")
 
-#: Search strategies and modes (CLI ``--strategy`` / ``--maximize``).
+#: Search strategies and modes (CLI ``--strategy`` / ``--maximize``); the
+#: first of each is the default.
 STRATEGIES = ("random", "coverage")
 MODES = ("violation", "maximize")
 
@@ -142,9 +143,7 @@ def shrink(
     evaluator = evaluator or Evaluator(base, config)
     current = nemesis
     trail: List[Dict[str, Any]] = []
-    improved = True
-    while improved:
-        improved = False
+    while True:
         for candidate in shrink_candidates(current):
             report = evaluator.evaluate(candidate).report
             if report.violations:
@@ -155,9 +154,9 @@ def shrink(
                         "violations": [v.oracle for v in report.violations],
                     }
                 )
-                improved = True
                 break
-    return current, trail
+        else:  # no candidate still violates: current is minimal
+            return current, trail
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,8 @@ class SearchResult:
     attempts: Tuple[Dict[str, Any], ...]
     violation: Optional[Dict[str, Any]]
     path: Optional[str] = None
-    strategy: str = "random"
-    mode: str = "violation"
+    strategy: str = STRATEGIES[0]
+    mode: str = MODES[0]
     rounds: int = 0
     #: Schedules that reached a novel coverage signature, in discovery
     #: order — the mutation frontier.
@@ -246,8 +245,8 @@ def ledger_path(
     seed: int,
     out_dir: str = DEFAULT_LEDGER_DIR,
     config: Optional[CheckConfig] = None,
-    strategy: str = "random",
-    mode: str = "violation",
+    strategy: str = STRATEGIES[0],
+    mode: str = MODES[0],
 ) -> str:
     """Deterministic ledger filename for one search.
 
@@ -304,8 +303,8 @@ def search(
     config: Optional[CheckConfig] = None,
     out_dir: str = DEFAULT_LEDGER_DIR,
     write: bool = True,
-    strategy: str = "random",
-    mode: str = "violation",
+    strategy: str = STRATEGIES[0],
+    mode: str = MODES[0],
 ) -> SearchResult:
     """Search the schedule space of ``base`` for oracle violations.
 

@@ -75,8 +75,9 @@ from typing import List, Optional
 
 from repro.api import Experiment, FaultSpec, NemesisSpec, PolicySpec, RunSpec, Session
 from repro.api.specs import MACHINE_PARAMS, POLICY_PARAMS, SCHEDULERS, TOPOLOGIES
-from repro.config import RESULTS_DIR
+from repro.config import LEDGER_SUBDIR, REPORTS_SUBDIR, RESULTS_DIR
 from repro.errors import ReproError, SpecError
+from repro.load import ARRIVAL_PROCESSES
 from repro.util.stats import DEFAULT_LEVEL, DEFAULT_N_BOOT
 from repro.util.tables import format_table
 from repro.workloads.suite import WORKLOADS
@@ -88,13 +89,16 @@ from repro.workloads.suite import WORKLOADS
 #: list; this tuple is the bare-name catalog ``repro list`` renders.
 POLICIES = tuple(POLICY_PARAMS)
 
-#: The ``--policy`` help string, kept next to POLICIES so the CLI surface
-#: and the spec grammar stay in sync (pinned by tests/test_docs.py).
-POLICY_HELP = (
-    "none | rollback | splice | reversible | "
-    "incremental[:persist=volatile|durable|hybrid] | replicated[:K] "
-    "(default: rollback)"
-)
+#: The ``--policy`` help string: the POLICY_PARAMS catalog in table order
+#: (a choice parameter as ``[:KEY=A|B]``, any other as the positional
+#: ``[:KEY]`` that ``replicated:K`` uses) and RunSpec's default policy.
+POLICY_HELP = " | ".join(
+    name + "".join(
+        f"[:{key}={'|'.join(param.choices)}]" if param.choices else f"[:{key.upper()}]"
+        for key, param in table.items()
+    )
+    for name, table in POLICY_PARAMS.items()
+) + f" (default: {RunSpec.policy.to_spec_str()})"
 
 TRACE_KINDS = (
     "node_failed",
@@ -167,7 +171,7 @@ SPEC_FLAGS = {
     "processors": dict(type=int, help=_default("processors")),
     "topology": dict(choices=TOPOLOGIES, help=_default("topology")),
     "scheduler": dict(choices=SCHEDULERS, help=_default("scheduler")),
-    "seed": dict(type=int, help="default: 0"),
+    "seed": dict(type=int, help=f"default: {RunSpec.seed}"),
     "replication": dict(type=int, help=f"k for --policy replicated ({_default('replication')})"),
     "fault": dict(
         type=_parse_fault,
@@ -188,7 +192,7 @@ SPEC_FLAGS = {
         help=(
             "open-loop arrival process, e.g. "
             "'poisson:rate=0.01,horizon=1500,cap=6,overflow=backpressure' "
-            "(processes: poisson, bursty, diurnal; see docs/LOAD.md)"
+            f"(processes: {', '.join(ARRIVAL_PROCESSES)}; see docs/LOAD.md)"
         ),
     ),
 }
@@ -199,7 +203,8 @@ SWEEP_FLAGS = {
     "workers": dict(type=int, default=1, help="process-pool width (1 = serial)"),
     "cache_dir": dict(default=RESULTS_DIR, help="result-cache root (default: ./%(default)s)"),
     "ledger_dir": dict(
-        metavar="DIR", help="ledger directory (default: <cache-dir>/ledger)"
+        metavar="DIR",
+        help=f"ledger directory (default: {os.path.join('<cache-dir>', LEDGER_SUBDIR)})",
     ),
     "json": dict(action="store_true", help="print the raw result JSON payload"),
 }
@@ -282,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(
         exp_run, SWEEP_FLAGS, "json", "ledger_dir",
         ledger_dir="crash-safe progress-ledger directory (default: "
-        "<cache-dir>/ledger; see `repro exp resume`)",
+        f"{os.path.join('<cache-dir>', LEDGER_SUBDIR)}; see `repro exp resume`)",
     )
     exp_run.add_argument(
         "--no-ledger",
@@ -481,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out-dir", default=None, metavar="DIR",
             help="where the Markdown+JSON pair is written "
-            "(default: <cache-dir>/reports)",
+            f"(default: {os.path.join('<cache-dir>', REPORTS_SUBDIR)})",
         )
         p.add_argument(
             "--force", action="store_true",
@@ -699,7 +704,7 @@ def _exp_ledger_dir(args) -> str:
     ``<cache-dir>/ledger``."""
     if args.ledger_dir is not None:
         return args.ledger_dir
-    return os.path.join(args.cache_dir, "ledger")
+    return os.path.join(args.cache_dir, LEDGER_SUBDIR)
 
 
 def _print_sweep(sweep, spec, args, out) -> int:
@@ -716,15 +721,9 @@ def _print_sweep(sweep, spec, args, out) -> int:
             source = "hit" if sweep.cache_hit else "miss, computed"
             print(f"cache: {source} ({sweep.cache_path})", file=out)
         if sweep.ledger_path:
-            resumed = (
-                f", resumed {sweep.resumed_points} point(s)"
-                if sweep.resumed_points is not None
-                else ""
-            )
-            print(
-                f"ledger: {sweep.ledger_path} (run {sweep.run_id}{resumed})",
-                file=out,
-            )
+            n = sweep.resumed_points
+            resumed = "" if n is None else f", resumed {n} point(s)"
+            print(f"ledger: {sweep.ledger_path} (run {sweep.run_id}{resumed})", file=out)
     failed = [
         p["index"]
         for p in sweep.points
@@ -940,7 +939,7 @@ def cmd_check_run(args, out) -> int:
 
 
 def cmd_check_search(args, out) -> int:
-    from repro.check import search
+    from repro.check import MODES, search
     from repro.util.jsonio import emit_json
 
     base = _check_specs(args)[0]
@@ -959,7 +958,7 @@ def cmd_check_search(args, out) -> int:
         out_dir=args.out_dir,
         write=not args.no_write,
         strategy=args.strategy,
-        mode="maximize" if args.maximize else "violation",
+        mode="maximize" if args.maximize else MODES[0],
         **models,
     )
     corpus_path = None
@@ -1046,7 +1045,7 @@ def _report_options(args) -> dict:
     if args.no_write:
         out_dir = None
     elif out_dir is None:
-        out_dir = os.path.join(args.cache_dir, "reports")
+        out_dir = os.path.join(args.cache_dir, REPORTS_SUBDIR)
     return dict(
         replications=args.replications,
         workers=args.workers,

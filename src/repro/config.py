@@ -21,8 +21,12 @@ from dataclasses import dataclass, field, replace
 TOPOLOGIES = ("complete", "ring", "mesh", "hypercube", "star")
 SCHEDULERS = ("gradient", "random", "round_robin", "local", "static")
 
-#: The root the sweep cache (``--cache-dir``), ledgers and reports default under.
+#: The root the sweep cache (``--cache-dir``), ledgers and reports default
+#: under, and the subdirectories of a cache root the ledgers and the reports
+#: land in (``<cache-dir>/ledger``, ``<cache-dir>/reports``).
 RESULTS_DIR = "results"
+LEDGER_SUBDIR = "ledger"
+REPORTS_SUBDIR = "reports"
 
 
 @dataclass(frozen=True)

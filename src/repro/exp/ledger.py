@@ -59,7 +59,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.config import RESULTS_DIR
+from repro.config import LEDGER_SUBDIR, RESULTS_DIR
 from repro.errors import ReproError
 from repro.util.jsonio import append_durable, compact_dumps, parse_json, sha256_hex
 
@@ -67,7 +67,7 @@ from repro.util.jsonio import append_durable, compact_dumps, parse_json, sha256_
 LEDGER_SCHEMA = "repro-ledger/1"
 
 #: Default ledger directory (the CLI derives ``<cache-dir>/ledger``).
-DEFAULT_LEDGER_DIR = os.path.join(RESULTS_DIR, "ledger")
+DEFAULT_LEDGER_DIR = os.path.join(RESULTS_DIR, LEDGER_SUBDIR)
 
 
 class LedgerWarning(UserWarning):
@@ -237,9 +237,7 @@ class LedgerState:
 
     def progress(self) -> float:
         """Finished fraction of the grid (0.0 - 1.0)."""
-        if self.n_points <= 0:
-            return 0.0
-        return len(self.finished) / self.n_points
+        return len(self.finished) / self.n_points if self.n_points > 0 else 0.0
 
     @property
     def complete(self) -> bool:

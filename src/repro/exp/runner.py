@@ -278,6 +278,14 @@ def _assemble(
     return sweep
 
 
+def _check_workers(workers: int) -> None:
+    """Refuse a pool width below 1 (``workers=1`` is the serial run)."""
+    if workers < 1:
+        raise SpecError(
+            f"workers must be at least 1, got {workers}", field="workers", value=workers
+        )
+
+
 def run_scenario(
     scenario: Union[str, ScenarioSpec],
     workers: int = 1,
@@ -294,8 +302,9 @@ def run_scenario(
     runs are written back atomically.  With ``ledger_dir`` set, fresh
     runs journal their progress to ``<ledger_dir>/<run-id>.jsonl`` so an
     interrupted sweep can be completed with :func:`resume_run`; cache
-    hits touch no ledger.
+    hits touch no ledger.  ``workers < 1`` is a :class:`SpecError`.
     """
+    _check_workers(workers)
     spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
     key = spec.key()
     path = result_path(cache_dir, spec.name, key) if cache_dir else None
@@ -339,8 +348,9 @@ def resume_run(
 
     Refused with :class:`~repro.errors.SpecError` (CLI exit 2) when the
     run id is unknown or the registered scenario's identity no longer
-    matches what the ledger recorded.
+    matches what the ledger recorded, or when ``workers < 1``.
     """
+    _check_workers(workers)
     path = ledger_path(ledger_dir, run_id)
     if not os.path.exists(path):
         from repro.exp.ledger import list_runs

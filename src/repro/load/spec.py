@@ -47,9 +47,6 @@ from typing import Any, Dict, Tuple
 from repro.load.grammar import Param, parse_clause, render_clause, resolve
 from repro.errors import SpecError
 
-#: Registered arrival-process names, in documentation order.
-ARRIVAL_PROCESSES: Tuple[str, ...] = ("poisson", "bursty", "diurnal")
-
 #: Overflow policies for finite inboxes, in documentation order.
 OVERFLOW_POLICIES: Tuple[str, ...] = ("drop", "tail", "backpressure")
 
@@ -94,6 +91,9 @@ PROCESSES: Dict[str, Dict[str, Param]] = {
         **_common_params(),
     },
 }
+
+#: Registered arrival-process names, in documentation order.
+ARRIVAL_PROCESSES: Tuple[str, ...] = tuple(PROCESSES)
 
 
 @dataclass(frozen=True)

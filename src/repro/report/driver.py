@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exp.runner import SweepResult, run_scenario
 from repro.exp.scenario import ScenarioSpec, get_scenario, with_replications
@@ -36,13 +36,13 @@ from repro.report.emit import (
     markdown_report,
     report_payload,
 )
-from repro.config import RESULTS_DIR
+from repro.config import REPORTS_SUBDIR, RESULTS_DIR
 from repro.errors import SpecError
 from repro.util.jsonio import emit_json, write_atomic
 from repro.util.stats import DEFAULT_LEVEL, DEFAULT_N_BOOT, check_interval_params
 
 #: Where reports land by default, next to the sweep cache.
-DEFAULT_OUT_DIR = os.path.join(RESULTS_DIR, "reports")
+DEFAULT_OUT_DIR = os.path.join(RESULTS_DIR, REPORTS_SUBDIR)
 
 
 @dataclass
@@ -59,50 +59,37 @@ class ReportResult:
     comparisons: List[Comparison] = field(default_factory=list)
 
 
-def _resolved_spec(scenario: str, replications: Optional[int]) -> ScenarioSpec:
-    spec = get_scenario(scenario)
-    if replications is not None:
-        spec = with_replications(spec, replications)
-    return spec
-
-
-def _sweep_and_aggregate(
-    spec: ScenarioSpec,
+def _sweep(
+    scenario: str,
+    replications: Optional[int],
     workers: int,
     cache_dir: Optional[str],
     force: bool,
     level: float,
     n_boot: int,
-):
+) -> Tuple[ScenarioSpec, SweepResult, SweepAggregate]:
+    """Resolve one scenario (``replications`` overrides the registered
+    count unless ``None``), then sweep and aggregate it."""
+    spec = get_scenario(scenario)
+    if replications is not None:
+        spec = with_replications(spec, replications)
     sweep = run_scenario(spec, workers=workers, cache_dir=cache_dir, force=force)
-    return sweep, aggregate_sweep(sweep, spec, level=level, n_boot=n_boot)
+    return spec, sweep, aggregate_sweep(sweep, spec, level=level, n_boot=n_boot)
 
 
 def _emit(
-    name: str,
-    payload: Dict[str, Any],
-    markdown: str,
-    out_dir: Optional[str],
-    sweeps: List[SweepResult],
-    aggregates: List[SweepAggregate],
-    comparisons: List[Comparison],
+    name: str, payload: Dict[str, Any], markdown: str, out_dir: Optional[str], **found: Any
 ) -> ReportResult:
-    markdown_path = json_path = None
+    """The report, with its Markdown+JSON pair written under ``out_dir``
+    unless that is ``None``; ``found`` is its sweeps, aggregates and
+    comparisons."""
+    result = ReportResult(name, payload, markdown, **found)
     if out_dir is not None:
-        markdown_path = os.path.join(out_dir, f"{name}.md")
-        json_path = os.path.join(out_dir, f"{name}.json")
-        write_atomic(markdown_path, markdown)
-        emit_json(payload, path=json_path)
-    return ReportResult(
-        name=name,
-        payload=payload,
-        markdown=markdown,
-        markdown_path=markdown_path,
-        json_path=json_path,
-        sweeps=sweeps,
-        aggregates=aggregates,
-        comparisons=comparisons,
-    )
+        result.markdown_path = os.path.join(out_dir, f"{name}.md")
+        result.json_path = os.path.join(out_dir, f"{name}.json")
+        write_atomic(result.markdown_path, markdown)
+        emit_json(payload, path=result.json_path)
+    return result
 
 
 def run_report(
@@ -123,18 +110,13 @@ def run_report(
     costs no simulation time.
     """
     check_interval_params(level, n_boot)
-    spec = _resolved_spec(scenario, replications)
-    sweep, aggregate = _sweep_and_aggregate(
-        spec, workers, cache_dir, force, level, n_boot
+    spec, sweep, aggregate = _sweep(
+        scenario, replications, workers, cache_dir, force, level, n_boot
     )
     return _emit(
-        spec.name,
-        report_payload(aggregate),
-        markdown_report(aggregate, description=spec.description),
-        out_dir,
-        sweeps=[sweep],
-        aggregates=[aggregate],
-        comparisons=[],
+        spec.name, report_payload(aggregate),
+        markdown_report(aggregate, description=spec.description), out_dir,
+        sweeps=[sweep], aggregates=[aggregate], comparisons=[],
     )
 
 
@@ -165,29 +147,23 @@ def run_compare(
             field="report.compare", value={"other": other, "axis": axis},
         )
     check_interval_params(level, n_boot)
-    spec = _resolved_spec(scenario, replications)
-    sweep, aggregate = _sweep_and_aggregate(
-        spec, workers, cache_dir, force, level, n_boot
-    )
+    knobs = (replications, workers, cache_dir, force, level, n_boot)
+    spec, sweep, aggregate = _sweep(scenario, *knobs)
+    sweeps, aggregates = [sweep], [aggregate]
     if other is not None:
-        other_spec = _resolved_spec(other, replications)
-        other_sweep, other_aggregate = _sweep_and_aggregate(
-            other_spec, workers, cache_dir, force, level, n_boot
-        )
+        other_spec, other_sweep, other_aggregate = _sweep(other, *knobs)
+        sweeps.append(other_sweep)
+        aggregates.append(other_aggregate)
         comparisons = [compare_aggregates(aggregate, other_aggregate)]
         name = f"{spec.name}-vs-{other_spec.name}"
         description = (
             f"`{spec.name}`: {spec.description}\n\n"
             f"`{other_spec.name}`: {other_spec.description}"
         )
-        sweeps = [sweep, other_sweep]
-        aggregates = [aggregate, other_aggregate]
     else:
         comparisons = split_compare(aggregate, axis, baseline=baseline)
         name = f"{spec.name}-by-{axis}"
         description = spec.description
-        sweeps = [sweep]
-        aggregates = [aggregate]
     return _emit(
         name, compare_payload(comparisons),
         markdown_compare(comparisons, description=description), out_dir,

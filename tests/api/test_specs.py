@@ -18,6 +18,7 @@ from repro.api import (
     WorkloadSpec,
 )
 from repro.api.specs import MACHINE_PARAMS, POLICY_PARAMS
+from repro.config import SimConfig
 from repro.lang.programs import PROGRAMS
 from repro.errors import ReproError
 
@@ -397,6 +398,31 @@ class TestMachineSpec:
         assert MachineSpec.from_json({"processors": 8.0, "replication": "5"}) == (
             MachineSpec.parse("processors=8,replication=5")
         )
+
+
+class TestOneOwnerPerDefault:
+    """Every loader fills an absent field from the same owner: RunSpec's
+    fields for the run, SimConfig's for the machine."""
+
+    @pytest.mark.parametrize("workload", ["fib-10", "balanced:3:2:10", "prog:tak:7:4:2"])
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda w: RunSpec.from_json({"schema": RUNSPEC_SCHEMA, "workload": w}),
+            lambda w: RunSpec.from_params({"workload": w, "seed": 0}),
+            lambda w: Experiment.workload(w).build(),
+            lambda w: RunSpec(WorkloadSpec.parse(w)),
+        ],
+        ids=["from_json", "from_params", "Experiment", "RunSpec"],
+    )
+    def test_every_loader_gives_the_same_minimal_spec(self, load, workload):
+        assert load(workload) == RunSpec(WorkloadSpec.parse(workload), seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_the_default_machine_is_simconfigs(self, seed):
+        built, direct = MachineSpec().to_config(seed), SimConfig(seed=seed)
+        for name in SimConfig.__dataclass_fields__:
+            assert getattr(built, name) == getattr(direct, name), name
 
 
 class TestRunSpec:

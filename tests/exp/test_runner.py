@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.exp import get_scenario, replay_ledger, run_scenario, sweep_table
+from repro.errors import SpecError
+from repro.exp import get_scenario, replay_ledger, resume_run, run_scenario, sweep_table
 from repro.exp.runner import SweepResult, result_path
 from repro.exp.scenario import ScenarioSpec
 from repro.util import jsonio
@@ -63,6 +64,21 @@ class TestSerialParallelParity:
             registered = run_scenario("smoke")
             assert serial.key != registered.key
             assert serial.results() != registered.results()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_a_pool_narrower_than_one_is_refused_before_anything_runs(self, workers, tmp_path):
+        with pytest.raises(SpecError, match=f"workers must be at least 1, got {workers}") as info:
+            run_scenario("smoke", workers=workers, cache_dir=str(tmp_path / "c"))
+        assert info.value.field == "workers"
+        assert not os.path.exists(tmp_path / "c")
+        # resume refuses it too, even for a ledger it could complete
+        ledgers = str(tmp_path / "ledger")
+        sweep = run_scenario("smoke", ledger_dir=ledgers)
+        with pytest.raises(SpecError) as info:
+            resume_run(sweep.run_id, ledger_dir=ledgers, workers=workers)
+        assert info.value.field == "workers"
 
 
 class TestCache:

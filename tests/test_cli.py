@@ -596,6 +596,24 @@ class TestExpLedger:
         err = capsys.readouterr().err
         assert "no ledger for run" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exp", "run", "smoke", "--no-cache", "--workers", "0"),
+            ("exp", "run", "smoke", "--no-cache", "--workers", "-3"),
+            ("exp", "resume", "smoke-123456789abc", "--workers", "0"),
+            ("report", "run", "smoke", "--no-write", "--workers", "0"),
+            ("report", "compare", "smoke", "--axis", "policy", "--no-write", "--workers", "0"),
+        ],
+        ids=["exp-run-0", "exp-run-neg", "exp-resume", "report-run", "report-compare"],
+    )
+    def test_a_worker_count_below_one_exits_2_in_one_line(self, argv, tmp_path, capsys):
+        code, out = run_cli(*argv, "--cache-dir", str(tmp_path / "results"))
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: workers must be at least 1, got {argv[-1]}\n"
+        assert not os.path.exists(tmp_path / "results")
+
     def test_exp_resume_completes_and_matches_direct_run(self, tmp_path):
         from repro.exp import LedgerWriter, get_scenario, run_scenario
 
